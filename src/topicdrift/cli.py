@@ -99,8 +99,6 @@ def _hyper_from(args):
 
 
 def cmd_train(args):
-    if getattr(args, "threads", 1) < 1:
-        raise ConfigurationError("threads must be >= 1")
     docs, vocab = _load_corpus(args)
     seed = _seed(args)
     hyper = _hyper_from(args)
@@ -297,9 +295,6 @@ def build_parser():
     p.add_argument("--train-fraction", type=float, default=0.5)
     p.add_argument("--k", type=int, default=50, help="fixed topic count for cdtm")
     p.add_argument("--sweeps", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1,
-                   help="upper bound on worker threads (computation is "
-                        "in-process; results never depend on this value)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("timeline", help="assign documents to a topic timeline")

@@ -9,8 +9,10 @@ and an Active/Dead topic lifecycle.  Each batch runs score-then-learn:
 3. the batch's own topic-word evidence is turned into pseudo-
    observations at the batch's document timestamps and filtered through
    per-(topic, word) Kalman tracks that resume from each topic's
-   persisted state (variance grown by elapsed time);
-4. smoothed track states are written back into the drifting topics;
+   persisted state (variance grown by elapsed time); a track is touched
+   only at the timestamps where its word occurs;
+4. each track's filtered state at the batch's last timestamp is written
+   back into the drifting topics;
 5. topic lifecycles advance on per-document relevance events.
 
 The track state is the topic's natural-parameter adjustment relative to
@@ -37,7 +39,7 @@ from .errors import (
     ParameterError,
     TimeOrderError,
 )
-from .kalman import DriftConfig, backward_steps, forward_steps
+from .kalman import DriftConfig, terminal_filter
 from .online_hdp import (
     BatchStats,
     GlobalVariational,
@@ -245,12 +247,16 @@ def _check_batch_order(model, batch):
 
 
 def _kalman_stage(model, batch, stats):
-    """Filter the batch's fresh topic-word evidence into the drift tracks."""
-    cfg_obs = model.config.obs_var
-    hyper = model.config.hyper
+    """Filter the batch's fresh topic-word evidence into the drift tracks.
+
+    One track per (born topic, batch word); a word is observed at each
+    distinct timestamp of the documents that contain it.  Only the
+    filtered state at the batch's last timestamp is kept.
+    """
     born = [k for k, t in enumerate(model.topics) if t is not None]
     if not born:
         return
+    hyper = model.config.hyper
     scale = model.hdp.corpus_scale / len(batch)
     fresh = hyper.eta + scale * stats.lam
     fresh_logp = np.log(fresh / fresh.sum(axis=1, keepdims=True))
@@ -258,51 +264,32 @@ def _kalman_stage(model, batch, stats):
 
     words = sorted({w for doc in batch for w in doc.counts})
     unique_ts, inverse = np.unique([doc.timestamp for doc in batch], return_inverse=True)
-    n_steps = unique_ts.size
     word_col = {w: j for j, w in enumerate(words)}
-    present_words = np.zeros((n_steps, len(words)), dtype=bool)
-    for i, doc in enumerate(batch):
-        step = inverse[i]
-        for w in doc.counts:
-            present_words[step, word_col[w]] = True
+    seen = [[] for _ in unique_ts]
+    for step, doc in zip(inverse, batch):
+        seen[step].extend(word_col[w] for w in doc.counts)
+    observed = [np.unique(np.asarray(cols, dtype=np.intp)) for cols in seen]
 
-    # one track per (born topic, batch word), vectorized across tracks
-    n_words = len(words)
-    n_tracks = len(born) * n_words
-    resid = np.empty(n_tracks)
-    prior_mean = np.empty(n_tracks)
-    prior_var = np.empty(n_tracks)
-    for i, k in enumerate(born):
-        topic = model.topics[k]
-        sl = slice(i * n_words, (i + 1) * n_words)
-        resid[sl] = fresh_logp[k, words] - baseline_logp[k, words]
-        prior_mean[sl] = [topic.word_mean.get(w, 0.0) for w in words]
-        prior_var[sl] = [topic.word_var.get(w, model.config.prior_variance) for w in words]
-
-    beta = np.broadcast_to(resid, (n_steps, n_tracks))
-    present = np.tile(present_words, (1, len(born)))
-    obs_var = np.full((n_steps, 1), cfg_obs)
-    drift = model.drift_config()
-    f_mean, f_var, _, _ = forward_steps(
-        unique_ts, beta, obs_var, present, drift, prior_mean=prior_mean, prior_var=prior_var
+    rows = np.ix_(born, words)
+    resid = fresh_logp[rows] - baseline_logp[rows]
+    prior_mean = np.array([[model.topics[k].word_mean.get(w, 0.0) for w in words] for k in born])
+    prior_var = np.array(
+        [[model.topics[k].word_var.get(w, model.config.prior_variance) for w in words] for k in born]
     )
-    s_mean, s_var = backward_steps(unique_ts, f_mean, f_var, drift)
+    mean, var = terminal_filter(
+        unique_ts, observed, resid, model.config.obs_var, model.drift_config(), prior_mean, prior_var
+    )
 
     batch_end = unique_ts[-1]
     span = batch_end - unique_ts[0]
+    batch_words = set(words)
     for i, k in enumerate(born):
         topic = model.topics[k]
-        sl = slice(i * n_words, (i + 1) * n_words)
-        terminal_mean = s_mean[-1, sl]
-        terminal_var = s_var[-1, sl]
-        tracked = set()
-        for j, w in enumerate(words):
-            topic.word_mean[w] = float(terminal_mean[j])
-            topic.word_var[w] = float(terminal_var[j])
-            tracked.add(w)
+        topic.word_mean.update(zip(words, mean[i].tolist()))
+        topic.word_var.update(zip(words, var[i].tolist()))
         if span > 0 and model.drift_per_second > 0:
             for w in topic.word_var:
-                if w not in tracked:
+                if w not in batch_words:
                     topic.word_var[w] += model.drift_per_second * span
         topic.last_update_ts = batch_end
 

@@ -6,6 +6,16 @@ by v * (t - s).  Pseudo-observations beta_hat of the state are Gaussian
 with variance v_hat and exist only at steps where the word was actually
 seen; other steps propagate the prediction unchanged.
 
+Two implementations share that model:
+
+* ``terminal_filter`` is sparse.  It touches a track only at the steps
+  where it is observed, grows its variance across each gap in one step,
+  and returns only the state at the last timestamp, in memory linear in
+  the number of tracks.  The online drifting model uses it.
+* ``forward_steps``/``backward_steps`` are dense.  They hold every
+  (step, track) cell and return the whole filtered and smoothed
+  trajectory, which the offline baseline and ``kalman_posterior`` need.
+
 The forward pass is the scalar Kalman filter written in gain form,
 
     m_t = g_t m_{t-1} + (1 - g_t) beta_hat_t,   g_t = v_hat / (P + v_hat)
@@ -138,6 +148,40 @@ def forward_steps(timestamps, beta_hat, obs_variance, present, cfg, prior_mean=N
         variances[t] = np.where(obs, (1.0 - gain) * p, p)
         m_prev, v_prev = means[t], variances[t]
     return means, variances, pred_means, pred_vars
+
+
+def terminal_filter(timestamps, observed, beta_hat, obs_variance, cfg, prior_mean, prior_var):
+    """Sparse filter returning only the filtered state at ``timestamps[-1]``.
+
+    Tracks are the cells of ``beta_hat``, whose last axis indexes columns
+    that share one observation pattern; ``observed[s]`` lists the columns
+    observed at ``timestamps[s]``, each with its pseudo-observation
+    ``beta_hat`` and variance ``obs_variance`` (broadcast to ``beta_hat``).
+    The prior (``prior_mean``, ``prior_var``, broadcast likewise) applies
+    at ``timestamps[0]``.  Each column remembers when it was last updated,
+    so its prediction variance grows by v * (t - last) in one step across
+    any gap; at the end every column grows to the last timestamp.  This
+    equals the last row of ``forward_steps`` on the same tracks up to
+    rounding, without the (steps, tracks) arrays.
+    """
+    ts = np.asarray(timestamps, dtype=float)
+    if len(observed) != ts.size:
+        raise ShapeMismatchError("observed must list the columns of every timestamp")
+    beta = np.asarray(beta_hat, dtype=float)
+    obs_var = np.broadcast_to(np.asarray(obs_variance, dtype=float), beta.shape)
+    mean = np.array(np.broadcast_to(prior_mean, beta.shape), dtype=float)
+    var = np.array(np.broadcast_to(prior_var, beta.shape), dtype=float)
+    last = np.full(beta.shape[-1], ts[0])
+    v = cfg.process_variance
+    for t, cols in zip(ts, observed):
+        p = var[..., cols] + v * (t - last[cols])
+        gain = p / (p + obs_var[..., cols])
+        m = mean[..., cols]
+        mean[..., cols] = m + gain * (beta[..., cols] - m)
+        var[..., cols] = (1.0 - gain) * p
+        last[cols] = t
+    var += v * (ts[-1] - last)
+    return mean, var
 
 
 def backward_steps(timestamps, fwd_means, fwd_vars, cfg):

@@ -3,13 +3,18 @@
 Everything here is implemented from first principles, separately from
 the package code it checks: a textbook predict/update Kalman filter and
 RTS smoother, the closed-form conjugate Normal-Gamma posterior and
-evidence, and exact CRP partition probabilities by enumeration.
+evidence, and exact CRP partition probabilities by enumeration.  The one
+exception is ``dense_kalman_stage``, the drifting model's former dense
+Kalman stage, kept as the reference for the sparse stage that replaced it.
 """
 
 import math
 
 import numpy as np
 from scipy.special import gammaln
+
+from topicdrift.kalman import backward_steps, forward_steps
+from topicdrift.online_hdp import topic_word_probs
 
 
 def dense_kalman_filter(timestamps, observations, obs_var, present, v, m0, v0):
@@ -41,6 +46,73 @@ def rts_smoother(timestamps, fwd_means, fwd_vars, v):
         sm[t] = fwd_means[t] + c * (sm[t + 1] - fwd_means[t])
         sv[t] = fwd_vars[t] + c * c * (sv[t + 1] - p_pred)
     return sm, sv
+
+
+def dense_kalman_stage(model, batch, stats):
+    """The drifting model's former Kalman stage, a drop-in for ``_kalman_stage``.
+
+    Runs the dense filter and smoother over every (born topic, batch word)
+    pair at every distinct timestamp and keeps only the last smoothed row.
+    """
+    cfg_obs = model.config.obs_var
+    hyper = model.config.hyper
+    born = [k for k, t in enumerate(model.topics) if t is not None]
+    if not born:
+        return
+    scale = model.hdp.corpus_scale / len(batch)
+    fresh = hyper.eta + scale * stats.lam
+    fresh_logp = np.log(fresh / fresh.sum(axis=1, keepdims=True))
+    baseline_logp = np.log(topic_word_probs(model.hdp.g))
+
+    words = sorted({w for doc in batch for w in doc.counts})
+    unique_ts, inverse = np.unique([doc.timestamp for doc in batch], return_inverse=True)
+    n_steps = unique_ts.size
+    word_col = {w: j for j, w in enumerate(words)}
+    present_words = np.zeros((n_steps, len(words)), dtype=bool)
+    for i, doc in enumerate(batch):
+        step = inverse[i]
+        for w in doc.counts:
+            present_words[step, word_col[w]] = True
+
+    # one track per (born topic, batch word), vectorized across tracks
+    n_words = len(words)
+    n_tracks = len(born) * n_words
+    resid = np.empty(n_tracks)
+    prior_mean = np.empty(n_tracks)
+    prior_var = np.empty(n_tracks)
+    for i, k in enumerate(born):
+        topic = model.topics[k]
+        sl = slice(i * n_words, (i + 1) * n_words)
+        resid[sl] = fresh_logp[k, words] - baseline_logp[k, words]
+        prior_mean[sl] = [topic.word_mean.get(w, 0.0) for w in words]
+        prior_var[sl] = [topic.word_var.get(w, model.config.prior_variance) for w in words]
+
+    beta = np.broadcast_to(resid, (n_steps, n_tracks))
+    present = np.tile(present_words, (1, len(born)))
+    obs_var = np.full((n_steps, 1), cfg_obs)
+    drift = model.drift_config()
+    f_mean, f_var, _, _ = forward_steps(
+        unique_ts, beta, obs_var, present, drift, prior_mean=prior_mean, prior_var=prior_var
+    )
+    s_mean, s_var = backward_steps(unique_ts, f_mean, f_var, drift)
+
+    batch_end = unique_ts[-1]
+    span = batch_end - unique_ts[0]
+    for i, k in enumerate(born):
+        topic = model.topics[k]
+        sl = slice(i * n_words, (i + 1) * n_words)
+        terminal_mean = s_mean[-1, sl]
+        terminal_var = s_var[-1, sl]
+        tracked = set()
+        for j, w in enumerate(words):
+            topic.word_mean[w] = float(terminal_mean[j])
+            topic.word_var[w] = float(terminal_var[j])
+            tracked.add(w)
+        if span > 0 and model.drift_per_second > 0:
+            for w in topic.word_var:
+                if w not in tracked:
+                    topic.word_var[w] += model.drift_per_second * span
+        topic.last_update_ts = batch_end
 
 
 def normal_gamma_posterior(data, mu0, lambda0, a0, b0):

@@ -1,10 +1,13 @@
 """Drifting-topic model: lifecycle, evolution, batches, HDP reduction."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import dense_kalman_stage
+from topicdrift import drifting_topics
 from topicdrift.corpus import Document
 from topicdrift.drifting_topics import (
     ACTIVE,
@@ -26,7 +29,7 @@ from topicdrift.drifting_topics import (
     topic_word_distribution,
 )
 from topicdrift.errors import LifecycleProtocolError, TimeOrderError
-from topicdrift.online_hdp import HdpHyper, OnlineHdp
+from topicdrift.online_hdp import BatchStats, HdpHyper, OnlineHdp
 from topicdrift.online_hdp import prequential_run as hdp_run
 from topicdrift.synthetic import drifting_stream, three_topic_corpus
 
@@ -241,6 +244,83 @@ class TestDormancyLifecycle:
         assert died_twice | ended_active, "no dead topic was revived by later documents"
         later_born = set().union(*born_events[1:])
         assert not (all_died & later_born), "revival must not be reported as birth"
+
+
+class TestSparseKalmanStage:
+    """The sparse terminal stage against the former dense filter and smoother."""
+
+    @staticmethod
+    def run(docs, monkeypatch, stage=None):
+        with monkeypatch.context() as m:
+            if stage is not None:
+                m.setattr(drifting_topics, "_kalman_stage", stage)
+            cfg = CidtmConfig(hyper=HdpHyper(K_corpus=8, T_doc=4), drift_v=0.02, obs_var=0.1,
+                              active_timer_len=20 * DAY, relevance_threshold=0.2)
+            model = DriftingTopicModel(cfg, _vocab(docs), len(docs), seed=2)
+            results = [model.process_batch(docs[s : s + 12]) for s in range(0, len(docs), 12)]
+        return model, results
+
+    def test_matches_dense_stage_through_dormancy_death_and_revival(self, monkeypatch):
+        docs, _ = drifting_stream(seed=8, pre_docs=120, gap_docs=24, post_docs=60)
+        sparse, sparse_results = self.run(docs, monkeypatch)
+        dense, dense_results = self.run(docs, monkeypatch, stage=dense_kalman_stage)
+
+        deaths = [k for r in dense_results for k in r.topics_died]
+        assert len(deaths) > len(set(deaths)), "stream must revive and re-kill a topic"
+        for got, want in zip(sparse_results, dense_results):
+            assert got.topics_born == want.topics_born
+            assert got.topics_died == want.topics_died
+            assert [r[:2] + r[3:] for r in got.per_doc] == [r[:2] + r[3:] for r in want.per_doc]
+            np.testing.assert_allclose(
+                [r[2] for r in got.per_doc], [r[2] for r in want.per_doc], rtol=1e-10, atol=0
+            )
+        assert sparse.clock == dense.clock
+        for got, want in zip(sparse.topics, dense.topics):
+            if want is None:
+                assert got is None
+                continue
+            assert got.lifecycle == want.lifecycle
+            assert got.last_update_ts == want.last_update_ts
+            assert list(got.word_mean) == list(want.word_mean)
+            assert list(got.word_var) == list(want.word_var)
+            words = list(want.word_mean)
+            for field_name in ("word_mean", "word_var"):
+                np.testing.assert_allclose(
+                    [getattr(got, field_name)[w] for w in words],
+                    [getattr(want, field_name)[w] for w in words],
+                    rtol=1e-10, atol=0,
+                )
+
+    def test_memory_is_linear_in_tracks_not_steps(self):
+        rng = np.random.default_rng(12)
+        n_topics, vocab, n_steps = 16, 300, 128
+        cfg = small_config(hyper=HdpHyper(K_corpus=n_topics, T_doc=4), drift_v=0.02)
+        start = 1_600_000_000.0
+        batch = [
+            Document(f"d{i}", start + 3600.0 * i,
+                     {int(w): 1 for w in rng.choice(vocab, size=25, replace=False)}, 25)
+            for i in range(n_steps)
+        ]
+        n_words = len({w for doc in batch for w in doc.counts})
+        stats = BatchStats.zeros(n_topics, vocab)
+
+        def peak_bytes(stage):
+            model = DriftingTopicModel(cfg, vocab, 1000, seed=0)
+            for k in range(n_topics):
+                model.topics[k] = DriftingTopic(
+                    k, last_update_ts=start, lifecycle=TopicLifecycle(ACTIVE, start + 90 * DAY)
+                )
+            tracemalloc.start()
+            try:
+                stage(model, batch, stats)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one (born, batch words) float array; the dense stage holds 4 * steps of them
+        track_array = n_topics * n_words * 8
+        assert peak_bytes(drifting_topics._kalman_stage) < 64 * track_array
+        assert peak_bytes(dense_kalman_stage) > 4 * n_steps * track_array
 
 
 class TestCheckpoint:

@@ -16,6 +16,7 @@ from topicdrift.kalman import (
     kalman_forward,
     kalman_lower_bound,
     kalman_posterior,
+    terminal_filter,
 )
 
 
@@ -125,6 +126,97 @@ class TestBackward:
         track = make_track([0.0, 1.0], [0.0, 1.0], 0.1)
         with pytest.raises(ShapeMismatchError):
             kalman_backward(track, (np.zeros(3), np.ones(3)), DriftConfig(0.1))
+
+
+class TestTerminalFilter:
+    """The sparse terminal filter against the dense oracle's last row."""
+
+    @staticmethod
+    def oracle_terminal(ts, present, values, obs_var, v, m0, v0):
+        """Last row of the dense oracle, column by column."""
+        means, variances = [], []
+        for w in range(values.shape[-1]):
+            m, p = dense_kalman_filter(
+                ts, np.full(len(ts), values[w]), obs_var, present[:, w], v, m0[w], v0[w]
+            )
+            means.append(m[-1])
+            variances.append(p[-1])
+        return np.array(means), np.array(variances)
+
+    @staticmethod
+    def columns(present):
+        return [np.flatnonzero(row) for row in present]
+
+    def check(self, ts, present, values, obs_var, cfg, m0, v0):
+        mean, var = terminal_filter(
+            ts, self.columns(present), values, obs_var, cfg, prior_mean=m0, prior_var=v0
+        )
+        o_mean, o_var = self.oracle_terminal(
+            ts, present, values, obs_var, cfg.process_variance, m0, v0
+        )
+        np.testing.assert_allclose(mean, o_mean, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(var, o_var, rtol=1e-12, atol=1e-15)
+
+    def test_irregular_gaps(self):
+        rng = np.random.default_rng(4)
+        steps, words = 30, 12
+        ts = np.cumsum(rng.uniform(0.01, 5.0, size=steps))
+        present = rng.random((steps, words)) < 0.25
+        values = rng.normal(size=words)
+        m0, v0 = rng.normal(size=words), rng.uniform(0.1, 2.0, size=words)
+        self.check(ts, present, values, 0.3, DriftConfig(0.2), m0, v0)
+
+    def test_word_seen_only_at_first_step_grows_to_the_end(self):
+        ts = np.array([0.0, 1.5, 4.0, 9.0])
+        present = np.zeros((4, 3), dtype=bool)
+        present[0, 0] = True
+        present[:, 1] = True
+        values, m0, v0 = np.array([1.0, -0.5, 2.0]), np.zeros(3), np.ones(3)
+        cfg = DriftConfig(0.1)
+        self.check(ts, present, values, 0.2, cfg, m0, v0)
+        mean, var = terminal_filter(ts, self.columns(present), values, 0.2, cfg, m0, v0)
+        gain = 1.0 / (1.0 + 0.2)
+        assert mean[0] == pytest.approx(gain * 1.0, rel=1e-12)
+        assert var[0] == pytest.approx((1.0 - gain) + 0.1 * 9.0, rel=1e-12)
+        # a column never observed keeps its prior mean and only drifts
+        assert mean[2] == 0.0
+        assert var[2] == pytest.approx(1.0 + 0.1 * 9.0, rel=1e-12)
+
+    def test_zero_process_variance(self):
+        rng = np.random.default_rng(5)
+        ts = np.cumsum(rng.uniform(0.5, 3.0, size=10))
+        present = rng.random((10, 6)) < 0.5
+        values = rng.normal(size=6)
+        m0, v0 = np.zeros(6), np.full(6, 0.7)
+        self.check(ts, present, values, 0.4, DriftConfig(0.0), m0, v0)
+
+    def test_single_shared_timestamp(self):
+        ts = np.array([1000.0])
+        present = np.array([[True, False, True, True]])
+        values = np.array([0.3, 9.0, -1.2, 0.0])
+        m0, v0 = np.full(4, 0.1), np.array([1.0, 2.0, 0.5, 3.0])
+        self.check(ts, present, values, 0.1, DriftConfig(0.05), m0, v0)
+        mean, var = terminal_filter(ts, self.columns(present), values, 0.1, DriftConfig(0.05), m0, v0)
+        assert mean[1] == 0.1 and var[1] == 2.0
+
+    def test_leading_axes_are_independent_tracks(self):
+        rng = np.random.default_rng(6)
+        steps, topics, words = 15, 3, 8
+        ts = np.cumsum(rng.uniform(0.1, 2.0, size=steps))
+        present = rng.random((steps, words)) < 0.4
+        values = rng.normal(size=(topics, words))
+        m0 = rng.normal(size=(topics, words))
+        v0 = rng.uniform(0.2, 1.5, size=(topics, words))
+        cfg = DriftConfig(0.3)
+        mean, var = terminal_filter(ts, self.columns(present), values, 0.25, cfg, m0, v0)
+        for k in range(topics):
+            o_mean, o_var = self.oracle_terminal(ts, present, values[k], 0.25, 0.3, m0[k], v0[k])
+            np.testing.assert_allclose(mean[k], o_mean, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(var[k], o_var, rtol=1e-12, atol=1e-15)
+
+    def test_observed_must_cover_every_timestamp(self):
+        with pytest.raises(ShapeMismatchError):
+            terminal_filter([0.0, 1.0], [np.array([0])], np.zeros(2), 0.1, DriftConfig(0.1), 0.0, 1.0)
 
 
 class TestSparseVsDense:
