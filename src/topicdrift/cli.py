@@ -70,16 +70,24 @@ def cmd_ingest(args):
     return 0
 
 
+def _check_words(docs, vocab_size):
+    """Every document needs at least one word, and every index must lie in [0, vocab_size)."""
+    for doc in docs:
+        if not doc.counts:
+            raise ConfigurationError(f"document {doc.id!r} has no words")
+        for w in (min(doc.counts), max(doc.counts)):
+            if not 0 <= w < vocab_size:
+                raise ConfigurationError(
+                    f"document {doc.id!r} uses word index {w} outside the {vocab_size}-term vocabulary"
+                )
+
+
 def _load_corpus(args):
     docs = corpus_mod.read_canonical(args.corpus)
     vocab = corpus_mod.read_vocabulary(args.vocab)
     if not docs:
         raise ConfigurationError("corpus is empty")
-    top = max(max(d.counts) for d in docs)
-    if top >= vocab.size:
-        raise ConfigurationError(
-            f"corpus uses word index {top} but the vocabulary has {vocab.size} terms"
-        )
+    _check_words(docs, vocab.size)
     return docs, vocab
 
 
@@ -138,41 +146,30 @@ def cmd_train(args):
 
 
 def _doc_topic_weights(kind, model, docs):
+    """Expected topic weights of each document under a loaded online model."""
+    hdp = model.hdp if kind == "cidtm" else model
+    snap = online_hdp.HdpSnapshot.of(hdp.g)
+    elog = model.adjusted_matrices(snap)[0] if kind == "cidtm" else snap.elog_beta
+    return [theta for *_, theta in online_hdp.infer_batch(docs, elog, snap.elog_sticks, hdp.hyper)]
+
+
+def _load_online_model(path):
+    """(kind, model) of an online-model checkpoint; the file is parsed once."""
+    with open(path, "r", encoding="utf-8") as f:
+        payload = json.load(f)
+    kind = payload.get("kind")
     if kind == "ohdp":
-        snap = online_hdp.HdpSnapshot.of(model.g)
-        weights = []
-        for doc in docs:
-            words, n = online_hdp._doc_words(doc)
-            dv, _ = online_hdp._infer_core(
-                words, n, snap.elog_beta[:, words], snap.elog_sticks, model.hyper, 50, 1e-6
-            )
-            weights.append(online_hdp.doc_topic_mixture(dv))
-        return weights
+        return kind, online_hdp.decode_checkpoint(payload)
     if kind == "cidtm":
-        snap = online_hdp.HdpSnapshot.of(model.hdp.g)
-        elog_adj, _ = model.adjusted_matrices(snap)
-        hyper = model.config.hyper
-        weights = []
-        for doc in docs:
-            words, n = online_hdp._doc_words(doc)
-            dv, _ = online_hdp._infer_core(
-                words, n, elog_adj[:, words], snap.elog_sticks, hyper, 50, 1e-6
-            )
-            weights.append(online_hdp.doc_topic_mixture(dv))
-        return weights
-    raise ConfigurationError(f"timeline needs an ohdp or cidtm checkpoint, got {kind!r}")
+        return kind, drifting_topics.decode_checkpoint(payload)
+    raise ConfigurationError(f"unsupported checkpoint kind {kind!r}")
 
 
 def cmd_timeline(args):
-    with open(args.checkpoint, "r", encoding="utf-8") as f:
-        kind = json.load(f).get("kind")
-    if kind == "ohdp":
-        model = online_hdp.load_checkpoint(args.checkpoint)
-    elif kind == "cidtm":
-        model = drifting_topics.load_checkpoint(args.checkpoint)
-    else:
-        raise ConfigurationError(f"unsupported checkpoint kind {kind!r}")
+    # the parsed payload is freed before any document is fitted
+    kind, model = _load_online_model(args.checkpoint)
     docs = corpus_mod.read_canonical(args.corpus)
+    _check_words(docs, model.vocab_size)
     weights = _doc_topic_weights(kind, model, docs)
     if weights and not (0 <= args.topic < len(weights[0])):
         raise ConfigurationError(f"topic {args.topic} out of range")
@@ -181,7 +178,7 @@ def cmd_timeline(args):
     with open(args.out_assign, "w", encoding="utf-8") as f:
         f.write("doc_id\ttimestamp\tassigned\tweight\n")
         for doc, flag, w in zip(docs, assigned, weights):
-            f.write(f"{doc.id}\t{doc.timestamp!r}\t{int(flag)}\t{w[args.topic]!r}\n")
+            f.write(f"{doc.id}\t{doc.timestamp!r}\t{int(flag)}\t{float(w[args.topic])!r}\n")
 
     if args.labels:
         labels = {}

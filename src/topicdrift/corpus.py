@@ -20,6 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .errors import (
     ConfigurationError,
     CorpusParseError,
@@ -280,6 +282,13 @@ def to_documents(docs, vocab, cfg=TokenizerConfig(), format_hint=None):
         )
     out.sort(key=lambda d: (d.timestamp, d.id))
     return out
+
+
+def doc_words(doc):
+    """The document's distinct word indices, ascending, and their counts as floats."""
+    words = sorted(doc.counts)
+    n = np.array([doc.counts[w] for w in words], dtype=float)
+    return words, n
 
 
 def batch_iter(docs, batch_size):

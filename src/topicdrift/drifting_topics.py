@@ -42,14 +42,13 @@ from .errors import (
 from .kalman import DriftConfig, terminal_filter
 from .online_hdp import (
     BatchStats,
-    GlobalVariational,
     HdpHyper,
     HdpSnapshot,
     OnlineHdp,
-    _doc_words,
-    _infer_core,
     accumulate_stats,
-    doc_topic_mixture,
+    decode_hdp,
+    encode_hdp,
+    infer_batch,
     mixture_score,
     online_update,
     topic_word_probs,
@@ -330,10 +329,8 @@ def process_batch(model, batch, learn=True):
 
     stats = BatchStats.zeros(hyper.K_corpus, model.vocab_size)
     records, mixtures = [], []
-    for doc in batch:
-        words, n = _doc_words(doc)
-        dv, _ = _infer_core(words, n, elog_adj[:, words], snap.elog_sticks, hyper, 50, 1e-6)
-        theta = doc_topic_mixture(dv)
+    fits = infer_batch(batch, elog_adj, snap.elog_sticks, hyper)
+    for doc, (words, n, dv, _, theta) in zip(batch, fits):
         records.append(
             (doc.id, doc.timestamp, mixture_score(words, n, theta, probs_adj), int(n.sum()))
         )
@@ -382,6 +379,7 @@ def save_checkpoint(model, path):
     payload = {
         "format_version": 1,
         "kind": "cidtm",
+        **encode_hdp(model.hdp),
         "config": {
             "hyper": asdict(model.config.hyper),
             "drift_v": model.config.drift_v,
@@ -390,24 +388,15 @@ def save_checkpoint(model, path):
             "relevance_threshold": model.config.relevance_threshold,
             "prior_variance": model.config.prior_variance,
         },
-        "vocab_size": model.vocab_size,
-        "corpus_scale": model.hdp.corpus_scale,
         "clock": model.clock,
-        "state": {
-            "lam": model.hdp.g.lam.tolist(),
-            "stick_u": model.hdp.g.stick_u.tolist(),
-            "stick_v": model.hdp.g.stick_v.tolist(),
-            "update_count": model.hdp.g.update_count,
-        },
         "topics": topics,
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True)
 
 
-def load_checkpoint(path):
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+def decode_checkpoint(payload):
+    """The DriftingTopicModel of a parsed checkpoint payload."""
     if payload.get("kind") != "cidtm" or payload.get("format_version") != 1:
         raise ParameterError("not a version-1 drifting-topic checkpoint")
     raw_cfg = payload["config"]
@@ -421,17 +410,7 @@ def load_checkpoint(path):
     )
     model = DriftingTopicModel.__new__(DriftingTopicModel)
     model.config = config
-    model.hdp = OnlineHdp.__new__(OnlineHdp)
-    model.hdp.hyper = config.hyper
-    model.hdp.vocab_size = payload["vocab_size"]
-    model.hdp.corpus_scale = payload["corpus_scale"]
-    state = payload["state"]
-    model.hdp.g = GlobalVariational(
-        lam=np.array(state["lam"], dtype=float),
-        stick_u=np.array(state["stick_u"], dtype=float),
-        stick_v=np.array(state["stick_v"], dtype=float),
-        update_count=int(state["update_count"]),
-    )
+    model.hdp = decode_hdp(payload, config.hyper)
     model.clock = payload["clock"]
     model.topics = []
     for raw in payload["topics"]:
@@ -450,3 +429,8 @@ def load_checkpoint(path):
             )
         )
     return model
+
+
+def load_checkpoint(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return decode_checkpoint(json.load(f))

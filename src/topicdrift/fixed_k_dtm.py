@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma, gammaln
 
+from .corpus import doc_words
 from .errors import ParameterError, StateError, TimeOrderError
 from .kalman import DriftConfig, backward_steps, forward_steps
-from .drifting_topics import DriftingTopic, TopicLifecycle, ACTIVE
 
 
 @dataclass
@@ -33,22 +33,6 @@ class CdtmModel:
     variances: np.ndarray = None    # (K, S, V)
     trained: bool = False
     objective_trace: list = field(default_factory=list)
-
-    @property
-    def topics(self):
-        """Snapshot of the K drifting topics at the last training time."""
-        out = []
-        for k in range(self.K):
-            out.append(
-                DriftingTopic(
-                    topic_index=k,
-                    word_mean={w: float(self.means[k, -1, w]) for w in range(self.vocab_size)},
-                    word_var={w: float(self.variances[k, -1, w]) for w in range(self.vocab_size)},
-                    last_update_ts=float(self.knots[-1]),
-                    lifecycle=TopicLifecycle(ACTIVE, float("inf")),
-                )
-            )
-        return out
 
     def log_word_probs_at(self, ts):
         """(K, V) log word distributions at an arbitrary timestamp."""
@@ -71,12 +55,6 @@ def _interpolate(knots, means, ts):
         return means[:, lo, :]
     w = (ts - knots[lo]) / (knots[hi] - knots[lo])
     return (1.0 - w) * means[:, lo, :] + w * means[:, hi, :]
-
-
-def _doc_arrays(doc):
-    words = sorted(doc.counts)
-    n = np.array([doc.counts[w] for w in words], dtype=float)
-    return words, n
 
 
 def _mixture_e_step(words, n, logp_doc, alpha, max_iter=50, tol=1e-4):
@@ -154,7 +132,7 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smooth
             knot = doc_knot[i]
             if knot not in logp_cache:
                 logp_cache[knot] = model.log_word_probs_at(knots[knot])
-            words, n = _doc_arrays(doc)
+            words, n = doc_words(doc)
             _, phi, bound = _mixture_e_step(words, n, logp_cache[knot][:, words], alpha)
             objective += bound
             expected[:, knot, words] += (phi * n[:, None]).T
@@ -180,7 +158,7 @@ def cdtm_heldout_loglik(model, docs):
     records = []
     for doc in docs:
         logp = model.log_word_probs_at(doc.timestamp)
-        words, n = _doc_arrays(doc)
+        words, n = doc_words(doc)
         gamma, _, _ = _mixture_e_step(words, n, logp[:, words], model.alpha_dirichlet)
         theta = gamma / gamma.sum()
         per_word = theta @ np.exp(logp[:, words])

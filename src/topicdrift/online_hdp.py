@@ -9,7 +9,9 @@ The variational family factorizes completely:
     q = q(beta' | u, v) q(pi' | a, b) q(c | varphi) q(z | zeta) q(phi | lambda)
 
 Per-document inference is coordinate ascent over (varphi, zeta, a, b)
-holding the corpus state fixed; corpus-level learning is a stochastic
+holding the corpus state fixed.  ``infer_batch`` is the one entry point
+that fits documents: both online models, the timeline and the single-
+document helpers call it.  Corpus-level learning is a stochastic
 natural-gradient step with rate rho_t = (tau0 + t)^(-kappa) that blends
 the current state with the batch estimate scaled up to corpus size.
 """
@@ -21,7 +23,12 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.special import digamma, gammaln
 
+from .corpus import batch_iter, doc_words
 from .errors import ConfigurationError, NumericalError, ParameterError
+
+# every document fit stops after MAX_SWEEPS or once the bound moves by <= SWEEP_TOL (relative)
+MAX_SWEEPS = 50
+SWEEP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -127,17 +134,26 @@ def expect_log_sticks(u, v):
     return out
 
 
-def expected_corpus_weights(g):
-    """Mean stick-breaking weights; the last topic absorbs residual mass."""
-    k = g.num_topics
+def _stick_means(u, v):
+    """Mean weights of sticks broken by Beta(u_k, v_k) fractions.
+
+    Returns a vector one longer than u; the last entry absorbs the
+    residual mass.
+    """
+    k = u.size + 1
     if k == 1:
         return np.ones(1)
-    frac = g.stick_u / (g.stick_u + g.stick_v)
+    frac = u / (u + v)
     remaining = np.concatenate([[1.0], np.cumprod(1.0 - frac)])
     weights = np.empty(k)
     weights[: k - 1] = frac * remaining[: k - 1]
     weights[k - 1] = remaining[k - 1]
     return weights
+
+
+def expected_corpus_weights(g):
+    """Mean stick-breaking weights; the last topic absorbs residual mass."""
+    return _stick_means(g.stick_u, g.stick_v)
 
 
 def elog_beta(g):
@@ -241,19 +257,26 @@ def _infer_core(words, n, elog_beta_doc, elog_sticks, hyper, max_sweeps, tol):
     return DocVariational(a, b, varphi, zeta), elbo
 
 
-def _doc_words(doc):
-    words = sorted(doc.counts)
-    n = np.array([doc.counts[w] for w in words], dtype=float)
-    return words, n
+def infer_batch(docs, elog_beta, elog_sticks, hyper):
+    """Fit each document against fixed (K, V) and (K,) corpus expectations.
+
+    Yields (words, counts, factors, bound, topic weights) per document,
+    lazily and in order, so a caller holds one document's factors at a time.
+    """
+    for doc in docs:
+        if not doc.counts:
+            raise ParameterError(f"document {doc.id!r} has no in-vocabulary words")
+        words, n = doc_words(doc)
+        dv, elbo = _infer_core(
+            words, n, elog_beta[:, words], elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
+        )
+        yield words, n, dv, elbo, doc_topic_mixture(dv)
 
 
-def infer_document(doc, g, hyper, max_sweeps=50, tol=1e-6, snapshot=None):
+def infer_document(doc, g, hyper, snapshot=None):
     """Fit the document's variational factors; returns (factors, stats, elbo)."""
-    if not doc.counts:
-        raise ParameterError("document has no in-vocabulary words")
     snap = snapshot or HdpSnapshot.of(g)
-    words, n = _doc_words(doc)
-    dv, elbo = _infer_core(words, n, snap.elog_beta[:, words], snap.elog_sticks, hyper, max_sweeps, tol)
+    ((words, n, dv, elbo, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
     stats = BatchStats.zeros(g.num_topics, g.vocab_size)
     accumulate_stats(stats, dv, words, n)
     return dv, stats, elbo
@@ -294,16 +317,7 @@ def online_update(g, stats, hyper, corpus_scale, rho=None):
 
 def doc_topic_mixture(dv):
     """Expected topic weights of a fitted document."""
-    t = dv.varphi.shape[0]
-    if t == 1:
-        slot_weights = np.ones(1)
-    else:
-        frac = dv.stick_a / (dv.stick_a + dv.stick_b)
-        remaining = np.concatenate([[1.0], np.cumprod(1.0 - frac)])
-        slot_weights = np.empty(t)
-        slot_weights[: t - 1] = frac * remaining[: t - 1]
-        slot_weights[t - 1] = remaining[t - 1]
-    return slot_weights @ dv.varphi
+    return _stick_means(dv.stick_a, dv.stick_b) @ dv.varphi
 
 
 def mixture_score(words, n, theta, word_probs):
@@ -312,12 +326,11 @@ def mixture_score(words, n, theta, word_probs):
     return float(np.dot(n, np.log(per_word)))
 
 
-def heldout_doc_loglik(doc, g, hyper, snapshot=None, max_sweeps=50, tol=1e-6):
+def heldout_doc_loglik(doc, g, hyper, snapshot=None):
     """Predictive log-likelihood (total nats) without touching the state."""
     snap = snapshot or HdpSnapshot.of(g)
-    words, n = _doc_words(doc)
-    dv, _ = _infer_core(words, n, snap.elog_beta[:, words], snap.elog_sticks, hyper, max_sweeps, tol)
-    return mixture_score(words, n, doc_topic_mixture(dv), snap.word_probs)
+    ((words, n, _, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+    return mixture_score(words, n, theta, snap.word_probs)
 
 
 class OnlineHdp:
@@ -340,12 +353,9 @@ class OnlineHdp:
         snap = HdpSnapshot.of(self.g)
         stats = BatchStats.zeros(self.g.num_topics, self.vocab_size)
         records = []
-        for doc in batch:
-            words, n = _doc_words(doc)
-            dv, _ = _infer_core(
-                words, n, snap.elog_beta[:, words], snap.elog_sticks, self.hyper, 50, 1e-6
-            )
-            score = mixture_score(words, n, doc_topic_mixture(dv), snap.word_probs)
+        fits = infer_batch(batch, snap.elog_beta, snap.elog_sticks, self.hyper)
+        for doc, (words, n, dv, _, theta) in zip(batch, fits):
+            score = mixture_score(words, n, theta, snap.word_probs)
             records.append((doc.id, doc.timestamp, score, int(n.sum())))
             if learn:
                 accumulate_stats(stats, dv, words, n)
@@ -356,38 +366,29 @@ class OnlineHdp:
 
 def prequential_run(model, docs, batch_size):
     """Run score-then-learn over the stream; one record per document."""
-    from .corpus import batch_iter
-
     records = []
     for batch in batch_iter(docs, batch_size):
         records.extend(model.process_batch(batch))
     return records
 
 
-def save_checkpoint(model, path):
-    payload = {
-        "format_version": 1,
-        "kind": "ohdp",
-        "hyper": asdict(model.hyper),
-        "vocab_size": model.vocab_size,
-        "corpus_scale": model.corpus_scale,
+def encode_hdp(hdp):
+    """Checkpoint fields of an OnlineHdp's sizes and state, shared by both online models."""
+    g = hdp.g
+    return {
+        "vocab_size": hdp.vocab_size,
+        "corpus_scale": hdp.corpus_scale,
         "state": {
-            "lam": model.g.lam.tolist(),
-            "stick_u": model.g.stick_u.tolist(),
-            "stick_v": model.g.stick_v.tolist(),
-            "update_count": model.g.update_count,
+            "lam": g.lam.tolist(),
+            "stick_u": g.stick_u.tolist(),
+            "stick_v": g.stick_v.tolist(),
+            "update_count": g.update_count,
         },
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True)
 
 
-def load_checkpoint(path):
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("kind") != "ohdp" or payload.get("format_version") != 1:
-        raise ParameterError("not a version-1 online-HDP checkpoint")
-    hyper = HdpHyper(**payload["hyper"])
+def decode_hdp(payload, hyper):
+    """Rebuild the OnlineHdp whose fields ``encode_hdp`` put in ``payload``."""
     model = OnlineHdp.__new__(OnlineHdp)
     model.hyper = hyper
     model.vocab_size = payload["vocab_size"]
@@ -400,3 +401,21 @@ def load_checkpoint(path):
         update_count=int(state["update_count"]),
     )
     return model
+
+
+def save_checkpoint(model, path):
+    payload = {"format_version": 1, "kind": "ohdp", "hyper": asdict(model.hyper), **encode_hdp(model)}
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, sort_keys=True)
+
+
+def decode_checkpoint(payload):
+    """The OnlineHdp of a parsed checkpoint payload."""
+    if payload.get("kind") != "ohdp" or payload.get("format_version") != 1:
+        raise ParameterError("not a version-1 online-HDP checkpoint")
+    return decode_hdp(payload, HdpHyper(**payload["hyper"]))
+
+
+def load_checkpoint(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return decode_checkpoint(json.load(f))

@@ -3,9 +3,11 @@
 Everything here is implemented from first principles, separately from
 the package code it checks: a textbook predict/update Kalman filter and
 RTS smoother, the closed-form conjugate Normal-Gamma posterior and
-evidence, and exact CRP partition probabilities by enumeration.  The one
-exception is ``dense_kalman_stage``, the drifting model's former dense
-Kalman stage, kept as the reference for the sparse stage that replaced it.
+evidence, and exact CRP partition probabilities by enumeration.  Two
+exceptions keep a former code path as the reference for what replaced it:
+``dense_kalman_stage``, the drifting model's dense Kalman stage, and
+``reference_doc_loop``, the per-document loop every caller of
+``online_hdp.infer_batch`` used to write out.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from topicdrift.kalman import backward_steps, forward_steps
-from topicdrift.online_hdp import topic_word_probs
+from topicdrift.online_hdp import _infer_core, mixture_score, topic_word_probs
 
 
 def dense_kalman_filter(timestamps, observations, obs_var, present, v, m0, v0):
@@ -113,6 +115,33 @@ def dense_kalman_stage(model, batch, stats):
                 if w not in tracked:
                     topic.word_var[w] += model.drift_per_second * span
         topic.last_update_ts = batch_end
+
+
+def reference_doc_loop(docs, elog_beta, elog_sticks, word_probs, hyper):
+    """The former per-document loop: words, coordinate ascent, mixture, score.
+
+    Returns one (id, timestamp, total loglik, word count) record and one
+    topic-weight vector per document, as the online models produced them.
+    """
+    records, mixtures = [], []
+    for doc in docs:
+        words = sorted(doc.counts)
+        n = np.array([doc.counts[w] for w in words], dtype=float)
+        dv, _ = _infer_core(words, n, elog_beta[:, words], elog_sticks, hyper, 50, 1e-6)
+        t = dv.varphi.shape[0]
+        if t == 1:
+            slot_weights = np.ones(1)
+        else:
+            frac = dv.stick_a / (dv.stick_a + dv.stick_b)
+            remaining = np.concatenate([[1.0], np.cumprod(1.0 - frac)])
+            slot_weights = np.empty(t)
+            slot_weights[: t - 1] = frac * remaining[: t - 1]
+            slot_weights[t - 1] = remaining[t - 1]
+        theta = slot_weights @ dv.varphi
+        score = mixture_score(words, n, theta, word_probs)
+        records.append((doc.id, doc.timestamp, score, int(n.sum())))
+        mixtures.append(theta)
+    return records, mixtures
 
 
 def normal_gamma_posterior(data, mu0, lambda0, a0, b0):

@@ -170,9 +170,10 @@ def test_06_hdp_learning_signal():
 
         # per-document bound is non-decreasing in the sweep budget
         snap = HdpSnapshot.of(model.g)
-        from topicdrift.online_hdp import _doc_words, _infer_core
+        from topicdrift.corpus import doc_words
+        from topicdrift.online_hdp import _infer_core
 
-        words, n = _doc_words(docs[0])
+        words, n = doc_words(docs[0])
         bounds = [
             _infer_core(words, n, snap.elog_beta[:, words], snap.elog_sticks, hyper, s, 0.0)[1]
             for s in range(1, 9)

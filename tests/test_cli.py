@@ -22,6 +22,15 @@ def write_synthetic_corpus(tmp_path, n_docs=200, vocab=30, seed=0):
     return corpus, vocab_file
 
 
+def write_raw_corpus(path, body_counts):
+    """A canonical corpus with one hand-written document per ``body_counts`` entry."""
+    path.write_text("".join(
+        json.dumps({"id": f"d{i}", "ts": float(i), "title": "", "body_counts": counts, "related": []}) + "\n"
+        for i, counts in enumerate(body_counts)
+    ))
+    return path
+
+
 class TestIngest:
     def test_reuters_fixture_round_trip(self, tmp_path, capsys):
         out_corpus = tmp_path / "c.jsonl"
@@ -136,6 +145,21 @@ class TestTrain:
                                     ["--kappa", "0.2"]))
         assert code == 2
 
+    def test_negative_word_index_exits_2(self, tmp_path, capsys):
+        _, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        corpus = write_raw_corpus(tmp_path / "bad.jsonl", [{"3": 1}, {"-1": 2}])
+        code = main(self.small_args(corpus, vocab_file, tmp_path, "ohdp"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'d1'" in err and "-1" in err
+
+    def test_document_without_words_exits_2(self, tmp_path, capsys):
+        _, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        corpus = write_raw_corpus(tmp_path / "bad.jsonl", [{"3": 1}, {}])
+        code = main(self.small_args(corpus, vocab_file, tmp_path, "cidtm"))
+        assert code == 2
+        assert "'d1' has no words" in capsys.readouterr().err
+
 
 class TestTimeline:
     def train_checkpoint(self, tmp_path):
@@ -178,6 +202,30 @@ class TestTimeline:
             rows = out.read_text().splitlines()[1:]
             counts.append(sum(int(r.split("\t")[2]) for r in rows))
         assert counts == sorted(counts, reverse=True)
+
+    def test_weight_column_holds_plain_numbers(self, tmp_path):
+        corpus, ckpt = self.train_checkpoint(tmp_path)
+        out = tmp_path / "assign.tsv"
+        code = main([
+            "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+            "--topic", "0", "--out-assign", str(out),
+        ])
+        assert code == 0
+        header, *rows = out.read_text().splitlines()
+        column = header.split("\t").index("weight")
+        weights = [float(r.split("\t")[column]) for r in rows]
+        assert len(weights) == 60 and all(0.0 <= w <= 1.0 for w in weights)
+
+    def test_word_index_beyond_checkpoint_vocabulary_exits_2(self, tmp_path, capsys):
+        _, ckpt = self.train_checkpoint(tmp_path)
+        corpus = write_raw_corpus(tmp_path / "wide.jsonl", [{"3": 1}, {"30": 1}])
+        code = main([
+            "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+            "--topic", "0", "--out-assign", str(tmp_path / "x.tsv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'d1'" in err and "30" in err
 
     def test_topic_out_of_range_exits_2(self, tmp_path):
         corpus, ckpt = self.train_checkpoint(tmp_path)

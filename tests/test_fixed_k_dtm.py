@@ -73,7 +73,6 @@ class TestTraining:
                            rng=np.random.default_rng(5), vocab_size=50)
         assert model.K == 4
         assert model.means.shape[0] == 4
-        assert len(model.topics) == 4
 
     def test_deterministic_under_seed(self):
         train, _ = train_test_split(n_docs=60)

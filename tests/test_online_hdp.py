@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_doc_loop
+from topicdrift import cli, drifting_topics
 from topicdrift.corpus import Document
 from topicdrift.errors import ConfigurationError, ParameterError
 from topicdrift.online_hdp import (
@@ -25,7 +27,7 @@ from topicdrift.online_hdp import (
     load_checkpoint,
     topic_word_probs,
 )
-from topicdrift.synthetic import three_topic_corpus
+from topicdrift.synthetic import drifting_stream, three_topic_corpus
 
 
 def make_doc(counts, doc_id="d", ts=0.0):
@@ -106,9 +108,10 @@ class TestInferDocument:
                                                  rng.integers(1, 4, 12))}
         doc = make_doc(counts)
         snap = HdpSnapshot.of(g)
-        from topicdrift.online_hdp import _doc_words, _infer_core
+        from topicdrift.corpus import doc_words
+        from topicdrift.online_hdp import _infer_core
 
-        words, n = _doc_words(doc)
+        words, n = doc_words(doc)
         bounds = []
         for sweeps in range(1, 11):
             _, elbo = _infer_core(words, n, snap.elog_beta[:, words], snap.elog_sticks,
@@ -199,6 +202,34 @@ class TestTopicWordProbs:
         np.testing.assert_allclose(topic_word_probs(g).sum(axis=1), 1.0, atol=1e-12)
 
 
+class TestInferBatch:
+    def test_every_caller_matches_the_reference_loop_bit_for_bit(self):
+        docs, _ = drifting_stream(seed=5, pre_docs=60, gap_docs=10, post_docs=30)
+        train, held = docs[:80], docs[80:]
+        # some of the held-out fits stop on the tolerance, others at the sweep cap
+        hyper = HdpHyper(K_corpus=12, T_doc=6)
+
+        hdp = OnlineHdp(hyper, 60, corpus_scale=len(docs), seed=3)
+        prequential_run(hdp, train, batch_size=16)
+        snap = HdpSnapshot.of(hdp.g)
+        records, mixtures = reference_doc_loop(
+            held, snap.elog_beta, snap.elog_sticks, snap.word_probs, hyper
+        )
+        assert hdp.process_batch(held, learn=False) == records
+        for got, want in zip(cli._doc_topic_weights("ohdp", hdp, held), mixtures, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+        cfg = drifting_topics.CidtmConfig(hyper=hyper, drift_v=0.02, relevance_threshold=0.2)
+        model = drifting_topics.DriftingTopicModel(cfg, 60, len(docs), seed=3)
+        drifting_topics.prequential_run(model, train, batch_size=16)
+        snap = HdpSnapshot.of(model.hdp.g)
+        elog_adj, probs_adj = model.adjusted_matrices(snap)
+        records, mixtures = reference_doc_loop(held, elog_adj, snap.elog_sticks, probs_adj, hyper)
+        assert model.process_batch(held, learn=False).per_doc == records
+        for got, want in zip(cli._doc_topic_weights("cidtm", model, held), mixtures, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestHeldout:
     def test_uniform_rows_give_log_inverse_vocab(self):
         hyper = HdpHyper(K_corpus=3, T_doc=2)
@@ -219,10 +250,11 @@ class TestHeldout:
         doc = make_doc({0: 2, 1: 1, 2: 3})
         score = heldout_doc_loglik(doc, g, hyper)
 
-        from topicdrift.online_hdp import _doc_words, _infer_core
+        from topicdrift.corpus import doc_words
+        from topicdrift.online_hdp import _infer_core
 
         snap = HdpSnapshot.of(g)
-        words, n = _doc_words(doc)
+        words, n = doc_words(doc)
         dv, _ = _infer_core(words, n, snap.elog_beta[:, words], snap.elog_sticks, hyper, 50, 1e-6)
         theta = doc_topic_mixture(dv)
         probs = topic_word_probs(g)
