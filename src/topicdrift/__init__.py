@@ -14,10 +14,12 @@ densities, samplers, entropy measures), ``meanfield`` (the conjugate
 Gaussian-Gamma coordinate-ascent example), ``kalman`` (the scalar
 filter/smoother), ``dp_sim`` (CRP/franchise/drifting-dish simulators),
 ``corpus`` (parsers and the canonical format), ``evaluation`` and
-``synthetic`` (the experiment harness), ``cli`` (pipelines).
+``synthetic`` (the experiment harness), ``checkpoint`` (the JSON
+checkpoint writer), ``cli`` (pipelines).
 """
 
 from . import (
+    checkpoint,
     cli,
     corpus,
     distributions,
@@ -33,6 +35,7 @@ from . import (
 )
 
 __all__ = [
+    "checkpoint",
     "cli",
     "corpus",
     "distributions",

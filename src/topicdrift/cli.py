@@ -168,11 +168,12 @@ def _load_online_model(path):
 def cmd_timeline(args):
     # the parsed payload is freed before any document is fitted
     kind, model = _load_online_model(args.checkpoint)
+    hyper = model.config.hyper if kind == "cidtm" else model.hyper
+    if not 0 <= args.topic < hyper.K_corpus:
+        raise ConfigurationError(f"topic {args.topic} out of range")
     docs = corpus_mod.read_canonical(args.corpus)
     _check_words(docs, model.vocab_size)
     weights = _doc_topic_weights(kind, model, docs)
-    if weights and not (0 <= args.topic < len(weights[0])):
-        raise ConfigurationError(f"topic {args.topic} out of range")
     assigned = evaluation.timeline_assign(docs, weights, args.topic, args.threshold)
 
     with open(args.out_assign, "w", encoding="utf-8") as f:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy.special import logsumexp
 
+from .checkpoint import write_checkpoint
 from .errors import (
     ConfigurationError,
     LifecycleProtocolError,
@@ -391,8 +392,7 @@ def save_checkpoint(model, path):
         "clock": model.clock,
         "topics": topics,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True)
+    write_checkpoint(payload, path)
 
 
 def decode_checkpoint(payload):

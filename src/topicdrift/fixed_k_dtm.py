@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma, gammaln
 
+from .checkpoint import write_checkpoint
 from .corpus import doc_words
 from .errors import ParameterError, StateError, TimeOrderError
 from .kalman import DriftConfig, backward_steps, forward_steps
@@ -175,13 +176,12 @@ def save_checkpoint(model, path):
         "K": model.K,
         "alpha_dirichlet": model.alpha_dirichlet,
         "vocab_size": model.vocab_size,
-        "knots": model.knots.tolist(),
-        "means": model.means.tolist(),
-        "variances": model.variances.tolist(),
+        "knots": model.knots,
+        "means": model.means,
+        "variances": model.variances,
         "objective_trace": model.objective_trace,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True)
+    write_checkpoint(payload, path)
 
 
 def load_checkpoint(path):

@@ -11,9 +11,13 @@ The variational family factorizes completely:
 Per-document inference is coordinate ascent over (varphi, zeta, a, b)
 holding the corpus state fixed.  ``infer_batch`` is the one entry point
 that fits documents: both online models, the timeline and the single-
-document helpers call it.  Corpus-level learning is a stochastic
-natural-gradient step with rate rho_t = (tau0 + t)^(-kappa) that blends
-the current state with the batch estimate scaled up to corpus size.
+document helpers call it.  It fits BLOCK_DOCS documents at a time with
+one batched kernel, ``_fit_block``: the block's evidence is padded to
+(B, M, K), every update is a stacked matmul or a vectorized digamma,
+and each document still stops at its own sweep.  Corpus-level learning
+is a stochastic natural-gradient step with rate rho_t = (tau0 + t)^(-kappa)
+that blends the current state with the batch estimate scaled up to
+corpus size.
 """
 
 import json
@@ -23,12 +27,15 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.special import digamma, gammaln
 
+from .checkpoint import write_checkpoint
 from .corpus import batch_iter, doc_words
 from .errors import ConfigurationError, NumericalError, ParameterError
 
 # every document fit stops after MAX_SWEEPS or once the bound moves by <= SWEEP_TOL (relative)
 MAX_SWEEPS = 50
 SWEEP_TOL = 1e-6
+# documents fitted together; a block's padded (B, M, K) evidence is the kernel's extra memory
+BLOCK_DOCS = 16
 
 
 @dataclass(frozen=True)
@@ -116,22 +123,23 @@ def init_global(hyper, vocab_size, corpus_scale, seed):
     )
 
 
+def _log_sticks(elog_frac, elog_rest):
+    """E[log w_k] from E[log frac_k] and E[log(1 - frac_k)] along the last axis."""
+    k = elog_frac.shape[-1] + 1
+    out = np.zeros(elog_frac.shape[:-1] + (k,))
+    out[..., : k - 1] = elog_frac
+    out[..., 1:] += np.cumsum(elog_rest, axis=-1)
+    return out
+
+
 def expect_log_sticks(u, v):
     """E[log w_k] for stick weights built from Beta(u_k, v_k) fractions.
 
-    Returns a vector one longer than u; the last entry is the expected
-    log of the residual mass.
+    Works along the last axis; the result is one longer than u there, and
+    its last entry is the expected log of the residual mass.
     """
-    k = u.size + 1
-    if k == 1:
-        return np.zeros(1)
     total = digamma(u + v)
-    elog_frac = digamma(u) - total
-    elog_rest = digamma(v) - total
-    out = np.zeros(k)
-    out[: k - 1] = elog_frac
-    out[1:] += np.cumsum(elog_rest)
-    return out
+    return _log_sticks(digamma(u) - total, digamma(v) - total)
 
 
 def _stick_means(u, v):
@@ -183,94 +191,129 @@ class HdpSnapshot:
         )
 
 
-def _softmax_rows(scores):
-    scores = scores - scores.max(axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
-    return scores
-
-
-def _plogp(p):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-
-
-def _beta_entropy(a, b):
+def _beta_entropy(a, b, dg_a, dg_b, dg_ab):
+    """Entropy of Beta(a, b), given the digammas of a, b and a + b."""
     return (
         gammaln(a) + gammaln(b) - gammaln(a + b)
-        - (a - 1.0) * digamma(a) - (b - 1.0) * digamma(b)
-        + (a + b - 2.0) * digamma(a + b)
+        - (a - 1.0) * dg_a - (b - 1.0) * dg_b + (a + b - 2.0) * dg_ab
     )
 
 
-def _doc_elbo(n, elog_beta_doc, elog_sticks, elog_sticks_doc, varphi, zeta, a, b, alpha0):
-    slot_scores = varphi @ elog_beta_doc          # (T, M)
-    bound = float(((zeta * n[:, None]) * slot_scores.T).sum())
-    bound += float((varphi * elog_sticks[None, :]).sum())
-    bound += float(((zeta * n[:, None]) * elog_sticks_doc[None, :]).sum())
-    if a.size:
-        bound += float(a.size * math.log(alpha0))
-        bound += float(((alpha0 - 1.0) * (digamma(b) - digamma(a + b))).sum())
-        bound += float(_beta_entropy(a, b).sum())
-    bound -= float(_plogp(varphi).sum())
-    bound -= float((n[:, None] * _plogp(zeta)).sum())
-    return bound
+def _softmax(scores, axis, out):
+    """Softmax of ``scores`` along ``axis`` into ``out``; returns the log normalizer (keepdims).
 
-
-def _infer_core(words, n, elog_beta_doc, elog_sticks, hyper, max_sweeps, tol):
-    """Coordinate ascent for one document against fixed corpus expectations.
-
-    ``elog_beta_doc`` is (K, M) over the document's distinct words.
-    Returns the document factors and the final per-document bound.
+    Since the weights sum to 1, sum(p log p) = sum(p * scores) - log normalizer.
     """
-    t_doc = hyper.T_doc
-    m = len(words)
-    zeta = np.full((m, t_doc), 1.0 / t_doc)
-    a = np.ones(max(t_doc - 1, 0))
-    b = np.full(max(t_doc - 1, 0), hyper.alpha0)
-    elog_sticks_doc = expect_log_sticks(a, b)
+    top = scores.max(axis=axis, keepdims=True)
+    np.subtract(scores, top, out=out)
+    np.exp(out, out=out)
+    total = out.sum(axis=axis, keepdims=True)
+    out /= total
+    return top + np.log(total)
 
-    elbo = None
+
+def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
+    """Coordinate ascent for a block of documents against fixed corpus expectations.
+
+    ``fits`` holds (words, counts) per document and ``elog_beta`` is (K, V).
+    Every document's evidence is padded to the block's longest document
+    with zero counts, which add exact zeros to every product and sum.  A
+    document leaves the block at the sweep where its own fit stops: after
+    ``max_sweeps``, or once its bound moves by <= ``tol`` (relative).  The
+    documents still running are then moved to the front of the block's
+    arrays, which every sweep reuses.  Returns (factors, bound, sweeps)
+    per document, in order.
+    """
+    t_doc, alpha0 = hyper.T_doc, hyper.alpha0
+    sizes = np.array([len(words) for words, _ in fits])
+    n = np.zeros((sizes.size, sizes.max()))
+    eb = np.zeros((sizes.size, sizes.max(), elog_beta.shape[0]))     # (B, M, K)
+    for i, (words, counts) in enumerate(fits):
+        n[i, : sizes[i]] = counts
+        eb[i, : sizes[i]] = elog_beta[:, words].T
+    zeta = np.full((sizes.size, t_doc, sizes.max()), 1.0 / t_doc)  # (B, T, M)
+    weighted = np.empty_like(zeta)                                   # zeta * counts
+    varphi_scores = np.empty((sizes.size, t_doc, elog_beta.shape[0]))  # (B, T, K)
+    varphi = np.empty_like(varphi_scores)
+    a = np.ones((sizes.size, t_doc - 1))
+    b = np.full((sizes.size, t_doc - 1), alpha0)
+    elog_sticks_doc = expect_log_sticks(a, b)                        # (B, T)
+    stick_prior = (t_doc - 1) * math.log(alpha0)
+
+    running = np.arange(sizes.size)
+    bound = np.full(sizes.size, np.nan)
+    out = [None] * sizes.size
     for sweep in range(1, max_sweeps + 1):
-        varphi = _softmax_rows(
-            elog_sticks[None, :] + (zeta * n[:, None]).T @ elog_beta_doc.T
-        )
-        zeta = _softmax_rows(
-            elog_sticks_doc[None, :] + (varphi @ elog_beta_doc).T
-        )
-        slot_mass = (zeta * n[:, None]).sum(axis=0)
-        if t_doc > 1:
-            a = 1.0 + slot_mass[: t_doc - 1]
-            b = hyper.alpha0 + np.flip(np.cumsum(np.flip(slot_mass[1:])))
-            elog_sticks_doc = expect_log_sticks(a, b)
+        np.multiply(zeta, n[:, None, :], out=weighted)
+        np.matmul(weighted, eb, out=varphi_scores)
+        varphi_scores += elog_sticks
+        varphi_norm = _softmax(varphi_scores, 2, varphi)
+        # varphi @ eb^T is the zeta logit less the document sticks
+        np.matmul(varphi, eb.transpose(0, 2, 1), out=zeta)
+        zeta += elog_sticks_doc[:, :, None]
+        zeta_norm = _softmax(zeta, 1, zeta)
+        slot_mass = np.multiply(zeta, n[:, None, :], out=weighted).sum(axis=2)  # (B, T)
+        a = 1.0 + slot_mass[:, :-1]
+        b = alpha0 + np.flip(np.cumsum(np.flip(slot_mass[:, 1:], 1), axis=1), 1)
+        dg_a, dg_b, dg_ab = digamma(a), digamma(b), digamma(a + b)
+        new_sticks_doc = _log_sticks(dg_a - dg_ab, dg_b - dg_ab)
 
-        new_elbo = _doc_elbo(
-            n, elog_beta_doc, elog_sticks, elog_sticks_doc, varphi, zeta, a, b, hyper.alpha0
+        # zeta is the softmax of (varphi @ eb^T + old sticks), so its data,
+        # stick and entropy terms collapse to sum_m n_m log Z_m plus the
+        # slot mass times the change in the document's expected log sticks;
+        # the varphi terms are its corpus-stick term less sum(varphi log varphi)
+        prev = bound
+        bound = (
+            (n * zeta_norm[:, 0, :]).sum(axis=1)
+            + (slot_mass * (new_sticks_doc - elog_sticks_doc)).sum(axis=1)
+            + (varphi @ elog_sticks).sum(axis=1)
+            - np.einsum("btk,btk->b", varphi, varphi_scores) + varphi_norm.sum(axis=(1, 2))
+            + stick_prior
+            + ((alpha0 - 1.0) * (dg_b - dg_ab) + _beta_entropy(a, b, dg_a, dg_b, dg_ab)).sum(axis=1)
         )
-        if not math.isfinite(new_elbo):
+        elog_sticks_doc = new_sticks_doc
+        if not np.isfinite(bound).all():
             raise NumericalError("document bound became non-finite", sweep=sweep)
-        if elbo is not None and abs(new_elbo - elbo) <= tol * max(1.0, abs(elbo)):
-            elbo = new_elbo
-            break
-        elbo = new_elbo
 
-    return DocVariational(a, b, varphi, zeta), elbo
+        done = np.abs(bound - prev) <= tol * np.maximum(1.0, np.abs(prev))
+        if sweep == max_sweeps:
+            done[:] = True
+        if not done.any():
+            continue
+        for j in np.flatnonzero(done):
+            i = running[j]
+            dv = DocVariational(a[j].copy(), b[j].copy(), varphi[j].copy(), zeta[j, :, : sizes[i]].T.copy())
+            out[i] = (dv, float(bound[j]), sweep)
+        rows = np.flatnonzero(~done)
+        if not rows.size:
+            break
+        for dst, src in enumerate(rows):  # rows only move forward
+            n[dst], eb[dst], zeta[dst] = n[src], eb[src], zeta[src]
+        running = running[rows]
+        k, width = rows.size, sizes[running].max()
+        n, eb, zeta = n[:k, :width], eb[:k, :width], zeta[:k, :, :width]
+        weighted, varphi_scores, varphi = weighted[:k, :, :width], varphi_scores[:k], varphi[:k]
+        elog_sticks_doc, bound = elog_sticks_doc[rows], bound[rows]
+    return out
 
 
 def infer_batch(docs, elog_beta, elog_sticks, hyper):
     """Fit each document against fixed (K, V) and (K,) corpus expectations.
 
-    Yields (words, counts, factors, bound, topic weights) per document,
-    lazily and in order, so a caller holds one document's factors at a time.
+    Documents are fitted BLOCK_DOCS at a time by one batched coordinate
+    ascent, so a caller holds one block's factors at a time.  Yields
+    (words, counts, factors, bound, topic weights) per document, lazily
+    and in order.
     """
-    for doc in docs:
-        if not doc.counts:
-            raise ParameterError(f"document {doc.id!r} has no in-vocabulary words")
-        words, n = doc_words(doc)
-        dv, elbo = _infer_core(
-            words, n, elog_beta[:, words], elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
-        )
-        yield words, n, dv, elbo, doc_topic_mixture(dv)
+    for block in batch_iter(docs, BLOCK_DOCS):
+        for doc in block:
+            if not doc.counts:
+                raise ParameterError(f"document {doc.id!r} has no in-vocabulary words")
+        fits = [doc_words(doc) for doc in block]
+        for (words, n), (dv, bound, _) in zip(
+            fits, _fit_block(fits, elog_beta, elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
+        ):
+            yield words, n, dv, bound, doc_topic_mixture(dv)
 
 
 def infer_document(doc, g, hyper, snapshot=None):
@@ -379,9 +422,9 @@ def encode_hdp(hdp):
         "vocab_size": hdp.vocab_size,
         "corpus_scale": hdp.corpus_scale,
         "state": {
-            "lam": g.lam.tolist(),
-            "stick_u": g.stick_u.tolist(),
-            "stick_v": g.stick_v.tolist(),
+            "lam": g.lam,
+            "stick_u": g.stick_u,
+            "stick_v": g.stick_v,
             "update_count": g.update_count,
         },
     }
@@ -405,8 +448,7 @@ def decode_hdp(payload, hyper):
 
 def save_checkpoint(model, path):
     payload = {"format_version": 1, "kind": "ohdp", "hyper": asdict(model.hyper), **encode_hdp(model)}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True)
+    write_checkpoint(payload, path)
 
 
 def decode_checkpoint(payload):

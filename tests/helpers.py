@@ -5,18 +5,31 @@ the package code it checks: a textbook predict/update Kalman filter and
 RTS smoother, the closed-form conjugate Normal-Gamma posterior and
 evidence, and exact CRP partition probabilities by enumeration.  Two
 exceptions keep a former code path as the reference for what replaced it:
-``dense_kalman_stage``, the drifting model's dense Kalman stage, and
+``dense_kalman_stage``, the drifting model's dense Kalman stage;
 ``reference_doc_loop``, the per-document loop every caller of
-``online_hdp.infer_batch`` used to write out.
+``online_hdp.infer_batch`` used to write out, with ``infer_core``, the
+one-document coordinate ascent that ``online_hdp._fit_block`` replaced;
+and ``reference_json_bytes``, the whole-payload checkpoint encoder.
 """
 
+import io
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
+from topicdrift.drifting_topics import DriftingTopicModel
+from topicdrift.errors import NumericalError
+from topicdrift.fixed_k_dtm import CdtmModel
 from topicdrift.kalman import backward_steps, forward_steps
-from topicdrift.online_hdp import _infer_core, mixture_score, topic_word_probs
+from topicdrift.online_hdp import (
+    DocVariational,
+    expect_log_sticks,
+    mixture_score,
+    topic_word_probs,
+)
 
 
 def dense_kalman_filter(timestamps, observations, obs_var, present, v, m0, v0):
@@ -117,17 +130,93 @@ def dense_kalman_stage(model, batch, stats):
         topic.last_update_ts = batch_end
 
 
+def _softmax_rows(scores):
+    scores = scores - scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
+
+
+def _plogp(p):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+
+
+def _beta_entropy(a, b):
+    return (
+        gammaln(a) + gammaln(b) - gammaln(a + b)
+        - (a - 1.0) * digamma(a) - (b - 1.0) * digamma(b)
+        + (a + b - 2.0) * digamma(a + b)
+    )
+
+
+def doc_elbo(n, elog_beta_doc, elog_sticks, elog_sticks_doc, varphi, zeta, a, b, alpha0):
+    """The former per-document bound, term by term."""
+    slot_scores = varphi @ elog_beta_doc          # (T, M)
+    bound = float(((zeta * n[:, None]) * slot_scores.T).sum())
+    bound += float((varphi * elog_sticks[None, :]).sum())
+    bound += float(((zeta * n[:, None]) * elog_sticks_doc[None, :]).sum())
+    if a.size:
+        bound += float(a.size * math.log(alpha0))
+        bound += float(((alpha0 - 1.0) * (digamma(b) - digamma(a + b))).sum())
+        bound += float(_beta_entropy(a, b).sum())
+    bound -= float(_plogp(varphi).sum())
+    bound -= float((n[:, None] * _plogp(zeta)).sum())
+    return bound
+
+
+def infer_core(words, n, elog_beta_doc, elog_sticks, hyper, max_sweeps, tol):
+    """The former one-document coordinate ascent against fixed corpus expectations.
+
+    ``elog_beta_doc`` is (K, M) over the document's distinct words.
+    Returns the document factors, the final bound and the sweeps run.
+    """
+    t_doc = hyper.T_doc
+    m = len(words)
+    zeta = np.full((m, t_doc), 1.0 / t_doc)
+    a = np.ones(max(t_doc - 1, 0))
+    b = np.full(max(t_doc - 1, 0), hyper.alpha0)
+    elog_sticks_doc = expect_log_sticks(a, b)
+
+    elbo = None
+    for sweep in range(1, max_sweeps + 1):
+        varphi = _softmax_rows(
+            elog_sticks[None, :] + (zeta * n[:, None]).T @ elog_beta_doc.T
+        )
+        zeta = _softmax_rows(
+            elog_sticks_doc[None, :] + (varphi @ elog_beta_doc).T
+        )
+        slot_mass = (zeta * n[:, None]).sum(axis=0)
+        if t_doc > 1:
+            a = 1.0 + slot_mass[: t_doc - 1]
+            b = hyper.alpha0 + np.flip(np.cumsum(np.flip(slot_mass[1:])))
+            elog_sticks_doc = expect_log_sticks(a, b)
+
+        new_elbo = doc_elbo(
+            n, elog_beta_doc, elog_sticks, elog_sticks_doc, varphi, zeta, a, b, hyper.alpha0
+        )
+        if not math.isfinite(new_elbo):
+            raise NumericalError("document bound became non-finite", sweep=sweep)
+        if elbo is not None and abs(new_elbo - elbo) <= tol * max(1.0, abs(elbo)):
+            elbo = new_elbo
+            break
+        elbo = new_elbo
+
+    return DocVariational(a, b, varphi, zeta), elbo, sweep
+
+
 def reference_doc_loop(docs, elog_beta, elog_sticks, word_probs, hyper):
     """The former per-document loop: words, coordinate ascent, mixture, score.
 
-    Returns one (id, timestamp, total loglik, word count) record and one
-    topic-weight vector per document, as the online models produced them.
+    Returns one (id, timestamp, total loglik, word count) record, one
+    topic-weight vector and the sweep count per document, as the online
+    models produced them.
     """
-    records, mixtures = [], []
+    records, mixtures, sweeps = [], [], []
     for doc in docs:
         words = sorted(doc.counts)
         n = np.array([doc.counts[w] for w in words], dtype=float)
-        dv, _ = _infer_core(words, n, elog_beta[:, words], elog_sticks, hyper, 50, 1e-6)
+        dv, _, ran = infer_core(words, n, elog_beta[:, words], elog_sticks, hyper, 50, 1e-6)
         t = dv.varphi.shape[0]
         if t == 1:
             slot_weights = np.ones(1)
@@ -141,7 +230,73 @@ def reference_doc_loop(docs, elog_beta, elog_sticks, word_probs, hyper):
         score = mixture_score(words, n, theta, word_probs)
         records.append((doc.id, doc.timestamp, score, int(n.sum())))
         mixtures.append(theta)
-    return records, mixtures
+        sweeps.append(ran)
+    return records, mixtures, sweeps
+
+
+def reference_json_bytes(model):
+    """The bytes the three former ``save_checkpoint``s wrote for ``model``.
+
+    Each built its whole payload with ``.tolist()`` arrays and wrote it
+    with ``json.dump(payload, f, sort_keys=True)``.
+    """
+    if isinstance(model, CdtmModel):
+        payload = {
+            "format_version": 1,
+            "kind": "cdtm",
+            "K": model.K,
+            "alpha_dirichlet": model.alpha_dirichlet,
+            "vocab_size": model.vocab_size,
+            "knots": model.knots.tolist(),
+            "means": model.means.tolist(),
+            "variances": model.variances.tolist(),
+            "objective_trace": model.objective_trace,
+        }
+    else:
+        hdp = model.hdp if isinstance(model, DriftingTopicModel) else model
+        payload = {
+            "format_version": 1,
+            "vocab_size": hdp.vocab_size,
+            "corpus_scale": hdp.corpus_scale,
+            "state": {
+                "lam": hdp.g.lam.tolist(),
+                "stick_u": hdp.g.stick_u.tolist(),
+                "stick_v": hdp.g.stick_v.tolist(),
+                "update_count": hdp.g.update_count,
+            },
+        }
+        if hdp is model:
+            payload.update(kind="ohdp", hyper=asdict(model.hyper))
+        else:
+            cfg = model.config
+            payload.update(
+                kind="cidtm",
+                config={
+                    "hyper": asdict(cfg.hyper),
+                    "drift_v": cfg.drift_v,
+                    "obs_var": cfg.obs_var,
+                    "active_timer_len": cfg.active_timer_len,
+                    "relevance_threshold": cfg.relevance_threshold,
+                    "prior_variance": cfg.prior_variance,
+                },
+                clock=model.clock,
+                topics=[
+                    None if topic is None else {
+                        "topic_index": topic.topic_index,
+                        "word_mean": {str(w): m for w, m in sorted(topic.word_mean.items())},
+                        "word_var": {str(w): v for w, v in sorted(topic.word_var.items())},
+                        "last_update_ts": topic.last_update_ts,
+                        "lifecycle": {
+                            "state": topic.lifecycle.state,
+                            "timer_deadline": topic.lifecycle.timer_deadline,
+                        },
+                    }
+                    for topic in model.topics
+                ],
+            )
+    buf = io.StringIO()
+    json.dump(payload, buf, sort_keys=True)
+    return buf.getvalue().encode("utf-8")
 
 
 def normal_gamma_posterior(data, mu0, lambda0, a0, b0):

@@ -171,11 +171,11 @@ def test_06_hdp_learning_signal():
         # per-document bound is non-decreasing in the sweep budget
         snap = HdpSnapshot.of(model.g)
         from topicdrift.corpus import doc_words
-        from topicdrift.online_hdp import _infer_core
+        from topicdrift.online_hdp import _fit_block
 
         words, n = doc_words(docs[0])
         bounds = [
-            _infer_core(words, n, snap.elog_beta[:, words], snap.elog_sticks, hyper, s, 0.0)[1]
+            _fit_block([(words, n)], snap.elog_beta, snap.elog_sticks, hyper, s, 0.0)[0][1]
             for s in range(1, 9)
         ]
         assert all(b - a >= -1e-8 for a, b in zip(bounds, bounds[1:]))

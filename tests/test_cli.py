@@ -4,7 +4,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from topicdrift import online_hdp
 from topicdrift.cli import main
 from topicdrift.corpus import read_canonical, write_canonical, write_vocabulary, Vocabulary
 from topicdrift.synthetic import three_topic_corpus
@@ -227,13 +229,26 @@ class TestTimeline:
         err = capsys.readouterr().err
         assert "'d1'" in err and "30" in err
 
-    def test_topic_out_of_range_exits_2(self, tmp_path):
+    def timeline_exit_code(self, tmp_path, monkeypatch, topic):
         corpus, ckpt = self.train_checkpoint(tmp_path)
-        code = main([
+
+        def no_fits(*args):
+            raise AssertionError("timeline fitted documents before checking --topic")
+
+        monkeypatch.setattr(online_hdp, "infer_batch", no_fits)
+        return main([
             "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus),
-            "--topic", "99", "--out-assign", str(tmp_path / "x.tsv"),
+            "--topic", topic, "--out-assign", str(tmp_path / "x.tsv"),
         ])
-        assert code == 2
+
+    def test_topic_out_of_range_exits_2(self, tmp_path, monkeypatch, capsys):
+        assert self.timeline_exit_code(tmp_path, monkeypatch, "99") == 2
+        assert "topic 99 out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("topic", ["6", "-1"])
+    def test_topic_just_outside_the_checkpoint_exits_2(self, tmp_path, monkeypatch, capsys, topic):
+        assert self.timeline_exit_code(tmp_path, monkeypatch, topic) == 2
+        assert f"topic {topic} out of range" in capsys.readouterr().err
 
 
 class TestSimulate:

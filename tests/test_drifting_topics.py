@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import dense_kalman_stage
+from helpers import dense_kalman_stage, reference_json_bytes
 from topicdrift import drifting_topics
 from topicdrift.corpus import Document
 from topicdrift.drifting_topics import (
@@ -324,6 +324,16 @@ class TestSparseKalmanStage:
 
 
 class TestCheckpoint:
+    def test_bytes_equal_the_former_encoder(self, tmp_path):
+        docs, _ = drifting_stream(seed=8, pre_docs=60, gap_docs=20, post_docs=30)
+        cfg = CidtmConfig(hyper=HdpHyper(K_corpus=8, T_doc=4), drift_v=0.02, relevance_threshold=0.2)
+        model = DriftingTopicModel(cfg, 60, len(docs), seed=3)
+        prequential_run(model, docs, batch_size=16)
+        assert None in model.topics and any(t and t.lifecycle.state == DEAD for t in model.topics)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        assert path.read_bytes() == reference_json_bytes(model)
+
     def test_round_trip_bit_exact(self, tmp_path):
         docs, _ = three_topic_corpus(n_docs=40, vocab_size=20, seed=9)
         model = DriftingTopicModel(small_config(drift_v=0.01), 20, 40, seed=3)

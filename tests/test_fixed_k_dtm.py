@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_json_bytes
 from topicdrift.corpus import Document
 from topicdrift.errors import ParameterError, StateError
 from topicdrift.fixed_k_dtm import (
@@ -149,6 +150,13 @@ class TestHeldout:
 
 
 class TestCheckpoint:
+    def test_bytes_equal_the_former_encoder(self, tmp_path):
+        train, _ = train_test_split(n_docs=40)
+        model = train_cdtm(train, 3, DriftConfig(1e-8), 2, np.random.default_rng(8), vocab_size=50)
+        path = tmp_path / "cdtm.json"
+        save_checkpoint(model, path)
+        assert path.read_bytes() == reference_json_bytes(model)
+
     def test_round_trip(self, tmp_path):
         train, test = train_test_split(n_docs=40)
         model = train_cdtm(train, 2, DriftConfig(1e-8), 2,

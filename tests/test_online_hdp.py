@@ -1,15 +1,20 @@
 """Online HDP: stick weights, document inference, streaming updates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import reference_doc_loop
-from topicdrift import cli, drifting_topics
-from topicdrift.corpus import Document
-from topicdrift.errors import ConfigurationError, ParameterError
+
+from helpers import infer_core, reference_doc_loop, reference_json_bytes
+from topicdrift import cli, drifting_topics, online_hdp
+from topicdrift.corpus import Document, doc_words
+from topicdrift.errors import ConfigurationError, NumericalError, ParameterError
 from topicdrift.online_hdp import (
+    BLOCK_DOCS,
+    MAX_SWEEPS,
+    SWEEP_TOL,
     BatchStats,
     GlobalVariational,
     HdpHyper,
@@ -19,12 +24,14 @@ from topicdrift.online_hdp import (
     expect_log_sticks,
     expected_corpus_weights,
     heldout_doc_loglik,
+    infer_batch,
     infer_document,
     init_global,
     online_update,
     prequential_run,
     save_checkpoint,
     load_checkpoint,
+    mixture_score,
     topic_word_probs,
 )
 from topicdrift.synthetic import drifting_stream, three_topic_corpus
@@ -108,14 +115,12 @@ class TestInferDocument:
                                                  rng.integers(1, 4, 12))}
         doc = make_doc(counts)
         snap = HdpSnapshot.of(g)
-        from topicdrift.corpus import doc_words
-        from topicdrift.online_hdp import _infer_core
-
         words, n = doc_words(doc)
         bounds = []
         for sweeps in range(1, 11):
-            _, elbo = _infer_core(words, n, snap.elog_beta[:, words], snap.elog_sticks,
-                                  hyper, sweeps, 0.0)
+            ((_, elbo, _),) = online_hdp._fit_block(
+                [(words, n)], snap.elog_beta, snap.elog_sticks, hyper, sweeps, 0.0
+            )
             bounds.append(elbo)
         assert all(b - a >= -1e-8 for a, b in zip(bounds, bounds[1:]))
 
@@ -202,8 +207,36 @@ class TestTopicWordProbs:
         np.testing.assert_allclose(topic_word_probs(g).sum(axis=1), 1.0, atol=1e-12)
 
 
+def record_sweeps(monkeypatch):
+    """Collect the per-document sweep counts of every block the kernel fits."""
+    sweeps = []
+    kernel = online_hdp._fit_block
+
+    def recording(*args):
+        fitted = kernel(*args)
+        sweeps.extend(ran for *_, ran in fitted)
+        return fitted
+
+    monkeypatch.setattr(online_hdp, "_fit_block", recording)
+    return sweeps
+
+
+def assert_records_match(got, want):
+    """Ids, timestamps and word counts exactly; scores within 1e-10 relative."""
+    assert [(i, t, c) for i, t, _, c in got] == [(i, t, c) for i, t, _, c in want]
+    np.testing.assert_allclose([r[2] for r in got], [r[2] for r in want], rtol=1e-10, atol=0)
+
+
+def trained_snapshot(hyper, docs, vocab_size=60):
+    hdp = OnlineHdp(hyper, vocab_size, corpus_scale=len(docs), seed=3)
+    prequential_run(hdp, docs, batch_size=16)
+    return HdpSnapshot.of(hdp.g)
+
+
 class TestInferBatch:
-    def test_every_caller_matches_the_reference_loop_bit_for_bit(self):
+    def test_every_caller_matches_the_reference_loop(self, monkeypatch):
+        """Ids, timestamps, word counts and sweep counts exactly; scores and
+        topic weights within 1e-10 relative (the kernel sums in another order)."""
         docs, _ = drifting_stream(seed=5, pre_docs=60, gap_docs=10, post_docs=30)
         train, held = docs[:80], docs[80:]
         # some of the held-out fits stop on the tolerance, others at the sweep cap
@@ -212,22 +245,145 @@ class TestInferBatch:
         hdp = OnlineHdp(hyper, 60, corpus_scale=len(docs), seed=3)
         prequential_run(hdp, train, batch_size=16)
         snap = HdpSnapshot.of(hdp.g)
-        records, mixtures = reference_doc_loop(
+        records, mixtures, ref_sweeps = reference_doc_loop(
             held, snap.elog_beta, snap.elog_sticks, snap.word_probs, hyper
         )
-        assert hdp.process_batch(held, learn=False) == records
+        assert 1 < len(set(ref_sweeps)) and max(ref_sweeps) == MAX_SWEEPS
+        sweeps = record_sweeps(monkeypatch)
+        assert_records_match(hdp.process_batch(held, learn=False), records)
         for got, want in zip(cli._doc_topic_weights("ohdp", hdp, held), mixtures, strict=True):
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        assert sweeps == ref_sweeps * 2
 
         cfg = drifting_topics.CidtmConfig(hyper=hyper, drift_v=0.02, relevance_threshold=0.2)
         model = drifting_topics.DriftingTopicModel(cfg, 60, len(docs), seed=3)
         drifting_topics.prequential_run(model, train, batch_size=16)
         snap = HdpSnapshot.of(model.hdp.g)
         elog_adj, probs_adj = model.adjusted_matrices(snap)
-        records, mixtures = reference_doc_loop(held, elog_adj, snap.elog_sticks, probs_adj, hyper)
-        assert model.process_batch(held, learn=False).per_doc == records
+        records, mixtures, ref_sweeps = reference_doc_loop(
+            held, elog_adj, snap.elog_sticks, probs_adj, hyper
+        )
+        sweeps.clear()
+        assert_records_match(model.process_batch(held, learn=False).per_doc, records)
         for got, want in zip(cli._doc_topic_weights("cidtm", model, held), mixtures, strict=True):
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        assert sweeps == ref_sweeps * 2
+
+    @pytest.mark.parametrize("size", [1, BLOCK_DOCS - 1, BLOCK_DOCS, BLOCK_DOCS + 1, 2 * BLOCK_DOCS + 1])
+    def test_batch_sizes_around_the_block(self, size, monkeypatch):
+        docs, _ = drifting_stream(seed=11, pre_docs=60, gap_docs=10, post_docs=40)
+        hyper = HdpHyper(K_corpus=12, T_doc=6)
+        snap = trained_snapshot(hyper, docs[:64])
+        held = docs[64 : 64 + size]
+        records, mixtures, ref_sweeps = reference_doc_loop(
+            held, snap.elog_beta, snap.elog_sticks, snap.word_probs, hyper
+        )
+        sweeps = record_sweeps(monkeypatch)
+        fits = list(infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper))
+        assert [doc_words(d)[0] for d in held] == [words for words, *_ in fits]
+        assert sweeps == ref_sweeps
+        assert_records_match(
+            [(d.id, d.timestamp, mixture_score(w, n, theta, snap.word_probs), int(n.sum()))
+             for d, (w, n, _, _, theta) in zip(held, fits)],
+            records,
+        )
+        for (_, _, dv, _, theta), want in zip(fits, mixtures, strict=True):
+            np.testing.assert_allclose(theta, want, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(dv.varphi.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(dv.zeta.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha0", [0.2, 1.0, 3.0])
+    def test_bounds_and_factors_match_the_reference(self, alpha0):
+        docs, _ = drifting_stream(seed=16, pre_docs=60, gap_docs=0, post_docs=20)
+        hyper = HdpHyper(K_corpus=12, T_doc=6, alpha0=alpha0)
+        snap = trained_snapshot(hyper, docs[:60])
+        held = docs[60:]
+        for (words, n, dv, bound, _), doc in zip(
+            infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper), held, strict=True
+        ):
+            ref, ref_bound, _ = infer_core(
+                words, n, snap.elog_beta[:, words], snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
+            )
+            assert bound == pytest.approx(ref_bound, rel=1e-10, abs=0)
+            for name in ("stick_a", "stick_b", "varphi", "zeta"):
+                np.testing.assert_allclose(getattr(dv, name), getattr(ref, name), rtol=1e-10, atol=1e-300)
+
+    @pytest.mark.parametrize("k, t", [(12, 1), (1, 6), (1, 1)])
+    def test_single_topic_or_single_slot(self, k, t, monkeypatch):
+        docs, _ = drifting_stream(seed=12, pre_docs=40, gap_docs=0, post_docs=20)
+        hyper = HdpHyper(K_corpus=k, T_doc=t)
+        snap = trained_snapshot(hyper, docs[:40])
+        held = docs[40:]
+        _, mixtures, ref_sweeps = reference_doc_loop(
+            held, snap.elog_beta, snap.elog_sticks, snap.word_probs, hyper
+        )
+        sweeps = record_sweeps(monkeypatch)
+        fits = list(infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper))
+        assert sweeps == ref_sweeps
+        for (words, n, dv, bound, theta), want in zip(fits, mixtures, strict=True):
+            assert dv.varphi.shape == (t, k) and dv.zeta.shape == (len(words), t)
+            assert dv.stick_a.shape == dv.stick_b.shape == (t - 1,)
+            np.testing.assert_allclose(theta, want, rtol=1e-10, atol=0)
+
+    def test_one_word_document_among_long_ones(self, monkeypatch):
+        docs, _ = drifting_stream(seed=13, pre_docs=60, gap_docs=0, post_docs=20)
+        hyper = HdpHyper(K_corpus=12, T_doc=6)
+        snap = trained_snapshot(hyper, docs[:60])
+        held = docs[60:70]
+        held.insert(3, make_doc({7: 3}, "one-word", held[2].timestamp))
+        assert min(len(d.counts) for d in held) == 1 and max(len(d.counts) for d in held) > 20
+        _, mixtures, ref_sweeps = reference_doc_loop(
+            held, snap.elog_beta, snap.elog_sticks, snap.word_probs, hyper
+        )
+        sweeps = record_sweeps(monkeypatch)
+        fits = list(infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper))
+        assert sweeps == ref_sweeps
+        assert fits[3][2].zeta.shape == (1, 6)
+        for (*_, theta), want in zip(fits, mixtures, strict=True):
+            np.testing.assert_allclose(theta, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_evidence_raises(self, bad):
+        docs, _ = drifting_stream(seed=14, pre_docs=20, gap_docs=0, post_docs=0)
+        hyper = HdpHyper(K_corpus=8, T_doc=4)
+        snap = trained_snapshot(hyper, docs[:16])
+        word = min(docs[18].counts)
+        elog = snap.elog_beta.copy()
+        elog[2, word] = bad
+        with pytest.raises(NumericalError) as err:
+            list(infer_batch(docs[16:20], elog, snap.elog_sticks, hyper))
+        assert err.value.sweep == 1
+        words, n = doc_words(docs[18])
+        with pytest.raises(NumericalError):  # the former loop raised too
+            infer_core(words, n, elog[:, words], snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
+
+    def test_memory_is_bounded_by_the_block(self):
+        """Fitting 128 documents at K=100, T=20 holds one block's arrays at a
+        time.  Measured tracemalloc peaks: 3.3 MB through ``infer_batch``
+        (blocks of 16) and 25.1 MB for one 128-document block."""
+        rng = np.random.default_rng(15)
+        vocab = 2000
+        docs = []
+        for i in range(128):
+            words = rng.choice(vocab, int(rng.integers(20, 120)), replace=False)
+            docs.append(make_doc({int(w): int(rng.integers(1, 4)) for w in words}, f"d{i}"))
+        hyper = HdpHyper(K_corpus=100, T_doc=20)
+        snap = HdpSnapshot.of(init_global(hyper, vocab, corpus_scale=1000, seed=0))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+
+        blocked = peak(lambda: all(True for _ in infer_batch(docs, snap.elog_beta, snap.elog_sticks, hyper)))
+        whole = peak(lambda: online_hdp._fit_block(
+            [doc_words(d) for d in docs], snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
+        ))
+        assert blocked < 8.0 < whole
 
 
 class TestHeldout:
@@ -250,12 +406,11 @@ class TestHeldout:
         doc = make_doc({0: 2, 1: 1, 2: 3})
         score = heldout_doc_loglik(doc, g, hyper)
 
-        from topicdrift.corpus import doc_words
-        from topicdrift.online_hdp import _infer_core
-
         snap = HdpSnapshot.of(g)
         words, n = doc_words(doc)
-        dv, _ = _infer_core(words, n, snap.elog_beta[:, words], snap.elog_sticks, hyper, 50, 1e-6)
+        ((dv, _, _),) = online_hdp._fit_block(
+            [(words, n)], snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
+        )
         theta = doc_topic_mixture(dv)
         probs = topic_word_probs(g)
         oracle = 0.0
@@ -309,6 +464,14 @@ class TestStreaming:
             assert ida == idb and wca == wcb
             assert lla == pytest.approx(llb, abs=1e-6)
         np.testing.assert_allclose(a.g.lam, b.g.lam[:, perm], atol=1e-8)
+
+    def test_checkpoint_bytes_equal_the_former_encoder(self, tmp_path):
+        docs, _ = three_topic_corpus(n_docs=30, vocab_size=25, seed=9)
+        model = OnlineHdp(HdpHyper(K_corpus=4, T_doc=3), 25, corpus_scale=30, seed=4)
+        prequential_run(model, docs, batch_size=10)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        assert path.read_bytes() == reference_json_bytes(model)
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         docs, _ = three_topic_corpus(n_docs=30, vocab_size=25, seed=9)
