@@ -7,6 +7,8 @@ sees the elapsed time, lets the prediction variance grow, and snaps to
 the post-gap evidence.
 """
 
+import numpy as np
+
 from topicdrift.drifting_topics import CidtmConfig, DriftingTopicModel
 from topicdrift.drifting_topics import prequential_run as drift_run
 from topicdrift.online_hdp import HdpHyper, OnlineHdp
@@ -41,6 +43,6 @@ print(f"  drifting topics : {drift_score:8.4f} nats")
 print(f"  plain online HDP: {plain_score:8.4f} nats")
 print(f"  margin          : {drift_score - plain_score:+.4f} nats")
 
-born = [k for k, t in enumerate(drifting.topics) if t is not None]
-states = {k: drifting.topics[k].lifecycle.state for k in born}
+born = np.flatnonzero(drifting.born).tolist()
+states = {k: "active" if drifting.active[k] else "dead" for k in born}
 print(f"\ntopics born: {born}; lifecycle states now: {states}")

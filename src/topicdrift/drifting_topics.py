@@ -25,6 +25,13 @@ variance the whole layer is inert and the model reduces exactly to the
 plain online HDP.  After a long dormancy gap the grown prediction
 variance makes the first new evidence decisive, which is what lets this
 model outrun the HDP's fixed learning-rate schedule.
+
+The state is held in arrays on the model: (K, V) ``mean`` and ``var``
+with a (K, V) bool ``tracked`` mask, every untracked entry sitting at
+exactly the prior (0.0 and ``prior_variance``), and (K,) ``born``,
+``active``, ``deadline`` and ``last_update_ts`` for the lifecycles.  As
+in the continuous-time DTM of Wang, Blei and Heckerman (UAI 2008), only
+the (born topic, word) pairs that some batch observed are tracked.
 """
 
 import json
@@ -105,33 +112,6 @@ def lifecycle_step(lc, event, timer_len):
     raise LifecycleProtocolError(f"unknown event {event!r}")
 
 
-@dataclass
-class DriftingTopic:
-    """Sparse Gaussian track of one topic's natural-parameter adjustments.
-
-    Words absent from the maps sit at the prior (m0, V0); the means are
-    in centered log scale, so 0 means "no adjustment".
-    """
-
-    topic_index: int
-    word_mean: dict = field(default_factory=dict)
-    word_var: dict = field(default_factory=dict)
-    last_update_ts: float = 0.0
-    lifecycle: TopicLifecycle = None
-
-
-def topic_word_distribution(topic, vocab_size, prior_mean=0.0):
-    """Simplex map of the topic's tracked means; untracked words at the prior."""
-    if topic.word_mean and max(topic.word_mean) >= vocab_size:
-        raise ParameterError("vocab_size smaller than a tracked word index")
-    means = np.full(vocab_size, prior_mean, dtype=float)
-    for w, m in topic.word_mean.items():
-        means[w] = m
-    shifted = means - means.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 @dataclass(frozen=True)
 class CidtmConfig:
     """Online-HDP hyperparameters plus the drift layer's knobs.
@@ -171,8 +151,19 @@ class DriftingTopicModel:
     def __init__(self, config, vocab_size, corpus_scale, seed=42):
         self.config = config
         self.hdp = OnlineHdp(config.hyper, vocab_size, corpus_scale, seed)
-        self.topics = [None] * config.hyper.K_corpus
+        self._clear_tracks()
         self.clock = None
+
+    def _clear_tracks(self):
+        """Every track at the prior and no topic born."""
+        k, v = self.config.hyper.K_corpus, self.vocab_size
+        self.mean = np.zeros((k, v))
+        self.var = np.full((k, v), self.config.prior_variance)
+        self.tracked = np.zeros((k, v), dtype=bool)
+        self.born = np.zeros(k, dtype=bool)
+        self.active = np.zeros(k, dtype=bool)
+        self.deadline = np.zeros(k)
+        self.last_update_ts = np.zeros(k)
 
     @property
     def vocab_size(self):
@@ -189,23 +180,12 @@ class DriftingTopicModel:
             prior_variance=self.config.prior_variance,
         )
 
-    def correction_matrix(self):
-        """Dense (K, V) view of the tracked natural-parameter adjustments."""
-        c = np.zeros((self.config.hyper.K_corpus, self.vocab_size))
-        for k, topic in enumerate(self.topics):
-            if topic is None:
-                continue
-            for w, m in topic.word_mean.items():
-                c[k, w] = m
-        return c
-
     def adjusted_matrices(self, snap):
         """HDP expectations shifted by the drift corrections and renormalized."""
-        c = self.correction_matrix()
-        log_probs = np.log(snap.word_probs) + c
+        log_probs = np.log(snap.word_probs) + self.mean
         log_z = logsumexp(log_probs, axis=1, keepdims=True)
         probs = np.exp(log_probs - log_z)
-        elog = snap.elog_beta + c - log_z
+        elog = snap.elog_beta + self.mean - log_z
         return elog, probs
 
     def predictive_word_probs(self):
@@ -223,17 +203,11 @@ def evolve_topics(model, to_ts):
     """Grow every tracked variance by the drift accumulated up to ``to_ts``."""
     if model.clock is not None and to_ts < model.clock:
         raise TimeOrderError(f"cannot evolve back in time to {to_ts!r}")
-    rate = model.drift_per_second
-    for topic in model.topics:
-        if topic is None:
-            continue
-        dt = to_ts - topic.last_update_ts
-        if dt < 0:
-            raise TimeOrderError("topic state is ahead of the target time")
-        if dt > 0 and rate > 0:
-            for w in topic.word_var:
-                topic.word_var[w] += rate * dt
-        topic.last_update_ts = to_ts
+    dt = np.where(model.born, to_ts - model.last_update_ts, 0.0)
+    if (dt < 0).any():
+        raise TimeOrderError("topic state is ahead of the target time")
+    np.add(model.var, (model.drift_per_second * dt)[:, None], out=model.var, where=model.tracked)
+    model.last_update_ts[model.born] = to_ts
     return model
 
 
@@ -253,8 +227,8 @@ def _kalman_stage(model, batch, stats):
     distinct timestamp of the documents that contain it.  Only the
     filtered state at the batch's last timestamp is kept.
     """
-    born = [k for k, t in enumerate(model.topics) if t is not None]
-    if not born:
+    born = np.flatnonzero(model.born)
+    if not born.size:
         return
     hyper = model.config.hyper
     scale = model.hdp.corpus_scale / len(batch)
@@ -262,60 +236,53 @@ def _kalman_stage(model, batch, stats):
     fresh_logp = np.log(fresh / fresh.sum(axis=1, keepdims=True))
     baseline_logp = np.log(topic_word_probs(model.hdp.g))
 
-    words = sorted({w for doc in batch for w in doc.counts})
+    doc_words = [np.fromiter(doc.counts, np.intp, len(doc.counts)) for doc in batch]
+    words, cols = np.unique(np.concatenate(doc_words), return_inverse=True)
     unique_ts, inverse = np.unique([doc.timestamp for doc in batch], return_inverse=True)
-    word_col = {w: j for j, w in enumerate(words)}
-    seen = [[] for _ in unique_ts]
-    for step, doc in zip(inverse, batch):
-        seen[step].extend(word_col[w] for w in doc.counts)
-    observed = [np.unique(np.asarray(cols, dtype=np.intp)) for cols in seen]
+    steps = np.repeat(inverse, [w.size for w in doc_words])
+    # the distinct (timestamp, column) pairs, ordered by timestamp and then column
+    steps, cols = np.divmod(np.unique(steps * words.size + cols), words.size)
+    observed = np.split(cols, np.searchsorted(steps, np.arange(1, unique_ts.size)))
 
     rows = np.ix_(born, words)
     resid = fresh_logp[rows] - baseline_logp[rows]
-    prior_mean = np.array([[model.topics[k].word_mean.get(w, 0.0) for w in words] for k in born])
-    prior_var = np.array(
-        [[model.topics[k].word_var.get(w, model.config.prior_variance) for w in words] for k in born]
-    )
     mean, var = terminal_filter(
-        unique_ts, observed, resid, model.config.obs_var, model.drift_config(), prior_mean, prior_var
+        unique_ts, observed, resid, model.config.obs_var, model.drift_config(),
+        model.mean[rows], model.var[rows],
     )
 
-    batch_end = unique_ts[-1]
-    span = batch_end - unique_ts[0]
-    batch_words = set(words)
-    for i, k in enumerate(born):
-        topic = model.topics[k]
-        topic.word_mean.update(zip(words, mean[i].tolist()))
-        topic.word_var.update(zip(words, var[i].tolist()))
-        if span > 0 and model.drift_per_second > 0:
-            for w in topic.word_var:
-                if w not in batch_words:
-                    topic.word_var[w] += model.drift_per_second * span
-        topic.last_update_ts = batch_end
+    # tracked words outside the batch drift to its end; the batch's words take the filtered state
+    span = unique_ts[-1] - unique_ts[0]
+    np.add(model.var, model.drift_per_second * span, out=model.var, where=model.tracked)
+    model.mean[rows] = mean
+    model.var[rows] = var
+    model.tracked[rows] = True
+    model.last_update_ts[born] = unique_ts[-1]
 
 
 def _lifecycle_stage(model, batch, mixtures):
-    born, died = set(), set()
+    """``lifecycle_step`` for all K topics at once, one document at a time.
+
+    A relevant document births or (re)activates a topic and resets its
+    deadline; an irrelevant one kills an Active topic whose deadline it
+    is strictly past.  A dead topic keeps its deadline.
+    """
+    born = np.zeros_like(model.born)
+    died = np.zeros_like(model.born)
     timer = model.config.active_timer_len
     threshold = model.config.relevance_threshold
     for doc, theta in zip(batch, mixtures):
-        for k in range(model.config.hyper.K_corpus):
-            relevant = theta[k] >= threshold
-            topic = model.topics[k]
-            if topic is None:
-                if relevant:
-                    lc = lifecycle_step(None, TopicBorn(doc.timestamp), timer)
-                    model.topics[k] = DriftingTopic(
-                        k, {}, {}, last_update_ts=doc.timestamp, lifecycle=lc
-                    )
-                    born.add(k)
-                continue
-            event = RelevantDoc(doc.timestamp) if relevant else IrrelevantDoc(doc.timestamp)
-            was = topic.lifecycle.state
-            topic.lifecycle = lifecycle_step(topic.lifecycle, event, timer)
-            if was == ACTIVE and topic.lifecycle.state == DEAD:
-                died.add(k)
-    return born, died
+        relevant = theta >= threshold
+        expired = model.active & ~relevant & (doc.timestamp > model.deadline)
+        new = relevant & ~model.born
+        model.last_update_ts[new] = doc.timestamp
+        born |= new
+        died |= expired
+        model.born |= relevant
+        model.active[expired] = False
+        model.active[relevant] = True
+        model.deadline[relevant] = doc.timestamp + timer
+    return set(np.flatnonzero(born).tolist()), set(np.flatnonzero(died).tolist())
 
 
 def process_batch(model, batch, learn=True):
@@ -360,23 +327,20 @@ def prequential_run(model, docs, batch_size):
 
 
 def save_checkpoint(model, path):
-    topics = []
-    for topic in model.topics:
-        if topic is None:
-            topics.append(None)
-            continue
-        topics.append(
-            {
-                "topic_index": topic.topic_index,
-                "word_mean": {str(w): m for w, m in sorted(topic.word_mean.items())},
-                "word_var": {str(w): v for w, v in sorted(topic.word_var.items())},
-                "last_update_ts": topic.last_update_ts,
-                "lifecycle": {
-                    "state": topic.lifecycle.state,
-                    "timer_deadline": topic.lifecycle.timer_deadline,
-                },
-            }
-        )
+    topics = [None] * model.born.size
+    for k in np.flatnonzero(model.born).tolist():
+        words = np.flatnonzero(model.tracked[k])
+        keys = list(map(str, words.tolist()))
+        topics[k] = {
+            "topic_index": k,
+            "word_mean": dict(zip(keys, model.mean[k, words].tolist())),
+            "word_var": dict(zip(keys, model.var[k, words].tolist())),
+            "last_update_ts": float(model.last_update_ts[k]),
+            "lifecycle": {
+                "state": ACTIVE if model.active[k] else DEAD,
+                "timer_deadline": float(model.deadline[k]),
+            },
+        }
     payload = {
         "format_version": 1,
         "kind": "cidtm",
@@ -412,22 +376,31 @@ def decode_checkpoint(payload):
     model.config = config
     model.hdp = decode_hdp(payload, config.hyper)
     model.clock = payload["clock"]
-    model.topics = []
-    for raw in payload["topics"]:
+    model._clear_tracks()
+    topics = payload["topics"]
+    if len(topics) != config.hyper.K_corpus:
+        raise ParameterError(f"checkpoint lists {len(topics)} topics, not K_corpus = {config.hyper.K_corpus}")
+    for k, raw in enumerate(topics):
         if raw is None:
-            model.topics.append(None)
             continue
-        model.topics.append(
-            DriftingTopic(
-                topic_index=int(raw["topic_index"]),
-                word_mean={int(w): float(m) for w, m in raw["word_mean"].items()},
-                word_var={int(w): float(v) for w, v in raw["word_var"].items()},
-                last_update_ts=float(raw["last_update_ts"]),
-                lifecycle=TopicLifecycle(
-                    raw["lifecycle"]["state"], raw["lifecycle"]["timer_deadline"]
-                ),
-            )
-        )
+        if raw["topic_index"] != k:
+            raise ParameterError(f"topic {k}: topic_index {raw['topic_index']!r} is not its position")
+        means, variances = raw["word_mean"], raw["word_var"]
+        if means.keys() != variances.keys():
+            raise ParameterError(f"topic {k}: word_mean and word_var track different words")
+        words = np.array(list(means), dtype=np.intp)
+        if words.size and not (0 <= words.min() and words.max() < model.vocab_size):
+            raise ParameterError(f"topic {k}: tracked word index outside [0, {model.vocab_size})")
+        state = raw["lifecycle"]["state"]
+        if state not in (ACTIVE, DEAD):
+            raise ParameterError(f"topic {k}: unknown lifecycle state {state!r}")
+        model.mean[k, words] = list(means.values())
+        model.var[k, np.array(list(variances), dtype=np.intp)] = list(variances.values())
+        model.tracked[k, words] = True
+        model.born[k] = True
+        model.active[k] = state == ACTIVE
+        model.deadline[k] = raw["lifecycle"]["timer_deadline"]
+        model.last_update_ts[k] = raw["last_update_ts"]
     return model
 
 

@@ -71,7 +71,7 @@ def dense_kalman_stage(model, batch, stats):
     """
     cfg_obs = model.config.obs_var
     hyper = model.config.hyper
-    born = [k for k, t in enumerate(model.topics) if t is not None]
+    born = np.flatnonzero(model.born).tolist()
     if not born:
         return
     scale = model.hdp.corpus_scale / len(batch)
@@ -96,11 +96,10 @@ def dense_kalman_stage(model, batch, stats):
     prior_mean = np.empty(n_tracks)
     prior_var = np.empty(n_tracks)
     for i, k in enumerate(born):
-        topic = model.topics[k]
         sl = slice(i * n_words, (i + 1) * n_words)
         resid[sl] = fresh_logp[k, words] - baseline_logp[k, words]
-        prior_mean[sl] = [topic.word_mean.get(w, 0.0) for w in words]
-        prior_var[sl] = [topic.word_var.get(w, model.config.prior_variance) for w in words]
+        prior_mean[sl] = model.mean[k, words]
+        prior_var[sl] = model.var[k, words]
 
     beta = np.broadcast_to(resid, (n_steps, n_tracks))
     present = np.tile(present_words, (1, len(born)))
@@ -114,20 +113,15 @@ def dense_kalman_stage(model, batch, stats):
     batch_end = unique_ts[-1]
     span = batch_end - unique_ts[0]
     for i, k in enumerate(born):
-        topic = model.topics[k]
         sl = slice(i * n_words, (i + 1) * n_words)
-        terminal_mean = s_mean[-1, sl]
-        terminal_var = s_var[-1, sl]
-        tracked = set()
-        for j, w in enumerate(words):
-            topic.word_mean[w] = float(terminal_mean[j])
-            topic.word_var[w] = float(terminal_var[j])
-            tracked.add(w)
         if span > 0 and model.drift_per_second > 0:
-            for w in topic.word_var:
-                if w not in tracked:
-                    topic.word_var[w] += model.drift_per_second * span
-        topic.last_update_ts = batch_end
+            outside = model.tracked[k].copy()
+            outside[words] = False
+            model.var[k, outside] += model.drift_per_second * span
+        model.mean[k, words] = s_mean[-1, sl]
+        model.var[k, words] = s_var[-1, sl]
+        model.tracked[k, words] = True
+        model.last_update_ts[k] = batch_end
 
 
 def _softmax_rows(scores):
@@ -281,17 +275,19 @@ def reference_json_bytes(model):
                 },
                 clock=model.clock,
                 topics=[
-                    None if topic is None else {
-                        "topic_index": topic.topic_index,
-                        "word_mean": {str(w): m for w, m in sorted(topic.word_mean.items())},
-                        "word_var": {str(w): v for w, v in sorted(topic.word_var.items())},
-                        "last_update_ts": topic.last_update_ts,
+                    {
+                        "topic_index": k,
+                        "word_mean": {str(w): float(model.mean[k, w])
+                                      for w in np.flatnonzero(model.tracked[k])},
+                        "word_var": {str(w): float(model.var[k, w])
+                                     for w in np.flatnonzero(model.tracked[k])},
+                        "last_update_ts": float(model.last_update_ts[k]),
                         "lifecycle": {
-                            "state": topic.lifecycle.state,
-                            "timer_deadline": topic.lifecycle.timer_deadline,
+                            "state": "active" if model.active[k] else "dead",
+                            "timer_deadline": float(model.deadline[k]),
                         },
-                    }
-                    for topic in model.topics
+                    } if model.born[k] else None
+                    for k in range(model.born.size)
                 ],
             )
     buf = io.StringIO()

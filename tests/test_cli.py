@@ -250,6 +250,40 @@ class TestTimeline:
         assert self.timeline_exit_code(tmp_path, monkeypatch, topic) == 2
         assert f"topic {topic} out of range" in capsys.readouterr().err
 
+    def edited_cidtm_timeline(self, tmp_path, edit):
+        """Exit code of timeline on a trained cidtm checkpoint after ``edit(payload)``."""
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=60)
+        ckpt = tmp_path / "cidtm.ckpt"
+        assert main([
+            "train", "--model", "cidtm", "--corpus", str(corpus), "--vocab", str(vocab_file),
+            "--checkpoint", str(ckpt), "--tsv", str(tmp_path / "cidtm.tsv"),
+            "--k-corpus", "6", "--t-doc", "3", "--batch-size", "10",
+        ]) == 0
+        payload = json.loads(ckpt.read_text())
+        edit(payload)
+        ckpt.write_text(json.dumps(payload))
+        return main([
+            "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+            "--topic", "0", "--out-assign", str(tmp_path / "x.tsv"),
+        ])
+
+    @pytest.mark.parametrize("word", ["30", "-1"])
+    def test_tracked_word_outside_the_vocabulary_exits_2(self, tmp_path, capsys, word):
+        edited = []
+
+        def track_word(payload):
+            k = next(k for k, raw in enumerate(payload["topics"]) if raw is not None)
+            for field in ("word_mean", "word_var"):
+                payload["topics"][k][field][word] = 0.5
+            edited.append(k)
+
+        assert self.edited_cidtm_timeline(tmp_path, track_word) == 2
+        assert f"topic {edited[0]}: tracked word index outside [0, 30)" in capsys.readouterr().err
+
+    def test_wrong_topic_count_exits_2(self, tmp_path, capsys):
+        assert self.edited_cidtm_timeline(tmp_path, lambda payload: payload["topics"].pop()) == 2
+        assert "lists 5 topics, not K_corpus = 6" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_single_customer_crp(self, tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Drifting-topic model: lifecycle, evolution, batches, HDP reduction."""
 
 import copy
+import json
+import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from topicdrift.drifting_topics import (
     DEAD,
     BatchResult,
     CidtmConfig,
-    DriftingTopic,
     DriftingTopicModel,
     IrrelevantDoc,
     RelevantDoc,
@@ -26,19 +28,41 @@ from topicdrift.drifting_topics import (
     prequential_run,
     process_batch,
     save_checkpoint,
-    topic_word_distribution,
 )
-from topicdrift.errors import LifecycleProtocolError, TimeOrderError
+from topicdrift.errors import LifecycleProtocolError, ParameterError, TimeOrderError
 from topicdrift.online_hdp import BatchStats, HdpHyper, OnlineHdp
 from topicdrift.online_hdp import prequential_run as hdp_run
 from topicdrift.synthetic import drifting_stream, three_topic_corpus
 
 DAY = 86400.0
+STATE = ("mean", "var", "tracked", "born", "active", "deadline", "last_update_ts")
 
 
 def small_config(**kwargs):
     hyper = kwargs.pop("hyper", HdpHyper(K_corpus=8, T_doc=4))
     return CidtmConfig(hyper=hyper, **kwargs)
+
+
+def state_of(model):
+    return {name: getattr(model, name).copy() for name in STATE}
+
+
+def assert_same_state(got, want):
+    for name in STATE:
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def dormancy_run(docs, batch_size=12):
+    """The model and per-batch results of a stream where a topic dies, revives and dies again."""
+    cfg = CidtmConfig(hyper=HdpHyper(K_corpus=8, T_doc=4), drift_v=0.02, obs_var=0.1,
+                      active_timer_len=20 * DAY, relevance_threshold=0.2)
+    model = DriftingTopicModel(cfg, _vocab(docs), len(docs), seed=2)
+    for start in range(0, len(docs), batch_size):
+        yield model, model.process_batch(docs[start : start + batch_size])
 
 
 class TestLifecycle:
@@ -78,48 +102,123 @@ class TestLifecycle:
             lifecycle_step(TopicLifecycle(ACTIVE, 10.0), TopicBorn(0.0), 100.0)
 
 
-class TestTopicWordDistribution:
-    def test_equal_means_are_uniform(self):
-        topic = DriftingTopic(0, {0: 1.3, 1: 1.3, 2: 1.3}, {}, 0.0, None)
-        np.testing.assert_allclose(topic_word_distribution(topic, 3, prior_mean=0.0),
-                                   np.full(3, 1 / 3), atol=1e-14)
+class TestLifecycleStage:
+    """The K-wide lifecycle stage against ``lifecycle_step`` replayed per topic."""
 
-    def test_dominant_word(self):
-        topic = DriftingTopic(0, {7: 20.0}, {}, 0.0, None)
-        probs = topic_word_distribution(topic, 1000)
-        assert probs[7] > 0.999
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    @staticmethod
+    def replay(lcs, batch, mixtures, timer, threshold, seen):
+        """Apply each document's events to the per-topic lifecycles ``lcs``; count edge cases."""
+        born, died = set(), set()
+        for doc, theta in zip(batch, mixtures):
+            seen["tie"] += bool((theta == threshold).any())
+            seen["birth beside a born topic"] += any(
+                lc is None and theta[k] >= threshold for k, lc in enumerate(lcs)
+            ) and any(lc is not None for lc in lcs)
+            for k, lc in enumerate(lcs):
+                relevant = theta[k] >= threshold
+                if lc is None:
+                    if relevant:
+                        lcs[k] = lifecycle_step(None, TopicBorn(doc.timestamp), timer)
+                        born.add(k)
+                    continue
+                event = RelevantDoc(doc.timestamp) if relevant else IrrelevantDoc(doc.timestamp)
+                seen["irrelevant at the deadline"] += (
+                    not relevant and lc.state == ACTIVE and doc.timestamp == lc.timer_deadline
+                )
+                lcs[k] = lifecycle_step(lc, event, timer)
+                if lc.state != lcs[k].state:
+                    seen["death" if lcs[k].state == DEAD else "revival"] += 1
+                    if lcs[k].state == DEAD:
+                        died.add(k)
+        return born, died
 
-    def test_shift_invariance(self):
-        base = DriftingTopic(0, {0: 0.5, 1: -1.0}, {}, 0.0, None)
-        shifted = DriftingTopic(0, {0: 100.5, 1: 99.0}, {}, 0.0, None)
-        np.testing.assert_allclose(
-            topic_word_distribution(base, 2),
-            topic_word_distribution(shifted, 2, prior_mean=100.0),
-            atol=1e-12,
-        )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lifecycle_step_per_topic(self, seed):
+        rng = np.random.default_rng(seed)
+        n_topics, timer, threshold = 12, 10.0, 0.25
+        model = DriftingTopicModel(small_config(hyper=HdpHyper(K_corpus=n_topics, T_doc=4),
+                                                active_timer_len=timer, relevance_threshold=threshold),
+                                   5, 100, seed=0)
+        lcs = [None] * n_topics
+        ts, seen = 0.0, Counter()
+        for _ in range(8):
+            n_docs = int(rng.integers(1, 20))
+            # repeated timestamps, and steps that land exactly on a deadline
+            ts_list = ts + np.cumsum(rng.choice([0.0, 0.0, 1.0, 5.0, 10.0], size=n_docs))
+            ts = float(ts_list[-1])
+            batch = [Document(f"d{i}", float(t), {0: 1}, 1) for i, t in enumerate(ts_list)]
+            # relevance exactly at the threshold counts; rare relevance lets topics expire
+            mixtures = [rng.choice([0.0, 0.1, threshold, 0.9], p=[0.55, 0.2, 0.1, 0.15], size=n_topics)
+                        for _ in batch]
+            want_born, want_died = self.replay(lcs, batch, mixtures, timer, threshold, seen)
+            got_born, got_died = drifting_topics._lifecycle_stage(model, batch, mixtures)
+
+            assert got_born == want_born and got_died == want_died
+            np.testing.assert_array_equal(model.born, [lc is not None for lc in lcs])
+            np.testing.assert_array_equal(model.active, [lc is not None and lc.state == ACTIVE for lc in lcs])
+            np.testing.assert_array_equal(
+                model.deadline[model.born], [lc.timer_deadline for lc in lcs if lc is not None]
+            )
+        cases = ("tie", "birth beside a born topic", "irrelevant at the deadline", "death", "revival")
+        assert all(seen[case] for case in cases), seen
+
+    def test_birth_records_the_birth_timestamp(self):
+        model = DriftingTopicModel(small_config(relevance_threshold=0.5), 5, 100, seed=0)
+        batch = [Document("a", 3.0, {0: 1}, 1), Document("b", 7.0, {0: 1}, 1)]
+        mixtures = [np.eye(8)[1], np.eye(8)[[1, 4]].sum(axis=0)]
+        born, died = drifting_topics._lifecycle_stage(model, batch, mixtures)
+        assert born == {1, 4} and died == set()
+        assert model.last_update_ts[1] == 3.0 and model.last_update_ts[4] == 7.0
+        assert model.deadline[4] == 7.0 + model.config.active_timer_len
+
+
+class TestStateInvariants:
+    def test_untracked_entries_stay_at_the_prior(self):
+        docs, _ = drifting_stream(seed=8, pre_docs=120, gap_docs=24, post_docs=60)
+        previous = None
+        deaths = []
+        for model, result in dormancy_run(docs):
+            deaths.extend(result.topics_died)
+            untracked = ~model.tracked
+            prior = np.float64(model.config.prior_variance)
+            assert (bits(model.mean[untracked]) == bits(0.0)).all()
+            assert (bits(model.var[untracked]) == bits(prior)).all()
+            unborn = ~model.born
+            assert not model.tracked[unborn].any() and not model.active[unborn].any()
+            assert (model.deadline[unborn] == 0.0).all() and (model.last_update_ts[unborn] == 0.0).all()
+            if previous is not None:
+                assert not (previous & untracked).any(), "a tracked pair was dropped"
+            previous = model.tracked.copy()
+        assert len(deaths) > len(set(deaths)), "stream must revive and re-kill a topic"
 
 
 class TestEvolve:
     def make_model(self):
         model = DriftingTopicModel(small_config(drift_v=0.01 * DAY), 10, 100, seed=0)
-        model.topics[2] = DriftingTopic(2, {1: 0.4}, {1: 0.5}, last_update_ts=100.0,
-                                        lifecycle=TopicLifecycle(ACTIVE, 1e12))
+        model.born[2] = model.active[2] = True
+        model.deadline[2] = 1e12
+        model.last_update_ts[2] = 100.0
+        model.mean[2, 1], model.var[2, 1], model.tracked[2, 1] = 0.4, 0.5, True
         model.clock = 100.0
         return model
 
     def test_zero_elapsed_changes_nothing(self):
         model = self.make_model()
-        before = copy.deepcopy(model.topics[2])
+        before = state_of(model)
         evolve_topics(model, 100.0)
-        assert model.topics[2] == before
+        assert_same_state(state_of(model), before)
 
     def test_variance_grows_linearly(self):
         model = self.make_model()  # drift 0.01 per second
+        before = state_of(model)
         evolve_topics(model, 110.0)
-        assert model.topics[2].word_var[1] == pytest.approx(0.5 + 0.1, rel=1e-12)
-        assert model.topics[2].word_mean[1] == 0.4
-        assert model.topics[2].last_update_ts == 110.0
+        assert model.var[2, 1] == pytest.approx(0.5 + 0.1, rel=1e-12)
+        assert model.mean[2, 1] == 0.4
+        assert model.last_update_ts[2] == 110.0
+        # untracked words and unborn topics do not move
+        before["var"][2, 1] = model.var[2, 1]
+        before["last_update_ts"][2] = 110.0
+        assert_same_state(state_of(model), before)
 
     def test_time_regression_rejected(self):
         model = self.make_model()
@@ -221,13 +320,8 @@ class TestReduction:
 class TestDormancyLifecycle:
     def test_dormant_topic_dies_and_revives(self):
         docs, _ = drifting_stream(seed=8, pre_docs=120, gap_docs=24, post_docs=60)
-        hyper = HdpHyper(K_corpus=8, T_doc=4)
-        cfg = CidtmConfig(hyper=hyper, drift_v=0.02, obs_var=0.1,
-                          active_timer_len=20 * DAY, relevance_threshold=0.2)
-        model = DriftingTopicModel(cfg, _vocab(docs), len(docs), seed=2)
         died_events, born_events = [], []
-        for start in range(0, len(docs), 12):
-            result = model.process_batch(docs[start : start + 12])
+        for model, result in dormancy_run(docs):
             died_events.append(result.topics_died)
             born_events.append(result.topics_born)
         all_died = set().union(*died_events)
@@ -237,10 +331,7 @@ class TestDormancyLifecycle:
             k for k in all_died
             if sum(k in batch for batch in died_events) >= 2
         }
-        ended_active = {
-            k for k in all_died
-            if model.topics[k] is not None and model.topics[k].lifecycle.state == ACTIVE
-        }
+        ended_active = {k for k in all_died if model.active[k]}
         assert died_twice | ended_active, "no dead topic was revived by later documents"
         later_born = set().union(*born_events[1:])
         assert not (all_died & later_born), "revival must not be reported as birth"
@@ -254,11 +345,8 @@ class TestSparseKalmanStage:
         with monkeypatch.context() as m:
             if stage is not None:
                 m.setattr(drifting_topics, "_kalman_stage", stage)
-            cfg = CidtmConfig(hyper=HdpHyper(K_corpus=8, T_doc=4), drift_v=0.02, obs_var=0.1,
-                              active_timer_len=20 * DAY, relevance_threshold=0.2)
-            model = DriftingTopicModel(cfg, _vocab(docs), len(docs), seed=2)
-            results = [model.process_batch(docs[s : s + 12]) for s in range(0, len(docs), 12)]
-        return model, results
+            runs = list(dormancy_run(docs))
+        return runs[-1][0], [result for _, result in runs]
 
     def test_matches_dense_stage_through_dormancy_death_and_revival(self, monkeypatch):
         docs, _ = drifting_stream(seed=8, pre_docs=120, gap_docs=24, post_docs=60)
@@ -275,21 +363,10 @@ class TestSparseKalmanStage:
                 [r[2] for r in got.per_doc], [r[2] for r in want.per_doc], rtol=1e-10, atol=0
             )
         assert sparse.clock == dense.clock
-        for got, want in zip(sparse.topics, dense.topics):
-            if want is None:
-                assert got is None
-                continue
-            assert got.lifecycle == want.lifecycle
-            assert got.last_update_ts == want.last_update_ts
-            assert list(got.word_mean) == list(want.word_mean)
-            assert list(got.word_var) == list(want.word_var)
-            words = list(want.word_mean)
-            for field_name in ("word_mean", "word_var"):
-                np.testing.assert_allclose(
-                    [getattr(got, field_name)[w] for w in words],
-                    [getattr(want, field_name)[w] for w in words],
-                    rtol=1e-10, atol=0,
-                )
+        for name in ("tracked", "born", "active", "deadline", "last_update_ts"):
+            np.testing.assert_array_equal(getattr(sparse, name), getattr(dense, name), err_msg=name)
+        for name in ("mean", "var"):
+            np.testing.assert_allclose(getattr(sparse, name), getattr(dense, name), rtol=1e-10, atol=0)
 
     def test_memory_is_linear_in_tracks_not_steps(self):
         rng = np.random.default_rng(12)
@@ -306,10 +383,9 @@ class TestSparseKalmanStage:
 
         def peak_bytes(stage):
             model = DriftingTopicModel(cfg, vocab, 1000, seed=0)
-            for k in range(n_topics):
-                model.topics[k] = DriftingTopic(
-                    k, last_update_ts=start, lifecycle=TopicLifecycle(ACTIVE, start + 90 * DAY)
-                )
+            model.born[:] = model.active[:] = True
+            model.deadline[:] = start + 90 * DAY
+            model.last_update_ts[:] = start
             tracemalloc.start()
             try:
                 stage(model, batch, stats)
@@ -329,7 +405,7 @@ class TestCheckpoint:
         cfg = CidtmConfig(hyper=HdpHyper(K_corpus=8, T_doc=4), drift_v=0.02, relevance_threshold=0.2)
         model = DriftingTopicModel(cfg, 60, len(docs), seed=3)
         prequential_run(model, docs, batch_size=16)
-        assert None in model.topics and any(t and t.lifecycle.state == DEAD for t in model.topics)
+        assert not model.born.all() and (model.born & ~model.active).any()
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         assert path.read_bytes() == reference_json_bytes(model)
@@ -344,8 +420,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.hdp.g.lam, model.hdp.g.lam)
         assert loaded.clock == model.clock
         assert loaded.config == model.config
-        for mine, theirs in zip(model.topics, loaded.topics):
-            assert mine == theirs
+        assert_same_state(state_of(loaded), state_of(model))
 
         # a checkpointed model continues identically
         more, _ = three_topic_corpus(n_docs=10, vocab_size=20, seed=10)
@@ -353,3 +428,26 @@ class TestCheckpoint:
         r1 = model.process_batch(shifted)
         r2 = loaded.process_batch(shifted)
         assert r1.per_doc == r2.per_doc
+
+    @staticmethod
+    def trained_payload(tmp_path):
+        docs, _ = three_topic_corpus(n_docs=40, vocab_size=20, seed=9)
+        model = DriftingTopicModel(small_config(drift_v=0.01), 20, 40, seed=3)
+        prequential_run(model, docs, batch_size=10)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        payload = json.loads(path.read_text())
+        k = next(k for k, raw in enumerate(payload["topics"]) if raw and raw["word_mean"])
+        return payload, k
+
+    # word indices outside the vocabulary and a wrong topic count: test_cli.py::TestTimeline
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw: raw["word_var"].popitem(), "word_mean and word_var track different words"),
+        (lambda raw: raw.update(topic_index=raw["topic_index"] + 1), "is not its position"),
+        (lambda raw: raw["lifecycle"].update(state="dormant"), "unknown lifecycle state 'dormant'"),
+    ])
+    def test_decode_rejects_an_inconsistent_topic(self, tmp_path, corrupt, message):
+        payload, k = self.trained_payload(tmp_path)
+        corrupt(payload["topics"][k])
+        with pytest.raises(ParameterError, match=re.escape(f"topic {k}: ") + ".*" + re.escape(message)):
+            drifting_topics.decode_checkpoint(payload)
