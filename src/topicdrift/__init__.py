@@ -14,8 +14,9 @@ densities, samplers, entropy measures), ``meanfield`` (the conjugate
 Gaussian-Gamma coordinate-ascent example), ``kalman`` (the scalar
 filter/smoother), ``dp_sim`` (CRP/franchise/drifting-dish simulators),
 ``corpus`` (parsers and the canonical format), ``evaluation`` and
-``synthetic`` (the experiment harness), ``checkpoint`` (the JSON
-checkpoint writer), ``cli`` (pipelines).
+``synthetic`` (the experiment harness), ``checkpoint`` (the one
+checkpoint reader and writer: a JSON header plus base64 arrays),
+``cli`` (pipelines).
 """
 
 from . import (

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import drifting_topics, evaluation, fixed_k_dtm, online_hdp
+from .checkpoint import read_checkpoint
 from .dp_sim import crp_partition, crfp_sample, dim_sum_sample, tdpm_decayed_counts
 from .errors import (
     ConfigurationError,
@@ -153,21 +154,10 @@ def _doc_topic_weights(kind, model, docs):
     return [theta for *_, theta in online_hdp.infer_batch(docs, elog, snap.elog_sticks, hdp.hyper)]
 
 
-def _load_online_model(path):
-    """(kind, model) of an online-model checkpoint; the file is parsed once."""
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    kind = payload.get("kind")
-    if kind == "ohdp":
-        return kind, online_hdp.decode_checkpoint(payload)
-    if kind == "cidtm":
-        return kind, drifting_topics.decode_checkpoint(payload)
-    raise ConfigurationError(f"unsupported checkpoint kind {kind!r}")
-
-
 def cmd_timeline(args):
-    # the parsed payload is freed before any document is fitted
-    kind, model = _load_online_model(args.checkpoint)
+    kinds = {"ohdp": online_hdp, "cidtm": drifting_topics}
+    kind, header, arrays = read_checkpoint(args.checkpoint, {k: module.ARRAYS for k, module in kinds.items()})
+    model = kinds[kind].decode_checkpoint(header, arrays)
     hyper = model.config.hyper if kind == "cidtm" else model.hyper
     if not 0 <= args.topic < hyper.K_corpus:
         raise ConfigurationError(f"topic {args.topic} out of range")

@@ -34,13 +34,12 @@ in the continuous-time DTM of Wang, Blei and Heckerman (UAI 2008), only
 the (born topic, word) pairs that some batch observed are tracked.
 """
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .checkpoint import write_checkpoint
+from .checkpoint import config_from, header_value, read_checkpoint, write_checkpoint
 from .errors import (
     ConfigurationError,
     LifecycleProtocolError,
@@ -49,6 +48,7 @@ from .errors import (
 )
 from .kalman import DriftConfig, terminal_filter
 from .online_hdp import (
+    ARRAYS as HDP_ARRAYS,
     BatchStats,
     HdpHyper,
     HdpSnapshot,
@@ -188,12 +188,6 @@ class DriftingTopicModel:
         elog = snap.elog_beta + self.mean - log_z
         return elog, probs
 
-    def predictive_word_probs(self):
-        """Current per-topic word distributions used for scoring."""
-        snap = HdpSnapshot.of(self.hdp.g)
-        _, probs = self.adjusted_matrices(snap)
-        return probs
-
     def process_batch(self, batch, learn=True):
         result = process_batch(self, batch, learn=learn)[1]
         return result
@@ -326,84 +320,49 @@ def prequential_run(model, docs, batch_size):
     return records
 
 
+# the arrays of a "cidtm" checkpoint: the HDP state, the tracked (topic, word) pairs as strictly
+# increasing flat indices into K * V with their mean and var, and the (K,) lifecycles
+LIFECYCLE_ARRAYS = {"born": ("|b1", 1), "active": ("|b1", 1), "deadline": ("<f8", 1),
+                    "last_update_ts": ("<f8", 1)}
+ARRAYS = {**HDP_ARRAYS, "tracked": ("<i8", 1), "mean": ("<f8", 1), "var": ("<f8", 1), **LIFECYCLE_ARRAYS}
+
+
 def save_checkpoint(model, path):
-    topics = [None] * model.born.size
-    for k in np.flatnonzero(model.born).tolist():
-        words = np.flatnonzero(model.tracked[k])
-        keys = list(map(str, words.tolist()))
-        topics[k] = {
-            "topic_index": k,
-            "word_mean": dict(zip(keys, model.mean[k, words].tolist())),
-            "word_var": dict(zip(keys, model.var[k, words].tolist())),
-            "last_update_ts": float(model.last_update_ts[k]),
-            "lifecycle": {
-                "state": ACTIVE if model.active[k] else DEAD,
-                "timer_deadline": float(model.deadline[k]),
-            },
-        }
-    payload = {
-        "format_version": 1,
-        "kind": "cidtm",
-        **encode_hdp(model.hdp),
-        "config": {
-            "hyper": asdict(model.config.hyper),
-            "drift_v": model.config.drift_v,
-            "obs_var": model.config.obs_var,
-            "active_timer_len": model.config.active_timer_len,
-            "relevance_threshold": model.config.relevance_threshold,
-            "prior_variance": model.config.prior_variance,
-        },
-        "clock": model.clock,
-        "topics": topics,
-    }
-    write_checkpoint(payload, path)
+    header, arrays = encode_hdp(model.hdp)
+    arrays.update({name: getattr(model, name) for name in LIFECYCLE_ARRAYS})
+    arrays.update(tracked=np.flatnonzero(model.tracked), mean=model.mean[model.tracked],
+                  var=model.var[model.tracked])
+    write_checkpoint("cidtm", {**header, "config": asdict(model.config), "clock": model.clock}, arrays, path)
 
 
-def decode_checkpoint(payload):
-    """The DriftingTopicModel of a parsed checkpoint payload."""
-    if payload.get("kind") != "cidtm" or payload.get("format_version") != 1:
-        raise ParameterError("not a version-1 drifting-topic checkpoint")
-    raw_cfg = payload["config"]
-    config = CidtmConfig(
-        hyper=HdpHyper(**raw_cfg["hyper"]),
-        drift_v=raw_cfg["drift_v"],
-        obs_var=raw_cfg["obs_var"],
-        active_timer_len=raw_cfg["active_timer_len"],
-        relevance_threshold=raw_cfg["relevance_threshold"],
-        prior_variance=raw_cfg["prior_variance"],
-    )
+def decode_checkpoint(header, arrays):
+    """The DriftingTopicModel of a "cidtm" checkpoint's header and arrays."""
+    config = config_from(CidtmConfig, header_value(header, "config", dict))
     model = DriftingTopicModel.__new__(DriftingTopicModel)
     model.config = config
-    model.hdp = decode_hdp(payload, config.hyper)
-    model.clock = payload["clock"]
+    model.hdp = decode_hdp(header, arrays, config.hyper)
+    model.clock = header_value(header, "clock", float, nullable=True)
     model._clear_tracks()
-    topics = payload["topics"]
-    if len(topics) != config.hyper.K_corpus:
-        raise ParameterError(f"checkpoint lists {len(topics)} topics, not K_corpus = {config.hyper.K_corpus}")
-    for k, raw in enumerate(topics):
-        if raw is None:
-            continue
-        if raw["topic_index"] != k:
-            raise ParameterError(f"topic {k}: topic_index {raw['topic_index']!r} is not its position")
-        means, variances = raw["word_mean"], raw["word_var"]
-        if means.keys() != variances.keys():
-            raise ParameterError(f"topic {k}: word_mean and word_var track different words")
-        words = np.array(list(means), dtype=np.intp)
-        if words.size and not (0 <= words.min() and words.max() < model.vocab_size):
-            raise ParameterError(f"topic {k}: tracked word index outside [0, {model.vocab_size})")
-        state = raw["lifecycle"]["state"]
-        if state not in (ACTIVE, DEAD):
-            raise ParameterError(f"topic {k}: unknown lifecycle state {state!r}")
-        model.mean[k, words] = list(means.values())
-        model.var[k, np.array(list(variances), dtype=np.intp)] = list(variances.values())
-        model.tracked[k, words] = True
-        model.born[k] = True
-        model.active[k] = state == ACTIVE
-        model.deadline[k] = raw["lifecycle"]["timer_deadline"]
-        model.last_update_ts[k] = raw["last_update_ts"]
+    k, v = config.hyper.K_corpus, model.vocab_size
+    for name in LIFECYCLE_ARRAYS:
+        if arrays[name].shape != (k,):
+            raise ParameterError(f"checkpoint {name!r} lists {arrays[name].size} topics, not K_corpus = {k}")
+        setattr(model, name, arrays[name])
+    tracked = arrays["tracked"]
+    if arrays["mean"].shape != tracked.shape or arrays["var"].shape != tracked.shape:
+        raise ParameterError("checkpoint mean and var must hold one value per tracked index")
+    if (np.diff(tracked) <= 0).any():
+        raise ParameterError("checkpoint tracked indices are not strictly increasing")
+    if tracked.size and not (0 <= tracked[0] and tracked[-1] < k * v):
+        raise ParameterError(f"checkpoint tracked index outside [0, K_corpus * vocab_size = {k * v})")
+    unborn = np.flatnonzero(~model.born & (model.active | np.isin(np.arange(k), tracked // v)))
+    if unborn.size:
+        raise ParameterError(f"topic {unborn[0]} is not born but is active or tracks words")
+    for name in ("mean", "var"):
+        getattr(model, name).reshape(-1)[tracked] = arrays[name]
+    model.tracked.reshape(-1)[tracked] = True
     return model
 
 
 def load_checkpoint(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return decode_checkpoint(json.load(f))
+    return decode_checkpoint(*read_checkpoint(path, {"cidtm": ARRAYS})[1:])

@@ -9,6 +9,8 @@ import numpy as np
 from .errors import ParameterError
 
 UNDEFINED = None  # marker for ratios with an empty denominator
+# runtime_benchmark trains each prefix this many times and reports the median
+REPEATS = 3
 
 
 @dataclass
@@ -126,7 +128,9 @@ def runtime_benchmark(model_kind, docs, prefix_sizes, config, warmup=True):
 
     Prefix sizes must be ascending and within the corpus.  A discarded
     warm-up run on the smallest prefix excludes interpreter and cache
-    effects; all timed runs are sequential in one process.
+    effects; all timed runs are sequential in one process.  Each prefix
+    is timed REPEATS times and reported by the median, so one slow run
+    does not move the result.
     """
     sizes = list(prefix_sizes)
     if sizes != sorted(sizes) or (sizes and sizes[-1] > len(docs)):
@@ -135,9 +139,12 @@ def runtime_benchmark(model_kind, docs, prefix_sizes, config, warmup=True):
         _train_once(model_kind, docs[: min(sizes[0], 200)], config)
     results = []
     for size in sizes:
-        start = time.perf_counter()
-        _train_once(model_kind, docs[:size], config)
-        results.append((size, time.perf_counter() - start))
+        seconds = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            _train_once(model_kind, docs[:size], config)
+            seconds.append(time.perf_counter() - start)
+        results.append((size, float(np.median(seconds))))
     return results
 
 
@@ -150,11 +157,3 @@ def write_series_tsv(series, path):
         f.write("doc_id\ttimestamp\tpwll_nats\tpwll_ma100\n")
         for (doc_id, ts, value), ma in zip(series.points, smoothed):
             f.write(f"{doc_id}\t{ts!r}\t{value!r}\t{ma!r}\n")
-
-
-def write_benchmark_tsv(rows, path):
-    """TSV: model, corpus_size, wall_seconds."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("model\tcorpus_size\twall_seconds\n")
-        for model, size, seconds in rows:
-            f.write(f"{model}\t{size}\t{seconds!r}\n")

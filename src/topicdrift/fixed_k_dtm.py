@@ -12,13 +12,12 @@ Brownian bridge, so means interpolate linearly; outside the training
 range the endpoint values carry over.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .checkpoint import write_checkpoint
+from .checkpoint import header_value, read_checkpoint, write_checkpoint
 from .corpus import doc_words
 from .errors import ParameterError, StateError, TimeOrderError
 from .kalman import DriftConfig, backward_steps, forward_steps
@@ -167,36 +166,34 @@ def cdtm_heldout_loglik(model, docs):
     return records
 
 
+# the arrays of a "cdtm" checkpoint; S = knots.size
+ARRAYS = {"knots": ("<f8", 1), "means": ("<f8", 3), "variances": ("<f8", 3), "objective_trace": ("<f8", 1)}
+
+
 def save_checkpoint(model, path):
     if not model.trained:
         raise StateError("model is not trained")
-    payload = {
-        "format_version": 1,
-        "kind": "cdtm",
-        "K": model.K,
-        "alpha_dirichlet": model.alpha_dirichlet,
-        "vocab_size": model.vocab_size,
-        "knots": model.knots,
-        "means": model.means,
-        "variances": model.variances,
-        "objective_trace": model.objective_trace,
-    }
-    write_checkpoint(payload, path)
+    header = {"K": model.K, "alpha_dirichlet": model.alpha_dirichlet, "vocab_size": model.vocab_size}
+    arrays = {"knots": model.knots, "means": model.means, "variances": model.variances,
+              "objective_trace": np.array(model.objective_trace, dtype=float)}
+    write_checkpoint("cdtm", header, arrays, path)
 
 
 def load_checkpoint(path):
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("kind") != "cdtm" or payload.get("format_version") != 1:
-        raise ParameterError("not a version-1 fixed-K checkpoint")
+    _, header, arrays = read_checkpoint(path, {"cdtm": ARRAYS})
     model = CdtmModel(
-        K=int(payload["K"]),
-        alpha_dirichlet=float(payload["alpha_dirichlet"]),
-        vocab_size=int(payload["vocab_size"]),
+        K=header_value(header, "K", int),
+        alpha_dirichlet=header_value(header, "alpha_dirichlet", float),
+        vocab_size=header_value(header, "vocab_size", int),
     )
-    model.knots = np.array(payload["knots"], dtype=float)
-    model.means = np.array(payload["means"], dtype=float)
-    model.variances = np.array(payload["variances"], dtype=float)
-    model.objective_trace = list(payload["objective_trace"])
+    knots = arrays["knots"]
+    shape = (model.K, knots.size, model.vocab_size)
+    if arrays["means"].shape != shape or arrays["variances"].shape != shape:
+        raise ParameterError(f"checkpoint means {arrays['means'].shape} and variances"
+                             f" {arrays['variances'].shape} are not (K, S, V) = {shape}")
+    if not knots.size or (np.diff(knots) <= 0).any():
+        raise ParameterError("checkpoint knots must be nonempty and strictly ascending")
+    model.knots, model.means, model.variances = knots, arrays["means"], arrays["variances"]
+    model.objective_trace = arrays["objective_trace"].tolist()
     model.trained = True
     return model

@@ -20,14 +20,13 @@ that blends the current state with the batch estimate scaled up to
 corpus size.
 """
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .checkpoint import write_checkpoint
+from .checkpoint import config_from, header_value, read_checkpoint, write_checkpoint
 from .corpus import batch_iter, doc_words
 from .errors import ConfigurationError, NumericalError, ParameterError
 
@@ -103,11 +102,6 @@ class BatchStats:
     @classmethod
     def zeros(cls, num_topics, vocab_size):
         return cls(np.zeros((num_topics, vocab_size)), np.zeros(num_topics), 0)
-
-    def merge(self, other):
-        self.lam += other.lam
-        self.usage += other.usage
-        self.batch_doc_count += other.batch_doc_count
 
 
 def init_global(hyper, vocab_size, corpus_scale, seed):
@@ -415,49 +409,41 @@ def prequential_run(model, docs, batch_size):
     return records
 
 
+# name -> (dtype, ndim) of the arrays of an "ohdp" checkpoint; a "cidtm" one adds its tracks
+ARRAYS = {"lam": ("<f8", 2), "stick_u": ("<f8", 1), "stick_v": ("<f8", 1)}
+
+
 def encode_hdp(hdp):
-    """Checkpoint fields of an OnlineHdp's sizes and state, shared by both online models."""
+    """Checkpoint header fields and arrays of an OnlineHdp, shared by both online models."""
     g = hdp.g
-    return {
-        "vocab_size": hdp.vocab_size,
-        "corpus_scale": hdp.corpus_scale,
-        "state": {
-            "lam": g.lam,
-            "stick_u": g.stick_u,
-            "stick_v": g.stick_v,
-            "update_count": g.update_count,
-        },
-    }
+    header = {"vocab_size": hdp.vocab_size, "corpus_scale": hdp.corpus_scale, "update_count": g.update_count}
+    return header, {"lam": g.lam, "stick_u": g.stick_u, "stick_v": g.stick_v}
 
 
-def decode_hdp(payload, hyper):
-    """Rebuild the OnlineHdp whose fields ``encode_hdp`` put in ``payload``."""
+def decode_hdp(header, arrays, hyper):
+    """Rebuild the OnlineHdp that ``encode_hdp`` put in ``header`` and ``arrays``."""
     model = OnlineHdp.__new__(OnlineHdp)
     model.hyper = hyper
-    model.vocab_size = payload["vocab_size"]
-    model.corpus_scale = payload["corpus_scale"]
-    state = payload["state"]
-    model.g = GlobalVariational(
-        lam=np.array(state["lam"], dtype=float),
-        stick_u=np.array(state["stick_u"], dtype=float),
-        stick_v=np.array(state["stick_v"], dtype=float),
-        update_count=int(state["update_count"]),
-    )
+    model.vocab_size = header_value(header, "vocab_size", int)
+    model.corpus_scale = header_value(header, "corpus_scale", float)
+    k = hyper.K_corpus
+    lam, stick_u, stick_v = arrays["lam"], arrays["stick_u"], arrays["stick_v"]
+    if lam.shape != (k, model.vocab_size) or stick_u.shape != (k - 1,) or stick_v.shape != (k - 1,):
+        raise ParameterError(f"checkpoint lam {lam.shape} and sticks {stick_u.shape}, {stick_v.shape}"
+                             f" do not fit K_corpus = {k} and vocab_size = {model.vocab_size}")
+    model.g = GlobalVariational(lam, stick_u, stick_v, header_value(header, "update_count", int))
     return model
 
 
 def save_checkpoint(model, path):
-    payload = {"format_version": 1, "kind": "ohdp", "hyper": asdict(model.hyper), **encode_hdp(model)}
-    write_checkpoint(payload, path)
+    header, arrays = encode_hdp(model)
+    write_checkpoint("ohdp", {**header, "hyper": asdict(model.hyper)}, arrays, path)
 
 
-def decode_checkpoint(payload):
-    """The OnlineHdp of a parsed checkpoint payload."""
-    if payload.get("kind") != "ohdp" or payload.get("format_version") != 1:
-        raise ParameterError("not a version-1 online-HDP checkpoint")
-    return decode_hdp(payload, HdpHyper(**payload["hyper"]))
+def decode_checkpoint(header, arrays):
+    """The OnlineHdp of an "ohdp" checkpoint's header and arrays."""
+    return decode_hdp(header, arrays, config_from(HdpHyper, header_value(header, "hyper", dict)))
 
 
 def load_checkpoint(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return decode_checkpoint(json.load(f))
+    return decode_checkpoint(*read_checkpoint(path, {"ohdp": ARRAYS})[1:])

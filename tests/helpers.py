@@ -8,21 +8,18 @@ exceptions keep a former code path as the reference for what replaced it:
 ``dense_kalman_stage``, the drifting model's dense Kalman stage;
 ``reference_doc_loop``, the per-document loop every caller of
 ``online_hdp.infer_batch`` used to write out, with ``infer_core``, the
-one-document coordinate ascent that ``online_hdp._fit_block`` replaced;
-and ``reference_json_bytes``, the whole-payload checkpoint encoder.
+one-document coordinate ascent that ``online_hdp._fit_block`` replaced.
+``payload_array`` and ``set_payload_array`` read and edit the arrays of
+a parsed checkpoint with ``base64`` and numpy alone.
 """
 
-import io
-import json
+import base64
 import math
-from dataclasses import asdict
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from topicdrift.drifting_topics import DriftingTopicModel
 from topicdrift.errors import NumericalError
-from topicdrift.fixed_k_dtm import CdtmModel
 from topicdrift.kalman import backward_steps, forward_steps
 from topicdrift.online_hdp import (
     DocVariational,
@@ -228,71 +225,17 @@ def reference_doc_loop(docs, elog_beta, elog_sticks, word_probs, hyper):
     return records, mixtures, sweeps
 
 
-def reference_json_bytes(model):
-    """The bytes the three former ``save_checkpoint``s wrote for ``model``.
+def payload_array(payload, name):
+    """The array stored under ``name`` in a parsed format-2 checkpoint."""
+    entry = payload["arrays"][name]
+    return np.frombuffer(base64.b64decode(entry["data"]), entry["dtype"]).reshape(entry["shape"])
 
-    Each built its whole payload with ``.tolist()`` arrays and wrote it
-    with ``json.dump(payload, f, sort_keys=True)``.
-    """
-    if isinstance(model, CdtmModel):
-        payload = {
-            "format_version": 1,
-            "kind": "cdtm",
-            "K": model.K,
-            "alpha_dirichlet": model.alpha_dirichlet,
-            "vocab_size": model.vocab_size,
-            "knots": model.knots.tolist(),
-            "means": model.means.tolist(),
-            "variances": model.variances.tolist(),
-            "objective_trace": model.objective_trace,
-        }
-    else:
-        hdp = model.hdp if isinstance(model, DriftingTopicModel) else model
-        payload = {
-            "format_version": 1,
-            "vocab_size": hdp.vocab_size,
-            "corpus_scale": hdp.corpus_scale,
-            "state": {
-                "lam": hdp.g.lam.tolist(),
-                "stick_u": hdp.g.stick_u.tolist(),
-                "stick_v": hdp.g.stick_v.tolist(),
-                "update_count": hdp.g.update_count,
-            },
-        }
-        if hdp is model:
-            payload.update(kind="ohdp", hyper=asdict(model.hyper))
-        else:
-            cfg = model.config
-            payload.update(
-                kind="cidtm",
-                config={
-                    "hyper": asdict(cfg.hyper),
-                    "drift_v": cfg.drift_v,
-                    "obs_var": cfg.obs_var,
-                    "active_timer_len": cfg.active_timer_len,
-                    "relevance_threshold": cfg.relevance_threshold,
-                    "prior_variance": cfg.prior_variance,
-                },
-                clock=model.clock,
-                topics=[
-                    {
-                        "topic_index": k,
-                        "word_mean": {str(w): float(model.mean[k, w])
-                                      for w in np.flatnonzero(model.tracked[k])},
-                        "word_var": {str(w): float(model.var[k, w])
-                                     for w in np.flatnonzero(model.tracked[k])},
-                        "last_update_ts": float(model.last_update_ts[k]),
-                        "lifecycle": {
-                            "state": "active" if model.active[k] else "dead",
-                            "timer_deadline": float(model.deadline[k]),
-                        },
-                    } if model.born[k] else None
-                    for k in range(model.born.size)
-                ],
-            )
-    buf = io.StringIO()
-    json.dump(payload, buf, sort_keys=True)
-    return buf.getvalue().encode("utf-8")
+
+def set_payload_array(payload, name, array):
+    """Store ``array`` under ``name`` in a parsed format-2 checkpoint, at the entry's dtype."""
+    entry = payload["arrays"][name]
+    array = np.ascontiguousarray(array, dtype=entry["dtype"])
+    entry.update(data=base64.b64encode(array.tobytes()).decode("ascii"), shape=list(array.shape))
 
 
 def normal_gamma_posterior(data, mu0, lambda0, a0, b0):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import payload_array, set_payload_array
 from topicdrift import online_hdp
 from topicdrift.cli import main
 from topicdrift.corpus import read_canonical, write_canonical, write_vocabulary, Vocabulary
@@ -251,7 +252,7 @@ class TestTimeline:
         assert f"topic {topic} out of range" in capsys.readouterr().err
 
     def edited_cidtm_timeline(self, tmp_path, edit):
-        """Exit code of timeline on a trained cidtm checkpoint after ``edit(payload)``."""
+        """Exit code of timeline on a trained cidtm checkpoint (K = 6, V = 30) after ``edit(payload)``."""
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=60)
         ckpt = tmp_path / "cidtm.ckpt"
         assert main([
@@ -269,20 +270,35 @@ class TestTimeline:
 
     @pytest.mark.parametrize("word", ["30", "-1"])
     def test_tracked_word_outside_the_vocabulary_exits_2(self, tmp_path, capsys, word):
-        edited = []
-
         def track_word(payload):
-            k = next(k for k, raw in enumerate(payload["topics"]) if raw is not None)
-            for field in ("word_mean", "word_var"):
-                payload["topics"][k][field][word] = 0.5
-            edited.append(k)
+            # word 30 of the last topic is flat index 6 * 30, word -1 of the first is -1
+            index = 5 * 30 + int(word) if word == "30" else int(word)
+            arrays = {name: payload_array(payload, name) for name in ("tracked", "mean", "var")}
+            at = np.searchsorted(arrays["tracked"], index)
+            set_payload_array(payload, "tracked", np.insert(arrays["tracked"], at, index))
+            for name in ("mean", "var"):
+                set_payload_array(payload, name, np.insert(arrays[name], at, 0.5))
 
         assert self.edited_cidtm_timeline(tmp_path, track_word) == 2
-        assert f"topic {edited[0]}: tracked word index outside [0, 30)" in capsys.readouterr().err
+        assert "tracked index outside [0, K_corpus * vocab_size = 180)" in capsys.readouterr().err
 
     def test_wrong_topic_count_exits_2(self, tmp_path, capsys):
-        assert self.edited_cidtm_timeline(tmp_path, lambda payload: payload["topics"].pop()) == 2
+        def drop_topic(payload):
+            set_payload_array(payload, "born", payload_array(payload, "born")[:-1])
+
+        assert self.edited_cidtm_timeline(tmp_path, drop_topic) == 2
         assert "lists 5 topics, not K_corpus = 6" in capsys.readouterr().err
+
+    def test_format_1_checkpoint_exits_2_asking_to_retrain(self, tmp_path, capsys):
+        corpus, _ = write_synthetic_corpus(tmp_path, n_docs=10)
+        ckpt = tmp_path / "v1.ckpt"
+        ckpt.write_text(json.dumps({"format_version": 1, "kind": "ohdp", "hyper": {}, "state": {}}))
+        code = main([
+            "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+            "--topic", "0", "--out-assign", str(tmp_path / "x.tsv"),
+        ])
+        assert code == 2
+        assert "re-train" in capsys.readouterr().err
 
 
 class TestSimulate:

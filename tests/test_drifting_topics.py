@@ -1,7 +1,6 @@
 """Drifting-topic model: lifecycle, evolution, batches, HDP reduction."""
 
 import copy
-import json
 import re
 import tracemalloc
 from collections import Counter
@@ -9,8 +8,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import dense_kalman_stage, reference_json_bytes
+from helpers import dense_kalman_stage
 from topicdrift import drifting_topics
+from topicdrift.checkpoint import read_checkpoint
 from topicdrift.corpus import Document
 from topicdrift.drifting_topics import (
     ACTIVE,
@@ -400,15 +400,15 @@ class TestSparseKalmanStage:
 
 
 class TestCheckpoint:
-    def test_bytes_equal_the_former_encoder(self, tmp_path):
+    @staticmethod
+    def dormant_model():
+        """A model, its vocabulary size and a stream where topics die and some are never born."""
         docs, _ = drifting_stream(seed=8, pre_docs=60, gap_docs=20, post_docs=30)
         cfg = CidtmConfig(hyper=HdpHyper(K_corpus=8, T_doc=4), drift_v=0.02, relevance_threshold=0.2)
         model = DriftingTopicModel(cfg, 60, len(docs), seed=3)
         prequential_run(model, docs, batch_size=16)
         assert not model.born.all() and (model.born & ~model.active).any()
-        path = tmp_path / "model.json"
-        save_checkpoint(model, path)
-        assert path.read_bytes() == reference_json_bytes(model)
+        return model, docs
 
     def test_round_trip_bit_exact(self, tmp_path):
         docs, _ = three_topic_corpus(n_docs=40, vocab_size=20, seed=9)
@@ -429,25 +429,40 @@ class TestCheckpoint:
         r2 = loaded.process_batch(shifted)
         assert r1.per_doc == r2.per_doc
 
-    @staticmethod
-    def trained_payload(tmp_path):
-        docs, _ = three_topic_corpus(n_docs=40, vocab_size=20, seed=9)
-        model = DriftingTopicModel(small_config(drift_v=0.01), 20, 40, seed=3)
-        prequential_run(model, docs, batch_size=10)
+    def test_round_trip_keeps_dead_and_unborn_topics(self, tmp_path):
+        model, docs = self.dormant_model()
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
-        payload = json.loads(path.read_text())
-        k = next(k for k, raw in enumerate(payload["topics"]) if raw and raw["word_mean"])
-        return payload, k
+        loaded = load_checkpoint(path)
+        for name in ("lam", "stick_u", "stick_v"):
+            np.testing.assert_array_equal(getattr(loaded.hdp.g, name), getattr(model.hdp.g, name))
+        assert loaded.hdp.g.update_count == model.hdp.g.update_count
+        assert_same_state(state_of(loaded), state_of(model))
 
-    # word indices outside the vocabulary and a wrong topic count: test_cli.py::TestTimeline
+        # both continue bit-identically over a batch where topics are born and revive
+        more = [Document(d.id, d.timestamp + 200 * DAY, d.counts, d.total_tokens) for d in docs[:32]]
+        for batch in (more[:16], more[16:]):
+            assert loaded.process_batch(batch) == model.process_batch(batch)
+        assert_same_state(state_of(loaded), state_of(model))
+        np.testing.assert_array_equal(loaded.hdp.g.lam, model.hdp.g.lam)
+
+    def trained_arrays(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(self.dormant_model()[0], path)
+        _, header, arrays = read_checkpoint(path, {"cidtm": drifting_topics.ARRAYS})
+        return header, arrays
+
+    # indices outside [0, K * V) and a wrong topic count: test_cli.py::TestTimeline;
+    # damaged files: test_checkpoint.py
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda raw: raw["word_var"].popitem(), "word_mean and word_var track different words"),
-        (lambda raw: raw.update(topic_index=raw["topic_index"] + 1), "is not its position"),
-        (lambda raw: raw["lifecycle"].update(state="dormant"), "unknown lifecycle state 'dormant'"),
+        (lambda arrays: arrays.update(var=arrays["var"][:-1]),
+         "mean and var must hold one value per tracked index"),
+        (lambda arrays: np.put(arrays["born"], arrays["tracked"][0] // 60, False), "is not born"),
+        (lambda arrays: np.put(arrays["active"], np.flatnonzero(~arrays["born"])[0], True),
+         "is active or tracks words"),
     ])
     def test_decode_rejects_an_inconsistent_topic(self, tmp_path, corrupt, message):
-        payload, k = self.trained_payload(tmp_path)
-        corrupt(payload["topics"][k])
-        with pytest.raises(ParameterError, match=re.escape(f"topic {k}: ") + ".*" + re.escape(message)):
-            drifting_topics.decode_checkpoint(payload)
+        header, arrays = self.trained_arrays(tmp_path)
+        corrupt(arrays)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            drifting_topics.decode_checkpoint(header, arrays)

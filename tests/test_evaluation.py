@@ -16,7 +16,6 @@ from topicdrift.evaluation import (
     runtime_benchmark,
     smooth_series,
     timeline_assign,
-    write_benchmark_tsv,
     write_series_tsv,
 )
 from topicdrift.synthetic import uniform_stream
@@ -158,13 +157,6 @@ class TestTsvOutputs:
         lines = path.read_text().splitlines()
         assert lines[0] == "doc_id\ttimestamp\tpwll_nats\tpwll_ma100"
         assert len(lines) == 3
-
-    def test_benchmark_tsv(self, tmp_path):
-        path = tmp_path / "bench.tsv"
-        write_benchmark_tsv([("ohdp", 100, 1.25)], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "model\tcorpus_size\twall_seconds"
-        assert lines[1] == "ohdp\t100\t1.25"
 
 
 class TestRuntimeBenchmark:

