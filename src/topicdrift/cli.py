@@ -108,6 +108,11 @@ def _hyper_from(args):
 
 
 def cmd_train(args):
+    if args.model == "cdtm":
+        if not 0.0 < args.train_fraction <= 1.0:  # also rejects nan
+            raise ConfigurationError(f"--train-fraction must lie in (0, 1], got {args.train_fraction}")
+        if args.sweeps < 1:
+            raise ConfigurationError(f"--sweeps must be >= 1, got {args.sweeps}")
     docs, vocab = _load_corpus(args)
     seed = _seed(args)
     hyper = _hyper_from(args)
@@ -280,9 +285,10 @@ def build_parser():
     p.add_argument("--obs-var", type=float, default=0.1)
     p.add_argument("--timer", type=float, default=90.0, help="lifecycle timer in days")
     p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--train-fraction", type=float, default=0.5)
+    p.add_argument("--train-fraction", type=float, default=0.5,
+                   help="share of documents cdtm trains on, in (0, 1]")
     p.add_argument("--k", type=int, default=50, help="fixed topic count for cdtm")
-    p.add_argument("--sweeps", type=int, default=3)
+    p.add_argument("--sweeps", type=int, default=3, help="cdtm training sweeps, >= 1")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("timeline", help="assign documents to a topic timeline")

@@ -5,7 +5,9 @@ symmetric Dirichlet(alpha) prior against the current topic trajectories
 and (b) per-topic re-estimation: expected counts at each distinct
 training timestamp become log-probability pseudo-observations that are
 smoothed through the scalar Kalman machinery, one track per (topic,
-word).  The topic count K never changes.
+word).  The topic count K never changes.  Training and held-out
+scoring fit BLOCK_DOCS documents at a time with one batched kernel,
+``_mixture_e_step``.
 
 Between training timestamps a topic's natural parameters follow the
 Brownian bridge, so means interpolate linearly; outside the training
@@ -18,9 +20,15 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .checkpoint import header_value, read_checkpoint, write_checkpoint
-from .corpus import doc_words
-from .errors import ParameterError, StateError, TimeOrderError
+from .corpus import batch_iter, doc_words
+from .errors import NumericalError, ParameterError, StateError, TimeOrderError
 from .kalman import DriftConfig, backward_steps, forward_steps
+
+# every document fit stops after MAX_ITER iterations or once mean |delta gamma| < TOL
+MAX_ITER = 50
+TOL = 1e-4
+# documents fitted together; a block's padded (B, M, K) log-probs are the kernel's extra memory
+BLOCK_DOCS = 16
 
 
 @dataclass
@@ -57,36 +65,80 @@ def _interpolate(knots, means, ts):
     return (1.0 - w) * means[:, lo, :] + w * means[:, hi, :]
 
 
-def _mixture_e_step(words, n, logp_doc, alpha, max_iter=50, tol=1e-4):
-    """Variational mixture fit of one document against fixed topic log-probs.
-
-    Returns (gamma, phi, bound): Dirichlet posterior over the mixture,
-    word responsibilities and the per-document bound.
-    """
-    k = logp_doc.shape[0]
-    gamma = np.full(k, alpha + n.sum() / k)
-    phi = None
-    for _ in range(max_iter):
-        elog_theta = digamma(gamma) - digamma(gamma.sum())
-        scores = elog_theta[None, :] + logp_doc.T
-        scores -= scores.max(axis=1, keepdims=True)
-        phi = np.exp(scores)
-        phi /= phi.sum(axis=1, keepdims=True)
-        new_gamma = alpha + (phi * n[:, None]).sum(axis=0)
-        if np.abs(new_gamma - gamma).mean() < tol:
-            gamma = new_gamma
-            break
-        gamma = new_gamma
-
+def _doc_bound(n, logp_doc, phi, gamma, alpha):
+    """One document's bound at its final (gamma, phi); ``logp_doc`` and ``phi`` are (M, K)."""
+    k = gamma.size
     elog_theta = digamma(gamma) - digamma(gamma.sum())
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(phi > 0, phi * np.log(np.where(phi > 0, phi, 1.0)), 0.0)
-    bound = float(((phi * logp_doc.T) * n[:, None]).sum())
+    bound = float(((phi * logp_doc) * n[:, None]).sum())
     bound += float(((phi * elog_theta[None, :]) * n[:, None]).sum())
     bound += gammaln(k * alpha) - k * gammaln(alpha) + float(((alpha - 1.0) * elog_theta).sum())
     bound -= gammaln(gamma.sum()) - float(gammaln(gamma).sum()) + float(((gamma - 1.0) * elog_theta).sum())
     bound -= float((plogp * n[:, None]).sum())
-    return gamma, phi, bound
+    return bound
+
+
+def _mixture_e_step(fits, logps, alpha):
+    """Variational mixture fit of a block of documents against fixed topic log-probs.
+
+    ``fits`` holds (words, counts) per document and ``logps`` the (K, V)
+    log-probs each document is fitted against.  The block's log-probs at
+    its words are padded to (B, M, K) with zero counts, which add exact
+    zeros; every other sum runs along K or over one document's own words,
+    so each document gets the bits of a fit on its own.  A document stops
+    at its own iteration: once mean |delta gamma| < TOL, or after
+    MAX_ITER.  The documents still running are then moved to the front
+    of the block's arrays, which every iteration reuses.  Returns (gamma,
+    phi, bound) per document, in order: the Dirichlet posterior over the
+    mixture, the (M, K) word responsibilities and the document's bound.
+    """
+    sizes = np.array([len(words) for words, _ in fits])
+    k = logps[0].shape[0]
+    n = np.zeros((sizes.size, sizes.max()))
+    lp = np.zeros((sizes.size, sizes.max(), k))     # (B, M, K)
+    gamma = np.empty((sizes.size, k))
+    for i, ((words, counts), logp) in enumerate(zip(fits, logps)):
+        n[i, : sizes[i]] = counts
+        lp[i, : sizes[i]] = logp[:, words].T
+        gamma[i] = alpha + counts.sum() / k
+    scores = np.empty_like(lp)
+    phi = np.empty_like(lp)
+
+    running = np.arange(sizes.size)
+    out = [None] * sizes.size
+    for it in range(1, MAX_ITER + 1):
+        elog_theta = digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
+        np.add(elog_theta[:, None, :], lp, out=scores)
+        scores -= scores.max(axis=2, keepdims=True)
+        np.exp(scores, out=phi)
+        phi /= phi.sum(axis=2, keepdims=True)
+        new_gamma = alpha + np.multiply(phi, n[:, :, None], out=scores).sum(axis=1)
+        if not np.isfinite(new_gamma).all():
+            raise NumericalError("document mixture became non-finite", sweep=it)
+        done = np.abs(new_gamma - gamma).mean(axis=1) < TOL
+        gamma = new_gamma
+        if it == MAX_ITER:
+            done[:] = True
+        if not done.any():
+            continue
+        for j in np.flatnonzero(done):
+            i = running[j]
+            m = sizes[i]
+            bound = _doc_bound(n[j, :m], lp[j, :m], phi[j, :m], gamma[j], alpha)
+            if not np.isfinite(bound):
+                raise NumericalError("document bound became non-finite", sweep=it)
+            out[i] = (gamma[j].copy(), phi[j, :m].copy(), bound)
+        rows = np.flatnonzero(~done)
+        if not rows.size:
+            break
+        for dst, src in enumerate(rows):  # rows only move forward
+            n[dst], lp[dst] = n[src], lp[src]
+        running = running[rows]
+        b, width = rows.size, sizes[running].max()
+        n, lp, scores, phi = n[:b, :width], lp[:b, :width], scores[:b, :width], phi[:b, :width]
+        gamma = gamma[rows]
+    return out
 
 
 def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smoothing=0.01,
@@ -95,10 +147,14 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smooth
 
     ``drift`` is a kalman.DriftConfig whose prior is taken relative to
     the uniform log-probability level.  The per-sweep objective (sum of
-    per-document bounds) is recorded on the returned model.
+    per-document bounds) is recorded on the returned model.  Documents
+    are fitted BLOCK_DOCS at a time, and a sweep holds the log-probs of
+    the current block's knots only.
     """
     if k < 1:
         raise ParameterError("K must be >= 1")
+    if sweeps < 1:
+        raise ParameterError("sweeps must be >= 1")
     if not train_docs:
         raise ParameterError("train_docs must be nonempty")
     ts = [d.timestamp for d in train_docs]
@@ -108,6 +164,7 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smooth
     if vocab_size is None:
         vocab_size = 1 + max(max(d.counts) for d in train_docs)
     knots, doc_knot = np.unique(ts, return_inverse=True)
+    doc_knot = doc_knot.tolist()
     s = knots.size
     base = np.log(1.0 / vocab_size)
     cfg = DriftConfig(drift.process_variance, prior_mean=base, prior_variance=drift.prior_variance)
@@ -120,22 +177,27 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smooth
 
     model = CdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size)
     model.knots = knots
-    model.means = base + rng.normal(0.0, 0.1, (k, 1, vocab_size)) * np.ones((1, s, 1))
+    # (K, S, V) arrays are updated in place, so no second one is alive at the same time
+    model.means = rng.normal(0.0, 0.1, (k, 1, vocab_size)) * np.ones((1, s, 1))
+    model.means += base
     model.variances = np.full((k, s, vocab_size), drift.prior_variance)
     model.trained = True  # log_word_probs_at is used during sweeps
 
+    fits = [doc_words(doc) for doc in train_docs]
+    expected = np.empty((k, s, vocab_size))
     for _ in range(sweeps):
         objective = 0.0
-        expected = np.zeros((k, s, vocab_size))
-        logp_cache = {}
-        for i, doc in enumerate(train_docs):
-            knot = doc_knot[i]
-            if knot not in logp_cache:
-                logp_cache[knot] = model.log_word_probs_at(knots[knot])
-            words, n = doc_words(doc)
-            _, phi, bound = _mixture_e_step(words, n, logp_cache[knot][:, words], alpha)
-            objective += bound
-            expected[:, knot, words] += (phi * n[:, None]).T
+        expected.fill(0.0)
+        logps = {}
+        for start in range(0, len(fits), BLOCK_DOCS):
+            block = slice(start, start + BLOCK_DOCS)
+            # documents ascend in time, so a knot's log-probs carry over only into the next block
+            logps = {q: logps[q] if q in logps else model.log_word_probs_at(knots[q])
+                     for q in dict.fromkeys(doc_knot[block])}
+            fitted = _mixture_e_step(fits[block], [logps[q] for q in doc_knot[block]], alpha)
+            for (words, n), q, (_, phi, bound) in zip(fits[block], doc_knot[block], fitted):
+                objective += bound
+                expected[:, q, words] += (phi * n[:, None]).T
         model.objective_trace.append(objective)
 
         for topic in range(k):
@@ -152,17 +214,22 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smooth
 
 
 def cdtm_heldout_loglik(model, docs):
-    """Per-document predictive log-likelihood; never modifies the model."""
+    """Per-document predictive log-likelihood; never modifies the model.
+
+    Documents are fitted BLOCK_DOCS at a time, and a block computes the
+    log-probs of each of its distinct timestamps once.
+    """
     if not model.trained:
         raise StateError("model is not trained")
     records = []
-    for doc in docs:
-        logp = model.log_word_probs_at(doc.timestamp)
-        words, n = doc_words(doc)
-        gamma, _, _ = _mixture_e_step(words, n, logp[:, words], model.alpha_dirichlet)
-        theta = gamma / gamma.sum()
-        per_word = theta @ np.exp(logp[:, words])
-        records.append((doc.id, doc.timestamp, float(np.dot(n, np.log(per_word))), int(n.sum())))
+    for block in batch_iter(docs, BLOCK_DOCS):
+        logps = {ts: model.log_word_probs_at(ts) for ts in dict.fromkeys(doc.timestamp for doc in block)}
+        fits = [doc_words(doc) for doc in block]
+        fitted = _mixture_e_step(fits, [logps[doc.timestamp] for doc in block], model.alpha_dirichlet)
+        for doc, (words, n), (gamma, _, _) in zip(block, fits, fitted):
+            theta = gamma / gamma.sum()
+            per_word = theta @ np.exp(logps[doc.timestamp][:, words])
+            records.append((doc.id, doc.timestamp, float(np.dot(n, np.log(per_word))), int(n.sum())))
     return records
 
 

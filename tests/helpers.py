@@ -8,7 +8,10 @@ exceptions keep a former code path as the reference for what replaced it:
 ``dense_kalman_stage``, the drifting model's dense Kalman stage;
 ``reference_doc_loop``, the per-document loop every caller of
 ``online_hdp.infer_batch`` used to write out, with ``infer_core``, the
-one-document coordinate ascent that ``online_hdp._fit_block`` replaced.
+one-document coordinate ascent that ``online_hdp._fit_block`` replaced;
+``mixture_e_step``, ``reference_train_cdtm`` and ``reference_cdtm_heldout``,
+the one-document mixture fit and the per-document loops of the fixed-K
+baseline that ``fixed_k_dtm._mixture_e_step`` replaced.
 ``payload_array`` and ``set_payload_array`` read and edit the arrays of
 a parsed checkpoint with ``base64`` and numpy alone.
 """
@@ -19,8 +22,10 @@ import math
 import numpy as np
 from scipy.special import digamma, gammaln
 
+from topicdrift.corpus import doc_words
 from topicdrift.errors import NumericalError
-from topicdrift.kalman import backward_steps, forward_steps
+from topicdrift.fixed_k_dtm import CdtmModel
+from topicdrift.kalman import DriftConfig, backward_steps, forward_steps
 from topicdrift.online_hdp import (
     DocVariational,
     expect_log_sticks,
@@ -223,6 +228,97 @@ def reference_doc_loop(docs, elog_beta, elog_sticks, word_probs, hyper):
         mixtures.append(theta)
         sweeps.append(ran)
     return records, mixtures, sweeps
+
+
+def mixture_e_step(words, n, logp_doc, alpha, max_iter=50, tol=1e-4):
+    """The former one-document mixture fit against fixed (K, M) topic log-probs.
+
+    Returns (gamma, phi, bound, iterations run).
+    """
+    k = logp_doc.shape[0]
+    gamma = np.full(k, alpha + n.sum() / k)
+    phi = None
+    for it in range(1, max_iter + 1):
+        elog_theta = digamma(gamma) - digamma(gamma.sum())
+        scores = elog_theta[None, :] + logp_doc.T
+        scores -= scores.max(axis=1, keepdims=True)
+        phi = np.exp(scores)
+        phi /= phi.sum(axis=1, keepdims=True)
+        new_gamma = alpha + (phi * n[:, None]).sum(axis=0)
+        if np.abs(new_gamma - gamma).mean() < tol:
+            gamma = new_gamma
+            break
+        gamma = new_gamma
+
+    elog_theta = digamma(gamma) - digamma(gamma.sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(phi > 0, phi * np.log(np.where(phi > 0, phi, 1.0)), 0.0)
+    bound = float(((phi * logp_doc.T) * n[:, None]).sum())
+    bound += float(((phi * elog_theta[None, :]) * n[:, None]).sum())
+    bound += gammaln(k * alpha) - k * gammaln(alpha) + float(((alpha - 1.0) * elog_theta).sum())
+    bound -= gammaln(gamma.sum()) - float(gammaln(gamma).sum()) + float(((gamma - 1.0) * elog_theta).sum())
+    bound -= float((plogp * n[:, None]).sum())
+    return gamma, phi, bound, it
+
+
+def reference_train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smoothing=0.01,
+                         vocab_size=None):
+    """The former ``train_cdtm``: one mixture fit per document, every knot's log-probs cached."""
+    ts = [d.timestamp for d in train_docs]
+    if vocab_size is None:
+        vocab_size = 1 + max(max(d.counts) for d in train_docs)
+    knots, doc_knot = np.unique(ts, return_inverse=True)
+    s = knots.size
+    base = np.log(1.0 / vocab_size)
+    cfg = DriftConfig(drift.process_variance, prior_mean=base, prior_variance=drift.prior_variance)
+
+    present = np.zeros((s, vocab_size), dtype=bool)
+    for i, doc in enumerate(train_docs):
+        for w in doc.counts:
+            present[doc_knot[i], w] = True
+
+    model = CdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size)
+    model.knots = knots
+    model.means = base + rng.normal(0.0, 0.1, (k, 1, vocab_size)) * np.ones((1, s, 1))
+    model.variances = np.full((k, s, vocab_size), drift.prior_variance)
+    model.trained = True
+
+    for _ in range(sweeps):
+        objective = 0.0
+        expected = np.zeros((k, s, vocab_size))
+        logp_cache = {}
+        for i, doc in enumerate(train_docs):
+            knot = doc_knot[i]
+            if knot not in logp_cache:
+                logp_cache[knot] = model.log_word_probs_at(knots[knot])
+            words, n = doc_words(doc)
+            _, phi, bound, _ = mixture_e_step(words, n, logp_cache[knot][:, words], alpha)
+            objective += bound
+            expected[:, knot, words] += (phi * n[:, None]).T
+        model.objective_trace.append(objective)
+
+        for topic in range(k):
+            counts = smoothing + expected[topic]
+            beta = np.log(counts / counts.sum(axis=1, keepdims=True))
+            obs = obs_var / counts
+            f_mean, f_var, _, _ = forward_steps(knots, beta, obs, present, cfg)
+            s_mean, s_var = backward_steps(knots, f_mean, f_var, cfg)
+            model.means[topic] = s_mean
+            model.variances[topic] = s_var
+    return model
+
+
+def reference_cdtm_heldout(model, docs):
+    """The former ``cdtm_heldout_loglik``: log-probs and one mixture fit per document."""
+    records = []
+    for doc in docs:
+        logp = model.log_word_probs_at(doc.timestamp)
+        words, n = doc_words(doc)
+        gamma, _, _, _ = mixture_e_step(words, n, logp[:, words], model.alpha_dirichlet)
+        theta = gamma / gamma.sum()
+        per_word = theta @ np.exp(logp[:, words])
+        records.append((doc.id, doc.timestamp, float(np.dot(n, np.log(per_word))), int(n.sum())))
+    return records
 
 
 def payload_array(payload, name):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import payload_array, set_payload_array
-from topicdrift import online_hdp
+from topicdrift import fixed_k_dtm, online_hdp
 from topicdrift.cli import main
 from topicdrift.corpus import read_canonical, write_canonical, write_vocabulary, Vocabulary
 from topicdrift.synthetic import three_topic_corpus
@@ -147,6 +147,27 @@ class TestTrain:
         code = main(self.small_args(corpus, vocab_file, tmp_path, "ohdp",
                                     ["--kappa", "0.2"]))
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--train-fraction", "0", "--train-fraction must lie in (0, 1]"),
+        ("--train-fraction", "-1", "--train-fraction must lie in (0, 1]"),
+        ("--train-fraction", "1.5", "--train-fraction must lie in (0, 1]"),
+        ("--train-fraction", "nan", "--train-fraction must lie in (0, 1]"),
+        ("--sweeps", "0", "--sweeps must be >= 1"),
+        ("--sweeps", "-2", "--sweeps must be >= 1"),
+    ])
+    def test_bad_cdtm_split_or_sweeps_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch,
+                                                             flag, value, message):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+
+        def no_fitting(*args, **kwargs):
+            raise AssertionError("train_cdtm ran")
+
+        monkeypatch.setattr(fixed_k_dtm, "train_cdtm", no_fitting)
+        code = main(self.small_args(corpus, vocab_file, tmp_path, "cdtm", ["--k", "3", flag, value]))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cdtm.ckpt").exists() and not (tmp_path / "cdtm.tsv").exists()
 
     def test_negative_word_index_exits_2(self, tmp_path, capsys):
         _, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)

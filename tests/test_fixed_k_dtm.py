@@ -1,5 +1,6 @@
 """Fixed-K continuous-time baseline: training, scoring, drift behavior."""
 
+import dataclasses
 import json
 import math
 import re
@@ -7,18 +8,27 @@ import re
 import numpy as np
 import pytest
 
-from helpers import payload_array, set_payload_array
+from helpers import (
+    mixture_e_step,
+    payload_array,
+    reference_cdtm_heldout,
+    reference_train_cdtm,
+    set_payload_array,
+)
 from topicdrift.corpus import Document
-from topicdrift.errors import ParameterError, StateError
+from topicdrift.errors import NumericalError, ParameterError, StateError
 from topicdrift.fixed_k_dtm import (
+    BLOCK_DOCS,
+    MAX_ITER,
     CdtmModel,
+    _mixture_e_step,
     cdtm_heldout_loglik,
     load_checkpoint,
     save_checkpoint,
     train_cdtm,
 )
 from topicdrift.kalman import DriftConfig
-from topicdrift.synthetic import three_topic_corpus
+from topicdrift.synthetic import three_topic_corpus, uniform_stream
 
 
 def train_test_split(n_docs=300, vocab=50, seed=0):
@@ -30,6 +40,12 @@ class TestTraining:
     def test_zero_topics_rejected(self):
         with pytest.raises(ParameterError):
             train_cdtm([Document("a", 0.0, {0: 1}, 1)], 0, DriftConfig(0.1), 1,
+                       np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sweeps", [0, -2])
+    def test_fewer_than_one_sweep_rejected(self, sweeps):
+        with pytest.raises(ParameterError, match="sweeps"):
+            train_cdtm([Document("a", 0.0, {0: 1}, 1)], 2, DriftConfig(0.1), sweeps,
                        np.random.default_rng(0))
 
     def test_zero_drift_keeps_topics_constant_over_time(self):
@@ -121,11 +137,8 @@ class TestHeldout:
         doc = Document("a", 0.5, {0: 2, 1: 1, 2: 3}, 6)
         ((_, _, total, _),) = cdtm_heldout_loglik(model, [doc])
 
-        from topicdrift.fixed_k_dtm import _mixture_e_step
-
         logp = model.log_word_probs_at(0.5)
-        gamma, _, _ = _mixture_e_step(np.array([0, 1, 2]), np.array([2.0, 1.0, 3.0]),
-                                      logp[:, [0, 1, 2]], 1.0)
+        ((gamma, _, _),) = _mixture_e_step([([0, 1, 2], np.array([2.0, 1.0, 3.0]))], [logp], 1.0)
         theta = gamma / gamma.sum()
         oracle = sum(
             c * math.log(sum(theta[k] * math.exp(logp[k, w]) for k in range(2)))
@@ -149,6 +162,97 @@ class TestHeldout:
         np.testing.assert_allclose(mid[0], expected, atol=1e-12)
         np.testing.assert_allclose(model.log_word_probs_at(-5.0), model.log_word_probs_at(0.0))
         np.testing.assert_allclose(model.log_word_probs_at(99.0), model.log_word_probs_at(10.0))
+
+
+def random_block(rng, sizes, k=6, vocab=40):
+    """(words, counts) per document and the (K, V) log-probs of one of two knots each."""
+    knots = [np.log(rng.dirichlet(np.full(vocab, 0.3), k)) for _ in range(2)]
+    fits = []
+    for m in sizes:
+        words = sorted(rng.choice(vocab, m, replace=False).tolist())
+        fits.append((words, rng.integers(1, 6, m).astype(float)))
+    return fits, [knots[i % 2] for i in range(len(fits))]
+
+
+class TestBlockKernel:
+    """The block kernel against the former one-document fit (tests/helpers.py), bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, BLOCK_DOCS, BLOCK_DOCS + 1])
+    def test_matches_one_document_fits(self, size):
+        rng = np.random.default_rng(size)
+        sizes = rng.integers(1, 30, size)
+        sizes[::4] = 1  # one-word documents
+        fits, logps = random_block(rng, sizes)
+        fitted = _mixture_e_step(fits, logps, 0.5)
+        assert len(fitted) == size
+        ran = []
+        for (words, n), logp, (gamma, phi, bound) in zip(fits, logps, fitted):
+            ref_gamma, ref_phi, ref_bound, iterations = mixture_e_step(words, n, logp[:, words], 0.5)
+            assert phi.shape == ref_phi.shape == (len(words), 6)
+            assert (gamma == ref_gamma).all() and (phi == ref_phi).all() and bound == ref_bound
+            ran.append(iterations)
+        if size > 1:
+            # documents stop at different iterations, and some run out of iterations
+            assert len(set(ran)) > 1 and MAX_ITER in ran
+
+    def test_nan_log_probs_raise_numerical_error(self):
+        fits, logps = random_block(np.random.default_rng(0), [5, 3, 8])
+        logps[1] = logps[1].copy()
+        logps[1][:, fits[1][0][0]] = np.nan
+        with pytest.raises(NumericalError, match="mixture"):
+            _mixture_e_step(fits, logps, 0.5)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_word_impossible_under_a_topic_raises_numerical_error(self):
+        # gamma stays finite, but the topic's 0 * -inf makes the bound nan
+        fits, logps = random_block(np.random.default_rng(1), [5, 3, 8])
+        logps[2] = logps[2].copy()
+        logps[2][0, fits[2][0][0]] = -np.inf
+        with pytest.raises(NumericalError, match="bound"):
+            _mixture_e_step(fits, logps, 0.5)
+
+
+def daily_stream():
+    """three_topic_corpus stamped to 6-hour knots, so blocks span several shared knots."""
+    docs, _ = three_topic_corpus(n_docs=150, vocab_size=30, seed=4)
+    return [dataclasses.replace(d, timestamp=d.timestamp - d.timestamp % (6 * 3600.0)) for d in docs]
+
+
+def unsorted_heldout(docs, train, rng):
+    """Held-out documents out of time order: between the knots, on them, before and after them.
+
+    Groups of documents share a timestamp, so blocks reuse log-probs.
+    """
+    first, last = train[0].timestamp, train[-1].timestamp
+    stamps = [first - 7200.0, first - 1.0, docs[41].timestamp + 1800.0, last + 1.0, last + 86400.0]
+    shared = [dataclasses.replace(d, id=f"{d.id}-{j}", timestamp=ts)
+              for j, ts in enumerate(stamps) for d in docs[10 * j: 10 * j + 6]]
+    held = docs[1::2] + shared + [dataclasses.replace(d, id=d.id + "-k") for d in train[:5]]
+    return [held[i] for i in rng.permutation(len(held))]
+
+
+class TestMatchesPerDocumentLoops:
+    """Training and scoring against the former per-document loops (tests/helpers.py), bit for bit."""
+
+    @pytest.mark.parametrize("stream", ["daily", "distinct"])
+    def test_states_objective_and_scores(self, stream):
+        docs = daily_stream() if stream == "daily" else uniform_stream(150, 30, seed=5)
+        train = docs[::2]
+        held = unsorted_heldout(docs, train, np.random.default_rng(9))
+        if stream == "daily":
+            assert len({d.timestamp for d in train}) < len(train) / 2
+        else:
+            assert len({d.timestamp for d in train}) == len(train)
+        blocks = [held[i:i + BLOCK_DOCS] for i in range(0, len(held), BLOCK_DOCS)]
+        assert len(blocks) > 2
+        assert any(len({d.timestamp for d in block}) < len(block) for block in blocks)
+        args = (train, 4, DriftConfig(1e-6), 3)
+        model = train_cdtm(*args, np.random.default_rng(2), alpha=0.7, vocab_size=30)
+        ref = reference_train_cdtm(*args, np.random.default_rng(2), alpha=0.7, vocab_size=30)
+        assert (model.means == ref.means).all()
+        assert (model.variances == ref.variances).all()
+        assert model.objective_trace == ref.objective_trace
+        assert cdtm_heldout_loglik(model, held) == reference_cdtm_heldout(ref, held)
 
 
 class TestCheckpoint:
