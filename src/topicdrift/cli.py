@@ -9,6 +9,7 @@ same seed and inputs.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -113,6 +114,10 @@ def cmd_train(args):
             raise ConfigurationError(f"--train-fraction must lie in (0, 1], got {args.train_fraction}")
         if args.sweeps < 1:
             raise ConfigurationError(f"--sweeps must be >= 1, got {args.sweeps}")
+        if not 0.0 < args.obs_var < math.inf:
+            raise ConfigurationError(f"--obs-var must be finite and > 0, got {args.obs_var}")
+        if not 0.0 <= args.drift_v < math.inf:
+            raise ConfigurationError(f"--drift-v must be finite and >= 0, got {args.drift_v}")
     docs, vocab = _load_corpus(args)
     seed = _seed(args)
     hyper = _hyper_from(args)

@@ -34,6 +34,7 @@ in the continuous-time DTM of Wang, Blei and Heckerman (UAI 2008), only
 the (born topic, word) pairs that some batch observed are tracked.
 """
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -128,14 +129,17 @@ class CidtmConfig:
     prior_variance: float = 1.0
 
     def __post_init__(self):
-        if self.drift_v < 0 or self.obs_var <= 0:
-            raise ConfigurationError("drift_v must be >= 0 and obs_var > 0")
-        if self.active_timer_len <= 0:
-            raise ConfigurationError("active_timer_len must be > 0")
+        # the bounds are written so that nan fails them
+        if not 0.0 <= self.drift_v < math.inf:
+            raise ConfigurationError(f"drift_v must be finite and >= 0, got {self.drift_v}")
+        if not 0.0 < self.obs_var < math.inf:
+            raise ConfigurationError(f"obs_var must be finite and > 0, got {self.obs_var}")
+        if not 0.0 < self.active_timer_len < math.inf:
+            raise ConfigurationError(f"active_timer_len must be finite and > 0, got {self.active_timer_len}")
         if not (0.0 <= self.relevance_threshold <= 1.0):
             raise ConfigurationError("relevance_threshold must lie in [0, 1]")
-        if self.prior_variance <= 0:
-            raise ConfigurationError("prior_variance must be > 0")
+        if not 0.0 < self.prior_variance < math.inf:
+            raise ConfigurationError(f"prior_variance must be finite and > 0, got {self.prior_variance}")
 
 
 @dataclass

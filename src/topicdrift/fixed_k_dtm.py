@@ -2,18 +2,23 @@
 
 Training alternates (a) per-document variational mixture steps under a
 symmetric Dirichlet(alpha) prior against the current topic trajectories
-and (b) per-topic re-estimation: expected counts at each distinct
+and (b) re-estimation of the topics: expected counts at each distinct
 training timestamp become log-probability pseudo-observations that are
 smoothed through the scalar Kalman machinery, one track per (topic,
 word).  The topic count K never changes.  Training and held-out
 scoring fit BLOCK_DOCS documents at a time with one batched kernel,
-``_mixture_e_step``.
+``_mixture_e_step``, in factored form: a block's word probabilities are
+exponentiated once, so an iteration exponentiates only K values per
+document.  Re-estimation, ``_smooth_topics``, runs one filter and one
+smoother pass over all K topics per sweep, in place in the model's
+(K, S, V) arrays.
 
 Between training timestamps a topic's natural parameters follow the
 Brownian bridge, so means interpolate linearly; outside the training
 range the endpoint values carry over.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,14 +89,17 @@ def _mixture_e_step(fits, logps, alpha):
 
     ``fits`` holds (words, counts) per document and ``logps`` the (K, V)
     log-probs each document is fitted against.  The block's log-probs at
-    its words are padded to (B, M, K) with zero counts, which add exact
-    zeros; every other sum runs along K or over one document's own words,
-    so each document gets the bits of a fit on its own.  A document stops
-    at its own iteration: once mean |delta gamma| < TOL, or after
-    MAX_ITER.  The documents still running are then moved to the front
-    of the block's arrays, which every iteration reuses.  Returns (gamma,
-    phi, bound) per document, in order: the Dirichlet posterior over the
-    mixture, the (M, K) word responsibilities and the document's bound.
+    its words are padded to (B, M, K) with zero counts and exponentiated
+    once, shifted by each word's maximum over K (the shift cancels in
+    phi).  Since phi_mk is proportional to exp(Elog theta_k) exp(logp_mk),
+    an iteration then takes K exponentials per document and two stacked
+    matmuls: the normalizers z = beta @ exp(Elog theta) and the topic
+    counts exp(Elog theta) * ((n / z) @ beta).  A document stops at its
+    own iteration: once mean |delta gamma| < TOL, or after MAX_ITER; only
+    then is its phi built.  The documents still running are moved to the
+    front of the block's arrays.  Returns (gamma, phi, bound) per
+    document, in order: the Dirichlet posterior over the mixture, the
+    (M, K) word responsibilities and the document's bound.
     """
     sizes = np.array([len(words) for words, _ in fits])
     k = logps[0].shape[0]
@@ -102,18 +110,15 @@ def _mixture_e_step(fits, logps, alpha):
         n[i, : sizes[i]] = counts
         lp[i, : sizes[i]] = logp[:, words].T
         gamma[i] = alpha + counts.sum() / k
-    scores = np.empty_like(lp)
-    phi = np.empty_like(lp)
+    beta = np.exp(lp - lp.max(axis=2, keepdims=True))
 
     running = np.arange(sizes.size)
     out = [None] * sizes.size
     for it in range(1, MAX_ITER + 1):
         elog_theta = digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
-        np.add(elog_theta[:, None, :], lp, out=scores)
-        scores -= scores.max(axis=2, keepdims=True)
-        np.exp(scores, out=phi)
-        phi /= phi.sum(axis=2, keepdims=True)
-        new_gamma = alpha + np.multiply(phi, n[:, :, None], out=scores).sum(axis=1)
+        et = np.exp(elog_theta - elog_theta.max(axis=1, keepdims=True))  # (B, K)
+        z = np.matmul(beta, et[:, :, None])[:, :, 0]                      # (B, M)
+        new_gamma = alpha + et * np.matmul((n / z)[:, None, :], beta)[:, 0]
         if not np.isfinite(new_gamma).all():
             raise NumericalError("document mixture became non-finite", sweep=it)
         done = np.abs(new_gamma - gamma).mean(axis=1) < TOL
@@ -125,20 +130,42 @@ def _mixture_e_step(fits, logps, alpha):
         for j in np.flatnonzero(done):
             i = running[j]
             m = sizes[i]
-            bound = _doc_bound(n[j, :m], lp[j, :m], phi[j, :m], gamma[j], alpha)
+            phi = beta[j, :m] * et[j] / z[j, :m, None]
+            bound = _doc_bound(n[j, :m], lp[j, :m], phi, gamma[j], alpha)
             if not np.isfinite(bound):
                 raise NumericalError("document bound became non-finite", sweep=it)
-            out[i] = (gamma[j].copy(), phi[j, :m].copy(), bound)
+            out[i] = (gamma[j].copy(), phi, bound)
         rows = np.flatnonzero(~done)
         if not rows.size:
             break
         for dst, src in enumerate(rows):  # rows only move forward
-            n[dst], lp[dst] = n[src], lp[src]
+            n[dst], lp[dst], beta[dst] = n[src], lp[src], beta[src]
         running = running[rows]
         b, width = rows.size, sizes[running].max()
-        n, lp, scores, phi = n[:b, :width], lp[:b, :width], scores[:b, :width], phi[:b, :width]
+        n, lp, beta = n[:b, :width], lp[:b, :width], beta[:b, :width]
         gamma = gamma[rows]
     return out
+
+
+def _smooth_topics(model, expected, present, cfg, obs_var, smoothing):
+    """Re-estimate all K topic trajectories from (K, S, V) expected counts.
+
+    The pseudo-observations log(counts / row sum) go into ``model.means``
+    and their variances obs_var / counts into ``expected``; one filter
+    and one smoother pass over (S, K, V) views then write the smoothed
+    state into ``model.means`` and ``model.variances`` in place, so no
+    further (K, S, V) array is allocated.  ``expected`` is overwritten.
+    """
+    expected += smoothing
+    np.divide(expected, expected.sum(axis=2, keepdims=True), out=model.means)
+    np.log(model.means, out=model.means)
+    # pseudo-observation precision follows the evidence: the log of
+    # a count has variance ~ 1/count, scaled by the obs_var knob
+    np.divide(obs_var, expected, out=expected)
+    means, variances, obs = (a.transpose(1, 0, 2) for a in (model.means, model.variances, expected))
+    seen = np.broadcast_to(present[:, None, :], means.shape)
+    forward_steps(model.knots, means, obs, seen, cfg, out=(means, variances))
+    backward_steps(model.knots, means, variances, cfg, out=(means, variances))
 
 
 def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smoothing=0.01,
@@ -155,6 +182,9 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smooth
         raise ParameterError("K must be >= 1")
     if sweeps < 1:
         raise ParameterError("sweeps must be >= 1")
+    if not all(0.0 < x < math.inf for x in (alpha, obs_var, smoothing)):  # also rejects nan
+        raise ParameterError(
+            f"alpha, obs_var and smoothing must be finite and > 0, got {alpha}, {obs_var} and {smoothing}")
     if not train_docs:
         raise ParameterError("train_docs must be nonempty")
     ts = [d.timestamp for d in train_docs]
@@ -200,16 +230,7 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smooth
                 expected[:, q, words] += (phi * n[:, None]).T
         model.objective_trace.append(objective)
 
-        for topic in range(k):
-            counts = smoothing + expected[topic]
-            beta = np.log(counts / counts.sum(axis=1, keepdims=True))
-            # pseudo-observation precision follows the evidence: the log of
-            # a count has variance ~ 1/count, scaled by the obs_var knob
-            obs = obs_var / counts
-            f_mean, f_var, _, _ = forward_steps(knots, beta, obs, present, cfg)
-            s_mean, s_var = backward_steps(knots, f_mean, f_var, cfg)
-            model.means[topic] = s_mean
-            model.variances[topic] = s_var
+        _smooth_topics(model, expected, present, cfg, obs_var, smoothing)
     return model
 
 

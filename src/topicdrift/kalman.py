@@ -15,6 +15,9 @@ Two implementations share that model:
 * ``forward_steps``/``backward_steps`` are dense.  They hold every
   (step, track) cell and return the whole filtered and smoothed
   trajectory, which the offline baseline and ``kalman_posterior`` need.
+  Both can write into caller-owned arrays (``out``), and may overwrite
+  their input there, so the offline baseline smooths all of its (step,
+  topic, word) tracks in one pass without another array of that size.
 
 The forward pass is the scalar Kalman filter written in gain form,
 
@@ -48,11 +51,13 @@ class DriftConfig:
     prior_variance: float = 1.0
 
     def __post_init__(self):
-        # zero drift is allowed so static reductions are exactly testable
-        if self.process_variance < 0.0:
-            raise ParameterError("process_variance must be >= 0")
-        if self.prior_variance <= 0.0:
-            raise ParameterError("prior_variance must be > 0")
+        # zero drift is allowed so static reductions are exactly testable; nan fails every comparison
+        if not 0.0 <= self.process_variance < math.inf:
+            raise ParameterError(f"process_variance must be finite and >= 0, got {self.process_variance}")
+        if not 0.0 < self.prior_variance < math.inf:
+            raise ParameterError(f"prior_variance must be finite and > 0, got {self.prior_variance}")
+        if not math.isfinite(self.prior_mean):
+            raise ParameterError(f"prior_mean must be finite, got {self.prior_mean}")
 
 
 @dataclass(frozen=True)
@@ -120,34 +125,31 @@ class WordCounts:
         return self.counts.sum(axis=1)
 
 
-def forward_steps(timestamps, beta_hat, obs_variance, present, cfg, prior_mean=None, prior_var=None):
+def forward_steps(timestamps, beta_hat, obs_variance, present, cfg, prior_mean=None, prior_var=None,
+                  out=None):
     """Vectorized filter: arrays shaped (steps, ...) over any number of tracks.
 
-    Returns (means, variances, pred_means, pred_vars); the prediction
-    arrays hold the one-step-ahead state (before the update) used by the
-    lower bound.  Scalar use is the (steps,) special case.
+    Returns the filtered (means, variances), written into ``out`` when it
+    is given.  ``beta_hat`` may be ``out[0]``: row t is read before it is
+    written.  Scalar use is the (steps,) special case.
     """
     shape = beta_hat.shape[1:]
     m_prev = np.array(np.broadcast_to(cfg.prior_mean if prior_mean is None else prior_mean, shape), dtype=float)
     v_prev = np.array(np.broadcast_to(cfg.prior_variance if prior_var is None else prior_var, shape), dtype=float)
 
-    n = beta_hat.shape[0]
-    means = np.empty_like(beta_hat, dtype=float)
-    variances = np.empty_like(beta_hat, dtype=float)
-    pred_means = np.empty_like(beta_hat, dtype=float)
-    pred_vars = np.empty_like(beta_hat, dtype=float)
-    for t in range(n):
+    if out is None:
+        out = np.empty_like(beta_hat, dtype=float), np.empty_like(beta_hat, dtype=float)
+    means, variances = out
+    for t in range(beta_hat.shape[0]):
         delta = timestamps[t] - timestamps[t - 1] if t > 0 else 0.0
         p = v_prev + cfg.process_variance * delta
-        pred_means[t] = m_prev
-        pred_vars[t] = p
         obs = present[t]
         gain = p / (p + obs_variance[t])
         beta = np.where(obs, beta_hat[t], 0.0)  # absent values never used
         means[t] = np.where(obs, m_prev + gain * (beta - m_prev), m_prev)
         variances[t] = np.where(obs, (1.0 - gain) * p, p)
         m_prev, v_prev = means[t], variances[t]
-    return means, variances, pred_means, pred_vars
+    return means, variances
 
 
 def terminal_filter(timestamps, observed, beta_hat, obs_variance, cfg, prior_mean, prior_var):
@@ -184,12 +186,18 @@ def terminal_filter(timestamps, observed, beta_hat, obs_variance, cfg, prior_mea
     return mean, var
 
 
-def backward_steps(timestamps, fwd_means, fwd_vars, cfg):
-    """Vectorized fixed-interval smoother matching ``forward_steps``."""
-    n = fwd_means.shape[0]
-    sm = np.array(fwd_means, dtype=float)
-    sv = np.array(fwd_vars, dtype=float)
-    for t in range(n - 1, 0, -1):
+def backward_steps(timestamps, fwd_means, fwd_vars, cfg, out=None):
+    """Vectorized fixed-interval smoother matching ``forward_steps``.
+
+    Returns the smoothed (means, variances), written into ``out`` when it
+    is given; ``out`` may be (``fwd_means``, ``fwd_vars``) themselves,
+    because row t - 1 of the filter is read before it is overwritten.
+    """
+    if out is None:
+        out = np.empty_like(fwd_means, dtype=float), np.empty_like(fwd_vars, dtype=float)
+    sm, sv = out
+    sm[-1], sv[-1] = fwd_means[-1], fwd_vars[-1]
+    for t in range(fwd_means.shape[0] - 1, 0, -1):
         delta = timestamps[t] - timestamps[t - 1]
         denom = fwd_vars[t - 1] + cfg.process_variance * delta
         w = (cfg.process_variance * delta) / denom
@@ -201,10 +209,7 @@ def backward_steps(timestamps, fwd_means, fwd_vars, cfg):
 
 def kalman_forward(track, cfg):
     """Filtered means and variances for one track."""
-    means, variances, _, _ = forward_steps(
-        track.timestamps, track.beta_hat, track.obs_variance, track.present, cfg
-    )
-    return means, variances
+    return forward_steps(track.timestamps, track.beta_hat, track.obs_variance, track.present, cfg)
 
 
 def kalman_backward(track, forward, cfg):

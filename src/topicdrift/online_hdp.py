@@ -50,14 +50,16 @@ class HdpHyper:
     tau0: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.alpha0 <= 0 or self.eta <= 0:
-            raise ConfigurationError("gamma, alpha0 and eta must be > 0")
+        # the bounds are written so that nan fails them
+        if not all(0.0 < x < math.inf for x in (self.gamma, self.alpha0, self.eta)):
+            raise ConfigurationError(
+                f"gamma, alpha0 and eta must be finite and > 0, got {self.gamma}, {self.alpha0} and {self.eta}")
         if self.K_corpus < 1 or self.T_doc < 1:
             raise ConfigurationError("truncations must be >= 1")
         if not (0.5 < self.kappa <= 1.0):
             raise ConfigurationError("kappa must lie in (0.5, 1]")
-        if self.tau0 < 0:
-            raise ConfigurationError("tau0 must be >= 0")
+        if not 0.0 <= self.tau0 < math.inf:
+            raise ConfigurationError(f"tau0 must be finite and >= 0, got {self.tau0}")
 
 
 @dataclass

@@ -11,7 +11,9 @@ exceptions keep a former code path as the reference for what replaced it:
 one-document coordinate ascent that ``online_hdp._fit_block`` replaced;
 ``mixture_e_step``, ``reference_train_cdtm`` and ``reference_cdtm_heldout``,
 the one-document mixture fit and the per-document loops of the fixed-K
-baseline that ``fixed_k_dtm._mixture_e_step`` replaced.
+baseline that ``fixed_k_dtm._mixture_e_step`` replaced, with
+``reference_smooth_topics``, its per-topic filter and smoother loop that
+``fixed_k_dtm._smooth_topics`` replaced.
 ``payload_array`` and ``set_payload_array`` read and edit the arrays of
 a parsed checkpoint with ``base64`` and numpy alone.
 """
@@ -107,7 +109,7 @@ def dense_kalman_stage(model, batch, stats):
     present = np.tile(present_words, (1, len(born)))
     obs_var = np.full((n_steps, 1), cfg_obs)
     drift = model.drift_config()
-    f_mean, f_var, _, _ = forward_steps(
+    f_mean, f_var = forward_steps(
         unique_ts, beta, obs_var, present, drift, prior_mean=prior_mean, prior_var=prior_var
     )
     s_mean, s_var = backward_steps(unique_ts, f_mean, f_var, drift)
@@ -297,15 +299,20 @@ def reference_train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0
             expected[:, knot, words] += (phi * n[:, None]).T
         model.objective_trace.append(objective)
 
-        for topic in range(k):
-            counts = smoothing + expected[topic]
-            beta = np.log(counts / counts.sum(axis=1, keepdims=True))
-            obs = obs_var / counts
-            f_mean, f_var, _, _ = forward_steps(knots, beta, obs, present, cfg)
-            s_mean, s_var = backward_steps(knots, f_mean, f_var, cfg)
-            model.means[topic] = s_mean
-            model.variances[topic] = s_var
+        reference_smooth_topics(model, expected, present, cfg, obs_var, smoothing)
     return model
+
+
+def reference_smooth_topics(model, expected, present, cfg, obs_var, smoothing):
+    """The former per-topic re-estimation: one filter and smoother call per topic."""
+    for topic in range(model.K):
+        counts = smoothing + expected[topic]
+        beta = np.log(counts / counts.sum(axis=1, keepdims=True))
+        obs = obs_var / counts
+        f_mean, f_var = forward_steps(model.knots, beta, obs, present, cfg)
+        s_mean, s_var = backward_steps(model.knots, f_mean, f_var, cfg)
+        model.means[topic] = s_mean
+        model.variances[topic] = s_var
 
 
 def reference_cdtm_heldout(model, docs):

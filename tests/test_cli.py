@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import payload_array, set_payload_array
-from topicdrift import fixed_k_dtm, online_hdp
+from topicdrift import drifting_topics, fixed_k_dtm, online_hdp
 from topicdrift.cli import main
 from topicdrift.corpus import read_canonical, write_canonical, write_vocabulary, Vocabulary
 from topicdrift.synthetic import three_topic_corpus
@@ -168,6 +168,63 @@ class TestTrain:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cdtm.ckpt").exists() and not (tmp_path / "cdtm.tsv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--obs-var", "-0.1", "--obs-var must be finite and > 0"),
+        ("--obs-var", "-1e9", "--obs-var must be finite and > 0"),
+        ("--obs-var", "0", "--obs-var must be finite and > 0"),
+        ("--obs-var", "nan", "--obs-var must be finite and > 0"),
+        ("--obs-var", "inf", "--obs-var must be finite and > 0"),
+        ("--drift-v", "-1", "--drift-v must be finite and >= 0"),
+        ("--drift-v", "nan", "--drift-v must be finite and >= 0"),
+        ("--drift-v", "inf", "--drift-v must be finite and >= 0"),
+    ])
+    def test_bad_cdtm_drift_settings_exit_2_before_fitting(self, tmp_path, capsys, monkeypatch,
+                                                          flag, value, message):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+
+        def no_fitting(*args, **kwargs):
+            raise AssertionError("train_cdtm ran")
+
+        monkeypatch.setattr(fixed_k_dtm, "train_cdtm", no_fitting)
+        # "--flag=value", since argparse reads "-1e9" after a space as an option
+        code = main(self.small_args(corpus, vocab_file, tmp_path, "cdtm", ["--k", "3", f"{flag}={value}"]))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cdtm.ckpt").exists() and not (tmp_path / "cdtm.tsv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--obs-var", "-0.1", "obs_var must be finite and > 0"),
+        ("--obs-var", "nan", "obs_var must be finite and > 0"),
+        ("--obs-var", "inf", "obs_var must be finite and > 0"),
+        ("--drift-v", "-1", "drift_v must be finite and >= 0"),
+        ("--drift-v", "nan", "drift_v must be finite and >= 0"),
+        ("--drift-v", "inf", "drift_v must be finite and >= 0"),
+        ("--timer", "0", "active_timer_len must be finite and > 0"),
+        ("--timer", "nan", "active_timer_len must be finite and > 0"),
+        ("--timer", "inf", "active_timer_len must be finite and > 0"),
+    ])
+    def test_bad_cidtm_drift_settings_exit_2_before_fitting(self, tmp_path, capsys, monkeypatch,
+                                                           flag, value, message):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("the drifting model was built")
+
+        monkeypatch.setattr(drifting_topics, "DriftingTopicModel", no_model)
+        code = main(self.small_args(corpus, vocab_file, tmp_path, "cidtm", [f"{flag}={value}"]))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cidtm.ckpt").exists() and not (tmp_path / "cidtm.tsv").exists()
+
+    @pytest.mark.parametrize("model", ["ohdp", "cidtm", "cdtm"])
+    @pytest.mark.parametrize("flag", ["--gamma", "--alpha0", "--eta"])
+    def test_non_finite_concentration_exits_2(self, tmp_path, capsys, model, flag):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        code = main(self.small_args(corpus, vocab_file, tmp_path, model, ["--k", "3", f"{flag}=nan"]))
+        assert code == 2
+        assert "gamma, alpha0 and eta must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / f"{model}.ckpt").exists()
 
     def test_negative_word_index_exits_2(self, tmp_path, capsys):
         _, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from helpers import (
     mixture_e_step,
     payload_array,
     reference_cdtm_heldout,
+    reference_smooth_topics,
     reference_train_cdtm,
     set_payload_array,
 )
+from topicdrift import fixed_k_dtm
 from topicdrift.corpus import Document
 from topicdrift.errors import NumericalError, ParameterError, StateError
 from topicdrift.fixed_k_dtm import (
@@ -22,6 +25,7 @@ from topicdrift.fixed_k_dtm import (
     MAX_ITER,
     CdtmModel,
     _mixture_e_step,
+    _smooth_topics,
     cdtm_heldout_loglik,
     load_checkpoint,
     save_checkpoint,
@@ -47,6 +51,13 @@ class TestTraining:
         with pytest.raises(ParameterError, match="sweeps"):
             train_cdtm([Document("a", 0.0, {0: 1}, 1)], 2, DriftConfig(0.1), sweeps,
                        np.random.default_rng(0))
+
+    @pytest.mark.parametrize("setting", [{"obs_var": -0.1}, {"obs_var": math.nan}, {"obs_var": math.inf},
+                                         {"smoothing": 0.0}, {"smoothing": math.nan}, {"alpha": math.nan}])
+    def test_bad_observation_settings_rejected(self, setting):
+        with pytest.raises(ParameterError, match="alpha, obs_var and smoothing"):
+            train_cdtm([Document("a", 0.0, {0: 1}, 1)], 2, DriftConfig(0.1), 1,
+                       np.random.default_rng(0), **setting)
 
     def test_zero_drift_keeps_topics_constant_over_time(self):
         train, _ = train_test_split(n_docs=60)
@@ -174,8 +185,28 @@ def random_block(rng, sizes, k=6, vocab=40):
     return fits, [knots[i % 2] for i in range(len(fits))]
 
 
+def assert_close(actual, desired):
+    """Within 1e-10 relative, elementwise, with no absolute slack."""
+    np.testing.assert_allclose(actual, desired, rtol=1e-10, atol=0)
+
+
+def assert_matches_one_document_fits(fits, logps, alpha):
+    """Each document's gamma, phi and bound against the former one-document fit; returns its iterations."""
+    fitted = _mixture_e_step(fits, logps, alpha)
+    assert len(fitted) == len(fits)
+    ran = []
+    for (words, n), logp, (gamma, phi, bound) in zip(fits, logps, fitted):
+        ref_gamma, ref_phi, ref_bound, iterations = mixture_e_step(words, n, logp[:, words], alpha)
+        assert phi.shape == ref_phi.shape == (len(words), logp.shape[0])
+        assert_close(gamma, ref_gamma)
+        assert_close(phi, ref_phi)
+        assert_close(bound, ref_bound)
+        ran.append(iterations)
+    return ran
+
+
 class TestBlockKernel:
-    """The block kernel against the former one-document fit (tests/helpers.py), bit for bit."""
+    """The factored block kernel against the former one-document fit (tests/helpers.py), within 1e-10."""
 
     @pytest.mark.parametrize("size", [1, BLOCK_DOCS, BLOCK_DOCS + 1])
     def test_matches_one_document_fits(self, size):
@@ -183,17 +214,18 @@ class TestBlockKernel:
         sizes = rng.integers(1, 30, size)
         sizes[::4] = 1  # one-word documents
         fits, logps = random_block(rng, sizes)
-        fitted = _mixture_e_step(fits, logps, 0.5)
-        assert len(fitted) == size
-        ran = []
-        for (words, n), logp, (gamma, phi, bound) in zip(fits, logps, fitted):
-            ref_gamma, ref_phi, ref_bound, iterations = mixture_e_step(words, n, logp[:, words], 0.5)
-            assert phi.shape == ref_phi.shape == (len(words), 6)
-            assert (gamma == ref_gamma).all() and (phi == ref_phi).all() and bound == ref_bound
-            ran.append(iterations)
+        ran = assert_matches_one_document_fits(fits, logps, 0.5)
         if size > 1:
             # documents stop at different iterations, and some run out of iterations
             assert len(set(ran)) > 1 and MAX_ITER in ran
+
+    def test_word_improbable_under_every_topic(self):
+        # exp(-1000) underflows to 0, so the kernel needs its per-word shift
+        fits, logps = random_block(np.random.default_rng(3), [5, 3, 8, 1])
+        logps = [logp.copy() for logp in logps]
+        for (words, _), logp in zip(fits, logps):
+            logp[:, words[0]] = -1000.0 + np.linspace(0.0, 2.0, logp.shape[0])
+        assert_matches_one_document_fits(fits, logps, 0.5)
 
     def test_nan_log_probs_raise_numerical_error(self):
         fits, logps = random_block(np.random.default_rng(0), [5, 3, 8])
@@ -232,7 +264,7 @@ def unsorted_heldout(docs, train, rng):
 
 
 class TestMatchesPerDocumentLoops:
-    """Training and scoring against the former per-document loops (tests/helpers.py), bit for bit."""
+    """Training and scoring against the former per-document loops (tests/helpers.py), within 1e-10."""
 
     @pytest.mark.parametrize("stream", ["daily", "distinct"])
     def test_states_objective_and_scores(self, stream):
@@ -249,10 +281,64 @@ class TestMatchesPerDocumentLoops:
         args = (train, 4, DriftConfig(1e-6), 3)
         model = train_cdtm(*args, np.random.default_rng(2), alpha=0.7, vocab_size=30)
         ref = reference_train_cdtm(*args, np.random.default_rng(2), alpha=0.7, vocab_size=30)
+        assert_close(model.means, ref.means)
+        assert_close(model.variances, ref.variances)
+        assert_close(model.objective_trace, ref.objective_trace)
+        records, ref_records = cdtm_heldout_loglik(model, held), reference_cdtm_heldout(ref, held)
+        assert [(i, ts, n) for i, ts, _, n in records] == [(i, ts, n) for i, ts, _, n in ref_records]
+        assert_close([r[2] for r in records], [r[2] for r in ref_records])
+
+
+def smoothing_inputs(k=20, s=30, v=100, seed=0):
+    """A model with random (K, S, V) state, irregular knots and random expected counts and presence."""
+    rng = np.random.default_rng(seed)
+    model = CdtmModel(K=k, alpha_dirichlet=1.0, vocab_size=v)
+    model.knots = np.cumsum(rng.uniform(0.1, 5.0, s))
+    model.means = rng.normal(size=(k, s, v))
+    model.variances = rng.uniform(0.5, 2.0, (k, s, v))
+    expected = rng.gamma(0.3, 2.0, (k, s, v)) * (rng.random((k, s, v)) < 0.4)
+    present = rng.random((s, v)) < 0.3
+    cfg = DriftConfig(0.05, prior_mean=math.log(1 / v), prior_variance=1.5)
+    return model, expected, present, cfg
+
+
+class TestSmoothTopics:
+    """One filter and smoother pass over all K topics, against the former per-topic loop."""
+
+    def test_equals_the_per_topic_loop_bit_for_bit(self):
+        model, expected, present, cfg = smoothing_inputs()
+        ref = dataclasses.replace(model, means=model.means.copy(), variances=model.variances.copy())
+        reference_smooth_topics(ref, expected.copy(), present, cfg, 0.1, 0.01)
+        _smooth_topics(model, expected, present, cfg, 0.1, 0.01)
         assert (model.means == ref.means).all()
         assert (model.variances == ref.variances).all()
-        assert model.objective_trace == ref.objective_trace
-        assert cdtm_heldout_loglik(model, held) == reference_cdtm_heldout(ref, held)
+
+    def test_one_filter_and_smoother_call_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(fixed_k_dtm, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        for name in ("forward_steps", "backward_steps"):
+            monkeypatch.setattr(fixed_k_dtm, name, counted(name))
+        train, _ = train_test_split(n_docs=40)
+        train_cdtm(train, 3, DriftConfig(1e-8), 2, np.random.default_rng(0), vocab_size=50)
+        assert calls == ["forward_steps", "backward_steps"] * 2
+
+    def test_peak_memory_below_one_state_array(self):
+        model, expected, present, cfg = smoothing_inputs()
+        tracemalloc.start()
+        try:
+            _smooth_topics(model, expected, present, cfg, 0.1, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.means.nbytes
 
 
 class TestCheckpoint:

@@ -345,6 +345,19 @@ class TestValidation:
         with pytest.raises(ParameterError):
             DriftConfig(-0.1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"process_variance": math.nan}, "process_variance"),
+        ({"process_variance": math.inf}, "process_variance"),
+        ({"process_variance": 0.1, "prior_variance": math.nan}, "prior_variance"),
+        ({"process_variance": 0.1, "prior_variance": math.inf}, "prior_variance"),
+        ({"process_variance": 0.1, "prior_variance": 0.0}, "prior_variance"),
+        ({"process_variance": 0.1, "prior_mean": math.nan}, "prior_mean"),
+        ({"process_variance": 0.1, "prior_mean": -math.inf}, "prior_mean"),
+    ])
+    def test_non_finite_or_out_of_range_settings_rejected(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            DriftConfig(**kwargs)
+
     def test_zero_drift_is_allowed_and_static(self):
         track = make_track([0.0, 5.0, 9.0], [1.0, 1.0, 1.0], 0.1)
         cfg = DriftConfig(0.0)

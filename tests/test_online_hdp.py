@@ -138,6 +138,14 @@ class TestInferDocument:
             infer_document(make_doc({}), make_global(np.ones((2, 3))), HdpHyper(K_corpus=2, T_doc=2))
 
 
+class TestHyper:
+    @pytest.mark.parametrize("field", ["gamma", "alpha0", "eta", "tau0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            HdpHyper(**{field: value})
+
+
 class TestOnlineUpdate:
     def test_full_replacement_at_rho_one(self):
         hyper = HdpHyper(K_corpus=3, T_doc=2, eta=0.1, tau0=1.0)
