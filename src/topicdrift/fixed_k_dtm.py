@@ -3,19 +3,26 @@
 Training alternates (a) per-document variational mixture steps under a
 symmetric Dirichlet(alpha) prior against the current topic trajectories
 and (b) re-estimation of the topics: expected counts at each distinct
-training timestamp become log-probability pseudo-observations that are
-smoothed through the scalar Kalman machinery, one track per (topic,
-word).  The topic count K never changes.  Training and held-out
+training timestamp (knot) become log-probability pseudo-observations
+that are smoothed through the scalar Kalman machinery, one track per
+(topic, word).  The topic count K never changes.  Training and held-out
 scoring fit BLOCK_DOCS documents at a time with one batched kernel,
 ``_mixture_e_step``, in factored form: a block's word probabilities are
 exponentiated once, so an iteration exponentiates only K values per
-document.  Re-estimation, ``_smooth_topics``, runs one filter and one
-smoother pass over all K topics per sweep, in place in the model's
-(K, S, V) arrays.
+document.
 
-Between training timestamps a topic's natural parameters follow the
-Brownian bridge, so means interpolate linearly; outside the training
-range the endpoint values carry over.
+As in the sparse variational inference of Wang, Blei and Heckerman
+(UAI 2008), a track is touched only where its word is observed.  The
+model keeps its state at the P observed (knot, word) pairs, as (K, P)
+``means`` and ``variances``, and re-estimation, ``_smooth_topics``, runs
+one sparse filter and one sparse smoother pass over all K topics per
+sweep.  The smoothed mean at any other time follows in closed form from
+the Markov property of the Brownian track: linear in time between two
+observations of the word, its last value after its last observation,
+``m0 + (P0 + v (t - t0)) / (P0 + v (a - t0)) * (m_a - m0)`` before its
+first observation at ``a``, and the prior mean ``m0`` for a word never
+observed; timestamps outside the knots clamp to the end knots.  So
+memory is O(K·P) plus one (K, V) array per timestamp asked for.
 """
 
 import math
@@ -27,7 +34,7 @@ from scipy.special import digamma, gammaln
 from .checkpoint import header_value, read_checkpoint, write_checkpoint
 from .corpus import batch_iter, doc_words
 from .errors import NumericalError, ParameterError, StateError, TimeOrderError
-from .kalman import DriftConfig, backward_steps, forward_steps
+from .kalman import DriftConfig, pair_filter, pair_smoother
 
 # every document fit stops after MAX_ITER iterations or once mean |delta gamma| < TOL
 MAX_ITER = 50
@@ -41,50 +48,85 @@ class CdtmModel:
     K: int
     alpha_dirichlet: float
     vocab_size: int
-    knots: np.ndarray = None        # (S,) training timestamps
-    means: np.ndarray = None        # (K, S, V) smoothed natural parameters
-    variances: np.ndarray = None    # (K, S, V)
+    process_variance: float = 0.0   # Brownian drift per unit time of every track
+    prior_variance: float = 1.0     # track variance at the first knot, around m0 = log(1 / V)
+    knots: np.ndarray = None        # (S,) training timestamps, strictly ascending
+    pairs: np.ndarray = None        # (P,) observed (knot, word) pairs as knot * V + word, strictly ascending
+    means: np.ndarray = None        # (K, P) smoothed natural parameters at the pairs
+    variances: np.ndarray = None    # (K, P)
     trained: bool = False
     objective_trace: list = field(default_factory=list)
+    _by_word: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def _word_runs(self):
+        """(order, keys, bounds): pairs sorted by (word, knot), their keys word * S + knot, each word's run.
+
+        Built once for the current ``knots`` and ``pairs``.
+        """
+        cached = self._by_word
+        if cached is None or cached[0] is not self.pairs or cached[1] is not self.knots:
+            s = self.knots.size
+            knot, word = np.divmod(self.pairs, self.vocab_size)
+            keys = word * s + knot
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            cached = self._by_word = (self.pairs, self.knots, order, keys,
+                                      np.searchsorted(keys, np.arange(self.vocab_size + 1) * s))
+        return cached[2:]
+
+    def means_at(self, ts):
+        """(K, V) smoothed natural parameters at an arbitrary timestamp, in closed form."""
+        if not self.trained:
+            raise StateError("model is not trained")
+        knots, s = self.knots, self.knots.size
+        t = min(max(float(ts), knots[0]), knots[-1])
+        order, keys, bounds = self._word_runs()
+        q = int(np.searchsorted(knots, t, side="right")) - 1  # the last knot at or before t
+        nxt = np.searchsorted(keys, np.arange(self.vocab_size) * s + q, side="right")
+        before, after = nxt > bounds[:-1], nxt < bounds[1:]  # the word is observed at or before / after q
+        lo, hi = nxt - 1, np.minimum(nxt, keys.size - 1)  # masked out where there is no such observation
+        t_lo, t_hi = knots[keys[lo] % s], knots[keys[hi] % s]
+        m0, p0, v = math.log(1.0 / self.vocab_size), self.prior_variance, self.process_variance
+        # the next observation's weight: linear in time between two observations; before the
+        # first, the track's prior variance at t over its prior variance at that observation
+        num = np.where(before, t - t_lo, p0 + v * (t - knots[0]))
+        den = np.where(before, t_hi - t_lo, p0 + v * (t_hi - knots[0]))
+        w = np.where(after, num / np.where(after, den, 1.0), 0.0)
+        m_lo = self.means.take(order[lo], axis=1)
+        m_lo[:, ~before] = m0
+        out = self.means.take(order[hi], axis=1)
+        out -= m_lo
+        out *= w
+        out += m_lo
+        return out
 
     def log_word_probs_at(self, ts):
         """(K, V) log word distributions at an arbitrary timestamp."""
-        if not self.trained:
-            raise StateError("model is not trained")
-        eta = _interpolate(self.knots, self.means, ts)
-        eta = eta - eta.max(axis=1, keepdims=True)
-        return eta - np.log(np.exp(eta).sum(axis=1, keepdims=True))
+        return _log_normalize(self.means_at(ts))
 
 
-def _interpolate(knots, means, ts):
-    """Linear (Brownian-bridge) interpolation of (K, S, V) tracks at ts."""
-    if ts <= knots[0]:
-        return means[:, 0, :]
-    if ts >= knots[-1]:
-        return means[:, -1, :]
-    hi = int(np.searchsorted(knots, ts, side="right"))
-    lo = hi - 1
-    if knots[hi] == knots[lo]:
-        return means[:, lo, :]
-    w = (ts - knots[lo]) / (knots[hi] - knots[lo])
-    return (1.0 - w) * means[:, lo, :] + w * means[:, hi, :]
+def _log_normalize(eta):
+    """Rows of natural parameters as log-probabilities."""
+    eta = eta - eta.max(axis=1, keepdims=True)
+    return eta - np.log(np.exp(eta).sum(axis=1, keepdims=True))
 
 
-def _doc_bound(n, logp_doc, phi, gamma, alpha):
-    """One document's bound at its final (gamma, phi); ``logp_doc`` and ``phi`` are (M, K)."""
-    k = gamma.size
-    elog_theta = digamma(gamma) - digamma(gamma.sum())
+def _block_bounds(n, lp, phi, gamma, alpha):
+    """Bounds of padded documents at their final (gamma, phi); ``n`` is (B, M), ``lp`` and ``phi`` (B, M, K).
+
+    Padding has zero counts, so it adds nothing.
+    """
+    k = gamma.shape[1]
+    elog_theta = digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(phi > 0, phi * np.log(np.where(phi > 0, phi, 1.0)), 0.0)
-    bound = float(((phi * logp_doc) * n[:, None]).sum())
-    bound += float(((phi * elog_theta[None, :]) * n[:, None]).sum())
-    bound += gammaln(k * alpha) - k * gammaln(alpha) + float(((alpha - 1.0) * elog_theta).sum())
-    bound -= gammaln(gamma.sum()) - float(gammaln(gamma).sum()) + float(((gamma - 1.0) * elog_theta).sum())
-    bound -= float((plogp * n[:, None]).sum())
-    return bound
+    words = ((phi * (lp + elog_theta[:, None, :]) - plogp) * n[:, :, None]).sum(axis=(1, 2))
+    prior = gammaln(k * alpha) - k * gammaln(alpha) + ((alpha - 1.0) * elog_theta).sum(axis=1)
+    entropy = gammaln(gamma.sum(axis=1)) - gammaln(gamma).sum(axis=1) + ((gamma - 1.0) * elog_theta).sum(axis=1)
+    return words + prior - entropy
 
 
-def _mixture_e_step(fits, logps, alpha):
+def _mixture_e_step(fits, logps, alpha, bounds=True):
     """Variational mixture fit of a block of documents against fixed topic log-probs.
 
     ``fits`` holds (words, counts) per document and ``logps`` the (K, V)
@@ -95,11 +137,13 @@ def _mixture_e_step(fits, logps, alpha):
     an iteration then takes K exponentials per document and two stacked
     matmuls: the normalizers z = beta @ exp(Elog theta) and the topic
     counts exp(Elog theta) * ((n / z) @ beta).  A document stops at its
-    own iteration: once mean |delta gamma| < TOL, or after MAX_ITER; only
-    then is its phi built.  The documents still running are moved to the
-    front of the block's arrays.  Returns (gamma, phi, bound) per
+    own iteration: once mean |delta gamma| < TOL, or after MAX_ITER; the
+    phi and bounds of the documents that stop together are built in one
+    pass over their padded rows.  The documents still running are moved
+    to the front of the block's arrays.  Returns (gamma, phi, bound) per
     document, in order: the Dirichlet posterior over the mixture, the
-    (M, K) word responsibilities and the document's bound.
+    (M, K) word responsibilities and the document's bound; phi and the
+    bound are None unless ``bounds``.
     """
     sizes = np.array([len(words) for words, _ in fits])
     k = logps[0].shape[0]
@@ -127,14 +171,16 @@ def _mixture_e_step(fits, logps, alpha):
             done[:] = True
         if not done.any():
             continue
-        for j in np.flatnonzero(done):
-            i = running[j]
-            m = sizes[i]
-            phi = beta[j, :m] * et[j] / z[j, :m, None]
-            bound = _doc_bound(n[j, :m], lp[j, :m], phi, gamma[j], alpha)
-            if not np.isfinite(bound):
+        stop = np.flatnonzero(done)
+        if bounds:
+            phi = beta[stop] * et[stop, None, :] / z[stop, :, None]
+            bound = _block_bounds(n[stop], lp[stop], phi, gamma[stop], alpha)
+            if not np.isfinite(bound).all():
                 raise NumericalError("document bound became non-finite", sweep=it)
-            out[i] = (gamma[j].copy(), phi, bound)
+        for r, j in enumerate(stop):
+            i = running[j]
+            fit = (phi[r, : sizes[i]], float(bound[r])) if bounds else (None, None)
+            out[i] = (gamma[j].copy(), *fit)
         rows = np.flatnonzero(~done)
         if not rows.size:
             break
@@ -147,25 +193,30 @@ def _mixture_e_step(fits, logps, alpha):
     return out
 
 
-def _smooth_topics(model, expected, present, cfg, obs_var, smoothing):
-    """Re-estimate all K topic trajectories from (K, S, V) expected counts.
+def _smooth_topics(model, expected, cfg, obs_var, smoothing):
+    """Re-estimate all K topic tracks at the model's pairs from (K, P) expected counts.
 
-    The pseudo-observations log(counts / row sum) go into ``model.means``
-    and their variances obs_var / counts into ``expected``; one filter
-    and one smoother pass over (S, K, V) views then write the smoothed
-    state into ``model.means`` and ``model.variances`` in place, so no
-    further (K, S, V) array is allocated.  ``expected`` is overwritten.
+    With count = expected + smoothing, a pair's pseudo-observation is
+    log(count / row sum) and its variance obs_var / count; a knot's row
+    sum is its pairs' counts plus ``smoothing`` for each of its V - n_s
+    unobserved words.  One sparse filter and one sparse smoother pass over
+    all K topics then turn them into the smoothed state, which becomes
+    ``model.means`` and ``model.variances``.  ``expected`` is overwritten:
+    it becomes ``model.variances``.
     """
-    expected += smoothing
-    np.divide(expected, expected.sum(axis=2, keepdims=True), out=model.means)
-    np.log(model.means, out=model.means)
+    v = model.vocab_size
+    starts = np.searchsorted(model.pairs, np.arange(model.knots.size + 1) * v)
+    sizes = np.diff(starts)
+    counts = np.add(expected, smoothing, out=expected)
+    rows = np.add.reduceat(counts, starts[:-1], axis=1) + (v - sizes) * smoothing  # (K, S)
+    beta = np.repeat(rows, sizes, axis=1)
+    np.log(np.divide(counts, beta, out=beta), out=beta)
     # pseudo-observation precision follows the evidence: the log of
     # a count has variance ~ 1/count, scaled by the obs_var knob
-    np.divide(obs_var, expected, out=expected)
-    means, variances, obs = (a.transpose(1, 0, 2) for a in (model.means, model.variances, expected))
-    seen = np.broadcast_to(present[:, None, :], means.shape)
-    forward_steps(model.knots, means, obs, seen, cfg, out=(means, variances))
-    backward_steps(model.knots, means, variances, cfg, out=(means, variances))
+    obs = np.divide(obs_var, counts, out=expected)
+    words = model.pairs % v
+    pair_filter(model.knots, starts, words, beta, obs, cfg)
+    model.means, model.variances = pair_smoother(model.knots, starts, words, beta, obs, cfg)
 
 
 def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smoothing=0.01,
@@ -176,7 +227,8 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smooth
     the uniform log-probability level.  The per-sweep objective (sum of
     per-document bounds) is recorded on the returned model.  Documents
     are fitted BLOCK_DOCS at a time, and a sweep holds the log-probs of
-    the current block's knots only.
+    the current block's knots only.  The first sweep fits every document
+    against one random (K, V) draw around the uniform level.
     """
     if k < 1:
         raise ParameterError("K must be >= 1")
@@ -193,44 +245,38 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smooth
 
     if vocab_size is None:
         vocab_size = 1 + max(max(d.counts) for d in train_docs)
+    fits = [doc_words(doc) for doc in train_docs]
+    if not all(words and 0 <= words[0] and words[-1] < vocab_size for words, _ in fits):
+        raise ParameterError(f"every training document needs words in [0, {vocab_size})")
     knots, doc_knot = np.unique(ts, return_inverse=True)
     doc_knot = doc_knot.tolist()
-    s = knots.size
     base = np.log(1.0 / vocab_size)
     cfg = DriftConfig(drift.process_variance, prior_mean=base, prior_variance=drift.prior_variance)
 
-    # word-presence per knot gates the pseudo-observations
-    present = np.zeros((s, vocab_size), dtype=bool)
-    for i, doc in enumerate(train_docs):
-        for w in doc.counts:
-            present[doc_knot[i], w] = True
+    # the observed (knot, word) pairs, and each document's columns among them
+    flat = np.concatenate([q * vocab_size + np.asarray(words) for (words, _), q in zip(fits, doc_knot)])
+    pairs, columns = np.unique(flat, return_inverse=True)
+    columns = np.split(columns, np.cumsum([len(words) for words, _ in fits])[:-1])
 
-    model = CdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size)
-    model.knots = knots
-    # (K, S, V) arrays are updated in place, so no second one is alive at the same time
-    model.means = rng.normal(0.0, 0.1, (k, 1, vocab_size)) * np.ones((1, s, 1))
-    model.means += base
-    model.variances = np.full((k, s, vocab_size), drift.prior_variance)
-    model.trained = True  # log_word_probs_at is used during sweeps
-
-    fits = [doc_words(doc) for doc in train_docs]
-    expected = np.empty((k, s, vocab_size))
-    for _ in range(sweeps):
+    model = CdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size, process_variance=drift.process_variance,
+                      prior_variance=drift.prior_variance, knots=knots, pairs=pairs, trained=True)
+    first = _log_normalize(rng.normal(0.0, 0.1, (k, vocab_size)) + base)
+    for sweep in range(sweeps):
         objective = 0.0
-        expected.fill(0.0)
+        expected = np.zeros((k, pairs.size))
         logps = {}
         for start in range(0, len(fits), BLOCK_DOCS):
             block = slice(start, start + BLOCK_DOCS)
             # documents ascend in time, so a knot's log-probs carry over only into the next block
-            logps = {q: logps[q] if q in logps else model.log_word_probs_at(knots[q])
+            logps = {q: logps[q] if q in logps else model.log_word_probs_at(knots[q]) if sweep else first
                      for q in dict.fromkeys(doc_knot[block])}
             fitted = _mixture_e_step(fits[block], [logps[q] for q in doc_knot[block]], alpha)
-            for (words, n), q, (_, phi, bound) in zip(fits[block], doc_knot[block], fitted):
+            for (_, n), cols, (_, phi, bound) in zip(fits[block], columns[block], fitted):
                 objective += bound
-                expected[:, q, words] += (phi * n[:, None]).T
+                expected[:, cols] += (phi * n[:, None]).T
         model.objective_trace.append(objective)
 
-        _smooth_topics(model, expected, present, cfg, obs_var, smoothing)
+        _smooth_topics(model, expected, cfg, obs_var, smoothing)
     return model
 
 
@@ -238,7 +284,8 @@ def cdtm_heldout_loglik(model, docs):
     """Per-document predictive log-likelihood; never modifies the model.
 
     Documents are fitted BLOCK_DOCS at a time, and a block computes the
-    log-probs of each of its distinct timestamps once.
+    log-probs of each of its distinct timestamps once.  Only each
+    document's mixture posterior is fitted: no phi, no bound.
     """
     if not model.trained:
         raise StateError("model is not trained")
@@ -246,7 +293,8 @@ def cdtm_heldout_loglik(model, docs):
     for block in batch_iter(docs, BLOCK_DOCS):
         logps = {ts: model.log_word_probs_at(ts) for ts in dict.fromkeys(doc.timestamp for doc in block)}
         fits = [doc_words(doc) for doc in block]
-        fitted = _mixture_e_step(fits, [logps[doc.timestamp] for doc in block], model.alpha_dirichlet)
+        fitted = _mixture_e_step(fits, [logps[doc.timestamp] for doc in block], model.alpha_dirichlet,
+                                 bounds=False)
         for doc, (words, n), (gamma, _, _) in zip(block, fits, fitted):
             theta = gamma / gamma.sum()
             per_word = theta @ np.exp(logps[doc.timestamp][:, words])
@@ -254,34 +302,60 @@ def cdtm_heldout_loglik(model, docs):
     return records
 
 
-# the arrays of a "cdtm" checkpoint; S = knots.size
-ARRAYS = {"knots": ("<f8", 1), "means": ("<f8", 3), "variances": ("<f8", 3), "objective_trace": ("<f8", 1)}
+# the arrays of a "cdtm" checkpoint; S = knots.size, P = pairs.size
+ARRAYS = {"knots": ("<f8", 1), "pairs": ("<i8", 1), "means": ("<f8", 2), "variances": ("<f8", 2),
+          "objective_trace": ("<f8", 1)}
 
 
 def save_checkpoint(model, path):
     if not model.trained:
         raise StateError("model is not trained")
-    header = {"K": model.K, "alpha_dirichlet": model.alpha_dirichlet, "vocab_size": model.vocab_size}
-    arrays = {"knots": model.knots, "means": model.means, "variances": model.variances,
+    header = {"K": model.K, "alpha_dirichlet": model.alpha_dirichlet, "vocab_size": model.vocab_size,
+              "process_variance": model.process_variance, "prior_variance": model.prior_variance}
+    arrays = {"knots": model.knots, "pairs": model.pairs, "means": model.means, "variances": model.variances,
               "objective_trace": np.array(model.objective_trace, dtype=float)}
     write_checkpoint("cdtm", header, arrays, path)
 
 
+def _refuse_dense_state(path):
+    """Raise the re-train error if ``path`` holds the former dense (K, S, V) state."""
+    try:
+        read_checkpoint(path, {"cdtm": {"means": ("<f8", 3)}})
+    except ParameterError:
+        return
+    raise ParameterError(f"{path} holds the former dense (K, S, V) cdtm state, no longer read;"
+                         " re-train the model") from None
+
+
 def load_checkpoint(path):
-    _, header, arrays = read_checkpoint(path, {"cdtm": ARRAYS})
+    try:
+        _, header, arrays = read_checkpoint(path, {"cdtm": ARRAYS})
+    except ParameterError:
+        _refuse_dense_state(path)
+        raise
     model = CdtmModel(
         K=header_value(header, "K", int),
         alpha_dirichlet=header_value(header, "alpha_dirichlet", float),
         vocab_size=header_value(header, "vocab_size", int),
+        process_variance=header_value(header, "process_variance", float),
+        prior_variance=header_value(header, "prior_variance", float),
     )
-    knots = arrays["knots"]
-    shape = (model.K, knots.size, model.vocab_size)
-    if arrays["means"].shape != shape or arrays["variances"].shape != shape:
-        raise ParameterError(f"checkpoint means {arrays['means'].shape} and variances"
-                             f" {arrays['variances'].shape} are not (K, S, V) = {shape}")
+    DriftConfig(model.process_variance, prior_variance=model.prior_variance)  # rejects bad settings
+    knots, pairs = arrays["knots"], arrays["pairs"]
     if not knots.size or (np.diff(knots) <= 0).any():
         raise ParameterError("checkpoint knots must be nonempty and strictly ascending")
-    model.knots, model.means, model.variances = knots, arrays["means"], arrays["variances"]
+    if model.K < 1 or model.vocab_size < 1:
+        raise ParameterError(f"checkpoint K and vocab_size must be >= 1, got {model.K} and {model.vocab_size}")
+    if not pairs.size or (np.diff(pairs) <= 0).any() or pairs[0] < 0 or pairs[-1] >= knots.size * model.vocab_size:
+        raise ParameterError("checkpoint pairs must be strictly increasing indices knot * V + word in [0, S * V)")
+    if np.count_nonzero(np.diff(pairs // model.vocab_size)) + 1 != knots.size:
+        raise ParameterError("checkpoint has a knot without an observed pair")
+    shape = (model.K, pairs.size)
+    if arrays["means"].shape != shape or arrays["variances"].shape != shape:
+        raise ParameterError(f"checkpoint means {arrays['means'].shape} and variances"
+                             f" {arrays['variances'].shape} are not (K, P) = {shape}")
+    model.knots, model.pairs = knots, pairs
+    model.means, model.variances = arrays["means"], arrays["variances"]
     model.objective_trace = arrays["objective_trace"].tolist()
     model.trained = True
     return model

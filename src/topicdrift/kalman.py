@@ -6,18 +6,20 @@ by v * (t - s).  Pseudo-observations beta_hat of the state are Gaussian
 with variance v_hat and exist only at steps where the word was actually
 seen; other steps propagate the prediction unchanged.
 
-Two implementations share that model:
+Three implementations share that model:
 
 * ``terminal_filter`` is sparse.  It touches a track only at the steps
   where it is observed, grows its variance across each gap in one step,
   and returns only the state at the last timestamp, in memory linear in
   the number of tracks.  The online drifting model uses it.
+* ``pair_filter``/``pair_smoother`` are sparse too, but keep the whole
+  trajectory at the observed (step, column) pairs: the filtered and then
+  the smoothed state of each pair, in place in the caller's (..., P)
+  arrays.  The offline baseline smooths all of its (topic, word) tracks
+  with one pass of each per sweep.
 * ``forward_steps``/``backward_steps`` are dense.  They hold every
   (step, track) cell and return the whole filtered and smoothed
-  trajectory, which the offline baseline and ``kalman_posterior`` need.
-  Both can write into caller-owned arrays (``out``), and may overwrite
-  their input there, so the offline baseline smooths all of its (step,
-  topic, word) tracks in one pass without another array of that size.
+  trajectory, which ``kalman_posterior`` needs.
 
 The forward pass is the scalar Kalman filter written in gain form,
 
@@ -125,21 +127,18 @@ class WordCounts:
         return self.counts.sum(axis=1)
 
 
-def forward_steps(timestamps, beta_hat, obs_variance, present, cfg, prior_mean=None, prior_var=None,
-                  out=None):
+def forward_steps(timestamps, beta_hat, obs_variance, present, cfg, prior_mean=None, prior_var=None):
     """Vectorized filter: arrays shaped (steps, ...) over any number of tracks.
 
-    Returns the filtered (means, variances), written into ``out`` when it
-    is given.  ``beta_hat`` may be ``out[0]``: row t is read before it is
-    written.  Scalar use is the (steps,) special case.
+    Returns the filtered (means, variances).  Scalar use is the (steps,)
+    special case.
     """
     shape = beta_hat.shape[1:]
     m_prev = np.array(np.broadcast_to(cfg.prior_mean if prior_mean is None else prior_mean, shape), dtype=float)
     v_prev = np.array(np.broadcast_to(cfg.prior_variance if prior_var is None else prior_var, shape), dtype=float)
 
-    if out is None:
-        out = np.empty_like(beta_hat, dtype=float), np.empty_like(beta_hat, dtype=float)
-    means, variances = out
+    means = np.empty_like(beta_hat, dtype=float)
+    variances = np.empty_like(beta_hat, dtype=float)
     for t in range(beta_hat.shape[0]):
         delta = timestamps[t] - timestamps[t - 1] if t > 0 else 0.0
         p = v_prev + cfg.process_variance * delta
@@ -186,16 +185,10 @@ def terminal_filter(timestamps, observed, beta_hat, obs_variance, cfg, prior_mea
     return mean, var
 
 
-def backward_steps(timestamps, fwd_means, fwd_vars, cfg, out=None):
-    """Vectorized fixed-interval smoother matching ``forward_steps``.
-
-    Returns the smoothed (means, variances), written into ``out`` when it
-    is given; ``out`` may be (``fwd_means``, ``fwd_vars``) themselves,
-    because row t - 1 of the filter is read before it is overwritten.
-    """
-    if out is None:
-        out = np.empty_like(fwd_means, dtype=float), np.empty_like(fwd_vars, dtype=float)
-    sm, sv = out
+def backward_steps(timestamps, fwd_means, fwd_vars, cfg):
+    """Vectorized fixed-interval smoother matching ``forward_steps``; returns the smoothed (means, variances)."""
+    sm = np.empty_like(fwd_means, dtype=float)
+    sv = np.empty_like(fwd_vars, dtype=float)
     sm[-1], sv[-1] = fwd_means[-1], fwd_vars[-1]
     for t in range(fwd_means.shape[0] - 1, 0, -1):
         delta = timestamps[t] - timestamps[t - 1]
@@ -205,6 +198,82 @@ def backward_steps(timestamps, fwd_means, fwd_vars, cfg, out=None):
         ratio = fwd_vars[t - 1] / denom
         sv[t - 1] = fwd_vars[t - 1] + ratio * ratio * (sv[t] - denom)
     return sm, sv
+
+
+def _pair_steps(timestamps, starts, columns):
+    """Timestamps as floats, each step's (first pair, end pair, columns) and the column count, validated."""
+    ts = np.asarray(timestamps, dtype=float)
+    starts = np.asarray(starts)
+    if (starts.shape != (ts.size + 1,) or starts[0] != 0 or starts[-1] != len(columns)
+            or (np.diff(starts) < 0).any()):
+        raise ShapeMismatchError("starts must bound the pairs of every timestamp, from 0 to P")
+    bounds = starts.tolist()
+    steps = [(lo, hi, columns[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return ts, steps, int(np.max(columns, initial=-1)) + 1
+
+
+def pair_filter(timestamps, starts, columns, beta_hat, obs_variance, cfg):
+    """Sparse filter over observed (step, column) pairs, in place.
+
+    The last axis of ``beta_hat`` and ``obs_variance`` indexes P pairs
+    grouped by step: ``starts[s]:starts[s + 1]`` are the pairs observed at
+    ``timestamps[s]``, ``columns`` gives each pair's column, and a column
+    appears at most once per step.  Leading axes are independent tracks
+    that share the pattern.  The prior ``cfg`` applies at
+    ``timestamps[0]``.  Each column remembers when it was last updated, so
+    its prediction variance grows by v * (t - last) in one step across any
+    gap, as in ``terminal_filter``.  The filtered mean and variance of
+    each pair overwrite its pseudo-observation and its variance; both
+    arrays are returned.  At the observed cells this equals
+    ``forward_steps`` up to rounding.
+    """
+    ts, steps, width = _pair_steps(timestamps, starts, columns)
+    shape = beta_hat.shape[:-1] + (width,)
+    mean = np.full(shape, float(cfg.prior_mean))
+    var = np.full(shape, float(cfg.prior_variance))
+    last = np.full(shape[-1], ts[0])
+    v = cfg.process_variance
+    for t, (lo, hi, cols) in zip(ts, steps):
+        p = var[..., cols] + v * (t - last[cols])
+        gain = p / (p + obs_variance[..., lo:hi])
+        m = mean[..., cols]
+        mean[..., cols] = beta_hat[..., lo:hi] = m + gain * (beta_hat[..., lo:hi] - m)
+        var[..., cols] = obs_variance[..., lo:hi] = (1.0 - gain) * p
+        last[cols] = t
+    return beta_hat, obs_variance
+
+
+def pair_smoother(timestamps, starts, columns, means, variances, cfg):
+    """Fixed-interval smoother matching ``pair_filter``, in place.
+
+    ``means`` and ``variances`` hold the filtered state at the pairs laid
+    out as for ``pair_filter``; the smoothed state overwrites them, and
+    both arrays are returned.  The steps are visited in descending order,
+    and each column carries the smoothed state and the time of its next
+    observation, so a gap takes one step.  At a column's last observation
+    the smoothed state is the filtered one.  At the observed cells this
+    equals ``backward_steps`` up to rounding.
+    """
+    columns = np.asarray(columns)
+    ts, steps, width = _pair_steps(timestamps, starts, columns)
+    # each column's last pair seeds its "next observation": a zero gap leaves that pair's state as it is
+    last = np.zeros(width, dtype=np.intp)
+    np.maximum.at(last, columns, np.arange(columns.size))
+    next_mean, next_var = means[..., last], variances[..., last]
+    next_t = np.repeat(ts, np.diff(np.asarray(starts)))[last]
+    v = cfg.process_variance
+    for t, (lo, hi, cols) in zip(ts[::-1], steps[::-1]):
+        gap = v * (next_t[cols] - t)
+        fm, fv = means[..., lo:hi], variances[..., lo:hi]
+        denom = fv + gap
+        w = gap / denom
+        ratio = fv / denom
+        sm = w * fm + (1.0 - w) * next_mean[..., cols]
+        sv = fv + ratio * ratio * (next_var[..., cols] - denom)
+        next_mean[..., cols] = means[..., lo:hi] = sm
+        next_var[..., cols] = variances[..., lo:hi] = sv
+        next_t[cols] = t
+    return means, variances
 
 
 def kalman_forward(track, cfg):

@@ -12,21 +12,23 @@ one-document coordinate ascent that ``online_hdp._fit_block`` replaced;
 ``mixture_e_step``, ``reference_train_cdtm`` and ``reference_cdtm_heldout``,
 the one-document mixture fit and the per-document loops of the fixed-K
 baseline that ``fixed_k_dtm._mixture_e_step`` replaced, with
-``reference_smooth_topics``, its per-topic filter and smoother loop that
-``fixed_k_dtm._smooth_topics`` replaced.
+``reference_smooth_topics``, its per-topic dense filter and smoother loop,
+and ``DenseCdtmModel``, the dense (K, S, V) state with linear
+interpolation between knots that the pair state of ``fixed_k_dtm``
+replaced.
 ``payload_array`` and ``set_payload_array`` read and edit the arrays of
 a parsed checkpoint with ``base64`` and numpy alone.
 """
 
 import base64
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
 from topicdrift.corpus import doc_words
 from topicdrift.errors import NumericalError
-from topicdrift.fixed_k_dtm import CdtmModel
 from topicdrift.kalman import DriftConfig, backward_steps, forward_steps
 from topicdrift.online_hdp import (
     DocVariational,
@@ -263,9 +265,39 @@ def mixture_e_step(words, n, logp_doc, alpha, max_iter=50, tol=1e-4):
     return gamma, phi, bound, it
 
 
+@dataclass
+class DenseCdtmModel:
+    """The former ``CdtmModel``: (K, S, V) smoothed means and variances at every knot."""
+
+    K: int
+    alpha_dirichlet: float
+    vocab_size: int
+    knots: np.ndarray = None
+    means: np.ndarray = None
+    variances: np.ndarray = None
+    objective_trace: list = field(default_factory=list)
+
+    def means_at(self, ts):
+        """Linear (Brownian-bridge) interpolation of the (K, S, V) tracks at ts, clamped to the knots."""
+        knots, means = self.knots, self.means
+        if ts <= knots[0]:
+            return means[:, 0, :]
+        if ts >= knots[-1]:
+            return means[:, -1, :]
+        hi = int(np.searchsorted(knots, ts, side="right"))
+        lo = hi - 1
+        w = (ts - knots[lo]) / (knots[hi] - knots[lo])
+        return (1.0 - w) * means[:, lo, :] + w * means[:, hi, :]
+
+    def log_word_probs_at(self, ts):
+        eta = self.means_at(ts)
+        eta = eta - eta.max(axis=1, keepdims=True)
+        return eta - np.log(np.exp(eta).sum(axis=1, keepdims=True))
+
+
 def reference_train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smoothing=0.01,
                          vocab_size=None):
-    """The former ``train_cdtm``: one mixture fit per document, every knot's log-probs cached."""
+    """The former ``train_cdtm``: one mixture fit per document, every knot's log-probs cached, dense state."""
     ts = [d.timestamp for d in train_docs]
     if vocab_size is None:
         vocab_size = 1 + max(max(d.counts) for d in train_docs)
@@ -279,11 +311,10 @@ def reference_train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0
         for w in doc.counts:
             present[doc_knot[i], w] = True
 
-    model = CdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size)
+    model = DenseCdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size)
     model.knots = knots
     model.means = base + rng.normal(0.0, 0.1, (k, 1, vocab_size)) * np.ones((1, s, 1))
     model.variances = np.full((k, s, vocab_size), drift.prior_variance)
-    model.trained = True
 
     for _ in range(sweeps):
         objective = 0.0

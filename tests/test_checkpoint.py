@@ -206,23 +206,35 @@ def array_misencoded(draw, raw):
     return json.dumps(payload).encode()
 
 
+def index_broken(draw, payload, name, size):
+    """The payload with its flat index array ``name`` into ``size`` cells out of range, duplicated or unsorted."""
+    index = payload_array(payload, name).copy()
+    fault = draw(st.sampled_from(["above", "below", "duplicated", "unsorted"]))
+    i = draw(st.integers(0, index.size - 2))
+    if fault == "above":
+        index[-1] = size + draw(st.integers(0, 10**6))
+    elif fault == "below":
+        index[0] = -1 - draw(st.integers(0, 10**6))
+    elif fault == "duplicated":
+        index[i + 1] = index[i]
+    else:
+        index[i], index[i + 1] = index[i + 1], index[i]
+    set_payload_array(payload, name, index)
+    return json.dumps(payload).encode()
+
+
 @st.composite
 def tracked_index_broken(draw, raw):
     payload = json.loads(raw)
-    tracked = payload_array(payload, "tracked").copy()
     size = payload["header"]["config"]["hyper"]["K_corpus"] * payload["header"]["vocab_size"]
-    fault = draw(st.sampled_from(["above", "below", "duplicated", "unsorted"]))
-    i = draw(st.integers(0, tracked.size - 2))
-    if fault == "above":
-        tracked[-1] = size + draw(st.integers(0, 10**6))
-    elif fault == "below":
-        tracked[0] = -1 - draw(st.integers(0, 10**6))
-    elif fault == "duplicated":
-        tracked[i + 1] = tracked[i]
-    else:
-        tracked[i], tracked[i + 1] = tracked[i + 1], tracked[i]
-    set_payload_array(payload, "tracked", tracked)
-    return json.dumps(payload).encode()
+    return index_broken(draw, payload, "tracked", size)
+
+
+@st.composite
+def pairs_broken(draw, raw):
+    payload = json.loads(raw)
+    size = payload_array(payload, "knots").size * payload["header"]["vocab_size"]
+    return index_broken(draw, payload, "pairs", size)
 
 
 DAMAGES = [truncated, key_deleted, leaf_retyped, array_misencoded]
@@ -239,7 +251,7 @@ def test_timeline_exits_2_on_a_damaged_checkpoint(trained, kind, damage, data):
     assert code == 2 and err.startswith("error: "), err
 
 
-@pytest.mark.parametrize("damage", DAMAGES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("damage", DAMAGES + [pairs_broken], ids=lambda d: d.__name__)
 @DAMAGE
 @given(data=st.data())
 def test_a_damaged_cdtm_checkpoint_raises_parameter_error(trained, damage, data):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    DenseCdtmModel,
     mixture_e_step,
     payload_array,
     reference_cdtm_heldout,
@@ -17,7 +18,8 @@ from helpers import (
     reference_train_cdtm,
     set_payload_array,
 )
-from topicdrift import fixed_k_dtm
+from topicdrift import fixed_k_dtm, kalman
+from topicdrift.checkpoint import write_checkpoint
 from topicdrift.corpus import Document
 from topicdrift.errors import NumericalError, ParameterError, StateError
 from topicdrift.fixed_k_dtm import (
@@ -59,11 +61,18 @@ class TestTraining:
             train_cdtm([Document("a", 0.0, {0: 1}, 1)], 2, DriftConfig(0.1), 1,
                        np.random.default_rng(0), **setting)
 
+    @pytest.mark.parametrize("counts", [{}, {50: 1}, {-1: 2}])
+    def test_words_outside_the_vocabulary_rejected(self, counts):
+        docs = [Document("a", 0.0, {0: 1}, 1), Document("b", 1.0, counts, 2)]
+        with pytest.raises(ParameterError, match="words in"):
+            train_cdtm(docs, 2, DriftConfig(0.1), 1, np.random.default_rng(0), vocab_size=50)
+
     def test_zero_drift_keeps_topics_constant_over_time(self):
         train, _ = train_test_split(n_docs=60)
         model = train_cdtm(train, 2, DriftConfig(0.0), sweeps=3,
                            rng=np.random.default_rng(1), vocab_size=50)
-        spread = np.abs(model.means - model.means[:, :1, :]).max()
+        first = model.means_at(model.knots[0])
+        spread = max(np.abs(model.means_at(t) - first).max() for t in model.knots)
         assert spread < 1e-9
 
     def test_single_topic_tracks_corpus_frequencies(self):
@@ -112,14 +121,20 @@ class TestTraining:
         assert a.objective_trace == b.objective_trace
 
 
+def every_pair_observed(model, means):
+    """Give a hand-built model (K, S, V) ``means`` as the pair state, with every (knot, word) pair observed."""
+    model.pairs = np.arange(means.shape[1] * means.shape[2])
+    model.means = means.reshape(means.shape[0], -1)
+    model.variances = np.ones_like(model.means)
+    model.trained = True
+    return model
+
+
 class TestHeldout:
     def uniform_model(self, vocab=100):
         model = CdtmModel(K=3, alpha_dirichlet=1.0, vocab_size=vocab)
         model.knots = np.array([0.0, 10.0])
-        model.means = np.zeros((3, 2, vocab))
-        model.variances = np.ones((3, 2, vocab))
-        model.trained = True
-        return model
+        return every_pair_observed(model, np.zeros((3, 2, vocab)))
 
     def test_uniform_topics_score_log_inverse_vocab(self):
         model = self.uniform_model()
@@ -139,12 +154,10 @@ class TestHeldout:
     def test_matches_explicit_mixture_computation(self):
         model = CdtmModel(K=2, alpha_dirichlet=1.0, vocab_size=3)
         model.knots = np.array([0.0, 1.0])
-        model.means = np.stack([
+        every_pair_observed(model, np.stack([
             np.tile(np.log([0.6, 0.3, 0.1]), (2, 1)),
             np.tile(np.log([0.1, 0.1, 0.8]), (2, 1)),
-        ])
-        model.variances = np.ones((2, 2, 3))
-        model.trained = True
+        ]))
         doc = Document("a", 0.5, {0: 2, 1: 1, 2: 3}, 6)
         ((_, _, total, _),) = cdtm_heldout_loglik(model, [doc])
 
@@ -165,9 +178,7 @@ class TestHeldout:
     def test_interpolation_between_knots(self):
         model = CdtmModel(K=1, alpha_dirichlet=1.0, vocab_size=2)
         model.knots = np.array([0.0, 10.0])
-        model.means = np.array([[[0.0, 0.0], [2.0, 0.0]]])
-        model.variances = np.ones((1, 2, 2))
-        model.trained = True
+        every_pair_observed(model, np.array([[[0.0, 0.0], [2.0, 0.0]]]))
         mid = model.log_word_probs_at(5.0)
         expected = np.log(np.exp([1.0, 0.0]) / np.exp([1.0, 0.0]).sum())
         np.testing.assert_allclose(mid[0], expected, atol=1e-12)
@@ -263,13 +274,35 @@ def unsorted_heldout(docs, train, rng):
     return [held[i] for i in rng.permutation(len(held))]
 
 
+# words 30, 31 and 32 of a 33-word vocabulary: seen only at the first knot, only at the last, never
+EDGE_VOCAB = 33
+
+
+def with_edge_words(train):
+    """The training documents with word 30 added to the first one only and word 31 to the last one only."""
+    first, last = train[0], train[-1]
+    return ([dataclasses.replace(first, counts={**first.counts, 30: 2}, total_tokens=first.total_tokens + 2)]
+            + train[1:-1]
+            + [dataclasses.replace(last, counts={**last.counts, 31: 1}, total_tokens=last.total_tokens + 1)])
+
+
+def at_pairs(model, dense):
+    """A dense (K, S, V) array read at the model's observed pairs, as (K, P)."""
+    return dense.reshape(dense.shape[0], -1)[:, model.pairs]
+
+
+def probe_times(knots):
+    """Every knot, a time between each two, and times before and after the knots."""
+    return [*knots, *(knots[:-1] + np.diff(knots) / 3), knots[0] - 3600.0, knots[-1] + 86400.0]
+
+
 class TestMatchesPerDocumentLoops:
-    """Training and scoring against the former per-document loops (tests/helpers.py), within 1e-10."""
+    """Training and scoring against the former dense per-document loops (tests/helpers.py), within 1e-10."""
 
     @pytest.mark.parametrize("stream", ["daily", "distinct"])
     def test_states_objective_and_scores(self, stream):
         docs = daily_stream() if stream == "daily" else uniform_stream(150, 30, seed=5)
-        train = docs[::2]
+        train = with_edge_words(docs[::2])
         held = unsorted_heldout(docs, train, np.random.default_rng(9))
         if stream == "daily":
             assert len({d.timestamp for d in train}) < len(train) / 2
@@ -278,73 +311,112 @@ class TestMatchesPerDocumentLoops:
         blocks = [held[i:i + BLOCK_DOCS] for i in range(0, len(held), BLOCK_DOCS)]
         assert len(blocks) > 2
         assert any(len({d.timestamp for d in block}) < len(block) for block in blocks)
-        args = (train, 4, DriftConfig(1e-6), 3)
-        model = train_cdtm(*args, np.random.default_rng(2), alpha=0.7, vocab_size=30)
-        ref = reference_train_cdtm(*args, np.random.default_rng(2), alpha=0.7, vocab_size=30)
-        assert_close(model.means, ref.means)
-        assert_close(model.variances, ref.variances)
-        assert_close(model.objective_trace, ref.objective_trace)
-        records, ref_records = cdtm_heldout_loglik(model, held), reference_cdtm_heldout(ref, held)
-        assert [(i, ts, n) for i, ts, _, n in records] == [(i, ts, n) for i, ts, _, n in ref_records]
-        assert_close([r[2] for r in records], [r[2] for r in ref_records])
+        for drift in (0.0, 1e-6):
+            args = (train, 4, DriftConfig(drift), 3)
+            model = train_cdtm(*args, np.random.default_rng(2), alpha=0.7, vocab_size=EDGE_VOCAB)
+            ref = reference_train_cdtm(*args, np.random.default_rng(2), alpha=0.7, vocab_size=EDGE_VOCAB)
+            knot, word = np.divmod(model.pairs, EDGE_VOCAB)
+            assert set(knot[word == 30]) == {0} and set(knot[word == 31]) == {model.knots.size - 1}
+            assert 32 not in word and model.pairs.size < model.knots.size * 30
+            assert_close(model.means, at_pairs(model, ref.means))
+            assert_close(model.variances, at_pairs(model, ref.variances))
+            assert_close(model.objective_trace, ref.objective_trace)
+            for ts in probe_times(model.knots):
+                assert_close(model.log_word_probs_at(ts), ref.log_word_probs_at(ts))
+            records, ref_records = cdtm_heldout_loglik(model, held), reference_cdtm_heldout(ref, held)
+            assert [(i, ts, n) for i, ts, _, n in records] == [(i, ts, n) for i, ts, _, n in ref_records]
+            assert_close([r[2] for r in records], [r[2] for r in ref_records])
 
 
 def smoothing_inputs(k=20, s=30, v=100, seed=0):
-    """A model with random (K, S, V) state, irregular knots and random expected counts and presence."""
+    """Irregular knots, random observed pairs and random (K, P) expected counts, and the same as dense inputs.
+
+    Every knot has a pair; word v - 2 is observed only at the first knot,
+    word v - 3 first at the last knot, and word v - 1 never.  Returns
+    (model, expected, dense model, dense expected, present, cfg).
+    """
     rng = np.random.default_rng(seed)
-    model = CdtmModel(K=k, alpha_dirichlet=1.0, vocab_size=v)
-    model.knots = np.cumsum(rng.uniform(0.1, 5.0, s))
-    model.means = rng.normal(size=(k, s, v))
-    model.variances = rng.uniform(0.5, 2.0, (k, s, v))
-    expected = rng.gamma(0.3, 2.0, (k, s, v)) * (rng.random((k, s, v)) < 0.4)
+    knots = np.cumsum(rng.uniform(0.1, 5.0, s))
     present = rng.random((s, v)) < 0.3
+    present[np.arange(s), rng.integers(0, v - 3, s)] = True
+    present[:, v - 3:] = False
+    present[0, v - 2] = present[-1, v - 3] = True
+    pairs = np.flatnonzero(present)
+    expected = rng.gamma(0.3, 2.0, (k, pairs.size))
     cfg = DriftConfig(0.05, prior_mean=math.log(1 / v), prior_variance=1.5)
-    return model, expected, present, cfg
+    model = CdtmModel(K=k, alpha_dirichlet=1.0, vocab_size=v, process_variance=0.05, prior_variance=1.5,
+                      knots=knots, pairs=pairs)
+    dense = DenseCdtmModel(K=k, alpha_dirichlet=1.0, vocab_size=v, knots=knots,
+                           means=np.empty((k, s, v)), variances=np.empty((k, s, v)))
+    dense_expected = np.zeros((k, s * v))
+    dense_expected[:, pairs] = expected
+    return model, expected, dense, dense_expected.reshape(k, s, v), present, cfg
 
 
 class TestSmoothTopics:
-    """One filter and smoother pass over all K topics, against the former per-topic loop."""
+    """One sparse filter and smoother pass over all K topics, against the former dense per-topic loop."""
 
-    def test_equals_the_per_topic_loop_bit_for_bit(self):
-        model, expected, present, cfg = smoothing_inputs()
-        ref = dataclasses.replace(model, means=model.means.copy(), variances=model.variances.copy())
-        reference_smooth_topics(ref, expected.copy(), present, cfg, 0.1, 0.01)
-        _smooth_topics(model, expected, present, cfg, 0.1, 0.01)
-        assert (model.means == ref.means).all()
-        assert (model.variances == ref.variances).all()
+    def test_matches_the_dense_per_topic_loop(self):
+        model, expected, dense, dense_expected, present, cfg = smoothing_inputs()
+        reference_smooth_topics(dense, dense_expected, present, cfg, 0.1, 0.01)
+        _smooth_topics(model, expected, cfg, 0.1, 0.01)
+        model.trained = True
+        assert_close(model.means, at_pairs(model, dense.means))
+        assert_close(model.variances, at_pairs(model, dense.variances))
+        # the closed form at any time, including before a word's first observation
+        for ts in probe_times(model.knots):
+            assert_close(model.means_at(ts), dense.means_at(ts))
 
     def test_one_filter_and_smoother_call_per_sweep(self, monkeypatch):
         calls = []
 
-        def counted(name):
-            original = getattr(fixed_k_dtm, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def call(*args, **kwargs):
                 calls.append(name)
                 return original(*args, **kwargs)
             return call
 
-        for name in ("forward_steps", "backward_steps"):
-            monkeypatch.setattr(fixed_k_dtm, name, counted(name))
-        train, _ = train_test_split(n_docs=40)
-        train_cdtm(train, 3, DriftConfig(1e-8), 2, np.random.default_rng(0), vocab_size=50)
-        assert calls == ["forward_steps", "backward_steps"] * 2
+        for name in ("pair_filter", "pair_smoother"):
+            monkeypatch.setattr(fixed_k_dtm, name, counted(fixed_k_dtm, name))
+        for name in ("forward_steps", "backward_steps", "terminal_filter"):
+            monkeypatch.setattr(kalman, name, counted(kalman, name))
+        assert not {"forward_steps", "backward_steps", "terminal_filter"} & set(vars(fixed_k_dtm))
+        train, test = train_test_split(n_docs=40)
+        model = train_cdtm(train, 3, DriftConfig(1e-8), 2, np.random.default_rng(0), vocab_size=50)
+        cdtm_heldout_loglik(model, test)
+        assert calls == ["pair_filter", "pair_smoother"] * 2
 
     def test_peak_memory_below_one_state_array(self):
-        model, expected, present, cfg = smoothing_inputs()
+        model, expected, *_, cfg = smoothing_inputs()
         tracemalloc.start()
         try:
-            _smooth_topics(model, expected, present, cfg, 0.1, 0.01)
+            _smooth_topics(model, expected, cfg, 0.1, 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < model.means.nbytes
+        # the new means and the (K, V) filter and smoother state; expected becomes the variances
+        assert peak < 2 * model.means.nbytes
+
+    def test_training_peak_stays_below_one_dense_array(self):
+        k, vocab = 20, 2000
+        docs = uniform_stream(200, vocab, seed=3)
+        tracemalloc.start()
+        try:
+            model = train_cdtm(docs, k, DriftConfig(1e-6), 2, np.random.default_rng(0), vocab_size=vocab)
+            cdtm_heldout_loglik(model, docs[:BLOCK_DOCS])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.knots.size == 200
+        assert peak < k * model.knots.size * vocab * 8  # one (K, S, V) float array: 64 MB
 
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         train, test = train_test_split(n_docs=40)
-        model = train_cdtm(train, 2, DriftConfig(1e-8), 2,
+        model = train_cdtm(train, 2, DriftConfig(1e-8, prior_variance=0.5), 2,
                            np.random.default_rng(8), vocab_size=50)
         path = tmp_path / "cdtm.json"
         save_checkpoint(model, path)
@@ -352,23 +424,50 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.means, model.means)
         np.testing.assert_array_equal(loaded.variances, model.variances)
         np.testing.assert_array_equal(loaded.knots, model.knots)
+        np.testing.assert_array_equal(loaded.pairs, model.pairs)
         assert loaded.objective_trace == model.objective_trace
         assert (loaded.K, loaded.alpha_dirichlet, loaded.vocab_size) == (model.K, model.alpha_dirichlet, 50)
+        assert (loaded.process_variance, loaded.prior_variance) == (1e-8, 0.5)
         assert cdtm_heldout_loglik(loaded, test[:3]) == cdtm_heldout_loglik(model, test[:3])
 
-    @pytest.mark.parametrize("name, corrupt, message", [
-        ("means", lambda a: a.transpose(1, 0, 2), "are not (K, S, V)"),
-        ("variances", lambda a: a[:, :, :-1], "are not (K, S, V)"),
-        ("knots", lambda a: a[::-1], "strictly ascending"),
-    ])
-    def test_load_rejects_an_inconsistent_state(self, tmp_path, name, corrupt, message):
+    @staticmethod
+    def saved(tmp_path):
+        """A trained model's checkpoint path and its parsed payload."""
         train, _ = train_test_split(n_docs=40)
         model = train_cdtm(train, 2, DriftConfig(1e-8), 1, np.random.default_rng(8), vocab_size=50)
         assert model.knots.size > 2
         path = tmp_path / "cdtm.json"
         save_checkpoint(model, path)
-        payload = json.loads(path.read_text())
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("name, corrupt, message", [
+        ("means", lambda a: a.T, "are not (K, P)"),
+        ("variances", lambda a: a[:, :-1], "are not (K, P)"),
+        ("knots", lambda a: a[::-1], "strictly ascending"),
+        ("pairs", lambda a: a[::-1], "strictly increasing"),
+        ("pairs", lambda a: a + 50, "in [0, S * V)"),
+    ])
+    def test_load_rejects_an_inconsistent_state(self, tmp_path, name, corrupt, message):
+        path, payload = self.saved(tmp_path)
         set_payload_array(payload, name, corrupt(payload_array(payload, name)))
         path.write_text(json.dumps(payload))
         with pytest.raises(ParameterError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    def test_load_rejects_a_knot_without_a_pair(self, tmp_path):
+        path, payload = self.saved(tmp_path)
+        keep = payload_array(payload, "pairs") // 50 != 1
+        for name in ("pairs", "means", "variances"):
+            set_payload_array(payload, name, payload_array(payload, name)[..., keep])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParameterError, match="a knot without an observed pair"):
+            load_checkpoint(path)
+
+    def test_former_dense_state_asks_to_retrain(self, tmp_path):
+        path = tmp_path / "dense.json"
+        dense = np.zeros((2, 3, 5))
+        write_checkpoint("cdtm", {"K": 2, "alpha_dirichlet": 1.0, "vocab_size": 5},
+                         {"knots": np.arange(3.0), "means": dense, "variances": dense + 1.0,
+                          "objective_trace": np.zeros(2)}, path)
+        with pytest.raises(ParameterError, match="dense .* re-train"):
             load_checkpoint(path)

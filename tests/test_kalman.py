@@ -12,10 +12,14 @@ from topicdrift.kalman import (
     KalmanPosterior,
     ObservationTrack,
     WordCounts,
+    backward_steps,
+    forward_steps,
     kalman_backward,
     kalman_forward,
     kalman_lower_bound,
     kalman_posterior,
+    pair_filter,
+    pair_smoother,
     terminal_filter,
 )
 
@@ -217,6 +221,64 @@ class TestTerminalFilter:
     def test_observed_must_cover_every_timestamp(self):
         with pytest.raises(ShapeMismatchError):
             terminal_filter([0.0, 1.0], [np.array([0])], np.zeros(2), 0.1, DriftConfig(0.1), 0.0, 1.0)
+
+
+class TestPairFilterAndSmoother:
+    """The sparse pair filter and smoother against the dense ones at the observed cells, within 1e-10."""
+
+    @staticmethod
+    def observations(seed, steps=25, topics=3, words=12):
+        """Irregular timestamps, a presence mask with every step observed, values and noise per cell.
+
+        Column words - 3 is observed only at the first step, words - 2 only
+        at the last and words - 1 never.
+        """
+        rng = np.random.default_rng(seed)
+        ts = np.cumsum(rng.uniform(0.01, 5.0, size=steps))
+        present = rng.random((steps, words)) < 0.3
+        present[np.arange(steps), rng.integers(0, words - 3, steps)] = True
+        present[:, words - 3:] = False
+        present[0, words - 3] = present[-1, words - 2] = True
+        return ts, present, rng.normal(size=(steps, topics, words)), rng.uniform(0.05, 1.0, (steps, topics, words))
+
+    @staticmethod
+    def pair_layout(present):
+        """(starts, columns, step of each pair) of the present cells, step-major."""
+        steps, columns = np.nonzero(present)
+        return np.searchsorted(steps, np.arange(present.shape[0] + 1)), columns, steps
+
+    @pytest.mark.parametrize("v", [0.0, 0.2])
+    def test_match_the_dense_passes_at_observed_cells(self, v):
+        ts, present, values, noise = self.observations(int(v * 10))
+        cfg = DriftConfig(v, prior_mean=-0.5, prior_variance=0.8)
+        f_mean, f_var = forward_steps(ts, values, noise, present[:, None, :], cfg)
+        s_mean, s_var = backward_steps(ts, f_mean, f_var, cfg)
+        starts, columns, steps = self.pair_layout(present)
+        means, variances = values[steps, :, columns].T.copy(), noise[steps, :, columns].T.copy()
+        out = pair_filter(ts, starts, columns, means, variances, cfg)
+        assert out[0] is means and out[1] is variances
+        np.testing.assert_allclose(means, f_mean[steps, :, columns].T, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(variances, f_var[steps, :, columns].T, rtol=1e-10, atol=0)
+        out = pair_smoother(ts, starts, columns, means, variances, cfg)
+        assert out[0] is means and out[1] is variances
+        np.testing.assert_allclose(means, s_mean[steps, :, columns].T, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(variances, s_var[steps, :, columns].T, rtol=1e-10, atol=0)
+
+    def test_last_observation_keeps_its_filtered_state(self):
+        ts, present, values, noise = self.observations(3)
+        cfg = DriftConfig(0.3)
+        starts, columns, steps = self.pair_layout(present)
+        means, variances = pair_filter(ts, starts, columns, values[steps, :, columns].T.copy(),
+                                       noise[steps, :, columns].T.copy(), cfg)
+        last = [np.flatnonzero(columns == w)[-1] for w in np.unique(columns)]
+        filtered = means[:, last].copy(), variances[:, last].copy()
+        pair_smoother(ts, starts, columns, means, variances, cfg)
+        assert (means[:, last] == filtered[0]).all() and (variances[:, last] == filtered[1]).all()
+
+    def test_starts_must_bound_every_timestamp(self):
+        for starts in ([0, 2], [0, 1, 3], [1, 1, 2], [0, 3, 2]):
+            with pytest.raises(ShapeMismatchError):
+                pair_filter([0.0, 1.0], starts, np.array([0, 1]), np.zeros(2), np.ones(2), DriftConfig(0.1))
 
 
 class TestSparseVsDense:
