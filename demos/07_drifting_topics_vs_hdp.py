@@ -10,9 +10,7 @@ the post-gap evidence.
 import numpy as np
 
 from topicdrift.drifting_topics import CidtmConfig, DriftingTopicModel
-from topicdrift.drifting_topics import prequential_run as drift_run
-from topicdrift.online_hdp import HdpHyper, OnlineHdp
-from topicdrift.online_hdp import prequential_run as hdp_run
+from topicdrift.online_hdp import HdpHyper, OnlineHdp, prequential_run
 from topicdrift.synthetic import drifting_stream
 
 docs, post_gap_a = drifting_stream(seed=0)
@@ -25,8 +23,8 @@ drifting = DriftingTopicModel(CidtmConfig(hyper=hyper, drift_v=0.005, obs_var=0.
                               vocab, len(docs), seed=0)
 plain = OnlineHdp(hyper, vocab, len(docs), seed=0)
 
-records_drift = drift_run(drifting, docs, batch_size=16)
-records_plain = hdp_run(plain, docs, batch_size=16)
+records_drift = prequential_run(drifting, docs, batch_size=16)
+records_plain = prequential_run(plain, docs, batch_size=16)
 
 wanted = set(post_gap_a)
 

@@ -134,7 +134,7 @@ def cmd_train(args):
             relevance_threshold=args.threshold,
         )
         model = drifting_topics.DriftingTopicModel(cfg, vocab.size, len(docs), seed=seed)
-        records = drifting_topics.prequential_run(model, docs, args.batch_size)
+        records = online_hdp.prequential_run(model, docs, args.batch_size)
         drifting_topics.save_checkpoint(model, args.checkpoint)
     elif args.model == "cdtm":
         rng = np.random.default_rng(seed)
@@ -156,24 +156,35 @@ def cmd_train(args):
     return 0
 
 
-def _doc_topic_weights(kind, model, docs):
+def _doc_topic_weights(model, docs):
     """Expected topic weights of each document under a loaded online model."""
-    hdp = model.hdp if kind == "cidtm" else model
-    snap = online_hdp.HdpSnapshot.of(hdp.g)
-    elog = model.adjusted_matrices(snap)[0] if kind == "cidtm" else snap.elog_beta
-    return [theta for *_, theta in online_hdp.infer_batch(docs, elog, snap.elog_sticks, hdp.hyper)]
+    elog, elog_sticks, _ = model.expectations()
+    return [theta for *_, theta in online_hdp.infer_batch(docs, elog, elog_sticks, model.hyper)]
+
+
+def _read_labels(path, docs):
+    """doc id -> bool from a ``doc_id<TAB>0|1`` file; at least one id must be a document's."""
+    labels = {}
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            if line.strip():
+                doc_id, value = line.rstrip("\n").split("\t")
+                labels[doc_id] = bool(int(value))
+    if not any(doc.id in labels for doc in docs):
+        raise ConfigurationError(f"no document of the corpus has a label in {path}")
+    return labels
 
 
 def cmd_timeline(args):
     kinds = {"ohdp": online_hdp, "cidtm": drifting_topics}
     kind, header, arrays = read_checkpoint(args.checkpoint, {k: module.ARRAYS for k, module in kinds.items()})
     model = kinds[kind].decode_checkpoint(header, arrays)
-    hyper = model.config.hyper if kind == "cidtm" else model.hyper
-    if not 0 <= args.topic < hyper.K_corpus:
+    if not 0 <= args.topic < model.hyper.K_corpus:
         raise ConfigurationError(f"topic {args.topic} out of range")
     docs = corpus_mod.read_canonical(args.corpus)
     _check_words(docs, model.vocab_size)
-    weights = _doc_topic_weights(kind, model, docs)
+    labels = _read_labels(args.labels, docs) if args.labels else None
+    weights = _doc_topic_weights(model, docs)
     assigned = evaluation.timeline_assign(docs, weights, args.topic, args.threshold)
 
     with open(args.out_assign, "w", encoding="utf-8") as f:
@@ -181,13 +192,7 @@ def cmd_timeline(args):
         for doc, flag, w in zip(docs, assigned, weights):
             f.write(f"{doc.id}\t{doc.timestamp!r}\t{int(flag)}\t{float(w[args.topic])!r}\n")
 
-    if args.labels:
-        labels = {}
-        with open(args.labels, "r", encoding="utf-8") as f:
-            for line in f:
-                if line.strip():
-                    doc_id, value = line.rstrip("\n").split("\t")
-                    labels[doc_id] = bool(int(value))
+    if labels is not None:
         pairs = [(flag, labels[doc.id]) for doc, flag in zip(docs, assigned) if doc.id in labels]
         matrix = evaluation.confusion_from_assignments(*zip(*pairs))
         accuracy, recall, precision = evaluation.confusion_metrics(matrix)

@@ -61,17 +61,10 @@ class Vocabulary:
     def size(self):
         return len(self.index_to_term)
 
-    @property
-    def total_terms(self):
-        return len(self.index_to_term)
-
 
 @dataclass(frozen=True)
 class TokenizerConfig:
-    lowercase: bool = True
     min_token_length: int = 2
-    stopword_list: frozenset = STOPWORDS
-    strip_non_alphanumeric: bool = True
 
     def __post_init__(self):
         if self.min_token_length < 1:
@@ -87,7 +80,6 @@ class ParseResult:
 _REUTERS_OPEN = re.compile(r"<REUTERS\b[^>]*>")
 _NEWID = re.compile(r'NEWID="([^"]*)"')
 _TOKEN = re.compile(r"[a-z0-9]+")
-_TOKEN_CASED = re.compile(r"[A-Za-z0-9]+")
 
 _REUTERS_TS = re.compile(
     r"\s*(\d{1,2})-([A-Za-z]{3})-(\d{4})\s+(\d{1,2}):(\d{2}):(\d{2})(\.\d+)?\s*$"
@@ -209,17 +201,9 @@ def detect_timestamp_format(text):
 
 
 def tokenize(body, cfg=TokenizerConfig()):
-    """Bag-of-words counts for one text under the tokenizer settings."""
-    if cfg.lowercase:
-        body = body.lower()
-    if cfg.strip_non_alphanumeric:
-        tokens = (_TOKEN if cfg.lowercase else _TOKEN_CASED).findall(body)
-    else:
-        tokens = body.split()
-    counts = Counter(
-        t for t in tokens if len(t) >= cfg.min_token_length and t not in cfg.stopword_list
-    )
-    return dict(counts)
+    """Bag-of-words counts of the lowercased ``[a-z0-9]+`` tokens that are long enough and not stopwords."""
+    tokens = _TOKEN.findall(body.lower())
+    return dict(Counter(t for t in tokens if len(t) >= cfg.min_token_length and t not in STOPWORDS))
 
 
 def build_vocabulary(docs, cfg=TokenizerConfig(), min_doc_freq=2):

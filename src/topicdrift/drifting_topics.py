@@ -1,11 +1,15 @@
 """Streaming topic model with continuous-time drifting topics.
 
-This couples the online HDP with per-(topic, word) scalar Kalman tracks
-and an Active/Dead topic lifecycle.  Each batch runs score-then-learn:
+``DriftingTopicModel`` is an ``OnlineHdp`` with per-(topic, word) scalar
+Kalman tracks and an Active/Dead topic lifecycle.  It overrides
+``expectations()``, which shifts the HDP's expectations by the tracks;
+documents are fitted and scored by ``online_hdp.score_batch`` and a
+stream is run by ``online_hdp.prequential_run``, as for the plain model.
+Each batch runs score-then-learn:
 
-1. every document is scored prequentially against the pre-batch state;
-2. the online HDP performs its usual inference and one natural-gradient
-   update;
+1. every document is fitted and scored prequentially against the
+   pre-batch state;
+2. the HDP state takes one natural-gradient step on the batch;
 3. the batch's own topic-word evidence is turned into pseudo-
    observations at the batch's document timestamps and filtered through
    per-(topic, word) Kalman tracks that resume from each topic's
@@ -35,7 +39,7 @@ the (born topic, word) pairs that some batch observed are tracked.
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.special import logsumexp
@@ -50,17 +54,14 @@ from .errors import (
 from .kalman import DriftConfig, terminal_filter
 from .online_hdp import (
     ARRAYS as HDP_ARRAYS,
-    BatchStats,
+    BatchResult,
     HdpHyper,
     HdpSnapshot,
     OnlineHdp,
-    accumulate_stats,
     decode_hdp,
     encode_hdp,
-    infer_batch,
-    mixture_score,
     online_update,
-    topic_word_probs,
+    score_batch,
 )
 
 ACTIVE = "active"
@@ -142,25 +143,18 @@ class CidtmConfig:
             raise ConfigurationError(f"prior_variance must be finite and > 0, got {self.prior_variance}")
 
 
-@dataclass
-class BatchResult:
-    per_doc: list
-    topics_born: set = field(default_factory=set)
-    topics_died: set = field(default_factory=set)
-
-
-class DriftingTopicModel:
+class DriftingTopicModel(OnlineHdp):
     """Online HDP whose topic-word distributions drift in continuous time."""
 
     def __init__(self, config, vocab_size, corpus_scale, seed=42):
+        super().__init__(config.hyper, vocab_size, corpus_scale, seed)
         self.config = config
-        self.hdp = OnlineHdp(config.hyper, vocab_size, corpus_scale, seed)
         self._clear_tracks()
         self.clock = None
 
     def _clear_tracks(self):
         """Every track at the prior and no topic born."""
-        k, v = self.config.hyper.K_corpus, self.vocab_size
+        k, v = self.hyper.K_corpus, self.vocab_size
         self.mean = np.zeros((k, v))
         self.var = np.full((k, v), self.config.prior_variance)
         self.tracked = np.zeros((k, v), dtype=bool)
@@ -168,10 +162,6 @@ class DriftingTopicModel:
         self.active = np.zeros(k, dtype=bool)
         self.deadline = np.zeros(k)
         self.last_update_ts = np.zeros(k)
-
-    @property
-    def vocab_size(self):
-        return self.hdp.vocab_size
 
     @property
     def drift_per_second(self):
@@ -192,9 +182,14 @@ class DriftingTopicModel:
         elog = snap.elog_beta + self.mean - log_z
         return elog, probs
 
+    def expectations(self):
+        """The HDP's expectations with the word terms shifted by the drift tracks."""
+        snap = HdpSnapshot.of(self.g)
+        elog, probs = self.adjusted_matrices(snap)
+        return elog, snap.elog_sticks, probs
+
     def process_batch(self, batch, learn=True):
-        result = process_batch(self, batch, learn=learn)[1]
-        return result
+        return process_batch(self, batch, learn)
 
 
 def evolve_topics(model, to_ts):
@@ -228,11 +223,8 @@ def _kalman_stage(model, batch, stats):
     born = np.flatnonzero(model.born)
     if not born.size:
         return
-    hyper = model.config.hyper
-    scale = model.hdp.corpus_scale / len(batch)
-    fresh = hyper.eta + scale * stats.lam
-    fresh_logp = np.log(fresh / fresh.sum(axis=1, keepdims=True))
-    baseline_logp = np.log(topic_word_probs(model.hdp.g))
+    fresh = model.hyper.eta + model.corpus_scale / len(batch) * stats.lam[born]
+    lam = model.g.lam[born]
 
     doc_words = [np.fromiter(doc.counts, np.intp, len(doc.counts)) for doc in batch]
     words, cols = np.unique(np.concatenate(doc_words), return_inverse=True)
@@ -242,8 +234,10 @@ def _kalman_stage(model, batch, stats):
     steps, cols = np.divmod(np.unique(steps * words.size + cols), words.size)
     observed = np.split(cols, np.searchsorted(steps, np.arange(1, unique_ts.size)))
 
+    # the log-ratio of the batch's and the HDP's word distributions at the born topics' batch words
+    resid = (np.log(fresh[:, words] / fresh.sum(axis=1, keepdims=True))
+             - np.log(lam[:, words] / lam.sum(axis=1, keepdims=True)))
     rows = np.ix_(born, words)
-    resid = fresh_logp[rows] - baseline_logp[rows]
     mean, var = terminal_filter(
         unique_ts, observed, resid, model.config.obs_var, model.drift_config(),
         model.mean[rows], model.var[rows],
@@ -286,42 +280,18 @@ def _lifecycle_stage(model, batch, mixtures):
 def process_batch(model, batch, learn=True):
     """Score-then-learn over one timestamp-ascending batch of documents."""
     if not batch:
-        return model, BatchResult([], set(), set())
+        return BatchResult([])
     ts = _check_batch_order(model, batch)
-
-    snap = HdpSnapshot.of(model.hdp.g)
-    elog_adj, probs_adj = model.adjusted_matrices(snap)
-    hyper = model.config.hyper
-
-    stats = BatchStats.zeros(hyper.K_corpus, model.vocab_size)
-    records, mixtures = [], []
-    fits = infer_batch(batch, elog_adj, snap.elog_sticks, hyper)
-    for doc, (words, n, dv, _, theta) in zip(batch, fits):
-        records.append(
-            (doc.id, doc.timestamp, mixture_score(words, n, theta, probs_adj), int(n.sum()))
-        )
-        mixtures.append(theta)
-        accumulate_stats(stats, dv, words, n)
-
+    records, mixtures, stats = score_batch(model, batch, learn)
     if not learn:
-        return model, BatchResult(records, set(), set())
+        return BatchResult(records)
 
     evolve_topics(model, ts[0])
-    model.hdp.g = online_update(model.hdp.g, stats, hyper, model.hdp.corpus_scale)
+    model.g = online_update(model.g, stats, model.hyper, model.corpus_scale)
     _kalman_stage(model, batch, stats)
     born, died = _lifecycle_stage(model, batch, mixtures)
     model.clock = ts[-1]
-    return model, BatchResult(records, born, died)
-
-
-def prequential_run(model, docs, batch_size):
-    """Run score-then-learn over the whole stream; one record per document."""
-    from .corpus import batch_iter
-
-    records = []
-    for batch in batch_iter(docs, batch_size):
-        records.extend(process_batch(model, batch)[1].per_doc)
-    return records
+    return BatchResult(records, born, died)
 
 
 # the arrays of a "cidtm" checkpoint: the HDP state, the tracked (topic, word) pairs as strictly
@@ -332,7 +302,7 @@ ARRAYS = {**HDP_ARRAYS, "tracked": ("<i8", 1), "mean": ("<f8", 1), "var": ("<f8"
 
 
 def save_checkpoint(model, path):
-    header, arrays = encode_hdp(model.hdp)
+    header, arrays = encode_hdp(model)
     arrays.update({name: getattr(model, name) for name in LIFECYCLE_ARRAYS})
     arrays.update(tracked=np.flatnonzero(model.tracked), mean=model.mean[model.tracked],
                   var=model.var[model.tracked])
@@ -342,9 +312,8 @@ def save_checkpoint(model, path):
 def decode_checkpoint(header, arrays):
     """The DriftingTopicModel of a "cidtm" checkpoint's header and arrays."""
     config = config_from(CidtmConfig, header_value(header, "config", dict))
-    model = DriftingTopicModel.__new__(DriftingTopicModel)
+    model = decode_hdp(DriftingTopicModel.__new__(DriftingTopicModel), header, arrays, config.hyper)
     model.config = config
-    model.hdp = decode_hdp(header, arrays, config.hyper)
     model.clock = header_value(header, "clock", float, nullable=True)
     model._clear_tracks()
     k, v = config.hyper.K_corpus, model.vocab_size

@@ -96,10 +96,10 @@ def confusion_metrics(m):
 
 
 def _train_once(model_kind, docs, config):
-    from .drifting_topics import CidtmConfig, DriftingTopicModel, prequential_run as cidtm_run
+    from .drifting_topics import CidtmConfig, DriftingTopicModel
     from .fixed_k_dtm import train_cdtm
     from .kalman import DriftConfig
-    from .online_hdp import HdpHyper, OnlineHdp, prequential_run as ohdp_run
+    from .online_hdp import HdpHyper, OnlineHdp, prequential_run
 
     seed = config.get("seed", 42)
     batch_size = config.get("batch_size", 16)
@@ -108,12 +108,10 @@ def _train_once(model_kind, docs, config):
         K_corpus=config.get("K_corpus", 20), T_doc=config.get("T_doc", 8)
     )
     if model_kind == "ohdp":
-        model = OnlineHdp(hyper, vocab_size, len(docs), seed=seed)
-        ohdp_run(model, docs, batch_size)
+        prequential_run(OnlineHdp(hyper, vocab_size, len(docs), seed=seed), docs, batch_size)
     elif model_kind == "cidtm":
         cfg = config.get("cidtm_config") or CidtmConfig(hyper=hyper)
-        model = DriftingTopicModel(cfg, vocab_size, len(docs), seed=seed)
-        cidtm_run(model, docs, batch_size)
+        prequential_run(DriftingTopicModel(cfg, vocab_size, len(docs), seed=seed), docs, batch_size)
     elif model_kind == "cdtm":
         rng = np.random.default_rng(seed)
         drift = DriftConfig(config.get("drift_v", 1e-6))

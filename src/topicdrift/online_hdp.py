@@ -10,18 +10,25 @@ The variational family factorizes completely:
 
 Per-document inference is coordinate ascent over (varphi, zeta, a, b)
 holding the corpus state fixed.  ``infer_batch`` is the one entry point
-that fits documents: both online models, the timeline and the single-
-document helpers call it.  It fits BLOCK_DOCS documents at a time with
-one batched kernel, ``_fit_block``: the block's evidence is padded to
-(B, M, K), every update is a stacked matmul or a vectorized digamma,
-and each document still stops at its own sweep.  Corpus-level learning
-is a stochastic natural-gradient step with rate rho_t = (tau0 + t)^(-kappa)
-that blends the current state with the batch estimate scaled up to
-corpus size.
+that fits documents: ``score_batch`` (for both online models), the
+timeline and the single-document helpers call it.  It fits BLOCK_DOCS
+documents at a time with one batched kernel, ``_fit_block``: the
+block's evidence is padded to (B, M, K), every update is a stacked
+matmul or a vectorized digamma, and each document still stops at its
+own sweep.  Corpus-level learning is a stochastic natural-gradient step
+with rate rho_t = (tau0 + t)^(-kappa) that blends the current state
+with the batch estimate scaled up to corpus size.
+
+``OnlineHdp.expectations()`` gives the (K, V) and (K,) expectations a
+batch is fitted and scored against.  The drifting model of
+``drifting_topics`` is an ``OnlineHdp`` subclass that overrides that
+method and adds its drift stages after the HDP step, so ``score_batch``
+is the one fit-and-score loop and ``prequential_run`` the one stream
+runner of both online models.
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -372,6 +379,15 @@ def heldout_doc_loglik(doc, g, hyper, snapshot=None):
     return mixture_score(words, n, theta, snap.word_probs)
 
 
+@dataclass
+class BatchResult:
+    """Per-document records of one batch and the topics it gave birth to or killed."""
+
+    per_doc: list
+    topics_born: set = field(default_factory=set)
+    topics_died: set = field(default_factory=set)
+
+
 class OnlineHdp:
     """Streaming wrapper pairing hyperparameters with the corpus state."""
 
@@ -381,33 +397,44 @@ class OnlineHdp:
         self.corpus_scale = corpus_scale
         self.g = init_global(hyper, vocab_size, corpus_scale, seed)
 
-    def process_batch(self, batch, learn=True):
-        """Score every document against the pre-batch state, then learn once.
-
-        Returns (doc id, timestamp, total loglik, word count) per
-        document, in batch order.
-        """
-        if not batch:
-            return []
+    def expectations(self):
+        """(elog_beta, elog_sticks, word_probs) that documents are fitted and scored against."""
         snap = HdpSnapshot.of(self.g)
-        stats = BatchStats.zeros(self.g.num_topics, self.vocab_size)
-        records = []
-        fits = infer_batch(batch, snap.elog_beta, snap.elog_sticks, self.hyper)
-        for doc, (words, n, dv, _, theta) in zip(batch, fits):
-            score = mixture_score(words, n, theta, snap.word_probs)
-            records.append((doc.id, doc.timestamp, score, int(n.sum())))
-            if learn:
-                accumulate_stats(stats, dv, words, n)
+        return snap.elog_beta, snap.elog_sticks, snap.word_probs
+
+    def process_batch(self, batch, learn=True):
+        """Score every document against the pre-batch state, then learn once."""
+        if not batch:
+            return BatchResult([])
+        records, _, stats = score_batch(self, batch, learn)
         if learn:
             self.g = online_update(self.g, stats, self.hyper, self.corpus_scale)
-        return records
+        return BatchResult(records)
+
+
+def score_batch(model, batch, learn):
+    """Fit and score each document of a batch against ``model.expectations()``.
+
+    Returns the (doc id, timestamp, total loglik, word count) record and
+    the topic weights of each document, in batch order, and the batch's
+    sufficient statistics, which are None unless ``learn`` is true.
+    """
+    elog, elog_sticks, word_probs = model.expectations()
+    stats = BatchStats.zeros(model.hyper.K_corpus, model.vocab_size) if learn else None
+    records, mixtures = [], []
+    for doc, (words, n, dv, _, theta) in zip(batch, infer_batch(batch, elog, elog_sticks, model.hyper)):
+        records.append((doc.id, doc.timestamp, mixture_score(words, n, theta, word_probs), int(n.sum())))
+        mixtures.append(theta)
+        if learn:
+            accumulate_stats(stats, dv, words, n)
+    return records, mixtures, stats
 
 
 def prequential_run(model, docs, batch_size):
-    """Run score-then-learn over the stream; one record per document."""
+    """Run score-then-learn over the stream with either online model; one record per document."""
     records = []
     for batch in batch_iter(docs, batch_size):
-        records.extend(model.process_batch(batch))
+        records.extend(model.process_batch(batch).per_doc)
     return records
 
 
@@ -422,9 +449,8 @@ def encode_hdp(hdp):
     return header, {"lam": g.lam, "stick_u": g.stick_u, "stick_v": g.stick_v}
 
 
-def decode_hdp(header, arrays, hyper):
-    """Rebuild the OnlineHdp that ``encode_hdp`` put in ``header`` and ``arrays``."""
-    model = OnlineHdp.__new__(OnlineHdp)
+def decode_hdp(model, header, arrays, hyper):
+    """Fill ``model`` with the OnlineHdp state that ``encode_hdp`` put in ``header`` and ``arrays``; returns it."""
     model.hyper = hyper
     model.vocab_size = header_value(header, "vocab_size", int)
     model.corpus_scale = header_value(header, "corpus_scale", float)
@@ -444,7 +470,8 @@ def save_checkpoint(model, path):
 
 def decode_checkpoint(header, arrays):
     """The OnlineHdp of an "ohdp" checkpoint's header and arrays."""
-    return decode_hdp(header, arrays, config_from(HdpHyper, header_value(header, "hyper", dict)))
+    hyper = config_from(HdpHyper, header_value(header, "hyper", dict))
+    return decode_hdp(OnlineHdp.__new__(OnlineHdp), header, arrays, hyper)
 
 
 def load_checkpoint(path):

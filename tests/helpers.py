@@ -80,10 +80,10 @@ def dense_kalman_stage(model, batch, stats):
     born = np.flatnonzero(model.born).tolist()
     if not born:
         return
-    scale = model.hdp.corpus_scale / len(batch)
+    scale = model.corpus_scale / len(batch)
     fresh = hyper.eta + scale * stats.lam
     fresh_logp = np.log(fresh / fresh.sum(axis=1, keepdims=True))
-    baseline_logp = np.log(topic_word_probs(model.hdp.g))
+    baseline_logp = np.log(topic_word_probs(model.g))
 
     words = sorted({w for doc in batch for w in doc.counts})
     unique_ts, inverse = np.unique([doc.timestamp for doc in batch], return_inverse=True)

@@ -36,7 +36,6 @@ from topicdrift.drifting_topics import (
     RelevantDoc,
     TopicBorn,
     lifecycle_step,
-    prequential_run as drift_run,
 )
 from topicdrift.errors import LifecycleProtocolError
 from topicdrift.evaluation import ConfusionMatrix, confusion_metrics, runtime_benchmark
@@ -49,6 +48,7 @@ from topicdrift.online_hdp import (
     HdpSnapshot,
     OnlineHdp,
     expected_corpus_weights,
+    prequential_run as drift_run,
     prequential_run as hdp_run,
 )
 from topicdrift.synthetic import drifting_stream, three_topic_corpus, uniform_stream

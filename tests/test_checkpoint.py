@@ -108,7 +108,7 @@ def trained(tmp_path_factory):
     online_hdp.prequential_run(ohdp, docs, batch_size=10)
     online_hdp.save_checkpoint(ohdp, root / "ohdp.json")
     cidtm = drifting_topics.DriftingTopicModel(drifting_topics.CidtmConfig(hyper=hyper), 30, len(docs), seed=1)
-    drifting_topics.prequential_run(cidtm, docs, batch_size=10)
+    online_hdp.prequential_run(cidtm, docs, batch_size=10)
     assert cidtm.tracked.sum() > 10
     drifting_topics.save_checkpoint(cidtm, root / "cidtm.json")
     cdtm = fixed_k_dtm.train_cdtm(docs[:20], 3, DriftConfig(1e-8), 2, np.random.default_rng(2), vocab_size=30)

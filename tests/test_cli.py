@@ -270,6 +270,17 @@ class TestTimeline:
         assert float(values["recall"]) == 1.0
         assert float(values["precision"]) == 1.0
 
+    def test_labels_naming_no_corpus_document_exit_2(self, tmp_path, capsys):
+        corpus, ckpt = self.train_checkpoint(tmp_path)
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("nosuchdoc\t1\n")
+        code = main([
+            "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+            "--topic", "0", "--labels", str(labels), "--out-assign", str(tmp_path / "assign.tsv"),
+        ])
+        assert code == 2
+        assert "no document of the corpus has a label" in capsys.readouterr().err
+
     def test_threshold_sweep_monotone(self, tmp_path):
         corpus, ckpt = self.train_checkpoint(tmp_path)
         counts = []

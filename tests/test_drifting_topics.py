@@ -15,7 +15,6 @@ from topicdrift.corpus import Document
 from topicdrift.drifting_topics import (
     ACTIVE,
     DEAD,
-    BatchResult,
     CidtmConfig,
     DriftingTopicModel,
     IrrelevantDoc,
@@ -25,13 +24,11 @@ from topicdrift.drifting_topics import (
     evolve_topics,
     lifecycle_step,
     load_checkpoint,
-    prequential_run,
     process_batch,
     save_checkpoint,
 )
 from topicdrift.errors import LifecycleProtocolError, ParameterError, TimeOrderError
-from topicdrift.online_hdp import BatchStats, HdpHyper, OnlineHdp
-from topicdrift.online_hdp import prequential_run as hdp_run
+from topicdrift.online_hdp import BatchResult, BatchStats, HdpHyper, OnlineHdp, prequential_run
 from topicdrift.synthetic import drifting_stream, three_topic_corpus
 
 DAY = 86400.0
@@ -232,7 +229,7 @@ def run_pair(docs, batch_size, seed, drift_v, obs_var, hyper=None, threshold=0.0
                       relevance_threshold=threshold)
     drifting = DriftingTopicModel(cfg, _vocab(docs), len(docs), seed=seed)
     plain = OnlineHdp(hyper, _vocab(docs), len(docs), seed=seed)
-    return prequential_run(drifting, docs, batch_size), hdp_run(plain, docs, batch_size)
+    return prequential_run(drifting, docs, batch_size), prequential_run(plain, docs, batch_size)
 
 
 def _vocab(docs):
@@ -281,7 +278,7 @@ class TestProcessBatch:
         results = []
         for _ in range(2):
             model = DriftingTopicModel(small_config(), 25, 40, seed=7)
-            results.append([process_batch(model, b)[1] for b in
+            results.append([process_batch(model, b) for b in
                             (docs[:20], docs[20:])])
         for x, y in zip(results[0], results[1]):
             assert x.per_doc == y.per_doc
@@ -417,7 +414,7 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.hdp.g.lam, model.hdp.g.lam)
+        np.testing.assert_array_equal(loaded.g.lam, model.g.lam)
         assert loaded.clock == model.clock
         assert loaded.config == model.config
         assert_same_state(state_of(loaded), state_of(model))
@@ -435,8 +432,8 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         for name in ("lam", "stick_u", "stick_v"):
-            np.testing.assert_array_equal(getattr(loaded.hdp.g, name), getattr(model.hdp.g, name))
-        assert loaded.hdp.g.update_count == model.hdp.g.update_count
+            np.testing.assert_array_equal(getattr(loaded.g, name), getattr(model.g, name))
+        assert loaded.g.update_count == model.g.update_count
         assert_same_state(state_of(loaded), state_of(model))
 
         # both continue bit-identically over a batch where topics are born and revive
@@ -444,7 +441,7 @@ class TestCheckpoint:
         for batch in (more[:16], more[16:]):
             assert loaded.process_batch(batch) == model.process_batch(batch)
         assert_same_state(state_of(loaded), state_of(model))
-        np.testing.assert_array_equal(loaded.hdp.g.lam, model.hdp.g.lam)
+        np.testing.assert_array_equal(loaded.g.lam, model.g.lam)
 
     def trained_arrays(self, tmp_path):
         path = tmp_path / "model.json"

@@ -260,22 +260,22 @@ class TestInferBatch:
         )
         assert 1 < len(set(ref_sweeps)) and max(ref_sweeps) == MAX_SWEEPS
         sweeps = record_sweeps(monkeypatch)
-        assert_records_match(hdp.process_batch(held, learn=False), records)
-        for got, want in zip(cli._doc_topic_weights("ohdp", hdp, held), mixtures, strict=True):
+        assert_records_match(hdp.process_batch(held, learn=False).per_doc, records)
+        for got, want in zip(cli._doc_topic_weights(hdp, held), mixtures, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
         assert sweeps == ref_sweeps * 2
 
         cfg = drifting_topics.CidtmConfig(hyper=hyper, drift_v=0.02, relevance_threshold=0.2)
         model = drifting_topics.DriftingTopicModel(cfg, 60, len(docs), seed=3)
-        drifting_topics.prequential_run(model, train, batch_size=16)
-        snap = HdpSnapshot.of(model.hdp.g)
+        prequential_run(model, train, batch_size=16)
+        snap = HdpSnapshot.of(model.g)
         elog_adj, probs_adj = model.adjusted_matrices(snap)
         records, mixtures, ref_sweeps = reference_doc_loop(
             held, elog_adj, snap.elog_sticks, probs_adj, hyper
         )
         sweeps.clear()
         assert_records_match(model.process_batch(held, learn=False).per_doc, records)
-        for got, want in zip(cli._doc_topic_weights("cidtm", model, held), mixtures, strict=True):
+        for got, want in zip(cli._doc_topic_weights(model, held), mixtures, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
         assert sweeps == ref_sweeps * 2
 
