@@ -51,7 +51,7 @@ from .errors import (
     ParameterError,
     TimeOrderError,
 )
-from .kalman import DriftConfig, terminal_filter
+from .kalman import DriftConfig, pair_filter
 from .online_hdp import (
     ARRAYS as HDP_ARRAYS,
     BatchResult,
@@ -213,33 +213,40 @@ def _check_batch_order(model, batch):
     return ts
 
 
+def _log_ratio(model, stats, born, words, n_docs):
+    """The log-ratio of the batch's and the HDP's word distributions at the born topics' batch words."""
+    fresh = model.hyper.eta + model.corpus_scale / n_docs * stats.lam[born]
+    lam = model.g.lam[born]
+    return (np.log(fresh[:, words] / fresh.sum(axis=1, keepdims=True))
+            - np.log(lam[:, words] / lam.sum(axis=1, keepdims=True)))
+
+
 def _kalman_stage(model, batch, stats):
     """Filter the batch's fresh topic-word evidence into the drift tracks.
 
     One track per (born topic, batch word); a word is observed at each
-    distinct timestamp of the documents that contain it.  Only the
-    filtered state at the batch's last timestamp is kept.
+    distinct timestamp of the documents that contain it.  Those
+    (timestamp, word) pairs, ordered by timestamp and then word, are the
+    pairs of ``pair_filter``, shared by every born topic: each pair
+    observes its topic's log-ratio at its word with variance ``obs_var``,
+    and the prior is the track's persisted state.  Only the filter's
+    terminal state at the batch's last timestamp is kept.
     """
     born = np.flatnonzero(model.born)
     if not born.size:
         return
-    fresh = model.hyper.eta + model.corpus_scale / len(batch) * stats.lam[born]
-    lam = model.g.lam[born]
-
     doc_words = [np.fromiter(doc.counts, np.intp, len(doc.counts)) for doc in batch]
     words, cols = np.unique(np.concatenate(doc_words), return_inverse=True)
     unique_ts, inverse = np.unique([doc.timestamp for doc in batch], return_inverse=True)
     steps = np.repeat(inverse, [w.size for w in doc_words])
-    # the distinct (timestamp, column) pairs, ordered by timestamp and then column
     steps, cols = np.divmod(np.unique(steps * words.size + cols), words.size)
-    observed = np.split(cols, np.searchsorted(steps, np.arange(1, unique_ts.size)))
+    starts = np.searchsorted(steps, np.arange(unique_ts.size + 1))
 
-    # the log-ratio of the batch's and the HDP's word distributions at the born topics' batch words
-    resid = (np.log(fresh[:, words] / fresh.sum(axis=1, keepdims=True))
-             - np.log(lam[:, words] / lam.sum(axis=1, keepdims=True)))
+    # the (born, V) and (born, W) intermediates are gone before the (born, P) pairs are filtered
+    beta = _log_ratio(model, stats, born, words, len(batch))[:, cols]
     rows = np.ix_(born, words)
-    mean, var = terminal_filter(
-        unique_ts, observed, resid, model.config.obs_var, model.drift_config(),
+    mean, var = pair_filter(
+        unique_ts, starts, cols, beta, np.full(beta.shape, model.config.obs_var), model.drift_config(),
         model.mean[rows], model.var[rows],
     )
 

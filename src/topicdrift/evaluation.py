@@ -128,22 +128,21 @@ def runtime_benchmark(model_kind, docs, prefix_sizes, config, warmup=True):
     warm-up run on the smallest prefix excludes interpreter and cache
     effects; all timed runs are sequential in one process.  Each prefix
     is timed REPEATS times and reported by the median, so one slow run
-    does not move the result.
+    does not move the result.  The repeats run in rounds that time every
+    prefix once, so a swing in the host's speed reaches all prefixes alike.
     """
     sizes = list(prefix_sizes)
     if sizes != sorted(sizes) or (sizes and sizes[-1] > len(docs)):
         raise ParameterError("prefix sizes must be ascending and <= corpus size")
     if warmup and sizes:
         _train_once(model_kind, docs[: min(sizes[0], 200)], config)
-    results = []
-    for size in sizes:
-        seconds = []
-        for _ in range(REPEATS):
+    seconds = [[] for _ in sizes]
+    for _ in range(REPEATS):
+        for size, times in zip(sizes, seconds):
             start = time.perf_counter()
             _train_once(model_kind, docs[:size], config)
-            seconds.append(time.perf_counter() - start)
-        results.append((size, float(np.median(seconds))))
-    return results
+            times.append(time.perf_counter() - start)
+    return [(size, float(np.median(times))) for size, times in zip(sizes, seconds)]
 
 
 def write_series_tsv(series, path):

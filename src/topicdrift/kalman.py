@@ -6,20 +6,16 @@ by v * (t - s).  Pseudo-observations beta_hat of the state are Gaussian
 with variance v_hat and exist only at steps where the word was actually
 seen; other steps propagate the prediction unchanged.
 
-Three implementations share that model:
-
-* ``terminal_filter`` is sparse.  It touches a track only at the steps
-  where it is observed, grows its variance across each gap in one step,
-  and returns only the state at the last timestamp, in memory linear in
-  the number of tracks.  The online drifting model uses it.
-* ``pair_filter``/``pair_smoother`` are sparse too, but keep the whole
-  trajectory at the observed (step, column) pairs: the filtered and then
-  the smoothed state of each pair, in place in the caller's (..., P)
-  arrays.  The offline baseline smooths all of its (topic, word) tracks
-  with one pass of each per sweep.
-* ``forward_steps``/``backward_steps`` are dense.  They hold every
-  (step, track) cell and return the whole filtered and smoothed
-  trajectory, which ``kalman_posterior`` needs.
+One sparse filter and smoother implement that model.  ``pair_filter``
+and ``pair_smoother`` touch a track only at the steps where it is
+observed, grow its variance across each gap in one step, and keep the
+filtered and then the smoothed state of each observed (step, column)
+pair in place in the caller's (..., P) arrays; the filter also returns
+every column's state at the last timestamp.  The online drifting model
+keeps only that terminal state, the offline baseline smooths all of its
+(topic, word) tracks with one pass of each per sweep, and
+``kalman_forward``/``kalman_backward`` run one track whose every step is
+a pair, an absent step being an observation with infinite variance.
 
 The forward pass is the scalar Kalman filter written in gain form,
 
@@ -80,6 +76,8 @@ class ObservationTrack:
         ts = np.asarray(self.timestamps, dtype=float)
         if ts.ndim != 1 or ts.size == 0:
             raise ParameterError("timestamps must be a nonempty 1-d sequence")
+        if not np.isfinite(ts).all():
+            raise ParameterError("timestamps must be finite")
         if np.any(np.diff(ts) <= 0.0):
             raise TimeOrderError("timestamps must be strictly increasing")
         beta = np.asarray(self.beta_hat, dtype=float)
@@ -87,8 +85,8 @@ class ObservationTrack:
         ov = np.broadcast_to(np.asarray(self.obs_variance, dtype=float), ts.shape).copy()
         if beta.shape != ts.shape or present.shape != ts.shape:
             raise ShapeMismatchError("beta_hat and present must align with timestamps")
-        if np.any(ov <= 0.0):
-            raise ParameterError("obs_variance entries must be > 0")
+        if not ((ov > 0.0) & np.isfinite(ov)).all():
+            raise ParameterError("obs_variance entries must be finite and > 0")
         if np.any(~np.isfinite(beta[present])):
             raise ParameterError("beta_hat must be finite at present steps")
         object.__setattr__(self, "timestamps", ts)
@@ -127,79 +125,6 @@ class WordCounts:
         return self.counts.sum(axis=1)
 
 
-def forward_steps(timestamps, beta_hat, obs_variance, present, cfg, prior_mean=None, prior_var=None):
-    """Vectorized filter: arrays shaped (steps, ...) over any number of tracks.
-
-    Returns the filtered (means, variances).  Scalar use is the (steps,)
-    special case.
-    """
-    shape = beta_hat.shape[1:]
-    m_prev = np.array(np.broadcast_to(cfg.prior_mean if prior_mean is None else prior_mean, shape), dtype=float)
-    v_prev = np.array(np.broadcast_to(cfg.prior_variance if prior_var is None else prior_var, shape), dtype=float)
-
-    means = np.empty_like(beta_hat, dtype=float)
-    variances = np.empty_like(beta_hat, dtype=float)
-    for t in range(beta_hat.shape[0]):
-        delta = timestamps[t] - timestamps[t - 1] if t > 0 else 0.0
-        p = v_prev + cfg.process_variance * delta
-        obs = present[t]
-        gain = p / (p + obs_variance[t])
-        beta = np.where(obs, beta_hat[t], 0.0)  # absent values never used
-        means[t] = np.where(obs, m_prev + gain * (beta - m_prev), m_prev)
-        variances[t] = np.where(obs, (1.0 - gain) * p, p)
-        m_prev, v_prev = means[t], variances[t]
-    return means, variances
-
-
-def terminal_filter(timestamps, observed, beta_hat, obs_variance, cfg, prior_mean, prior_var):
-    """Sparse filter returning only the filtered state at ``timestamps[-1]``.
-
-    Tracks are the cells of ``beta_hat``, whose last axis indexes columns
-    that share one observation pattern; ``observed[s]`` lists the columns
-    observed at ``timestamps[s]``, each with its pseudo-observation
-    ``beta_hat`` and variance ``obs_variance`` (broadcast to ``beta_hat``).
-    The prior (``prior_mean``, ``prior_var``, broadcast likewise) applies
-    at ``timestamps[0]``.  Each column remembers when it was last updated,
-    so its prediction variance grows by v * (t - last) in one step across
-    any gap; at the end every column grows to the last timestamp.  This
-    equals the last row of ``forward_steps`` on the same tracks up to
-    rounding, without the (steps, tracks) arrays.
-    """
-    ts = np.asarray(timestamps, dtype=float)
-    if len(observed) != ts.size:
-        raise ShapeMismatchError("observed must list the columns of every timestamp")
-    beta = np.asarray(beta_hat, dtype=float)
-    obs_var = np.broadcast_to(np.asarray(obs_variance, dtype=float), beta.shape)
-    mean = np.array(np.broadcast_to(prior_mean, beta.shape), dtype=float)
-    var = np.array(np.broadcast_to(prior_var, beta.shape), dtype=float)
-    last = np.full(beta.shape[-1], ts[0])
-    v = cfg.process_variance
-    for t, cols in zip(ts, observed):
-        p = var[..., cols] + v * (t - last[cols])
-        gain = p / (p + obs_var[..., cols])
-        m = mean[..., cols]
-        mean[..., cols] = m + gain * (beta[..., cols] - m)
-        var[..., cols] = (1.0 - gain) * p
-        last[cols] = t
-    var += v * (ts[-1] - last)
-    return mean, var
-
-
-def backward_steps(timestamps, fwd_means, fwd_vars, cfg):
-    """Vectorized fixed-interval smoother matching ``forward_steps``; returns the smoothed (means, variances)."""
-    sm = np.empty_like(fwd_means, dtype=float)
-    sv = np.empty_like(fwd_vars, dtype=float)
-    sm[-1], sv[-1] = fwd_means[-1], fwd_vars[-1]
-    for t in range(fwd_means.shape[0] - 1, 0, -1):
-        delta = timestamps[t] - timestamps[t - 1]
-        denom = fwd_vars[t - 1] + cfg.process_variance * delta
-        w = (cfg.process_variance * delta) / denom
-        sm[t - 1] = w * fwd_means[t - 1] + (1.0 - w) * sm[t]
-        ratio = fwd_vars[t - 1] / denom
-        sv[t - 1] = fwd_vars[t - 1] + ratio * ratio * (sv[t] - denom)
-    return sm, sv
-
-
 def _pair_steps(timestamps, starts, columns):
     """Timestamps as floats, each step's (first pair, end pair, columns) and the column count, validated."""
     ts = np.asarray(timestamps, dtype=float)
@@ -212,25 +137,35 @@ def _pair_steps(timestamps, starts, columns):
     return ts, steps, int(np.max(columns, initial=-1)) + 1
 
 
-def pair_filter(timestamps, starts, columns, beta_hat, obs_variance, cfg):
-    """Sparse filter over observed (step, column) pairs, in place.
+def pair_filter(timestamps, starts, columns, beta_hat, obs_variance, cfg, prior_mean=None, prior_var=None):
+    """Sparse filter over observed (step, column) pairs, writing each pair's filtered state in place.
 
     The last axis of ``beta_hat`` and ``obs_variance`` indexes P pairs
     grouped by step: ``starts[s]:starts[s + 1]`` are the pairs observed at
     ``timestamps[s]``, ``columns`` gives each pair's column, and a column
     appears at most once per step.  Leading axes are independent tracks
-    that share the pattern.  The prior ``cfg`` applies at
-    ``timestamps[0]``.  Each column remembers when it was last updated, so
-    its prediction variance grows by v * (t - last) in one step across any
-    gap, as in ``terminal_filter``.  The filtered mean and variance of
-    each pair overwrite its pseudo-observation and its variance; both
-    arrays are returned.  At the observed cells this equals
-    ``forward_steps`` up to rounding.
+    that share the pattern.  The prior (``prior_mean``, ``prior_var``,
+    ``cfg``'s by default) applies at ``timestamps[0]`` and is broadcast to
+    the running (..., width) state, whose width is the priors' last axis,
+    or one more than the largest column for priors shared by every column.
+    Each column remembers when it was last updated, so its prediction
+    variance grows by v * (t - last) in one step across any gap.  The
+    filtered mean and variance of each pair overwrite its
+    pseudo-observation and its variance.
+
+    Returns the terminal state: each column's (mean, variance) at
+    ``timestamps[-1]``, the variance grown by v * (timestamps[-1] - last).
     """
     ts, steps, width = _pair_steps(timestamps, starts, columns)
-    shape = beta_hat.shape[:-1] + (width,)
-    mean = np.full(shape, float(cfg.prior_mean))
-    var = np.full(shape, float(cfg.prior_variance))
+    m0 = cfg.prior_mean if prior_mean is None else prior_mean
+    v0 = cfg.prior_variance if prior_var is None else prior_var
+    shape = np.broadcast_shapes(beta_hat.shape[:-1] + (1,), np.shape(m0), np.shape(v0))
+    if shape[-1] == 1:
+        shape = shape[:-1] + (width,)
+    elif shape[-1] < width:
+        raise ShapeMismatchError("prior_mean and prior_var must cover every column")
+    mean = np.array(np.broadcast_to(m0, shape), dtype=float)
+    var = np.array(np.broadcast_to(v0, shape), dtype=float)
     last = np.full(shape[-1], ts[0])
     v = cfg.process_variance
     for t, (lo, hi, cols) in zip(ts, steps):
@@ -240,7 +175,8 @@ def pair_filter(timestamps, starts, columns, beta_hat, obs_variance, cfg):
         mean[..., cols] = beta_hat[..., lo:hi] = m + gain * (beta_hat[..., lo:hi] - m)
         var[..., cols] = obs_variance[..., lo:hi] = (1.0 - gain) * p
         last[cols] = t
-    return beta_hat, obs_variance
+    var += v * (ts[-1] - last)
+    return mean, var
 
 
 def pair_smoother(timestamps, starts, columns, means, variances, cfg):
@@ -251,8 +187,7 @@ def pair_smoother(timestamps, starts, columns, means, variances, cfg):
     both arrays are returned.  The steps are visited in descending order,
     and each column carries the smoothed state and the time of its next
     observation, so a gap takes one step.  At a column's last observation
-    the smoothed state is the filtered one.  At the observed cells this
-    equals ``backward_steps`` up to rounding.
+    the smoothed state is the filtered one.
     """
     columns = np.asarray(columns)
     ts, steps, width = _pair_steps(timestamps, starts, columns)
@@ -266,8 +201,9 @@ def pair_smoother(timestamps, starts, columns, means, variances, cfg):
         gap = v * (next_t[cols] - t)
         fm, fv = means[..., lo:hi], variances[..., lo:hi]
         denom = fv + gap
-        w = gap / denom
-        ratio = fv / denom
+        # a zero gap keeps the next state even where fv is 0, as after an exact observation
+        w = np.divide(gap, denom, out=np.zeros(denom.shape), where=gap > 0)
+        ratio = np.divide(fv, denom, out=np.ones(denom.shape), where=gap > 0)
         sm = w * fm + (1.0 - w) * next_mean[..., cols]
         sv = fv + ratio * ratio * (next_var[..., cols] - denom)
         next_mean[..., cols] = means[..., lo:hi] = sm
@@ -276,17 +212,29 @@ def pair_smoother(timestamps, starts, columns, means, variances, cfg):
     return means, variances
 
 
+def _one_column(track):
+    """``starts`` and ``columns`` that make every step of ``track`` one pair of column 0."""
+    return np.arange(len(track) + 1), np.zeros(len(track), dtype=np.intp)
+
+
 def kalman_forward(track, cfg):
-    """Filtered means and variances for one track."""
-    return forward_steps(track.timestamps, track.beta_hat, track.obs_variance, track.present, cfg)
+    """Filtered means and variances for one track.
+
+    An absent step is an observation of 0 with infinite variance: its gain
+    is exactly 0, so the state carries over with its variance grown.
+    """
+    means = np.where(track.present, track.beta_hat, 0.0)
+    variances = np.where(track.present, track.obs_variance, math.inf)
+    pair_filter(track.timestamps, *_one_column(track), means, variances, cfg)
+    return means, variances
 
 
 def kalman_backward(track, forward, cfg):
-    """Smoothed means and variances given the forward output for the same track."""
-    fwd_means, fwd_vars = (np.asarray(a, dtype=float) for a in forward)
+    """Smoothed means and variances given the forward output for the same track; ``forward`` is not changed."""
+    fwd_means, fwd_vars = (np.array(a, dtype=float) for a in forward)
     if fwd_means.shape != track.timestamps.shape or fwd_vars.shape != track.timestamps.shape:
         raise ShapeMismatchError("forward output does not align with the track")
-    return backward_steps(track.timestamps, fwd_means, fwd_vars, cfg)
+    return pair_smoother(track.timestamps, *_one_column(track), fwd_means, fwd_vars, cfg)
 
 
 def kalman_posterior(track, cfg):

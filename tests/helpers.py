@@ -3,8 +3,11 @@
 Everything here is implemented from first principles, separately from
 the package code it checks: a textbook predict/update Kalman filter and
 RTS smoother, the closed-form conjugate Normal-Gamma posterior and
-evidence, and exact CRP partition probabilities by enumeration.  Two
+evidence, and exact CRP partition probabilities by enumeration.  Some
 exceptions keep a former code path as the reference for what replaced it:
+``forward_steps`` and ``backward_steps``, the dense filter and smoother
+over every (step, track) cell that ``kalman.pair_filter`` and
+``kalman.pair_smoother`` replaced, which the references below run;
 ``dense_kalman_stage``, the drifting model's dense Kalman stage;
 ``reference_doc_loop``, the per-document loop every caller of
 ``online_hdp.infer_batch`` used to write out, with ``infer_core``, the
@@ -29,7 +32,7 @@ from scipy.special import digamma, gammaln
 
 from topicdrift.corpus import doc_words
 from topicdrift.errors import NumericalError
-from topicdrift.kalman import DriftConfig, backward_steps, forward_steps
+from topicdrift.kalman import DriftConfig
 from topicdrift.online_hdp import (
     DocVariational,
     expect_log_sticks,
@@ -66,6 +69,45 @@ def rts_smoother(timestamps, fwd_means, fwd_vars, v):
         c = fwd_vars[t] / p_pred
         sm[t] = fwd_means[t] + c * (sm[t + 1] - fwd_means[t])
         sv[t] = fwd_vars[t] + c * c * (sv[t + 1] - p_pred)
+    return sm, sv
+
+
+def forward_steps(timestamps, beta_hat, obs_variance, present, cfg, prior_mean=None, prior_var=None):
+    """Dense filter: arrays shaped (steps, ...) over any number of tracks.
+
+    Returns the filtered (means, variances).  Scalar use is the (steps,)
+    special case.
+    """
+    shape = beta_hat.shape[1:]
+    m_prev = np.array(np.broadcast_to(cfg.prior_mean if prior_mean is None else prior_mean, shape), dtype=float)
+    v_prev = np.array(np.broadcast_to(cfg.prior_variance if prior_var is None else prior_var, shape), dtype=float)
+
+    means = np.empty_like(beta_hat, dtype=float)
+    variances = np.empty_like(beta_hat, dtype=float)
+    for t in range(beta_hat.shape[0]):
+        delta = timestamps[t] - timestamps[t - 1] if t > 0 else 0.0
+        p = v_prev + cfg.process_variance * delta
+        obs = present[t]
+        gain = p / (p + obs_variance[t])
+        beta = np.where(obs, beta_hat[t], 0.0)  # absent values never used
+        means[t] = np.where(obs, m_prev + gain * (beta - m_prev), m_prev)
+        variances[t] = np.where(obs, (1.0 - gain) * p, p)
+        m_prev, v_prev = means[t], variances[t]
+    return means, variances
+
+
+def backward_steps(timestamps, fwd_means, fwd_vars, cfg):
+    """Dense fixed-interval smoother matching ``forward_steps``; returns the smoothed (means, variances)."""
+    sm = np.empty_like(fwd_means, dtype=float)
+    sv = np.empty_like(fwd_vars, dtype=float)
+    sm[-1], sv[-1] = fwd_means[-1], fwd_vars[-1]
+    for t in range(fwd_means.shape[0] - 1, 0, -1):
+        delta = timestamps[t] - timestamps[t - 1]
+        denom = fwd_vars[t - 1] + cfg.process_variance * delta
+        w = (cfg.process_variance * delta) / denom
+        sm[t - 1] = w * fwd_means[t - 1] + (1.0 - w) * sm[t]
+        ratio = fwd_vars[t - 1] / denom
+        sv[t - 1] = fwd_vars[t - 1] + ratio * ratio * (sv[t] - denom)
     return sm, sv
 
 

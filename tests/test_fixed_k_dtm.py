@@ -18,7 +18,7 @@ from helpers import (
     reference_train_cdtm,
     set_payload_array,
 )
-from topicdrift import fixed_k_dtm, kalman
+from topicdrift import fixed_k_dtm
 from topicdrift.checkpoint import write_checkpoint
 from topicdrift.corpus import Document
 from topicdrift.errors import NumericalError, ParameterError, StateError
@@ -380,9 +380,6 @@ class TestSmoothTopics:
 
         for name in ("pair_filter", "pair_smoother"):
             monkeypatch.setattr(fixed_k_dtm, name, counted(fixed_k_dtm, name))
-        for name in ("forward_steps", "backward_steps", "terminal_filter"):
-            monkeypatch.setattr(kalman, name, counted(kalman, name))
-        assert not {"forward_steps", "backward_steps", "terminal_filter"} & set(vars(fixed_k_dtm))
         train, test = train_test_split(n_docs=40)
         model = train_cdtm(train, 3, DriftConfig(1e-8), 2, np.random.default_rng(0), vocab_size=50)
         cdtm_heldout_loglik(model, test)

@@ -5,22 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_kalman_filter, rts_smoother
+from helpers import backward_steps, dense_kalman_filter, forward_steps, rts_smoother
 from topicdrift.errors import ParameterError, ShapeMismatchError, TimeOrderError
 from topicdrift.kalman import (
     DriftConfig,
     KalmanPosterior,
     ObservationTrack,
     WordCounts,
-    backward_steps,
-    forward_steps,
     kalman_backward,
     kalman_forward,
     kalman_lower_bound,
     kalman_posterior,
     pair_filter,
     pair_smoother,
-    terminal_filter,
 )
 
 
@@ -126,6 +123,16 @@ class TestBackward:
         assert np.all(interior <= post.smoothed_mean[-1] + 1e-9)
         assert np.all(np.diff(post.smoothed_mean) >= -1e-9)
 
+    @pytest.mark.parametrize("v", [0.0, 0.1])
+    def test_exact_observations_smooth_to_themselves(self, v):
+        # the gain rounds to 1, so every filtered variance is exactly 0; without drift the first
+        # observation pins the state for good
+        track = make_track([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], 1e-20)
+        post = kalman_posterior(track, DriftConfig(v))
+        assert (post.forward_var == 0.0).all()
+        np.testing.assert_array_equal(post.smoothed_mean, [1.0, 2.0, 3.0] if v else 1.0)
+        np.testing.assert_array_equal(post.smoothed_var, 0.0)
+
     def test_length_mismatch_rejected(self):
         track = make_track([0.0, 1.0], [0.0, 1.0], 0.1)
         with pytest.raises(ShapeMismatchError):
@@ -133,7 +140,7 @@ class TestBackward:
 
 
 class TestTerminalFilter:
-    """The sparse terminal filter against the dense oracle's last row."""
+    """The pair filter's terminal state against the dense oracle's last row."""
 
     @staticmethod
     def oracle_terminal(ts, present, values, obs_var, v, m0, v0):
@@ -148,13 +155,16 @@ class TestTerminalFilter:
         return np.array(means), np.array(variances)
 
     @staticmethod
-    def columns(present):
-        return [np.flatnonzero(row) for row in present]
+    def terminal(ts, present, values, obs_var, cfg, m0, v0):
+        """``pair_filter``'s terminal state, one pair per present cell observing its column's value."""
+        steps, columns = np.nonzero(present)
+        starts = np.searchsorted(steps, np.arange(len(ts) + 1))
+        beta = values[..., columns]
+        return pair_filter(ts, starts, columns, beta, np.full(beta.shape, obs_var), cfg,
+                           prior_mean=m0, prior_var=v0)
 
     def check(self, ts, present, values, obs_var, cfg, m0, v0):
-        mean, var = terminal_filter(
-            ts, self.columns(present), values, obs_var, cfg, prior_mean=m0, prior_var=v0
-        )
+        mean, var = self.terminal(ts, present, values, obs_var, cfg, m0, v0)
         o_mean, o_var = self.oracle_terminal(
             ts, present, values, obs_var, cfg.process_variance, m0, v0
         )
@@ -178,7 +188,7 @@ class TestTerminalFilter:
         values, m0, v0 = np.array([1.0, -0.5, 2.0]), np.zeros(3), np.ones(3)
         cfg = DriftConfig(0.1)
         self.check(ts, present, values, 0.2, cfg, m0, v0)
-        mean, var = terminal_filter(ts, self.columns(present), values, 0.2, cfg, m0, v0)
+        mean, var = self.terminal(ts, present, values, 0.2, cfg, m0, v0)
         gain = 1.0 / (1.0 + 0.2)
         assert mean[0] == pytest.approx(gain * 1.0, rel=1e-12)
         assert var[0] == pytest.approx((1.0 - gain) + 0.1 * 9.0, rel=1e-12)
@@ -200,7 +210,7 @@ class TestTerminalFilter:
         values = np.array([0.3, 9.0, -1.2, 0.0])
         m0, v0 = np.full(4, 0.1), np.array([1.0, 2.0, 0.5, 3.0])
         self.check(ts, present, values, 0.1, DriftConfig(0.05), m0, v0)
-        mean, var = terminal_filter(ts, self.columns(present), values, 0.1, DriftConfig(0.05), m0, v0)
+        mean, var = self.terminal(ts, present, values, 0.1, DriftConfig(0.05), m0, v0)
         assert mean[1] == 0.1 and var[1] == 2.0
 
     def test_leading_axes_are_independent_tracks(self):
@@ -212,7 +222,7 @@ class TestTerminalFilter:
         m0 = rng.normal(size=(topics, words))
         v0 = rng.uniform(0.2, 1.5, size=(topics, words))
         cfg = DriftConfig(0.3)
-        mean, var = terminal_filter(ts, self.columns(present), values, 0.25, cfg, m0, v0)
+        mean, var = self.terminal(ts, present, values, 0.25, cfg, m0, v0)
         for k in range(topics):
             o_mean, o_var = self.oracle_terminal(ts, present, values[k], 0.25, 0.3, m0[k], v0[k])
             np.testing.assert_allclose(mean[k], o_mean, rtol=1e-12, atol=1e-15)
@@ -220,7 +230,11 @@ class TestTerminalFilter:
 
     def test_observed_must_cover_every_timestamp(self):
         with pytest.raises(ShapeMismatchError):
-            terminal_filter([0.0, 1.0], [np.array([0])], np.zeros(2), 0.1, DriftConfig(0.1), 0.0, 1.0)
+            pair_filter([0.0, 1.0], [0, 1], np.array([0]), np.zeros(1), np.ones(1), DriftConfig(0.1), 0.0, 1.0)
+        # priors must cover every observed column
+        with pytest.raises(ShapeMismatchError):
+            pair_filter([0.0, 1.0], [0, 1, 2], np.array([0, 2]), np.zeros(2), np.ones(2), DriftConfig(0.1),
+                        np.zeros(2), np.ones(2))
 
 
 class TestPairFilterAndSmoother:
@@ -255,8 +269,11 @@ class TestPairFilterAndSmoother:
         s_mean, s_var = backward_steps(ts, f_mean, f_var, cfg)
         starts, columns, steps = self.pair_layout(present)
         means, variances = values[steps, :, columns].T.copy(), noise[steps, :, columns].T.copy()
-        out = pair_filter(ts, starts, columns, means, variances, cfg)
-        assert out[0] is means and out[1] is variances
+        terminal = pair_filter(ts, starts, columns, means, variances, cfg)
+        # the returned terminal state is the dense filter's last row; column words - 1 is never observed
+        width = present.shape[1] - 1
+        np.testing.assert_allclose(terminal[0], f_mean[-1, :, :width], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(terminal[1], f_var[-1, :, :width], rtol=1e-10, atol=0)
         np.testing.assert_allclose(means, f_mean[steps, :, columns].T, rtol=1e-10, atol=0)
         np.testing.assert_allclose(variances, f_var[steps, :, columns].T, rtol=1e-10, atol=0)
         out = pair_smoother(ts, starts, columns, means, variances, cfg)
@@ -268,8 +285,8 @@ class TestPairFilterAndSmoother:
         ts, present, values, noise = self.observations(3)
         cfg = DriftConfig(0.3)
         starts, columns, steps = self.pair_layout(present)
-        means, variances = pair_filter(ts, starts, columns, values[steps, :, columns].T.copy(),
-                                       noise[steps, :, columns].T.copy(), cfg)
+        means, variances = values[steps, :, columns].T.copy(), noise[steps, :, columns].T.copy()
+        pair_filter(ts, starts, columns, means, variances, cfg)
         last = [np.flatnonzero(columns == w)[-1] for w in np.unique(columns)]
         filtered = means[:, last].copy(), variances[:, last].copy()
         pair_smoother(ts, starts, columns, means, variances, cfg)
@@ -279,6 +296,28 @@ class TestPairFilterAndSmoother:
         for starts in ([0, 2], [0, 1, 3], [1, 1, 2], [0, 3, 2]):
             with pytest.raises(ShapeMismatchError):
                 pair_filter([0.0, 1.0], starts, np.array([0, 1]), np.zeros(2), np.ones(2), DriftConfig(0.1))
+
+
+class TestOneTrackWrappers:
+    """``kalman_forward``/``kalman_backward`` equal the dense passes they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("v", [0.0, 0.3])
+    def test_equal_the_dense_passes(self, v):
+        rng = np.random.default_rng(8)
+        cfg = DriftConfig(v, prior_mean=0.4, prior_variance=1.3)
+        for n in [1, 2, 3, 5, 8, 40] * 20:
+            ts = np.cumsum(rng.uniform(0.01, 5.0, size=n))
+            present = rng.random(n) < 0.6
+            # absent values are never read, so nan there must not leak
+            values = np.where(present, rng.normal(size=n), np.nan)
+            track = make_track(ts, values, rng.uniform(0.05, 2.0, size=n), present)
+            fwd = kalman_forward(track, cfg)
+            dense = forward_steps(ts, track.beta_hat, track.obs_variance, present, cfg)
+            assert all(np.array_equal(a, b) for a, b in zip(fwd, dense))
+            given = [a.copy() for a in fwd]
+            smoothed = kalman_backward(track, fwd, cfg)
+            assert all(np.array_equal(a, b) for a, b in zip(smoothed, backward_steps(ts, *dense, cfg)))
+            assert all(np.array_equal(a, b) for a, b in zip(fwd, given))
 
 
 class TestSparseVsDense:
@@ -425,6 +464,18 @@ class TestValidation:
         cfg = DriftConfig(0.0)
         post = kalman_posterior(track, cfg)
         assert np.all(np.diff(post.smoothed_mean) == 0.0)
+
+    @pytest.mark.parametrize("timestamps, obs_var, message", [
+        ([0.0, math.nan, 2.0], 0.1, "timestamps"),
+        ([0.0, 1.0, math.inf], 0.1, "timestamps"),
+        ([-math.inf, 1.0, 2.0], 0.1, "timestamps"),
+        ([0.0, 1.0, 2.0], math.nan, "obs_variance"),
+        ([0.0, 1.0, 2.0], math.inf, "obs_variance"),
+        ([0.0, 1.0, 2.0], [0.1, math.nan, 0.1], "obs_variance"),
+    ])
+    def test_non_finite_track_inputs_rejected(self, timestamps, obs_var, message):
+        with pytest.raises(ParameterError, match=message):
+            make_track(timestamps, [0.0, 0.0, 0.0], obs_var)
 
     def test_nonpositive_obs_variance_rejected(self):
         with pytest.raises(ParameterError):
