@@ -1,7 +1,7 @@
 """From raw newswire files to the canonical streaming corpus.
 
-Parses the bundled SGML and line-record fixtures, builds a vocabulary,
-normalizes documents, and round-trips them through the canonical
+Parses the bundled SGML and line-record fixtures, tokenizes each record
+once, builds a vocabulary, normalizes documents, and round-trips them through the canonical
 format.
 """
 
@@ -14,6 +14,7 @@ from topicdrift.corpus import (
     parse_reuters,
     read_canonical,
     to_documents,
+    tokenize_corpus,
     write_canonical,
 )
 
@@ -27,13 +28,16 @@ first = parsed.documents[0]
 print(f"first record: id={first.id!r} date={first.timestamp_text!r}")
 print(f"title: {first.title!r}")
 
-vocab = build_vocabulary(parsed.documents, min_doc_freq=1)
-stats = corpus_statistics(parsed.documents, vocab)
+tokenized = tokenize_corpus(parsed.documents)  # the one tokenizing pass
+print(f"tokenized: {len(tokenized.terms)} distinct terms")
+
+vocab = build_vocabulary(tokenized, min_doc_freq=1)
+docs = to_documents(tokenized, vocab, format_hint="reuters")
+print(f"normalized: {len(docs)} documents, first timestamp {docs[0].timestamp}")
+
+stats = corpus_statistics(docs, vocab, len(parsed.documents))
 print(f"vocabulary: {stats['vocabulary_size']} terms, "
       f"mean unique terms/doc {stats['mean_unique_terms']:.1f}")
-
-docs = to_documents(parsed.documents, vocab, format_hint="reuters")
-print(f"normalized: {len(docs)} documents, first timestamp {docs[0].timestamp}")
 
 write_canonical(docs, OUT)
 assert read_canonical(OUT) == docs

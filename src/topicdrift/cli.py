@@ -59,12 +59,12 @@ def cmd_ingest(args):
     else:
         raise ConfigurationError(f"unknown format {args.format!r}")
     cfg = corpus_mod.TokenizerConfig(min_token_length=args.min_token_length)
-    vocab = corpus_mod.build_vocabulary(parsed.documents, cfg, min_doc_freq=args.min_doc_freq)
-    docs = corpus_mod.to_documents(parsed.documents, vocab, cfg, format_hint=args.format)
-    titles = {d.id: d.title for d in parsed.documents}
-    corpus_mod.write_canonical(docs, args.out_corpus, titles=titles)
+    tokenized = corpus_mod.tokenize_corpus(parsed.documents, cfg)
+    vocab = corpus_mod.build_vocabulary(tokenized, min_doc_freq=args.min_doc_freq)
+    docs = corpus_mod.to_documents(tokenized, vocab, format_hint=args.format)
+    corpus_mod.write_canonical(docs, args.out_corpus)
     corpus_mod.write_vocabulary(vocab, args.out_vocab)
-    stats = corpus_mod.corpus_statistics(parsed.documents, vocab, cfg)
+    stats = corpus_mod.corpus_statistics(docs, vocab, len(parsed.documents))
     print(f"documents\t{len(docs)}")
     print(f"skipped\t{parsed.skipped}")
     print(f"vocabulary_size\t{stats['vocabulary_size']}")

@@ -16,9 +16,10 @@ round-trips bit-exactly.
 
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, count
 
 import numpy as np
 
@@ -49,6 +50,7 @@ class Document:
     counts: dict  # word index -> count
     total_tokens: int
     related: tuple = ()
+    title: str = ""
 
 
 @dataclass
@@ -201,19 +203,39 @@ def detect_timestamp_format(text):
 
 
 def tokenize(body, cfg=TokenizerConfig()):
-    """Bag-of-words counts of the lowercased ``[a-z0-9]+`` tokens that are long enough and not stopwords."""
-    tokens = _TOKEN.findall(body.lower())
-    return dict(Counter(t for t in tokens if len(t) >= cfg.min_token_length and t not in STOPWORDS))
+    """Bag-of-words counts of the lowercased ``[a-z0-9]+`` tokens that are long enough and not stopwords.
+
+    Tokens are counted before they are filtered, so the filter runs once
+    per distinct token; the keys keep their order of first appearance.
+    """
+    n = cfg.min_token_length
+    counts = Counter(_TOKEN.findall(body.lower()))
+    return {t: c for t, c in counts.items() if len(t) >= n and t not in STOPWORDS}
 
 
-def build_vocabulary(docs, cfg=TokenizerConfig(), min_doc_freq=2):
-    """Dense term indices for all terms reaching the document-frequency floor."""
-    if not docs:
+@dataclass
+class TokenizedCorpus:
+    """Parsed records, each tokenized once into a bag over one term table that all bags share."""
+
+    records: list  # RawDocument
+    terms: list  # term id -> term, in order of first appearance
+    bags: list  # per record {term id: count}; to_documents releases each one
+
+
+def tokenize_corpus(records, cfg=TokenizerConfig()):
+    """The one tokenizing pass of ingest; the vocabulary, documents and statistics derive from it."""
+    term_ids = defaultdict(count().__next__)  # a term seen for the first time gets the next id
+    bags = [{term_ids[t]: c for t, c in tokenize(record.body, cfg).items()} for record in records]
+    return TokenizedCorpus(records, list(term_ids), bags)
+
+
+def build_vocabulary(tokenized, min_doc_freq=2):
+    """Dense term indices, in term order, for all terms reaching the document-frequency floor."""
+    if not tokenized.records:
         raise ParameterError("docs must be nonempty")
-    df = Counter()
-    for doc in docs:
-        df.update(tokenize(doc.body, cfg).keys())
-    kept = sorted(t for t, f in df.items() if f >= min_doc_freq)
+    df = Counter(chain.from_iterable(tokenized.bags))
+    freq = {tokenized.terms[t]: f for t, f in df.items() if f >= min_doc_freq}
+    kept = sorted(freq)
     if not kept:
         raise ConfigurationError(
             f"no term reaches document frequency {min_doc_freq}; lower min_doc_freq"
@@ -221,51 +243,50 @@ def build_vocabulary(docs, cfg=TokenizerConfig(), min_doc_freq=2):
     return Vocabulary(
         term_to_index={t: i for i, t in enumerate(kept)},
         index_to_term=kept,
-        document_frequency={t: df[t] for t in kept},
+        document_frequency={t: freq[t] for t in kept},
     )
 
 
-def corpus_statistics(docs, vocab, cfg=TokenizerConfig()):
-    """Summary statistics of the tokenized corpus against a vocabulary."""
-    uniques = []
-    for doc in docs:
-        terms = tokenize(doc.body, cfg)
-        uniques.append(sum(1 for t in terms if t in vocab.term_to_index))
-    return {
-        "documents": len(docs),
-        "vocabulary_size": vocab.size,
-        "mean_unique_terms": sum(uniques) / len(uniques) if uniques else 0.0,
-    }
+def to_documents(tokenized, vocab, format_hint=None):
+    """Normalize tokenized records onto the vocabulary, sorted by (timestamp, id).
 
-
-def to_documents(docs, vocab, cfg=TokenizerConfig(), format_hint=None):
-    """Normalize raw documents onto the vocabulary, sorted by (timestamp, id).
-
-    Out-of-vocabulary tokens are dropped; documents left with no
-    in-vocabulary tokens are excluded.
+    Out-of-vocabulary terms are dropped; records left with no
+    in-vocabulary terms are excluded, but their timestamps are still
+    checked.  Each distinct timestamp text is parsed once.  Each bag is
+    released as soon as its document is built, so ``tokenized`` can be
+    normalized only once.
     """
+    index = [vocab.term_to_index.get(t) for t in tokenized.terms]
+    bags = tokenized.bags
+    stamps = {}
     out = []
-    for doc in docs:
-        hint = format_hint or detect_timestamp_format(doc.timestamp_text)
-        ts = parse_timestamp(doc.timestamp_text, hint)
-        counts = {}
-        for term, count in tokenize(doc.body, cfg).items():
-            idx = vocab.term_to_index.get(term)
-            if idx is not None:
-                counts[idx] = count
-        if not counts:
-            continue
-        out.append(
-            Document(
-                id=doc.id,
-                timestamp=ts,
-                counts=counts,
-                total_tokens=sum(counts.values()),
-                related=tuple(doc.related_ids),
-            )
-        )
+    for i, record in enumerate(tokenized.records):
+        text = record.timestamp_text
+        ts = stamps.get(text)
+        if ts is None:
+            ts = stamps[text] = parse_timestamp(text, format_hint or detect_timestamp_format(text))
+        counts = {index[t]: c for t, c in bags[i].items() if index[t] is not None}
+        bags[i] = None
+        if counts:
+            out.append(Document(
+                id=record.id, timestamp=ts, counts=counts, total_tokens=sum(counts.values()),
+                related=tuple(record.related_ids), title=record.title,
+            ))
     out.sort(key=lambda d: (d.timestamp, d.id))
     return out
+
+
+def corpus_statistics(docs, vocab, n_records):
+    """Summary statistics of the normalized documents of ``n_records`` parsed records.
+
+    ``mean_unique_terms`` averages over every parsed record: one that
+    ``to_documents`` dropped counts as 0 terms.
+    """
+    return {
+        "documents": n_records,
+        "vocabulary_size": vocab.size,
+        "mean_unique_terms": sum(len(d.counts) for d in docs) / n_records if n_records else 0.0,
+    }
 
 
 def doc_words(doc):
@@ -283,16 +304,15 @@ def batch_iter(docs, batch_size):
         yield docs[start : start + batch_size]
 
 
-def write_canonical(docs, path, titles=None):
+def write_canonical(docs, path):
     """Write documents as line-delimited JSON records."""
-    titles = titles or {}
     with open(path, "w", encoding="utf-8") as f:
         for doc in docs:
             record = {
                 "id": doc.id,
                 "ts": doc.timestamp,
-                "title": titles.get(doc.id, ""),
-                "body_counts": {str(k): v for k, v in sorted(doc.counts.items())},
+                "title": doc.title,
+                "body_counts": {str(k): v for k, v in doc.counts.items()},  # sort_keys orders them
                 "related": list(doc.related),
             }
             f.write(json.dumps(record, sort_keys=True) + "\n")
@@ -313,6 +333,7 @@ def read_canonical(path):
                     counts=counts,
                     total_tokens=sum(counts.values()),
                     related=tuple(record.get("related", ())),
+                    title=record.get("title", ""),
                 )
             )
     return docs

@@ -19,19 +19,35 @@ baseline that ``fixed_k_dtm._mixture_e_step`` replaced, with
 and ``DenseCdtmModel``, the dense (K, S, V) state with linear
 interpolation between knots that the pair state of ``fixed_k_dtm``
 replaced.
+``reference_tokenize``, ``reference_build_vocabulary``,
+``reference_to_documents``, ``reference_mean_unique_terms`` and
+``reference_ingest`` keep the ingest that tokenized every record three
+times, once in each of those passes, which ``corpus.tokenize_corpus``
+replaced with one pass.
 ``payload_array`` and ``set_payload_array`` read and edit the arrays of
 a parsed checkpoint with ``base64`` and numpy alone.
 """
 
 import base64
+import json
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from topicdrift.corpus import doc_words
-from topicdrift.errors import NumericalError
+from topicdrift.corpus import (
+    Document,
+    Vocabulary,
+    detect_timestamp_format,
+    doc_words,
+    parse_bbc,
+    parse_reuters,
+    parse_timestamp,
+)
+from topicdrift.errors import ConfigurationError, NumericalError, ParameterError
 from topicdrift.kalman import DriftConfig
 from topicdrift.online_hdp import (
     DocVariational,
@@ -39,6 +55,7 @@ from topicdrift.online_hdp import (
     mixture_score,
     topic_word_probs,
 )
+from topicdrift.stopwords import STOPWORDS
 
 
 def dense_kalman_filter(timestamps, observations, obs_var, present, v, m0, v0):
@@ -399,6 +416,81 @@ def reference_cdtm_heldout(model, docs):
         per_word = theta @ np.exp(logp[:, words])
         records.append((doc.id, doc.timestamp, float(np.dot(n, np.log(per_word))), int(n.sum())))
     return records
+
+
+def reference_tokenize(body, min_token_length=2):
+    """Counts of the lowercased ``[a-z0-9]+`` tokens, filtered token by token before counting."""
+    tokens = re.findall(r"[a-z0-9]+", body.lower())
+    return dict(Counter(t for t in tokens if len(t) >= min_token_length and t not in STOPWORDS))
+
+
+def reference_build_vocabulary(records, min_token_length, min_doc_freq):
+    if not records:
+        raise ParameterError("docs must be nonempty")
+    df = Counter()
+    for record in records:
+        df.update(reference_tokenize(record.body, min_token_length).keys())
+    kept = sorted(t for t, f in df.items() if f >= min_doc_freq)
+    if not kept:
+        raise ConfigurationError(f"no term reaches document frequency {min_doc_freq}; lower min_doc_freq")
+    return Vocabulary({t: i for i, t in enumerate(kept)}, kept, {t: df[t] for t in kept})
+
+
+def reference_to_documents(records, vocab, min_token_length, format_hint):
+    out = []
+    for record in records:
+        ts = parse_timestamp(record.timestamp_text, format_hint or detect_timestamp_format(record.timestamp_text))
+        counts = {}
+        for term, count in reference_tokenize(record.body, min_token_length).items():
+            idx = vocab.term_to_index.get(term)
+            if idx is not None:
+                counts[idx] = count
+        if counts:
+            out.append(Document(record.id, ts, counts, sum(counts.values()), tuple(record.related_ids)))
+    out.sort(key=lambda d: (d.timestamp, d.id))
+    return out
+
+
+def reference_mean_unique_terms(records, vocab, min_token_length):
+    uniques = [
+        sum(1 for t in reference_tokenize(record.body, min_token_length) if t in vocab.term_to_index)
+        for record in records
+    ]
+    return sum(uniques) / len(uniques) if uniques else 0.0
+
+
+def reference_ingest(fmt, input_path, out_corpus, out_vocab, min_doc_freq=2, min_token_length=2):
+    """The three-pass ``topicdrift ingest``: writes both files and returns what it printed.
+
+    Titles are looked up by record id, as they were; that is only right
+    when ids are unique.
+    """
+    if fmt == "reuters":
+        with open(input_path, "rb") as f:
+            parsed = parse_reuters(f.read())
+    else:
+        with open(input_path, "r", encoding="utf-8") as f:
+            parsed = parse_bbc(f)
+    vocab = reference_build_vocabulary(parsed.documents, min_token_length, min_doc_freq)
+    docs = reference_to_documents(parsed.documents, vocab, min_token_length, fmt)
+    titles = {d.id: d.title for d in parsed.documents}
+    with open(out_corpus, "w", encoding="utf-8") as f:
+        for doc in docs:
+            record = {
+                "id": doc.id,
+                "ts": doc.timestamp,
+                "title": titles.get(doc.id, ""),
+                "body_counts": {str(k): v for k, v in sorted(doc.counts.items())},
+                "related": list(doc.related),
+            }
+            f.write(json.dumps(record, sort_keys=True) + "\n")
+    with open(out_vocab, "w", encoding="utf-8") as f:
+        f.writelines(term + "\n" for term in vocab.index_to_term)
+    mean = reference_mean_unique_terms(parsed.documents, vocab, min_token_length)
+    return (
+        f"documents\t{len(docs)}\nskipped\t{parsed.skipped}\n"
+        f"vocabulary_size\t{vocab.size}\nmean_unique_terms\t{mean:.4f}\n"
+    )
 
 
 def payload_array(payload, name):

@@ -24,6 +24,7 @@ from topicdrift.corpus import (
     parse_timestamp,
     read_canonical,
     to_documents,
+    tokenize_corpus,
     write_canonical,
 )
 
@@ -334,8 +335,9 @@ def test_12_parsers_round_trip(tmp_path):
         assert parse_timestamp("2010/08/09 15:51:53", "bbc") == 1281369113.0
 
         parsed = parse_reuters((FIXTURES / "sample_reuters.sgm").read_bytes())
-        vocab = build_vocabulary(parsed.documents, min_doc_freq=1)
-        docs = to_documents(parsed.documents, vocab, format_hint="reuters")
+        tokenized = tokenize_corpus(parsed.documents)
+        vocab = build_vocabulary(tokenized, min_doc_freq=1)
+        docs = to_documents(tokenized, vocab, format_hint="reuters")
         path = tmp_path / "reuters.jsonl"
         write_canonical(docs, path)
         assert read_canonical(path) == docs
@@ -345,8 +347,9 @@ def test_12_parsers_round_trip(tmp_path):
 
         with open(FIXTURES / "sample_bbc.txt", encoding="utf-8") as f:
             parsed_bbc = parse_bbc(f)
-        vocab_bbc = build_vocabulary(parsed_bbc.documents, min_doc_freq=1)
-        docs_bbc = to_documents(parsed_bbc.documents, vocab_bbc, format_hint="bbc")
+        tokenized_bbc = tokenize_corpus(parsed_bbc.documents)
+        vocab_bbc = build_vocabulary(tokenized_bbc, min_doc_freq=1)
+        docs_bbc = to_documents(tokenized_bbc, vocab_bbc, format_hint="bbc")
         path_bbc = tmp_path / "bbc.jsonl"
         write_canonical(docs_bbc, path_bbc)
         assert read_canonical(path_bbc) == docs_bbc

@@ -1,6 +1,9 @@
 """Command-line pipelines: determinism, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from topicdrift.corpus import read_canonical, write_canonical, write_vocabulary,
 from topicdrift.synthetic import three_topic_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_synthetic_corpus(tmp_path, n_docs=200, vocab=30, seed=0):
@@ -74,6 +78,31 @@ class TestIngest:
         main(args("b"))
         assert (tmp_path / "ca.jsonl").read_bytes() == (tmp_path / "cb.jsonl").read_bytes()
         assert (tmp_path / "va.txt").read_bytes() == (tmp_path / "vb.txt").read_bytes()
+
+    def test_records_sharing_an_id_keep_their_own_titles(self, tmp_path):
+        raw = tmp_path / "records.txt"
+        raw.write_text(
+            "a1\t2010/08/09 15:51:53\tFirst title\tmarkets rallied\n"
+            "a1\t2010/08/10 15:51:53\tSecond title\tmarkets rallied\n"
+        )
+        out_corpus = tmp_path / "c.jsonl"
+        assert main([
+            "ingest", "--format", "bbc", "--input", str(raw),
+            "--out-corpus", str(out_corpus), "--out-vocab", str(tmp_path / "v.txt"),
+        ]) == 0
+        titles = [json.loads(line)["title"] for line in out_corpus.read_text().splitlines()]
+        assert titles == ["First title", "Second title"]
+
+    def test_runs_as_a_module_from_source(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "topicdrift", "ingest", "--format", "bbc",
+             "--input", str(FIXTURES / "sample_bbc.txt"), "--out-corpus", str(tmp_path / "c.jsonl"),
+             "--out-vocab", str(tmp_path / "v.txt"), "--min-doc-freq", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("documents\t3\n")
 
     def test_unreadable_input_exits_2(self, tmp_path):
         code = main([

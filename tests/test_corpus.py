@@ -4,7 +4,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_tokenize
+from topicdrift import corpus
 from topicdrift.corpus import (
     Document,
     RawDocument,
@@ -20,6 +24,7 @@ from topicdrift.corpus import (
     read_vocabulary,
     to_documents,
     tokenize,
+    tokenize_corpus,
     write_canonical,
     write_vocabulary,
 )
@@ -29,6 +34,7 @@ from topicdrift.errors import (
     ParameterError,
     TimestampParseError,
 )
+from topicdrift.stopwords import STOPWORDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -149,25 +155,47 @@ class TestTokenize:
         cfg = TokenizerConfig(min_token_length=5)
         assert tokenize("tiny word lengthy tokens", cfg) == {"lengthy": 1, "tokens": 1}
 
+    @settings(derandomize=True, deadline=None)
+    @given(
+        words=st.lists(st.one_of(st.sampled_from(sorted(STOPWORDS)[:30] + ["Crop", "crop", "x1", "2010", "I"]),
+                                 st.text(max_size=12)), max_size=30),
+        min_length=st.integers(1, 5),
+    )
+    def test_filtering_after_counting_matches_filtering_each_token(self, words, min_length):
+        text = " ".join(words)
+        new = tokenize(text, TokenizerConfig(min_token_length=min_length))
+        assert list(new.items()) == list(reference_tokenize(text, min_length).items())  # key order too
 
-def raw(body, doc_id="d1", ts="2010/08/09 15:51:53"):
-    return RawDocument(id=doc_id, timestamp_text=ts, title="", body=body)
+
+def raw(body, doc_id="d1", ts="2010/08/09 15:51:53", title=""):
+    return RawDocument(id=doc_id, timestamp_text=ts, title=title, body=body)
+
+
+def vocabulary(docs, min_doc_freq):
+    return build_vocabulary(tokenize_corpus(docs), min_doc_freq=min_doc_freq)
+
+
+def normalize(docs, min_doc_freq=1, format_hint=None):
+    """The vocabulary and documents of one tokenizing pass over raw records."""
+    tokenized = tokenize_corpus(docs)
+    vocab = build_vocabulary(tokenized, min_doc_freq=min_doc_freq)
+    return vocab, to_documents(tokenized, vocab, format_hint=format_hint)
 
 
 class TestVocabulary:
     def test_union_at_min_freq_one(self):
         docs = [raw("alpha bravo"), raw("charlie delta", "d2")]
-        vocab = build_vocabulary(docs, min_doc_freq=1)
+        vocab = vocabulary(docs, min_doc_freq=1)
         assert set(vocab.index_to_term) == {"alpha", "bravo", "charlie", "delta"}
 
     def test_shared_terms_only_at_min_freq_two(self):
         docs = [raw("alpha bravo"), raw("alpha charlie", "d2")]
-        vocab = build_vocabulary(docs, min_doc_freq=2)
+        vocab = vocabulary(docs, min_doc_freq=2)
         assert vocab.index_to_term == ["alpha"]
 
     def test_empty_vocabulary_is_config_error(self):
         with pytest.raises(ConfigurationError):
-            build_vocabulary([raw("alpha"), raw("bravo", "d2")], min_doc_freq=2)
+            vocabulary([raw("alpha"), raw("bravo", "d2")], min_doc_freq=2)
 
     def test_mean_unique_terms_matches_recount(self):
         rng = random.Random(0)
@@ -176,8 +204,8 @@ class TestVocabulary:
             raw(" ".join(rng.choices(terms, k=rng.randint(5, 25))), f"d{i}")
             for i in range(100)
         ]
-        vocab = build_vocabulary(docs, min_doc_freq=1)
-        stats = corpus_statistics(docs, vocab)
+        vocab, out = normalize(docs)
+        stats = corpus_statistics(out, vocab, len(docs))
         recount = [len({t for t in tokenize(d.body) if t in vocab.term_to_index}) for d in docs]
         assert stats["mean_unique_terms"] == pytest.approx(sum(recount) / 100, abs=1e-12)
         assert stats["vocabulary_size"] == vocab.size
@@ -186,15 +214,13 @@ class TestVocabulary:
 class TestToDocuments:
     def test_stopword_only_document_dropped(self):
         docs = [raw("the and of"), raw("alpha bravo alpha", "d2")]
-        vocab = build_vocabulary(docs, min_doc_freq=1)
-        out = to_documents(docs, vocab)
+        _, out = normalize(docs)
         assert [d.id for d in out] == ["d2"]
         assert out[0].total_tokens == 3
 
     def test_equal_timestamps_break_ties_by_id(self):
         docs = [raw("alpha", "zz"), raw("alpha", "aa")]
-        vocab = build_vocabulary(docs, min_doc_freq=1)
-        out = to_documents(docs, vocab)
+        _, out = normalize(docs)
         assert [d.id for d in out] == ["aa", "zz"]
 
     def test_shuffled_input_sorted_by_timestamp(self):
@@ -202,16 +228,39 @@ class TestToDocuments:
         stamps = [f"2010/08/{d:02d} 0{h}:00:00" for d in range(1, 11) for h in range(3)]
         docs = [raw("alpha", f"d{i}", ts) for i, ts in enumerate(stamps)]
         rng.shuffle(docs)
-        vocab = build_vocabulary(docs, min_doc_freq=1)
-        out = to_documents(docs, vocab)
+        _, out = normalize(docs)
         oracle = sorted((d.timestamp, d.id) for d in out)
         assert [(d.timestamp, d.id) for d in out] == oracle
 
     def test_oov_tokens_dropped(self):
         docs = [raw("alpha bravo"), raw("alpha zulu", "d2")]
-        vocab = build_vocabulary(docs, min_doc_freq=2)  # only alpha survives
-        out = to_documents(docs, vocab)
+        vocab, out = normalize(docs, min_doc_freq=2)  # only alpha survives
         assert all(set(d.counts) == {vocab.term_to_index["alpha"]} for d in out)
+
+    def test_dropped_record_with_a_bad_timestamp_is_rejected(self):
+        docs = [raw("alpha"), raw("alpha", "d2"), raw("zulu", "d3", ts="yesterday")]
+        with pytest.raises(TimestampParseError):
+            normalize(docs, min_doc_freq=2)
+
+    def test_each_distinct_timestamp_text_is_parsed_once(self, monkeypatch):
+        texts = []
+        parse = corpus.parse_timestamp
+        monkeypatch.setattr(corpus, "parse_timestamp", lambda text, hint: texts.append(text) or parse(text, hint))
+        stamps = ["2010/08/09 00:00:00", "2010/08/10 00:00:00"]
+        _, out = normalize([raw("alpha", f"d{i}", stamps[i % 2]) for i in range(6)])
+        assert sorted(texts) == stamps
+        assert [d.timestamp for d in out] == [parse(stamps[0], "bbc")] * 3 + [parse(stamps[1], "bbc")] * 3
+
+    def test_each_record_keeps_its_own_title(self):
+        docs = [raw("alpha", "a1", title="First"), raw("alpha", "a1", "2010/08/10 00:00:00", "Second")]
+        assert [d.title for d in normalize(docs)[1]] == ["First", "Second"]
+
+    def test_bags_are_released_once_normalized(self):
+        tokenized = tokenize_corpus([raw("alpha bravo"), raw("the", "d2")])
+        assert tokenized.terms == ["alpha", "bravo"]
+        assert tokenized.bags == [{0: 1, 1: 1}, {}]
+        to_documents(tokenized, build_vocabulary(tokenized, min_doc_freq=1))
+        assert tokenized.bags == [None, None]
 
 
 class TestBatchIter:
@@ -246,17 +295,14 @@ class TestCanonicalFormat:
         assert loaded == docs
 
     def test_full_pipeline_round_trip(self, tmp_path):
-        parsed = load_reuters()
-        vocab = build_vocabulary(parsed.documents, min_doc_freq=1)
-        docs = to_documents(parsed.documents, vocab, format_hint="reuters")
+        _, docs = normalize(load_reuters().documents, format_hint="reuters")
         assert docs[0].timestamp == REUTERS_EPOCH
         path = tmp_path / "corpus.jsonl"
         write_canonical(docs, path)
         assert read_canonical(path) == docs
 
     def test_vocabulary_file_round_trip(self, tmp_path):
-        parsed = load_bbc()
-        vocab = build_vocabulary(parsed.documents, min_doc_freq=1)
+        vocab = vocabulary(load_bbc().documents, min_doc_freq=1)
         path = tmp_path / "vocab.txt"
         write_vocabulary(vocab, path)
         loaded = read_vocabulary(path)
