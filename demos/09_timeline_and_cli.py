@@ -16,7 +16,7 @@ work = Path(tempfile.mkdtemp(prefix="topicdrift_demo_"))
 docs, _ = three_topic_corpus(n_docs=150, vocab_size=30, seed=12, mix_alpha=0.1)
 write_canonical(docs, work / "corpus.jsonl")
 terms = [f"w{i:03d}" for i in range(30)]
-write_vocabulary(Vocabulary({t: i for i, t in enumerate(terms)}, terms, {}), work / "vocab.txt")
+write_vocabulary(Vocabulary({t: i for i, t in enumerate(terms)}, terms), work / "vocab.txt")
 
 print("training a drifting-topic model through the CLI ...")
 code = main([

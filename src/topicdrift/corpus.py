@@ -57,7 +57,6 @@ class Document:
 class Vocabulary:
     term_to_index: dict
     index_to_term: list
-    document_frequency: dict
 
     @property
     def size(self):
@@ -234,8 +233,7 @@ def build_vocabulary(tokenized, min_doc_freq=2):
     if not tokenized.records:
         raise ParameterError("docs must be nonempty")
     df = Counter(chain.from_iterable(tokenized.bags))
-    freq = {tokenized.terms[t]: f for t, f in df.items() if f >= min_doc_freq}
-    kept = sorted(freq)
+    kept = sorted(tokenized.terms[t] for t, f in df.items() if f >= min_doc_freq)
     if not kept:
         raise ConfigurationError(
             f"no term reaches document frequency {min_doc_freq}; lower min_doc_freq"
@@ -243,7 +241,6 @@ def build_vocabulary(tokenized, min_doc_freq=2):
     return Vocabulary(
         term_to_index={t: i for i, t in enumerate(kept)},
         index_to_term=kept,
-        document_frequency={t: freq[t] for t in kept},
     )
 
 
@@ -294,6 +291,15 @@ def doc_words(doc):
     words = sorted(doc.counts)
     n = np.array([doc.counts[w] for w in words], dtype=float)
     return words, n
+
+
+def vocab_words(docs, vocab_size):
+    """``doc_words`` of each document; each needs at least one word, and all in [0, vocab_size)."""
+    fits = [doc_words(doc) for doc in docs]
+    for doc, (words, _) in zip(docs, fits):
+        if not words or words[0] < 0 or words[-1] >= vocab_size:
+            raise ParameterError(f"document {doc.id!r} needs words in [0, {vocab_size})")
+    return fits
 
 
 def batch_iter(docs, batch_size):
@@ -352,5 +358,4 @@ def read_vocabulary(path):
     return Vocabulary(
         term_to_index={t: i for i, t in enumerate(terms)},
         index_to_term=terms,
-        document_frequency={},
     )

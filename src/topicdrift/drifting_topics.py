@@ -251,12 +251,10 @@ def _kalman_stage(model, batch, stats):
     )
 
     # tracked words outside the batch drift to its end; the batch's words take the filtered state
-    span = unique_ts[-1] - unique_ts[0]
-    np.add(model.var, model.drift_per_second * span, out=model.var, where=model.tracked)
+    evolve_topics(model, unique_ts[-1])
     model.mean[rows] = mean
     model.var[rows] = var
     model.tracked[rows] = True
-    model.last_update_ts[born] = unique_ts[-1]
 
 
 def _lifecycle_stage(model, batch, mixtures):

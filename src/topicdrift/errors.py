@@ -51,7 +51,3 @@ class NumericalError(RuntimeError):
 
 class LifecycleProtocolError(RuntimeError):
     """A lifecycle event arrived in a state where it is not allowed."""
-
-
-class StateError(RuntimeError):
-    """An operation was called on a model in the wrong state."""

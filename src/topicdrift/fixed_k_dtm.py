@@ -6,7 +6,8 @@ and (b) re-estimation of the topics: expected counts at each distinct
 training timestamp (knot) become log-probability pseudo-observations
 that are smoothed through the scalar Kalman machinery, one track per
 (topic, word).  The topic count K never changes.  Training and held-out
-scoring fit BLOCK_DOCS documents at a time with one batched kernel,
+scoring fit their documents through one loop, ``_fit_blocks``:
+BLOCK_DOCS documents at a time with one batched kernel,
 ``_mixture_e_step``, in factored form: a block's word probabilities are
 exponentiated once, so an iteration exponentiates only K values per
 document.
@@ -26,14 +27,14 @@ memory is O(K·P) plus one (K, V) array per timestamp asked for.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
 from .checkpoint import header_value, read_checkpoint, write_checkpoint
-from .corpus import batch_iter, doc_words
-from .errors import NumericalError, ParameterError, StateError, TimeOrderError
+from .corpus import vocab_words
+from .errors import NumericalError, ParameterError, TimeOrderError
 from .kalman import DriftConfig, pair_filter, pair_smoother
 
 # every document fit stops after MAX_ITER iterations or once mean |delta gamma| < TOL
@@ -41,46 +42,43 @@ MAX_ITER = 50
 TOL = 1e-4
 # documents fitted together; a block's padded (B, M, K) log-probs are the kernel's extra memory
 BLOCK_DOCS = 16
+# pseudo-count added to every (knot, word) expected count before it becomes an observation
+SMOOTHING = 0.01
 
 
 @dataclass
 class CdtmModel:
+    """A trained fixed-K model: its smoothed state at the observed (knot, word) pairs.
+
+    ``knots`` and ``pairs`` never change after construction, so the
+    word-run index of ``means_at`` is built once, here.
+    """
+
     K: int
     alpha_dirichlet: float
     vocab_size: int
-    process_variance: float = 0.0   # Brownian drift per unit time of every track
-    prior_variance: float = 1.0     # track variance at the first knot, around m0 = log(1 / V)
-    knots: np.ndarray = None        # (S,) training timestamps, strictly ascending
-    pairs: np.ndarray = None        # (P,) observed (knot, word) pairs as knot * V + word, strictly ascending
-    means: np.ndarray = None        # (K, P) smoothed natural parameters at the pairs
-    variances: np.ndarray = None    # (K, P)
-    trained: bool = False
-    objective_trace: list = field(default_factory=list)
-    _by_word: tuple = field(default=None, init=False, repr=False, compare=False)
+    process_variance: float   # Brownian drift per unit time of every track
+    prior_variance: float     # track variance at the first knot, around m0 = log(1 / V)
+    knots: np.ndarray         # (S,) training timestamps, strictly ascending
+    pairs: np.ndarray         # (P,) observed (knot, word) pairs as knot * V + word, strictly ascending
+    means: np.ndarray         # (K, P) smoothed natural parameters at the pairs
+    variances: np.ndarray     # (K, P)
+    objective_trace: list     # the objective after each training sweep
 
-    def _word_runs(self):
-        """(order, keys, bounds): pairs sorted by (word, knot), their keys word * S + knot, each word's run.
-
-        Built once for the current ``knots`` and ``pairs``.
-        """
-        cached = self._by_word
-        if cached is None or cached[0] is not self.pairs or cached[1] is not self.knots:
-            s = self.knots.size
-            knot, word = np.divmod(self.pairs, self.vocab_size)
-            keys = word * s + knot
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            cached = self._by_word = (self.pairs, self.knots, order, keys,
-                                      np.searchsorted(keys, np.arange(self.vocab_size + 1) * s))
-        return cached[2:]
+    def __post_init__(self):
+        # the pairs sorted by (word, knot), their keys word * S + knot, and each word's run of keys
+        s = self.knots.size
+        knot, word = np.divmod(self.pairs, self.vocab_size)
+        keys = word * s + knot
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+        self._bounds = np.searchsorted(self._keys, np.arange(self.vocab_size + 1) * s)
 
     def means_at(self, ts):
         """(K, V) smoothed natural parameters at an arbitrary timestamp, in closed form."""
-        if not self.trained:
-            raise StateError("model is not trained")
         knots, s = self.knots, self.knots.size
         t = min(max(float(ts), knots[0]), knots[-1])
-        order, keys, bounds = self._word_runs()
+        order, keys, bounds = self._order, self._keys, self._bounds
         q = int(np.searchsorted(knots, t, side="right")) - 1  # the last knot at or before t
         nxt = np.searchsorted(keys, np.arange(self.vocab_size) * s + q, side="right")
         before, after = nxt > bounds[:-1], nxt < bounds[1:]  # the word is observed at or before / after q
@@ -193,127 +191,128 @@ def _mixture_e_step(fits, logps, alpha, bounds=True):
     return out
 
 
-def _smooth_topics(model, expected, cfg, obs_var, smoothing):
-    """Re-estimate all K topic tracks at the model's pairs from (K, P) expected counts.
+def _fit_blocks(fits, stamps, logp_at, alpha, bounds):
+    """``_mixture_e_step`` over documents BLOCK_DOCS at a time; yields (log-probs, fit) per document, in order.
 
-    With count = expected + smoothing, a pair's pseudo-observation is
-    log(count / row sum) and its variance obs_var / count; a knot's row
-    sum is its pairs' counts plus ``smoothing`` for each of its V - n_s
-    unobserved words.  One sparse filter and one sparse smoother pass over
-    all K topics then turn them into the smoothed state, which becomes
-    ``model.means`` and ``model.variances``.  ``expected`` is overwritten:
-    it becomes ``model.variances``.
+    Document i is fitted against ``logp_at(stamps[i])``, the (K, V)
+    log-probs at its timestamp.  A block builds those of each of its
+    distinct stamps once and reuses the previous block's, so a run of
+    consecutive blocks that share a stamp builds its log-probs once.
     """
-    v = model.vocab_size
-    starts = np.searchsorted(model.pairs, np.arange(model.knots.size + 1) * v)
+    logps = {}
+    for start in range(0, len(fits), BLOCK_DOCS):
+        block = slice(start, start + BLOCK_DOCS)
+        logps = {ts: logps[ts] if ts in logps else logp_at(ts) for ts in dict.fromkeys(stamps[block])}
+        doc_logps = [logps[ts] for ts in stamps[block]]
+        yield from zip(doc_logps, _mixture_e_step(fits[block], doc_logps, alpha, bounds))
+
+
+def _smooth_topics(knots, pairs, vocab_size, expected, cfg, obs_var):
+    """All K topic tracks at the pairs, smoothed from (K, P) expected counts; returns (means, variances).
+
+    With count = expected + SMOOTHING, a pair's pseudo-observation is
+    log(count / row sum) and its variance obs_var / count; a knot's row
+    sum is its pairs' counts plus SMOOTHING for each of its V - n_s
+    unobserved words.  One sparse filter and one sparse smoother pass over
+    all K topics then turn them into the (K, P) smoothed means and
+    variances.  ``expected`` is overwritten: it becomes the variances.
+    """
+    v = vocab_size
+    starts = np.searchsorted(pairs, np.arange(knots.size + 1) * v)
     sizes = np.diff(starts)
-    counts = np.add(expected, smoothing, out=expected)
-    rows = np.add.reduceat(counts, starts[:-1], axis=1) + (v - sizes) * smoothing  # (K, S)
+    counts = np.add(expected, SMOOTHING, out=expected)
+    rows = np.add.reduceat(counts, starts[:-1], axis=1) + (v - sizes) * SMOOTHING  # (K, S)
     beta = np.repeat(rows, sizes, axis=1)
     np.log(np.divide(counts, beta, out=beta), out=beta)
     # pseudo-observation precision follows the evidence: the log of
     # a count has variance ~ 1/count, scaled by the obs_var knob
     obs = np.divide(obs_var, counts, out=expected)
-    words = model.pairs % v
-    pair_filter(model.knots, starts, words, beta, obs, cfg)
-    model.means, model.variances = pair_smoother(model.knots, starts, words, beta, obs, cfg)
+    words = pairs % v
+    pair_filter(knots, starts, words, beta, obs, cfg)
+    return pair_smoother(knots, starts, words, beta, obs, cfg)
 
 
-def train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0.1, smoothing=0.01,
-               vocab_size=None):
+def train_cdtm(train_docs, k, drift, sweeps, rng, vocab_size, alpha=1.0, obs_var=0.1):
     """Fit the fixed-K drifting-topic model on a timestamp-ascending corpus.
 
     ``drift`` is a kalman.DriftConfig whose prior is taken relative to
     the uniform log-probability level.  The per-sweep objective (sum of
     per-document bounds) is recorded on the returned model.  Documents
-    are fitted BLOCK_DOCS at a time, and a sweep holds the log-probs of
-    the current block's knots only.  The first sweep fits every document
-    against one random (K, V) draw around the uniform level.
+    are fitted by ``_fit_blocks``, so a sweep holds the log-probs of the
+    current block's knots only.  The first sweep fits every document
+    against one random (K, V) draw around the uniform level; every later
+    one against the model smoothed by the sweep before.
     """
     if k < 1:
         raise ParameterError("K must be >= 1")
     if sweeps < 1:
         raise ParameterError("sweeps must be >= 1")
-    if not all(0.0 < x < math.inf for x in (alpha, obs_var, smoothing)):  # also rejects nan
-        raise ParameterError(
-            f"alpha, obs_var and smoothing must be finite and > 0, got {alpha}, {obs_var} and {smoothing}")
+    if not all(0.0 < x < math.inf for x in (alpha, obs_var)):  # also rejects nan
+        raise ParameterError(f"alpha and obs_var must be finite and > 0, got {alpha} and {obs_var}")
     if not train_docs:
         raise ParameterError("train_docs must be nonempty")
     ts = [d.timestamp for d in train_docs]
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise TimeOrderError("train_docs must be timestamp-ascending")
 
-    if vocab_size is None:
-        vocab_size = 1 + max(max(d.counts) for d in train_docs)
-    fits = [doc_words(doc) for doc in train_docs]
-    if not all(words and 0 <= words[0] and words[-1] < vocab_size for words, _ in fits):
-        raise ParameterError(f"every training document needs words in [0, {vocab_size})")
+    fits = vocab_words(train_docs, vocab_size)
     knots, doc_knot = np.unique(ts, return_inverse=True)
-    doc_knot = doc_knot.tolist()
     base = np.log(1.0 / vocab_size)
     cfg = DriftConfig(drift.process_variance, prior_mean=base, prior_variance=drift.prior_variance)
 
     # the observed (knot, word) pairs, and each document's columns among them
-    flat = np.concatenate([q * vocab_size + np.asarray(words) for (words, _), q in zip(fits, doc_knot)])
+    flat = np.concatenate([q * vocab_size + np.asarray(words) for (words, _), q in zip(fits, doc_knot.tolist())])
     pairs, columns = np.unique(flat, return_inverse=True)
     columns = np.split(columns, np.cumsum([len(words) for words, _ in fits])[:-1])
 
-    model = CdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size, process_variance=drift.process_variance,
-                      prior_variance=drift.prior_variance, knots=knots, pairs=pairs, trained=True)
     first = _log_normalize(rng.normal(0.0, 0.1, (k, vocab_size)) + base)
-    for sweep in range(sweeps):
+    logp_at, objective_trace = lambda _: first, []
+    for _ in range(sweeps):
         objective = 0.0
         expected = np.zeros((k, pairs.size))
-        logps = {}
-        for start in range(0, len(fits), BLOCK_DOCS):
-            block = slice(start, start + BLOCK_DOCS)
-            # documents ascend in time, so a knot's log-probs carry over only into the next block
-            logps = {q: logps[q] if q in logps else model.log_word_probs_at(knots[q]) if sweep else first
-                     for q in dict.fromkeys(doc_knot[block])}
-            fitted = _mixture_e_step(fits[block], [logps[q] for q in doc_knot[block]], alpha)
-            for (_, n), cols, (_, phi, bound) in zip(fits[block], columns[block], fitted):
-                objective += bound
-                expected[:, cols] += (phi * n[:, None]).T
-        model.objective_trace.append(objective)
+        fitted = _fit_blocks(fits, ts, logp_at, alpha, bounds=True)
+        for (_, n), cols, (_, (_, phi, bound)) in zip(fits, columns, fitted):
+            objective += bound
+            expected[:, cols] += (phi * n[:, None]).T
+        objective_trace.append(objective)
 
-        _smooth_topics(model, expected, cfg, obs_var, smoothing)
+        means, variances = _smooth_topics(knots, pairs, vocab_size, expected, cfg, obs_var)
+        model = CdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size,
+                          process_variance=drift.process_variance, prior_variance=drift.prior_variance,
+                          knots=knots, pairs=pairs, means=means, variances=variances,
+                          objective_trace=objective_trace)
+        logp_at = model.log_word_probs_at
     return model
 
 
 def cdtm_heldout_loglik(model, docs):
     """Per-document predictive log-likelihood; never modifies the model.
 
-    Documents are fitted BLOCK_DOCS at a time, and a block computes the
-    log-probs of each of its distinct timestamps once.  Only each
-    document's mixture posterior is fitted: no phi, no bound.
+    Documents are fitted by ``_fit_blocks``.  Only each document's
+    mixture posterior is fitted: no phi, no bound.
     """
-    if not model.trained:
-        raise StateError("model is not trained")
+    fits = vocab_words(docs, model.vocab_size)
+    fitted = _fit_blocks(fits, [doc.timestamp for doc in docs], model.log_word_probs_at, model.alpha_dirichlet,
+                         bounds=False)
     records = []
-    for block in batch_iter(docs, BLOCK_DOCS):
-        logps = {ts: model.log_word_probs_at(ts) for ts in dict.fromkeys(doc.timestamp for doc in block)}
-        fits = [doc_words(doc) for doc in block]
-        fitted = _mixture_e_step(fits, [logps[doc.timestamp] for doc in block], model.alpha_dirichlet,
-                                 bounds=False)
-        for doc, (words, n), (gamma, _, _) in zip(block, fits, fitted):
-            theta = gamma / gamma.sum()
-            per_word = theta @ np.exp(logps[doc.timestamp][:, words])
-            records.append((doc.id, doc.timestamp, float(np.dot(n, np.log(per_word))), int(n.sum())))
+    for doc, (words, n), (logp, (gamma, _, _)) in zip(docs, fits, fitted):
+        theta = gamma / gamma.sum()
+        per_word = theta @ np.exp(logp[:, words])
+        records.append((doc.id, doc.timestamp, float(np.dot(n, np.log(per_word))), int(n.sum())))
     return records
 
 
-# the arrays of a "cdtm" checkpoint; S = knots.size, P = pairs.size
+# the header fields and the arrays of a "cdtm" checkpoint; S = knots.size, P = pairs.size
+HEADER = {"K": int, "alpha_dirichlet": float, "vocab_size": int, "process_variance": float,
+          "prior_variance": float}
 ARRAYS = {"knots": ("<f8", 1), "pairs": ("<i8", 1), "means": ("<f8", 2), "variances": ("<f8", 2),
           "objective_trace": ("<f8", 1)}
 
 
 def save_checkpoint(model, path):
-    if not model.trained:
-        raise StateError("model is not trained")
-    header = {"K": model.K, "alpha_dirichlet": model.alpha_dirichlet, "vocab_size": model.vocab_size,
-              "process_variance": model.process_variance, "prior_variance": model.prior_variance}
-    arrays = {"knots": model.knots, "pairs": model.pairs, "means": model.means, "variances": model.variances,
-              "objective_trace": np.array(model.objective_trace, dtype=float)}
+    header = {name: getattr(model, name) for name in HEADER}
+    arrays = {name: getattr(model, name) for name in ARRAYS}
+    arrays["objective_trace"] = np.array(model.objective_trace, dtype=float)
     write_checkpoint("cdtm", header, arrays, path)
 
 
@@ -333,29 +332,21 @@ def load_checkpoint(path):
     except ParameterError:
         _refuse_dense_state(path)
         raise
-    model = CdtmModel(
-        K=header_value(header, "K", int),
-        alpha_dirichlet=header_value(header, "alpha_dirichlet", float),
-        vocab_size=header_value(header, "vocab_size", int),
-        process_variance=header_value(header, "process_variance", float),
-        prior_variance=header_value(header, "prior_variance", float),
-    )
-    DriftConfig(model.process_variance, prior_variance=model.prior_variance)  # rejects bad settings
+    params = {name: header_value(header, name, kind) for name, kind in HEADER.items()}
+    DriftConfig(params["process_variance"], prior_variance=params["prior_variance"])  # rejects bad settings
+    k, v = params["K"], params["vocab_size"]
     knots, pairs = arrays["knots"], arrays["pairs"]
     if not knots.size or (np.diff(knots) <= 0).any():
         raise ParameterError("checkpoint knots must be nonempty and strictly ascending")
-    if model.K < 1 or model.vocab_size < 1:
-        raise ParameterError(f"checkpoint K and vocab_size must be >= 1, got {model.K} and {model.vocab_size}")
-    if not pairs.size or (np.diff(pairs) <= 0).any() or pairs[0] < 0 or pairs[-1] >= knots.size * model.vocab_size:
+    if k < 1 or v < 1:
+        raise ParameterError(f"checkpoint K and vocab_size must be >= 1, got {k} and {v}")
+    if not pairs.size or (np.diff(pairs) <= 0).any() or pairs[0] < 0 or pairs[-1] >= knots.size * v:
         raise ParameterError("checkpoint pairs must be strictly increasing indices knot * V + word in [0, S * V)")
-    if np.count_nonzero(np.diff(pairs // model.vocab_size)) + 1 != knots.size:
+    if np.count_nonzero(np.diff(pairs // v)) + 1 != knots.size:
         raise ParameterError("checkpoint has a knot without an observed pair")
-    shape = (model.K, pairs.size)
+    shape = (k, pairs.size)
     if arrays["means"].shape != shape or arrays["variances"].shape != shape:
         raise ParameterError(f"checkpoint means {arrays['means'].shape} and variances"
                              f" {arrays['variances'].shape} are not (K, P) = {shape}")
-    model.knots, model.pairs = knots, pairs
-    model.means, model.variances = arrays["means"], arrays["variances"]
-    model.objective_trace = arrays["objective_trace"].tolist()
-    model.trained = True
-    return model
+    arrays["objective_trace"] = arrays["objective_trace"].tolist()
+    return CdtmModel(**params, **arrays)

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .checkpoint import config_from, header_value, read_checkpoint, write_checkpoint
-from .corpus import batch_iter, doc_words
+from .corpus import batch_iter, vocab_words
 from .errors import ConfigurationError, NumericalError, ParameterError
 
 # every document fit stops after MAX_SWEEPS or once the bound moves by <= SWEEP_TOL (relative)
@@ -85,11 +85,6 @@ class GlobalVariational:
     @property
     def vocab_size(self):
         return self.lam.shape[1]
-
-    def copy(self):
-        return GlobalVariational(
-            self.lam.copy(), self.stick_u.copy(), self.stick_v.copy(), self.update_count
-        )
 
 
 @dataclass
@@ -306,13 +301,11 @@ def infer_batch(docs, elog_beta, elog_sticks, hyper):
     Documents are fitted BLOCK_DOCS at a time by one batched coordinate
     ascent, so a caller holds one block's factors at a time.  Yields
     (words, counts, factors, bound, topic weights) per document, lazily
-    and in order.
+    and in order.  A document with no words, or with one outside [0, V),
+    raises ParameterError.
     """
     for block in batch_iter(docs, BLOCK_DOCS):
-        for doc in block:
-            if not doc.counts:
-                raise ParameterError(f"document {doc.id!r} has no in-vocabulary words")
-        fits = [doc_words(doc) for doc in block]
+        fits = vocab_words(block, elog_beta.shape[1])
         for (words, n), (dv, bound, _) in zip(
             fits, _fit_block(fits, elog_beta, elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
         ):

@@ -433,7 +433,7 @@ def reference_build_vocabulary(records, min_token_length, min_doc_freq):
     kept = sorted(t for t, f in df.items() if f >= min_doc_freq)
     if not kept:
         raise ConfigurationError(f"no term reaches document frequency {min_doc_freq}; lower min_doc_freq")
-    return Vocabulary({t: i for i, t in enumerate(kept)}, kept, {t: df[t] for t in kept})
+    return Vocabulary({t: i for i, t in enumerate(kept)}, kept)
 
 
 def reference_to_documents(records, vocab, min_token_length, format_hint):

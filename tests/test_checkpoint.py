@@ -266,4 +266,4 @@ def test_the_pristine_checkpoints_load(trained):
     for kind in ("ohdp", "cidtm"):
         assert timeline_exit(root, pristine[kind]) == (0, "")
     (root / "cdtm_copy.json").write_bytes(pristine["cdtm"])
-    assert fixed_k_dtm.load_checkpoint(root / "cdtm_copy.json").trained
+    assert fixed_k_dtm.load_checkpoint(root / "cdtm_copy.json").means.shape[0] == 3

@@ -25,7 +25,7 @@ def write_synthetic_corpus(tmp_path, n_docs=200, vocab=30, seed=0):
     vocab_file = tmp_path / "vocab.txt"
     write_canonical(docs, corpus)
     terms = [f"w{i:03d}" for i in range(vocab)]
-    write_vocabulary(Vocabulary({t: i for i, t in enumerate(terms)}, terms, {}), vocab_file)
+    write_vocabulary(Vocabulary({t: i for i, t in enumerate(terms)}, terms), vocab_file)
     return corpus, vocab_file
 
 

@@ -21,7 +21,7 @@ from helpers import (
 from topicdrift import fixed_k_dtm
 from topicdrift.checkpoint import write_checkpoint
 from topicdrift.corpus import Document
-from topicdrift.errors import NumericalError, ParameterError, StateError
+from topicdrift.errors import NumericalError, ParameterError
 from topicdrift.fixed_k_dtm import (
     BLOCK_DOCS,
     MAX_ITER,
@@ -46,20 +46,20 @@ class TestTraining:
     def test_zero_topics_rejected(self):
         with pytest.raises(ParameterError):
             train_cdtm([Document("a", 0.0, {0: 1}, 1)], 0, DriftConfig(0.1), 1,
-                       np.random.default_rng(0))
+                       np.random.default_rng(0), vocab_size=50)
 
     @pytest.mark.parametrize("sweeps", [0, -2])
     def test_fewer_than_one_sweep_rejected(self, sweeps):
         with pytest.raises(ParameterError, match="sweeps"):
             train_cdtm([Document("a", 0.0, {0: 1}, 1)], 2, DriftConfig(0.1), sweeps,
-                       np.random.default_rng(0))
+                       np.random.default_rng(0), vocab_size=50)
 
     @pytest.mark.parametrize("setting", [{"obs_var": -0.1}, {"obs_var": math.nan}, {"obs_var": math.inf},
-                                         {"smoothing": 0.0}, {"smoothing": math.nan}, {"alpha": math.nan}])
+                                         {"obs_var": 0.0}, {"alpha": 0.0}, {"alpha": math.nan}])
     def test_bad_observation_settings_rejected(self, setting):
-        with pytest.raises(ParameterError, match="alpha, obs_var and smoothing"):
+        with pytest.raises(ParameterError, match="alpha and obs_var"):
             train_cdtm([Document("a", 0.0, {0: 1}, 1)], 2, DriftConfig(0.1), 1,
-                       np.random.default_rng(0), **setting)
+                       np.random.default_rng(0), vocab_size=50, **setting)
 
     @pytest.mark.parametrize("counts", [{}, {50: 1}, {-1: 2}])
     def test_words_outside_the_vocabulary_rejected(self, counts):
@@ -121,20 +121,17 @@ class TestTraining:
         assert a.objective_trace == b.objective_trace
 
 
-def every_pair_observed(model, means):
-    """Give a hand-built model (K, S, V) ``means`` as the pair state, with every (knot, word) pair observed."""
-    model.pairs = np.arange(means.shape[1] * means.shape[2])
-    model.means = means.reshape(means.shape[0], -1)
-    model.variances = np.ones_like(model.means)
-    model.trained = True
-    return model
+def every_pair_observed(knots, means):
+    """A hand-built model with (K, S, V) ``means`` as its pair state: every (knot, word) pair is observed."""
+    k, s, v = means.shape
+    return CdtmModel(K=k, alpha_dirichlet=1.0, vocab_size=v, process_variance=0.0, prior_variance=1.0,
+                     knots=np.asarray(knots, dtype=float), pairs=np.arange(s * v), means=means.reshape(k, -1),
+                     variances=np.ones((k, s * v)), objective_trace=[])
 
 
 class TestHeldout:
     def uniform_model(self, vocab=100):
-        model = CdtmModel(K=3, alpha_dirichlet=1.0, vocab_size=vocab)
-        model.knots = np.array([0.0, 10.0])
-        return every_pair_observed(model, np.zeros((3, 2, vocab)))
+        return every_pair_observed([0.0, 10.0], np.zeros((3, 2, vocab)))
 
     def test_uniform_topics_score_log_inverse_vocab(self):
         model = self.uniform_model()
@@ -152,9 +149,7 @@ class TestHeldout:
         assert a[2] == b[2]
 
     def test_matches_explicit_mixture_computation(self):
-        model = CdtmModel(K=2, alpha_dirichlet=1.0, vocab_size=3)
-        model.knots = np.array([0.0, 1.0])
-        every_pair_observed(model, np.stack([
+        model = every_pair_observed([0.0, 1.0], np.stack([
             np.tile(np.log([0.6, 0.3, 0.1]), (2, 1)),
             np.tile(np.log([0.1, 0.1, 0.8]), (2, 1)),
         ]))
@@ -170,15 +165,30 @@ class TestHeldout:
         )
         assert total == pytest.approx(oracle, rel=1e-12)
 
-    def test_untrained_model_rejected(self):
-        model = CdtmModel(K=2, alpha_dirichlet=1.0, vocab_size=5)
-        with pytest.raises(StateError):
-            cdtm_heldout_loglik(model, [Document("a", 0.0, {0: 1}, 1)])
+    @pytest.mark.parametrize("word", [-1, 100])
+    def test_words_outside_the_vocabulary_rejected(self, word):
+        docs = [Document("a", 5.0, {3: 4}, 4), Document("b", 5.0, {word: 3}, 3)]
+        with pytest.raises(ParameterError, match=r"document 'b' needs words in \[0, 100\)"):
+            cdtm_heldout_loglik(self.uniform_model(), docs)
+
+    def test_log_probs_built_once_per_stamp_across_consecutive_blocks(self, monkeypatch):
+        model = self.uniform_model()
+        calls = []
+
+        def counted(ts, original=model.log_word_probs_at):
+            calls.append(ts)
+            return original(ts)
+        monkeypatch.setattr(model, "log_word_probs_at", counted)
+        stamps = [1.0] * 20 + [2.0] * 20 + [3.0] * 3 + [1.0] * 5
+        docs = [Document(f"d{i}", ts, {i % 100: 2}, 2) for i, ts in enumerate(stamps)]
+        records = cdtm_heldout_loglik(model, docs)
+        # three blocks: a stamp is built where it first appears and carried into the next block
+        assert len(docs) == 3 * BLOCK_DOCS
+        assert calls == [1.0, 2.0, 3.0]
+        assert [r[2] for r in records] == pytest.approx([2 * math.log(1 / 100)] * len(docs), rel=1e-9)
 
     def test_interpolation_between_knots(self):
-        model = CdtmModel(K=1, alpha_dirichlet=1.0, vocab_size=2)
-        model.knots = np.array([0.0, 10.0])
-        every_pair_observed(model, np.array([[[0.0, 0.0], [2.0, 0.0]]]))
+        model = every_pair_observed([0.0, 10.0], np.array([[[0.0, 0.0], [2.0, 0.0]]]))
         mid = model.log_word_probs_at(5.0)
         expected = np.log(np.exp([1.0, 0.0]) / np.exp([1.0, 0.0]).sum())
         np.testing.assert_allclose(mid[0], expected, atol=1e-12)
@@ -333,7 +343,7 @@ def smoothing_inputs(k=20, s=30, v=100, seed=0):
 
     Every knot has a pair; word v - 2 is observed only at the first knot,
     word v - 3 first at the last knot, and word v - 1 never.  Returns
-    (model, expected, dense model, dense expected, present, cfg).
+    (knots, pairs, expected, dense model, dense expected, present, cfg).
     """
     rng = np.random.default_rng(seed)
     knots = np.cumsum(rng.uniform(0.1, 5.0, s))
@@ -344,23 +354,23 @@ def smoothing_inputs(k=20, s=30, v=100, seed=0):
     pairs = np.flatnonzero(present)
     expected = rng.gamma(0.3, 2.0, (k, pairs.size))
     cfg = DriftConfig(0.05, prior_mean=math.log(1 / v), prior_variance=1.5)
-    model = CdtmModel(K=k, alpha_dirichlet=1.0, vocab_size=v, process_variance=0.05, prior_variance=1.5,
-                      knots=knots, pairs=pairs)
     dense = DenseCdtmModel(K=k, alpha_dirichlet=1.0, vocab_size=v, knots=knots,
                            means=np.empty((k, s, v)), variances=np.empty((k, s, v)))
     dense_expected = np.zeros((k, s * v))
     dense_expected[:, pairs] = expected
-    return model, expected, dense, dense_expected.reshape(k, s, v), present, cfg
+    return knots, pairs, expected, dense, dense_expected.reshape(k, s, v), present, cfg
 
 
 class TestSmoothTopics:
     """One sparse filter and smoother pass over all K topics, against the former dense per-topic loop."""
 
     def test_matches_the_dense_per_topic_loop(self):
-        model, expected, dense, dense_expected, present, cfg = smoothing_inputs()
+        knots, pairs, expected, dense, dense_expected, present, cfg = smoothing_inputs()
         reference_smooth_topics(dense, dense_expected, present, cfg, 0.1, 0.01)
-        _smooth_topics(model, expected, cfg, 0.1, 0.01)
-        model.trained = True
+        means, variances = _smooth_topics(knots, pairs, dense.vocab_size, expected, cfg, 0.1)
+        model = CdtmModel(K=dense.K, alpha_dirichlet=1.0, vocab_size=dense.vocab_size, process_variance=0.05,
+                          prior_variance=1.5, knots=knots, pairs=pairs, means=means, variances=variances,
+                          objective_trace=[])
         assert_close(model.means, at_pairs(model, dense.means))
         assert_close(model.variances, at_pairs(model, dense.variances))
         # the closed form at any time, including before a word's first observation
@@ -386,15 +396,15 @@ class TestSmoothTopics:
         assert calls == ["pair_filter", "pair_smoother"] * 2
 
     def test_peak_memory_below_one_state_array(self):
-        model, expected, *_, cfg = smoothing_inputs()
+        knots, pairs, expected, dense, *_, cfg = smoothing_inputs()
         tracemalloc.start()
         try:
-            _smooth_topics(model, expected, cfg, 0.1, 0.01)
+            means, _ = _smooth_topics(knots, pairs, dense.vocab_size, expected, cfg, 0.1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the new means and the (K, V) filter and smoother state; expected becomes the variances
-        assert peak < 2 * model.means.nbytes
+        assert peak < 2 * means.nbytes
 
     def test_training_peak_stays_below_one_dense_array(self):
         k, vocab = 20, 2000

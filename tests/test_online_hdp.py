@@ -137,6 +137,15 @@ class TestInferDocument:
         with pytest.raises(ParameterError):
             infer_document(make_doc({}), make_global(np.ones((2, 3))), HdpHyper(K_corpus=2, T_doc=2))
 
+    @pytest.mark.parametrize("word", [-1, 8])
+    def test_words_outside_the_vocabulary_rejected(self, word):
+        model = OnlineHdp(HdpHyper(K_corpus=3, T_doc=2), 8, 2, seed=0)
+        lam = model.g.lam.copy()
+        batch = [make_doc({2: 1}, "a"), make_doc({word: 3}, "b")]
+        with pytest.raises(ParameterError, match=r"document 'b' needs words in \[0, 8\)"):
+            model.process_batch(batch)
+        np.testing.assert_array_equal(model.g.lam, lam)
+
 
 class TestHyper:
     @pytest.mark.parametrize("field", ["gamma", "alpha0", "eta", "tau0"])
