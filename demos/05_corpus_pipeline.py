@@ -5,6 +5,7 @@ once, builds a vocabulary, normalizes documents, and round-trips them through th
 format.
 """
 
+import tempfile
 from pathlib import Path
 
 from topicdrift.corpus import (
@@ -19,7 +20,6 @@ from topicdrift.corpus import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
-OUT = Path(__file__).resolve().parent / "_corpus_demo.jsonl"
 
 print("== SGML newswire ==")
 parsed = parse_reuters((FIXTURES / "sample_reuters.sgm").read_bytes())
@@ -39,10 +39,11 @@ stats = corpus_statistics(docs, vocab, len(parsed.documents))
 print(f"vocabulary: {stats['vocabulary_size']} terms, "
       f"mean unique terms/doc {stats['mean_unique_terms']:.1f}")
 
-write_canonical(docs, OUT)
-assert read_canonical(OUT) == docs
-print(f"canonical round-trip through {OUT.name}: exact")
-OUT.unlink()
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "corpus.jsonl"
+    write_canonical(docs, out)
+    assert read_canonical(out) == docs
+print(f"canonical round-trip through {out.name}: exact")
 
 print("\n== line records ==")
 with open(FIXTURES / "sample_bbc.txt", encoding="utf-8") as f:

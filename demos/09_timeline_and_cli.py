@@ -12,7 +12,8 @@ from topicdrift.cli import main
 from topicdrift.corpus import Vocabulary, read_canonical, write_canonical, write_vocabulary
 from topicdrift.synthetic import three_topic_corpus
 
-work = Path(tempfile.mkdtemp(prefix="topicdrift_demo_"))
+tmp = tempfile.TemporaryDirectory(prefix="topicdrift_demo_")  # removed at the end, or at exit on a failure
+work = Path(tmp.name)
 docs, _ = three_topic_corpus(n_docs=150, vocab_size=30, seed=12, mix_alpha=0.1)
 write_canonical(docs, work / "corpus.jsonl")
 terms = [f"w{i:03d}" for i in range(30)]
@@ -51,6 +52,6 @@ for topic in range(4):
           f"accuracy={float(values['accuracy']):.3f} "
           f"recall={values['recall']} precision={values['precision']}")
 
-print(f"\nartifacts in {work}")
-print("exactly one inferred topic lines up with word block 0; the others")
+tmp.cleanup()
+print("\nexactly one inferred topic lines up with word block 0; the others")
 print("collect no true positives")

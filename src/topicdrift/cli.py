@@ -179,6 +179,8 @@ def cmd_timeline(args):
     kinds = {"ohdp": online_hdp, "cidtm": drifting_topics}
     kind, header, arrays = read_checkpoint(args.checkpoint, {k: module.ARRAYS for k, module in kinds.items()})
     model = kinds[kind].decode_checkpoint(header, arrays)
+    if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
+        raise ConfigurationError(f"--threshold must lie in [0, 1], got {args.threshold}")
     if not 0 <= args.topic < model.hyper.K_corpus:
         raise ConfigurationError(f"topic {args.topic} out of range")
     docs = corpus_mod.read_canonical(args.corpus)

@@ -15,6 +15,7 @@ round-trips bit-exactly.
 """
 
 import json
+import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -325,23 +326,31 @@ def write_canonical(docs, path):
 
 
 def read_canonical(path):
+    """The documents of a canonical corpus file, in file order.
+
+    Every non-blank line must be an object with a string ``id``, a finite
+    number ``ts`` and ``body_counts`` mapping integer keys to positive
+    integer counts; any other line raises CorpusParseError naming it.
+    """
     docs = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            counts = {int(k): int(v) for k, v in record["body_counts"].items()}
-            docs.append(
-                Document(
-                    id=record["id"],
-                    timestamp=float(record["ts"]),
-                    counts=counts,
-                    total_tokens=sum(counts.values()),
-                    related=tuple(record.get("related", ())),
-                    title=record.get("title", ""),
-                )
-            )
+            try:
+                record = json.loads(line)
+                ts = record["ts"]
+                counts = {int(k): v for k, v in record["body_counts"].items()}
+                if (type(record["id"]) is not str or type(ts) not in (int, float) or not math.isfinite(ts)
+                        or not all(type(v) is int and v > 0 for v in counts.values())):
+                    raise ValueError
+                docs.append(Document(record["id"], float(ts), counts, sum(counts.values()),
+                                     tuple(record.get("related", ())), record.get("title", "")))
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+                raise CorpusParseError(
+                    f"{path} line {number} is not a document: it needs a string id, a finite number ts"
+                    " and body_counts mapping integer keys to positive integer counts"
+                ) from None
     return docs
 
 

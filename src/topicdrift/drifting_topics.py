@@ -12,8 +12,8 @@ Each batch runs score-then-learn:
 2. the HDP state takes one natural-gradient step on the batch;
 3. the batch's own topic-word evidence is turned into pseudo-
    observations at the batch's document timestamps and filtered through
-   per-(topic, word) Kalman tracks that resume from each topic's
-   persisted state (variance grown by elapsed time); a track is touched
+   per-(topic, word) Kalman tracks that resume from their persisted
+   state (variance grown since the model clock); a track is touched
    only at the timestamps where its word occurs;
 4. each track's filtered state at the batch's last timestamp is written
    back into the drifting topics;
@@ -33,9 +33,11 @@ model outrun the HDP's fixed learning-rate schedule.
 The state is held in arrays on the model: (K, V) ``mean`` and ``var``
 with a (K, V) bool ``tracked`` mask, every untracked entry sitting at
 exactly the prior (0.0 and ``prior_variance``), and (K,) ``born``,
-``active``, ``deadline`` and ``last_update_ts`` for the lifecycles.  As
-in the continuous-time DTM of Wang, Blei and Heckerman (UAI 2008), only
-the (born topic, word) pairs that some batch observed are tracked.
+``active`` and ``deadline`` for the lifecycles.  As in the
+continuous-time DTM of Wang, Blei and Heckerman (UAI 2008), only the
+(born topic, word) pairs that some batch observed are tracked.  Every
+tracked variance is brought forward together, so one ``clock`` dates
+them all.
 """
 
 import math
@@ -161,7 +163,6 @@ class DriftingTopicModel(OnlineHdp):
         self.born = np.zeros(k, dtype=bool)
         self.active = np.zeros(k, dtype=bool)
         self.deadline = np.zeros(k)
-        self.last_update_ts = np.zeros(k)
 
     @property
     def drift_per_second(self):
@@ -188,19 +189,17 @@ class DriftingTopicModel(OnlineHdp):
         elog, probs = self.adjusted_matrices(snap)
         return elog, snap.elog_sticks, probs
 
-    def process_batch(self, batch, learn=True):
-        return process_batch(self, batch, learn)
+    def process_batch(self, batch):
+        return process_batch(self, batch)
 
 
 def evolve_topics(model, to_ts):
-    """Grow every tracked variance by the drift accumulated up to ``to_ts``."""
-    if model.clock is not None and to_ts < model.clock:
-        raise TimeOrderError(f"cannot evolve back in time to {to_ts!r}")
-    dt = np.where(model.born, to_ts - model.last_update_ts, 0.0)
-    if (dt < 0).any():
-        raise TimeOrderError("topic state is ahead of the target time")
-    np.add(model.var, (model.drift_per_second * dt)[:, None], out=model.var, where=model.tracked)
-    model.last_update_ts[model.born] = to_ts
+    """Grow every tracked variance by the drift from the model clock to ``to_ts``, and move the clock there."""
+    if model.clock is not None:
+        if to_ts < model.clock:
+            raise TimeOrderError(f"cannot evolve back in time to {to_ts!r}")
+        np.add(model.var, model.drift_per_second * (to_ts - model.clock), out=model.var, where=model.tracked)
+    model.clock = to_ts
     return model
 
 
@@ -271,9 +270,7 @@ def _lifecycle_stage(model, batch, mixtures):
     for doc, theta in zip(batch, mixtures):
         relevant = theta >= threshold
         expired = model.active & ~relevant & (doc.timestamp > model.deadline)
-        new = relevant & ~model.born
-        model.last_update_ts[new] = doc.timestamp
-        born |= new
+        born |= relevant & ~model.born
         died |= expired
         model.born |= relevant
         model.active[expired] = False
@@ -282,27 +279,24 @@ def _lifecycle_stage(model, batch, mixtures):
     return set(np.flatnonzero(born).tolist()), set(np.flatnonzero(died).tolist())
 
 
-def process_batch(model, batch, learn=True):
+def process_batch(model, batch):
     """Score-then-learn over one timestamp-ascending batch of documents."""
     if not batch:
         return BatchResult([])
     ts = _check_batch_order(model, batch)
-    records, mixtures, stats = score_batch(model, batch, learn)
-    if not learn:
-        return BatchResult(records)
-
+    records, mixtures, stats = score_batch(model, batch)
     evolve_topics(model, ts[0])
     model.g = online_update(model.g, stats, model.hyper, model.corpus_scale)
     _kalman_stage(model, batch, stats)
     born, died = _lifecycle_stage(model, batch, mixtures)
+    # the Kalman stage has moved the clock there unless no topic is born, and then nothing is tracked
     model.clock = ts[-1]
     return BatchResult(records, born, died)
 
 
 # the arrays of a "cidtm" checkpoint: the HDP state, the tracked (topic, word) pairs as strictly
 # increasing flat indices into K * V with their mean and var, and the (K,) lifecycles
-LIFECYCLE_ARRAYS = {"born": ("|b1", 1), "active": ("|b1", 1), "deadline": ("<f8", 1),
-                    "last_update_ts": ("<f8", 1)}
+LIFECYCLE_ARRAYS = {"born": ("|b1", 1), "active": ("|b1", 1), "deadline": ("<f8", 1)}
 ARRAYS = {**HDP_ARRAYS, "tracked": ("<i8", 1), "mean": ("<f8", 1), "var": ("<f8", 1), **LIFECYCLE_ARRAYS}
 
 
@@ -333,6 +327,8 @@ def decode_checkpoint(header, arrays):
         raise ParameterError("checkpoint tracked indices are not strictly increasing")
     if tracked.size and not (0 <= tracked[0] and tracked[-1] < k * v):
         raise ParameterError(f"checkpoint tracked index outside [0, K_corpus * vocab_size = {k * v})")
+    if tracked.size and model.clock is None:
+        raise ParameterError("checkpoint tracks words but has no clock to date their variances")
     unborn = np.flatnonzero(~model.born & (model.active | np.isin(np.arange(k), tracked // v)))
     if unborn.size:
         raise ParameterError(f"topic {unborn[0]} is not born but is active or tracks words")

@@ -104,14 +104,12 @@ def _train_once(model_kind, docs, config):
     seed = config.get("seed", 42)
     batch_size = config.get("batch_size", 16)
     vocab_size = config["vocab_size"]
-    hyper = config.get("hyper") or HdpHyper(
-        K_corpus=config.get("K_corpus", 20), T_doc=config.get("T_doc", 8)
-    )
+    hyper = config.get("hyper") or HdpHyper(K_corpus=20, T_doc=8)
     if model_kind == "ohdp":
         prequential_run(OnlineHdp(hyper, vocab_size, len(docs), seed=seed), docs, batch_size)
     elif model_kind == "cidtm":
-        cfg = config.get("cidtm_config") or CidtmConfig(hyper=hyper)
-        prequential_run(DriftingTopicModel(cfg, vocab_size, len(docs), seed=seed), docs, batch_size)
+        model = DriftingTopicModel(CidtmConfig(hyper=hyper), vocab_size, len(docs), seed=seed)
+        prequential_run(model, docs, batch_size)
     elif model_kind == "cdtm":
         rng = np.random.default_rng(seed)
         drift = DriftConfig(config.get("drift_v", 1e-6))
@@ -121,7 +119,7 @@ def _train_once(model_kind, docs, config):
         raise ParameterError(f"unknown model kind {model_kind!r}")
 
 
-def runtime_benchmark(model_kind, docs, prefix_sizes, config, warmup=True):
+def runtime_benchmark(model_kind, docs, prefix_sizes, config):
     """Wall-clock seconds to train from scratch on each corpus prefix.
 
     Prefix sizes must be ascending and within the corpus.  A discarded
@@ -134,7 +132,7 @@ def runtime_benchmark(model_kind, docs, prefix_sizes, config, warmup=True):
     sizes = list(prefix_sizes)
     if sizes != sorted(sizes) or (sizes and sizes[-1] > len(docs)):
         raise ParameterError("prefix sizes must be ascending and <= corpus size")
-    if warmup and sizes:
+    if sizes:
         _train_once(model_kind, docs[: min(sizes[0], 200)], config)
     seconds = [[] for _ in sizes]
     for _ in range(REPEATS):

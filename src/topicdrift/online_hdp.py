@@ -10,14 +10,14 @@ The variational family factorizes completely:
 
 Per-document inference is coordinate ascent over (varphi, zeta, a, b)
 holding the corpus state fixed.  ``infer_batch`` is the one entry point
-that fits documents: ``score_batch`` (for both online models), the
-timeline and the single-document helpers call it.  It fits BLOCK_DOCS
-documents at a time with one batched kernel, ``_fit_block``: the
-block's evidence is padded to (B, M, K), every update is a stacked
-matmul or a vectorized digamma, and each document still stops at its
-own sweep.  Corpus-level learning is a stochastic natural-gradient step
-with rate rho_t = (tau0 + t)^(-kappa) that blends the current state
-with the batch estimate scaled up to corpus size.
+that fits documents: ``score_batch`` (for both online models) and the
+timeline call it.  It fits BLOCK_DOCS documents at a time with one
+batched kernel, ``_fit_block``: the block's evidence is padded to
+(B, M, K), every update is a stacked matmul or a vectorized digamma,
+and each document still stops at its own sweep.  Corpus-level
+learning is a stochastic natural-gradient step with rate
+rho_t = (tau0 + t)^(-kappa) that blends the current state with the
+batch estimate scaled up to corpus size.
 
 ``OnlineHdp.expectations()`` gives the (K, V) and (K,) expectations a
 batch is fitted and scored against.  The drifting model of
@@ -312,15 +312,6 @@ def infer_batch(docs, elog_beta, elog_sticks, hyper):
             yield words, n, dv, bound, doc_topic_mixture(dv)
 
 
-def infer_document(doc, g, hyper, snapshot=None):
-    """Fit the document's variational factors; returns (factors, stats, elbo)."""
-    snap = snapshot or HdpSnapshot.of(g)
-    ((words, n, dv, elbo, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
-    stats = BatchStats.zeros(g.num_topics, g.vocab_size)
-    accumulate_stats(stats, dv, words, n)
-    return dv, stats, elbo
-
-
 def accumulate_stats(stats, dv, words, n):
     stats.lam[:, words] += dv.varphi.T @ (dv.zeta * n[:, None]).T
     stats.usage += dv.varphi.sum(axis=0)
@@ -334,14 +325,11 @@ def learning_rate(hyper, update_count):
     return rho
 
 
-def online_update(g, stats, hyper, corpus_scale, rho=None):
+def online_update(g, stats, hyper, corpus_scale):
     """One stochastic natural-gradient step; returns the new corpus state."""
     if stats.batch_doc_count < 1:
         raise ParameterError("stats must come from at least one document")
-    if rho is None:
-        rho = learning_rate(hyper, g.update_count)
-    elif not (0.0 < rho <= 1.0):
-        raise ConfigurationError(f"learning rate {rho!r} outside (0, 1]")
+    rho = learning_rate(hyper, g.update_count)
     scale = corpus_scale / stats.batch_doc_count
     lam = (1.0 - rho) * g.lam + rho * (hyper.eta + scale * stats.lam)
     k = g.num_topics
@@ -363,13 +351,6 @@ def mixture_score(words, n, theta, word_probs):
     """log p(words) under a plug-in topic mixture, in nats."""
     per_word = theta @ word_probs[:, words]
     return float(np.dot(n, np.log(per_word)))
-
-
-def heldout_doc_loglik(doc, g, hyper, snapshot=None):
-    """Predictive log-likelihood (total nats) without touching the state."""
-    snap = snapshot or HdpSnapshot.of(g)
-    ((words, n, _, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
-    return mixture_score(words, n, theta, snap.word_probs)
 
 
 @dataclass
@@ -395,31 +376,29 @@ class OnlineHdp:
         snap = HdpSnapshot.of(self.g)
         return snap.elog_beta, snap.elog_sticks, snap.word_probs
 
-    def process_batch(self, batch, learn=True):
+    def process_batch(self, batch):
         """Score every document against the pre-batch state, then learn once."""
         if not batch:
             return BatchResult([])
-        records, _, stats = score_batch(self, batch, learn)
-        if learn:
-            self.g = online_update(self.g, stats, self.hyper, self.corpus_scale)
+        records, _, stats = score_batch(self, batch)
+        self.g = online_update(self.g, stats, self.hyper, self.corpus_scale)
         return BatchResult(records)
 
 
-def score_batch(model, batch, learn):
-    """Fit and score each document of a batch against ``model.expectations()``.
+def score_batch(model, batch):
+    """Fit and score each document of a batch against ``model.expectations()``, leaving the model as it is.
 
     Returns the (doc id, timestamp, total loglik, word count) record and
     the topic weights of each document, in batch order, and the batch's
-    sufficient statistics, which are None unless ``learn`` is true.
+    sufficient statistics.
     """
     elog, elog_sticks, word_probs = model.expectations()
-    stats = BatchStats.zeros(model.hyper.K_corpus, model.vocab_size) if learn else None
+    stats = BatchStats.zeros(model.hyper.K_corpus, model.vocab_size)
     records, mixtures = [], []
     for doc, (words, n, dv, _, theta) in zip(batch, infer_batch(batch, elog, elog_sticks, model.hyper)):
         records.append((doc.id, doc.timestamp, mixture_score(words, n, theta, word_probs), int(n.sum())))
         mixtures.append(theta)
-        if learn:
-            accumulate_stats(stats, dv, words, n)
+        accumulate_stats(stats, dv, words, n)
     return records, mixtures, stats
 
 

@@ -186,7 +186,7 @@ def dense_kalman_stage(model, batch, stats):
         model.mean[k, words] = s_mean[-1, sl]
         model.var[k, words] = s_var[-1, sl]
         model.tracked[k, words] = True
-        model.last_update_ts[k] = batch_end
+    model.clock = batch_end
 
 
 def _softmax_rows(scores):

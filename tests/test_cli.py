@@ -38,6 +38,26 @@ def write_raw_corpus(path, body_counts):
     return path
 
 
+# corpus lines that are not document records, each preceded by one good line in malformed_corpus
+MALFORMED_LINES = {
+    "no body_counts": '{"id": "a", "ts": 1.0}',
+    "not an object": "[1, 2]",
+    "body_counts a list": '{"id": "a", "ts": 1.0, "body_counts": [1]}',
+    "id a number": '{"id": 7, "ts": 1.0, "body_counts": {"1": 1}}',
+    "ts nan": '{"id": "a", "ts": NaN, "body_counts": {"1": 1}}',
+    "ts a string": '{"id": "a", "ts": "1.0", "body_counts": {"1": 1}}',
+    "word not an integer": '{"id": "a", "ts": 1.0, "body_counts": {"x": 1}}',
+    "count zero": '{"id": "a", "ts": 1.0, "body_counts": {"1": 0}}',
+    "count fractional": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1.5}}',
+    "not JSON": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}',
+}
+
+
+def malformed_corpus(path, line):
+    path.write_text('{"id": "d0", "ts": 0.0, "body_counts": {"3": 1}}\n' + line + "\n")
+    return path
+
+
 class TestIngest:
     def test_reuters_fixture_round_trip(self, tmp_path, capsys):
         out_corpus = tmp_path / "c.jsonl"
@@ -263,6 +283,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "'d1'" in err and "-1" in err
 
+    @pytest.mark.parametrize("line", list(MALFORMED_LINES.values()), ids=list(MALFORMED_LINES))
+    def test_malformed_corpus_line_exits_2_naming_it(self, tmp_path, capsys, line):
+        _, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        corpus = malformed_corpus(tmp_path / "bad.jsonl", line)
+        code = main(self.small_args(corpus, vocab_file, tmp_path, "ohdp"))
+        assert code == 2
+        assert "bad.jsonl line 2 is not a document" in capsys.readouterr().err
+
     def test_document_without_words_exits_2(self, tmp_path, capsys):
         _, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
         corpus = write_raw_corpus(tmp_path / "bad.jsonl", [{"3": 1}, {}])
@@ -348,16 +376,27 @@ class TestTimeline:
         err = capsys.readouterr().err
         assert "'d1'" in err and "30" in err
 
-    def timeline_exit_code(self, tmp_path, monkeypatch, topic):
+    @pytest.mark.parametrize("line", list(MALFORMED_LINES.values()), ids=list(MALFORMED_LINES))
+    def test_malformed_corpus_line_exits_2_naming_it(self, tmp_path, capsys, line):
+        _, ckpt = self.train_checkpoint(tmp_path)
+        corpus = malformed_corpus(tmp_path / "bad.jsonl", line)
+        code = main([
+            "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+            "--topic", "0", "--out-assign", str(tmp_path / "x.tsv"),
+        ])
+        assert code == 2
+        assert "bad.jsonl line 2 is not a document" in capsys.readouterr().err
+
+    def timeline_exit_code(self, tmp_path, monkeypatch, topic, threshold="0.05"):
         corpus, ckpt = self.train_checkpoint(tmp_path)
 
         def no_fits(*args):
-            raise AssertionError("timeline fitted documents before checking --topic")
+            raise AssertionError("timeline fitted documents before checking --topic and --threshold")
 
         monkeypatch.setattr(online_hdp, "infer_batch", no_fits)
         return main([
             "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus),
-            "--topic", topic, "--out-assign", str(tmp_path / "x.tsv"),
+            "--topic", topic, "--threshold", threshold, "--out-assign", str(tmp_path / "x.tsv"),
         ])
 
     def test_topic_out_of_range_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -368,6 +407,12 @@ class TestTimeline:
     def test_topic_just_outside_the_checkpoint_exits_2(self, tmp_path, monkeypatch, capsys, topic):
         assert self.timeline_exit_code(tmp_path, monkeypatch, topic) == 2
         assert f"topic {topic} out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "2", "1.0000001"])
+    def test_threshold_outside_the_unit_interval_exits_2(self, tmp_path, monkeypatch, capsys, threshold):
+        assert self.timeline_exit_code(tmp_path, monkeypatch, "0", threshold) == 2
+        assert f"--threshold must lie in [0, 1], got {float(threshold)}" in capsys.readouterr().err
+        assert not (tmp_path / "x.tsv").exists()
 
     def edited_cidtm_timeline(self, tmp_path, edit):
         """Exit code of timeline on a trained cidtm checkpoint (K = 6, V = 30) after ``edit(payload)``."""
@@ -399,6 +444,20 @@ class TestTimeline:
 
         assert self.edited_cidtm_timeline(tmp_path, track_word) == 2
         assert "tracked index outside [0, K_corpus * vocab_size = 180)" in capsys.readouterr().err
+
+    def test_checkpoint_with_a_clock_per_topic_still_loads(self, tmp_path):
+        """A cidtm file from before the model kept one clock holds a (K,) last_update_ts, which is ignored."""
+        def add_topic_clocks(payload):
+            payload["arrays"]["last_update_ts"] = {"dtype": "<f8"}
+            set_payload_array(payload, "last_update_ts", np.full(6, payload["header"]["clock"]))
+
+        plain, old = tmp_path / "plain", tmp_path / "old"
+        plain.mkdir()
+        old.mkdir()
+        assert self.edited_cidtm_timeline(plain, lambda payload: None) == 0
+        assert self.edited_cidtm_timeline(old, add_topic_clocks) == 0
+        assert "last_update_ts" in json.loads((old / "cidtm.ckpt").read_text())["arrays"]
+        assert (old / "x.tsv").read_bytes() == (plain / "x.tsv").read_bytes()
 
     def test_wrong_topic_count_exits_2(self, tmp_path, capsys):
         def drop_topic(payload):

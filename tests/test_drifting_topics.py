@@ -28,11 +28,11 @@ from topicdrift.drifting_topics import (
     save_checkpoint,
 )
 from topicdrift.errors import LifecycleProtocolError, ParameterError, TimeOrderError
-from topicdrift.online_hdp import BatchResult, BatchStats, HdpHyper, OnlineHdp, prequential_run
+from topicdrift.online_hdp import BatchResult, BatchStats, HdpHyper, OnlineHdp, prequential_run, score_batch
 from topicdrift.synthetic import drifting_stream, three_topic_corpus
 
 DAY = 86400.0
-STATE = ("mean", "var", "tracked", "born", "active", "deadline", "last_update_ts")
+STATE = ("mean", "var", "tracked", "born", "active", "deadline")
 
 
 def small_config(**kwargs):
@@ -165,7 +165,6 @@ class TestLifecycleStage:
         mixtures = [np.eye(8)[1], np.eye(8)[[1, 4]].sum(axis=0)]
         born, died = drifting_topics._lifecycle_stage(model, batch, mixtures)
         assert born == {1, 4} and died == set()
-        assert model.last_update_ts[1] == 3.0 and model.last_update_ts[4] == 7.0
         assert model.deadline[4] == 7.0 + model.config.active_timer_len
 
 
@@ -182,7 +181,7 @@ class TestStateInvariants:
             assert (bits(model.var[untracked]) == bits(prior)).all()
             unborn = ~model.born
             assert not model.tracked[unborn].any() and not model.active[unborn].any()
-            assert (model.deadline[unborn] == 0.0).all() and (model.last_update_ts[unborn] == 0.0).all()
+            assert (model.deadline[unborn] == 0.0).all()
             if previous is not None:
                 assert not (previous & untracked).any(), "a tracked pair was dropped"
             previous = model.tracked.copy()
@@ -194,7 +193,6 @@ class TestEvolve:
         model = DriftingTopicModel(small_config(drift_v=0.01 * DAY), 10, 100, seed=0)
         model.born[2] = model.active[2] = True
         model.deadline[2] = 1e12
-        model.last_update_ts[2] = 100.0
         model.mean[2, 1], model.var[2, 1], model.tracked[2, 1] = 0.4, 0.5, True
         model.clock = 100.0
         return model
@@ -211,16 +209,23 @@ class TestEvolve:
         evolve_topics(model, 110.0)
         assert model.var[2, 1] == pytest.approx(0.5 + 0.1, rel=1e-12)
         assert model.mean[2, 1] == 0.4
-        assert model.last_update_ts[2] == 110.0
+        assert model.clock == 110.0
         # untracked words and unborn topics do not move
         before["var"][2, 1] = model.var[2, 1]
-        before["last_update_ts"][2] = 110.0
         assert_same_state(state_of(model), before)
 
     def test_time_regression_rejected(self):
         model = self.make_model()
         with pytest.raises(TimeOrderError):
             evolve_topics(model, 99.0)
+
+    def test_first_evolve_only_sets_the_clock(self):
+        model = self.make_model()
+        model.clock = None
+        before = state_of(model)
+        evolve_topics(model, 500.0)
+        assert model.clock == 500.0
+        assert_same_state(state_of(model), before)
 
 
 def run_pair(docs, batch_size, seed, drift_v, obs_var, hyper=None, threshold=0.05):
@@ -269,9 +274,8 @@ class TestProcessBatch:
         model.process_batch(docs[:10])
         frozen = copy.deepcopy(model)
         learned = model.process_batch(docs[10:20])
-        replayed = frozen.process_batch(docs[10:20], learn=False)
-        assert learned.per_doc == replayed.per_doc
-        assert replayed.topics_born == set() and replayed.topics_died == set()
+        replayed, _, _ = score_batch(frozen, docs[10:20])
+        assert learned.per_doc == replayed
 
     def test_deterministic_across_runs(self):
         docs, _ = three_topic_corpus(n_docs=40, vocab_size=25, seed=3)
@@ -360,7 +364,7 @@ class TestSparseKalmanStage:
                 [r[2] for r in got.per_doc], [r[2] for r in want.per_doc], rtol=1e-10, atol=0
             )
         assert sparse.clock == dense.clock
-        for name in ("tracked", "born", "active", "deadline", "last_update_ts"):
+        for name in ("tracked", "born", "active", "deadline"):
             np.testing.assert_array_equal(getattr(sparse, name), getattr(dense, name), err_msg=name)
         for name in ("mean", "var"):
             np.testing.assert_allclose(getattr(sparse, name), getattr(dense, name), rtol=1e-10, atol=0)
@@ -382,7 +386,7 @@ class TestSparseKalmanStage:
             model = DriftingTopicModel(cfg, vocab, 1000, seed=0)
             model.born[:] = model.active[:] = True
             model.deadline[:] = start + 90 * DAY
-            model.last_update_ts[:] = start
+            model.clock = start
             tracemalloc.start()
             try:
                 stage(model, batch, stats)
@@ -462,4 +466,10 @@ class TestCheckpoint:
         header, arrays = self.trained_arrays(tmp_path)
         corrupt(arrays)
         with pytest.raises(ParameterError, match=re.escape(message)):
+            drifting_topics.decode_checkpoint(header, arrays)
+
+    def test_decode_rejects_tracks_without_a_clock(self, tmp_path):
+        header, arrays = self.trained_arrays(tmp_path)
+        header["clock"] = None
+        with pytest.raises(ParameterError, match="tracks words but has no clock"):
             drifting_topics.decode_checkpoint(header, arrays)

@@ -46,19 +46,21 @@ class TestPerWordSeries:
 
     def test_uniform_model_run_sits_at_log_inverse_vocab(self):
         from topicdrift.corpus import Document
-        from topicdrift.online_hdp import GlobalVariational, HdpHyper, heldout_doc_loglik
+        from topicdrift.online_hdp import GlobalVariational, HdpHyper, HdpSnapshot, infer_batch, mixture_score
 
         vocab = 40
         hyper = HdpHyper(K_corpus=3, T_doc=2)
         g = GlobalVariational(np.full((3, vocab), 2.0), np.ones(2), np.ones(2))
+        snap = HdpSnapshot.of(g)
         rng = np.random.default_rng(7)
         records = []
         for i in range(20):
             counts = {int(w): int(c) for w, c in
                       zip(rng.choice(vocab, 5, replace=False), rng.integers(1, 5, 5))}
             doc = Document(f"d{i}", float(i), counts, sum(counts.values()))
+            ((words, n, _, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
             records.append((doc.id, doc.timestamp,
-                            heldout_doc_loglik(doc, g, hyper), doc.total_tokens))
+                            mixture_score(words, n, theta, snap.word_probs), doc.total_tokens))
         series = per_word_series(records)
         for _, _, value in series.points:
             assert value == pytest.approx(math.log(1 / vocab), rel=1e-9)
@@ -163,7 +165,7 @@ class TestRuntimeBenchmark:
     def test_single_measurement(self):
         docs = uniform_stream(120, 30, seed=3)
         config = {"vocab_size": 30, "batch_size": 16, "seed": 0}
-        results = runtime_benchmark("ohdp", docs, [100], config, warmup=False)
+        results = runtime_benchmark("ohdp", docs, [100], config)
         assert len(results) == 1
         assert results[0][0] == 100
         assert results[0][1] > 0

@@ -1,5 +1,6 @@
 """Online HDP: stick weights, document inference, streaming updates."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,16 +23,16 @@ from topicdrift.online_hdp import (
     OnlineHdp,
     doc_topic_mixture,
     expect_log_sticks,
+    accumulate_stats,
     expected_corpus_weights,
-    heldout_doc_loglik,
     infer_batch,
-    infer_document,
     init_global,
     online_update,
     prequential_run,
     save_checkpoint,
     load_checkpoint,
     mixture_score,
+    score_batch,
     topic_word_probs,
 )
 from topicdrift.synthetic import drifting_stream, three_topic_corpus
@@ -87,7 +88,10 @@ class TestInferDocument:
         hyper = HdpHyper(K_corpus=1, T_doc=4)
         g = make_global([[1.0, 2.0, 3.0]])
         doc = make_doc({0: 2, 2: 1})
-        dv, stats, elbo = infer_document(doc, g, hyper)
+        snap = HdpSnapshot.of(g)
+        ((words, n, dv, elbo, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+        stats = BatchStats.zeros(1, 3)
+        accumulate_stats(stats, dv, words, n)
         np.testing.assert_allclose(dv.varphi, 1.0)
         np.testing.assert_allclose(dv.zeta.sum(axis=1), 1.0, atol=1e-12)
         assert math.isfinite(elbo)
@@ -99,7 +103,8 @@ class TestInferDocument:
         hyper = HdpHyper(K_corpus=5, T_doc=3, gamma=1.5)
         g = make_global(np.ones((5, 8)) * 0.7, gamma=1.5)
         doc = make_doc({3: 4})
-        dv, _, _ = infer_document(doc, g, hyper)
+        snap = HdpSnapshot.of(g)
+        ((_, _, dv, _, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
         sticks = expect_log_sticks(g.stick_u, g.stick_v)
         expected = np.exp(sticks - sticks.max())
         expected /= expected.sum()
@@ -129,13 +134,15 @@ class TestInferDocument:
         hyper = HdpHyper(K_corpus=7, T_doc=5)
         g = make_global(rng.gamma(1.0, 1.0, (7, 40)) + 0.01)
         doc = make_doc({int(w): 1 for w in rng.choice(40, 15, replace=False)})
-        dv, _, _ = infer_document(doc, g, hyper)
+        snap = HdpSnapshot.of(g)
+        ((_, _, dv, _, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
         np.testing.assert_allclose(dv.varphi.sum(axis=1), 1.0, atol=1e-10)
         np.testing.assert_allclose(dv.zeta.sum(axis=1), 1.0, atol=1e-10)
 
     def test_empty_document_rejected(self):
+        snap = HdpSnapshot.of(make_global(np.ones((2, 3))))
         with pytest.raises(ParameterError):
-            infer_document(make_doc({}), make_global(np.ones((2, 3))), HdpHyper(K_corpus=2, T_doc=2))
+            next(infer_batch([make_doc({})], snap.elog_beta, snap.elog_sticks, HdpHyper(K_corpus=2, T_doc=2)))
 
     @pytest.mark.parametrize("word", [-1, 8])
     def test_words_outside_the_vocabulary_rejected(self, word):
@@ -173,17 +180,17 @@ class TestOnlineUpdate:
         g = make_global(np.ones((2, 2)))
         stats = BatchStats(np.ones((2, 2)), np.ones(2), 1)
         with pytest.raises(ConfigurationError):
-            online_update(g, stats, HdpHyper(K_corpus=2, T_doc=2), 10, rho=1.5)
+            online_update(g, stats, HdpHyper(K_corpus=2, T_doc=2, tau0=0.5), 10)  # rho = 0.5^-0.6 > 1
 
     def test_halving_steps_halve_distance_to_target(self):
-        hyper = HdpHyper(K_corpus=2, T_doc=2, eta=0.5)
+        hyper = HdpHyper(K_corpus=2, T_doc=2, eta=0.5, kappa=1.0, tau0=2.0)  # rho = 1/2 at update 0
         g = make_global(np.full((2, 3), 10.0))
         stats = BatchStats(np.full((2, 3), 2.0), np.array([1.0, 1.0]), 1)
         target = 0.5 + 4 * 2.0  # eta + (D/batch) * stats with D=4
         d0 = abs(g.lam[0, 0] - target)
-        g1 = online_update(g, stats, hyper, corpus_scale=4, rho=0.5)
+        g1 = online_update(g, stats, hyper, corpus_scale=4)
         d1 = abs(g1.lam[0, 0] - target)
-        g2 = online_update(g1, stats, hyper, corpus_scale=4, rho=0.5)
+        g2 = online_update(dataclasses.replace(g1, update_count=0), stats, hyper, corpus_scale=4)
         d2 = abs(g2.lam[0, 0] - target)
         assert d1 == pytest.approx(0.5 * d0, rel=1e-12)
         assert d2 == pytest.approx(0.5 * d1, rel=1e-12)
@@ -199,12 +206,9 @@ class TestOnlineUpdate:
         g = init_global(hyper, 20, corpus_scale=5, seed=0)
         snap = HdpSnapshot.of(g)
         stats = BatchStats.zeros(4, 20)
-        for doc in docs:
-            _, s, _ = infer_document(doc, g, hyper, snapshot=snap)
-            stats.lam += s.lam
-            stats.usage += s.usage
-            stats.batch_doc_count += s.batch_doc_count
-        out = online_update(g, stats, hyper, corpus_scale=5, rho=1.0)
+        for words, n, dv, _, _ in infer_batch(docs, snap.elog_beta, snap.elog_sticks, hyper):
+            accumulate_stats(stats, dv, words, n)
+        out = online_update(g, stats, hyper, corpus_scale=5)  # rho = (1+0)^-k = 1
         np.testing.assert_allclose(out.lam, hyper.eta + stats.lam, atol=1e-12)
         np.testing.assert_allclose(out.stick_u, 1.0 + stats.usage[:3], atol=1e-12)
         tail = np.flip(np.cumsum(np.flip(stats.usage[1:])))
@@ -269,7 +273,7 @@ class TestInferBatch:
         )
         assert 1 < len(set(ref_sweeps)) and max(ref_sweeps) == MAX_SWEEPS
         sweeps = record_sweeps(monkeypatch)
-        assert_records_match(hdp.process_batch(held, learn=False).per_doc, records)
+        assert_records_match(score_batch(hdp, held)[0], records)
         for got, want in zip(cli._doc_topic_weights(hdp, held), mixtures, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
         assert sweeps == ref_sweeps * 2
@@ -283,7 +287,7 @@ class TestInferBatch:
             held, elog_adj, snap.elog_sticks, probs_adj, hyper
         )
         sweeps.clear()
-        assert_records_match(model.process_batch(held, learn=False).per_doc, records)
+        assert_records_match(score_batch(model, held)[0], records)
         for got, want in zip(cli._doc_topic_weights(model, held), mixtures, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
         assert sweeps == ref_sweeps * 2
@@ -410,22 +414,27 @@ class TestHeldout:
         hyper = HdpHyper(K_corpus=3, T_doc=2)
         g = make_global(np.full((3, 100), 2.0))
         doc = make_doc({5: 4, 80: 6})
-        score = heldout_doc_loglik(doc, g, hyper)
+        snap = HdpSnapshot.of(g)
+        ((words, n, _, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+        score = mixture_score(words, n, theta, snap.word_probs)
         assert score == pytest.approx(10 * math.log(1 / 100), rel=1e-9)
 
     def test_perfect_single_topic_prediction_is_zero(self):
         hyper = HdpHyper(K_corpus=1, T_doc=2)
         g = make_global([[1e9, 1e-9, 1e-9]])
         doc = make_doc({0: 7})
-        assert heldout_doc_loglik(doc, g, hyper) == pytest.approx(0.0, abs=1e-6)
+        snap = HdpSnapshot.of(g)
+        ((words, n, _, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+        assert mixture_score(words, n, theta, snap.word_probs) == pytest.approx(0.0, abs=1e-6)
 
     def test_matches_explicit_mixture_computation(self):
         hyper = HdpHyper(K_corpus=2, T_doc=3)
         g = make_global([[6.0, 3.0, 1.0], [1.0, 1.0, 8.0]])
         doc = make_doc({0: 2, 1: 1, 2: 3})
-        score = heldout_doc_loglik(doc, g, hyper)
-
         snap = HdpSnapshot.of(g)
+        ((words, n, _, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+        score = mixture_score(words, n, theta, snap.word_probs)
+
         words, n = doc_words(doc)
         ((dv, _, _),) = online_hdp._fit_block(
             [(words, n)], snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
@@ -446,9 +455,9 @@ class TestStreaming:
         a = OnlineHdp(hyper, 30, corpus_scale=40, seed=1)
         b = OnlineHdp(hyper, 30, corpus_scale=40, seed=1)
         batch = docs[:10]
-        scored_learning = a.process_batch(batch, learn=True)
-        scored_frozen = b.process_batch(batch, learn=False)
-        assert scored_learning == scored_frozen
+        scored_learning = a.process_batch(batch)
+        scored_frozen, _, _ = score_batch(b, batch)
+        assert scored_learning.per_doc == scored_frozen
         # learning actually changed the state
         assert not np.allclose(a.g.lam, b.g.lam)
 
