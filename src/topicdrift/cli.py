@@ -19,28 +19,11 @@ from . import corpus as corpus_mod
 from . import drifting_topics, evaluation, fixed_k_dtm, online_hdp
 from .checkpoint import read_checkpoint
 from .dp_sim import crp_partition, crfp_sample, dim_sum_sample, tdpm_decayed_counts
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    CorpusParseError,
-    NumericalError,
-    ParameterError,
-    ShapeMismatchError,
-    TimeOrderError,
-    TimestampParseError,
-)
+from .errors import ConfigurationError, ConvergenceError, NumericalError
 from .kalman import DriftConfig
 
-USAGE_ERRORS = (
-    ConfigurationError,
-    CorpusParseError,
-    ParameterError,
-    ShapeMismatchError,
-    TimeOrderError,
-    TimestampParseError,
-    FileNotFoundError,
-    ValueError,
-)
+# every usage error of errors.py subclasses ValueError
+USAGE_ERRORS = (ValueError, FileNotFoundError)
 NUMERICAL_ERRORS = (ConvergenceError, NumericalError, FloatingPointError)
 
 
@@ -72,34 +55,20 @@ def cmd_ingest(args):
     return 0
 
 
-def _check_words(docs, vocab_size):
-    """Every document needs at least one word, and every index must lie in [0, vocab_size)."""
-    for doc in docs:
-        if not doc.counts:
-            raise ConfigurationError(f"document {doc.id!r} has no words")
-        for w in (min(doc.counts), max(doc.counts)):
-            if not 0 <= w < vocab_size:
-                raise ConfigurationError(
-                    f"document {doc.id!r} uses word index {w} outside the {vocab_size}-term vocabulary"
-                )
-
-
 def _load_corpus(args):
     docs = corpus_mod.read_canonical(args.corpus)
     vocab = corpus_mod.read_vocabulary(args.vocab)
     if not docs:
         raise ConfigurationError("corpus is empty")
-    _check_words(docs, vocab.size)
+    corpus_mod.check_words(docs, vocab.size)
     return docs, vocab
 
 
 def _hyper_from(args):
-    alpha0 = args.alpha0
-    if alpha0 is None:
-        alpha0 = 0.2 if args.model == "cidtm" else 1.0
+    default = drifting_topics.CidtmConfig.hyper if args.model == "cidtm" else online_hdp.HdpHyper
     return online_hdp.HdpHyper(
         gamma=args.gamma,
-        alpha0=alpha0,
+        alpha0=default.alpha0 if args.alpha0 is None else args.alpha0,
         eta=args.eta,
         K_corpus=args.k_corpus,
         T_doc=args.t_doc,
@@ -130,7 +99,7 @@ def cmd_train(args):
             hyper=hyper,
             drift_v=args.drift_v,
             obs_var=args.obs_var,
-            active_timer_len=args.timer * 86400.0,
+            active_timer_len=args.timer * drifting_topics.SECONDS_PER_DAY,
             relevance_threshold=args.threshold,
         )
         model = drifting_topics.DriftingTopicModel(cfg, vocab.size, len(docs), seed=seed)
@@ -143,7 +112,7 @@ def cmd_train(args):
         train = [d for i, d in enumerate(docs) if i in train_idx]
         test = [d for i, d in enumerate(docs) if i not in train_idx] or train
         model = fixed_k_dtm.train_cdtm(
-            train, args.k, DriftConfig(args.drift_v / 86400.0), args.sweeps, rng,
+            train, args.k, DriftConfig(args.drift_v / drifting_topics.SECONDS_PER_DAY), args.sweeps, rng,
             alpha=hyper.alpha0, obs_var=args.obs_var, vocab_size=vocab.size,
         )
         records = fixed_k_dtm.cdtm_heldout_loglik(model, test)
@@ -184,7 +153,7 @@ def cmd_timeline(args):
     if not 0 <= args.topic < model.hyper.K_corpus:
         raise ConfigurationError(f"topic {args.topic} out of range")
     docs = corpus_mod.read_canonical(args.corpus)
-    _check_words(docs, model.vocab_size)
+    corpus_mod.check_words(docs, model.vocab_size)
     labels = _read_labels(args.labels, docs) if args.labels else None
     weights = _doc_topic_weights(model, docs)
     assigned = evaluation.timeline_assign(docs, weights, args.topic, args.threshold)
@@ -274,9 +243,11 @@ def build_parser():
     p.add_argument("--out-corpus", required=True)
     p.add_argument("--out-vocab", required=True)
     p.add_argument("--min-doc-freq", type=int, default=2)
-    p.add_argument("--min-token-length", type=int, default=2)
+    p.add_argument("--min-token-length", type=int, default=corpus_mod.TokenizerConfig.min_token_length)
     p.set_defaults(func=cmd_ingest)
 
+    # the model flags default to the settings of the configs they build
+    hdp, cidtm = online_hdp.HdpHyper, drifting_topics.CidtmConfig
     p = sub.add_parser("train", help="train a model and emit a likelihood TSV")
     p.add_argument("--model", required=True, choices=["ohdp", "cidtm", "cdtm"])
     p.add_argument("--corpus", required=True)
@@ -285,18 +256,19 @@ def build_parser():
     p.add_argument("--tsv", required=True)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=hdp.gamma)
     p.add_argument("--alpha0", type=float, default=None,
-                   help="document-level concentration (default 1.0; 0.2 for cidtm)")
-    p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--k-corpus", type=int, default=300)
-    p.add_argument("--t-doc", type=int, default=20)
-    p.add_argument("--kappa", type=float, default=0.6)
-    p.add_argument("--tau0", type=float, default=1.0)
-    p.add_argument("--drift-v", type=float, default=0.005)
-    p.add_argument("--obs-var", type=float, default=0.1)
-    p.add_argument("--timer", type=float, default=90.0, help="lifecycle timer in days")
-    p.add_argument("--threshold", type=float, default=0.05)
+                   help=f"document-level concentration (default {hdp.alpha0}; {cidtm.hyper.alpha0} for cidtm)")
+    p.add_argument("--eta", type=float, default=hdp.eta)
+    p.add_argument("--k-corpus", type=int, default=hdp.K_corpus)
+    p.add_argument("--t-doc", type=int, default=hdp.T_doc)
+    p.add_argument("--kappa", type=float, default=hdp.kappa)
+    p.add_argument("--tau0", type=float, default=hdp.tau0)
+    p.add_argument("--drift-v", type=float, default=cidtm.drift_v)
+    p.add_argument("--obs-var", type=float, default=cidtm.obs_var)
+    p.add_argument("--timer", type=float, default=cidtm.active_timer_len / drifting_topics.SECONDS_PER_DAY,
+                   help="lifecycle timer in days")
+    p.add_argument("--threshold", type=float, default=cidtm.relevance_threshold)
     p.add_argument("--train-fraction", type=float, default=0.5,
                    help="share of documents cdtm trains on, in (0, 1]")
     p.add_argument("--k", type=int, default=50, help="fixed topic count for cdtm")

@@ -229,7 +229,7 @@ def tokenize_corpus(records, cfg=TokenizerConfig()):
     return TokenizedCorpus(records, list(term_ids), bags)
 
 
-def build_vocabulary(tokenized, min_doc_freq=2):
+def build_vocabulary(tokenized, min_doc_freq):
     """Dense term indices, in term order, for all terms reaching the document-frequency floor."""
     if not tokenized.records:
         raise ParameterError("docs must be nonempty")
@@ -281,7 +281,6 @@ def corpus_statistics(docs, vocab, n_records):
     ``to_documents`` dropped counts as 0 terms.
     """
     return {
-        "documents": n_records,
         "vocabulary_size": vocab.size,
         "mean_unique_terms": sum(len(d.counts) for d in docs) / n_records if n_records else 0.0,
     }
@@ -294,13 +293,20 @@ def doc_words(doc):
     return words, n
 
 
+def check_words(docs, vocab_size):
+    """Every document needs at least one word, and every word index must lie in [0, vocab_size)."""
+    for doc in docs:
+        if not doc.counts:
+            raise ParameterError(f"document {doc.id!r} has no words; it needs words in [0, {vocab_size})")
+        for w in (min(doc.counts), max(doc.counts)):
+            if not 0 <= w < vocab_size:
+                raise ParameterError(f"document {doc.id!r} needs words in [0, {vocab_size}), not {w}")
+
+
 def vocab_words(docs, vocab_size):
-    """``doc_words`` of each document; each needs at least one word, and all in [0, vocab_size)."""
-    fits = [doc_words(doc) for doc in docs]
-    for doc, (words, _) in zip(docs, fits):
-        if not words or words[0] < 0 or words[-1] >= vocab_size:
-            raise ParameterError(f"document {doc.id!r} needs words in [0, {vocab_size})")
-    return fits
+    """``doc_words`` of each document, after ``check_words``."""
+    check_words(docs, vocab_size)
+    return [doc_words(doc) for doc in docs]
 
 
 def batch_iter(docs, batch_size):
@@ -330,7 +336,8 @@ def read_canonical(path):
 
     Every non-blank line must be an object with a string ``id``, a finite
     number ``ts`` and ``body_counts`` mapping integer keys to positive
-    integer counts; any other line raises CorpusParseError naming it.
+    integer counts, and, where present, a list of strings ``related`` and
+    a string ``title``; any other line raises CorpusParseError naming it.
     """
     docs = []
     with open(path, "r", encoding="utf-8") as f:
@@ -341,15 +348,18 @@ def read_canonical(path):
                 record = json.loads(line)
                 ts = record["ts"]
                 counts = {int(k): v for k, v in record["body_counts"].items()}
+                related, title = record.get("related", []), record.get("title", "")
                 if (type(record["id"]) is not str or type(ts) not in (int, float) or not math.isfinite(ts)
-                        or not all(type(v) is int and v > 0 for v in counts.values())):
+                        or not all(type(v) is int and v > 0 for v in counts.values())
+                        or type(related) is not list or not all(type(r) is str for r in related)
+                        or type(title) is not str):
                     raise ValueError
-                docs.append(Document(record["id"], float(ts), counts, sum(counts.values()),
-                                     tuple(record.get("related", ())), record.get("title", "")))
+                docs.append(Document(record["id"], float(ts), counts, sum(counts.values()), tuple(related), title))
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
                 raise CorpusParseError(
                     f"{path} line {number} is not a document: it needs a string id, a finite number ts"
-                    " and body_counts mapping integer keys to positive integer counts"
+                    " and body_counts mapping integer keys to positive integer counts; related, if present,"
+                    " must be a list of strings and title a string"
                 ) from None
     return docs
 

@@ -29,10 +29,6 @@ class Partition:
     def num_tables(self):
         return len(self.table_sizes)
 
-    @property
-    def num_customers(self):
-        return len(self.table_of_customer)
-
 
 @dataclass
 class FranchiseState:

@@ -32,7 +32,7 @@ model outrun the HDP's fixed learning-rate schedule.
 
 The state is held in arrays on the model: (K, V) ``mean`` and ``var``
 with a (K, V) bool ``tracked`` mask, every untracked entry sitting at
-exactly the prior (0.0 and ``prior_variance``), and (K,) ``born``,
+exactly the prior (0.0 and ``PRIOR_VARIANCE``), and (K,) ``born``,
 ``active`` and ``deadline`` for the lifecycles.  As in the
 continuous-time DTM of Wang, Blei and Heckerman (UAI 2008), only the
 (born topic, word) pairs that some batch observed are tracked.  Every
@@ -70,6 +70,8 @@ ACTIVE = "active"
 DEAD = "dead"
 
 SECONDS_PER_DAY = 86400.0
+# the variance of every track before its first observation
+PRIOR_VARIANCE = 1.0
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,6 @@ class CidtmConfig:
     obs_var: float = 0.1
     active_timer_len: float = 90.0 * SECONDS_PER_DAY
     relevance_threshold: float = 0.05
-    prior_variance: float = 1.0
 
     def __post_init__(self):
         # the bounds are written so that nan fails them
@@ -141,8 +142,6 @@ class CidtmConfig:
             raise ConfigurationError(f"active_timer_len must be finite and > 0, got {self.active_timer_len}")
         if not (0.0 <= self.relevance_threshold <= 1.0):
             raise ConfigurationError("relevance_threshold must lie in [0, 1]")
-        if not 0.0 < self.prior_variance < math.inf:
-            raise ConfigurationError(f"prior_variance must be finite and > 0, got {self.prior_variance}")
 
 
 class DriftingTopicModel(OnlineHdp):
@@ -158,7 +157,7 @@ class DriftingTopicModel(OnlineHdp):
         """Every track at the prior and no topic born."""
         k, v = self.hyper.K_corpus, self.vocab_size
         self.mean = np.zeros((k, v))
-        self.var = np.full((k, v), self.config.prior_variance)
+        self.var = np.full((k, v), PRIOR_VARIANCE)
         self.tracked = np.zeros((k, v), dtype=bool)
         self.born = np.zeros(k, dtype=bool)
         self.active = np.zeros(k, dtype=bool)
@@ -172,7 +171,7 @@ class DriftingTopicModel(OnlineHdp):
         return DriftConfig(
             process_variance=self.drift_per_second,
             prior_mean=0.0,
-            prior_variance=self.config.prior_variance,
+            prior_variance=PRIOR_VARIANCE,
         )
 
     def adjusted_matrices(self, snap):

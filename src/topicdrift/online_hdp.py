@@ -65,8 +65,9 @@ class HdpHyper:
             raise ConfigurationError("truncations must be >= 1")
         if not (0.5 < self.kappa <= 1.0):
             raise ConfigurationError("kappa must lie in (0.5, 1]")
-        if not 0.0 <= self.tau0 < math.inf:
-            raise ConfigurationError(f"tau0 must be finite and >= 0, got {self.tau0}")
+        # update counts start at 0, so rho_t lies in (0, 1] for every update exactly when tau0 >= 1
+        if not 1.0 <= self.tau0 < math.inf:
+            raise ConfigurationError(f"tau0 must be finite and >= 1, got {self.tau0}")
 
 
 @dataclass
@@ -319,10 +320,7 @@ def accumulate_stats(stats, dv, words, n):
 
 
 def learning_rate(hyper, update_count):
-    rho = (hyper.tau0 + update_count) ** (-hyper.kappa)
-    if not (0.0 < rho <= 1.0):
-        raise ConfigurationError(f"learning rate {rho!r} outside (0, 1]")
-    return rho
+    return (hyper.tau0 + update_count) ** (-hyper.kappa)
 
 
 def online_update(g, stats, hyper, corpus_scale):

@@ -6,17 +6,14 @@ from .corpus import Document
 
 HOUR = 3600.0
 DAY = 86400.0
+START_TS = 1_600_000_000.0  # every stream's first timestamp
 
 
-def _block_topic(vocab_size, block, sharpness=1.0, floor=0.01, rng=None):
-    """A word distribution concentrated on a contiguous vocabulary block."""
-    alpha = np.full(vocab_size, floor)
-    alpha[block] = sharpness
-    if rng is None:
-        p = alpha / alpha.sum()
-    else:
-        p = rng.dirichlet(alpha)
-    return p
+def _block_topic(vocab_size, block, rng):
+    """A word distribution drawn around a contiguous vocabulary block."""
+    alpha = np.full(vocab_size, 0.01)
+    alpha[block] = 1.0
+    return rng.dirichlet(alpha)
 
 
 def _draw_doc(doc_id, ts, mixture, topics, length, rng):
@@ -26,8 +23,7 @@ def _draw_doc(doc_id, ts, mixture, topics, length, rng):
     return Document(id=doc_id, timestamp=ts, counts=counts, total_tokens=int(counts_vec.sum()))
 
 
-def three_topic_corpus(n_docs=500, vocab_size=50, seed=0, min_len=40, max_len=80,
-                       mix_alpha=0.3, start_ts=1_600_000_000.0):
+def three_topic_corpus(n_docs=500, vocab_size=50, seed=0, mix_alpha=0.3):
     """Documents from a static 3-topic mixture, one per hour.
 
     Returns (documents, topic matrix); topics occupy near-disjoint
@@ -36,36 +32,35 @@ def three_topic_corpus(n_docs=500, vocab_size=50, seed=0, min_len=40, max_len=80
     rng = np.random.default_rng(seed)
     block = vocab_size // 3
     topics = np.stack([
-        _block_topic(vocab_size, slice(0, block), rng=rng),
-        _block_topic(vocab_size, slice(block, 2 * block), rng=rng),
-        _block_topic(vocab_size, slice(2 * block, vocab_size), rng=rng),
+        _block_topic(vocab_size, slice(0, block), rng),
+        _block_topic(vocab_size, slice(block, 2 * block), rng),
+        _block_topic(vocab_size, slice(2 * block, vocab_size), rng),
     ])
     docs = []
     for i in range(n_docs):
         mixture = rng.dirichlet(np.full(3, mix_alpha))
-        length = int(rng.integers(min_len, max_len + 1))
-        docs.append(_draw_doc(f"doc{i:05d}", start_ts + i * HOUR, mixture, topics, length, rng))
+        length = int(rng.integers(40, 81))
+        docs.append(_draw_doc(f"doc{i:05d}", START_TS + i * HOUR, mixture, topics, length, rng))
     return docs, topics
 
 
-def drifting_stream(seed=0, vocab_size=60, gap_days=90.0,
-                    pre_docs=200, gap_docs=30, post_docs=120,
-                    start_ts=1_600_000_000.0):
-    """A two-topic stream where one topic goes dormant and shifts meanwhile.
+def drifting_stream(seed=0, pre_docs=200, gap_docs=30, post_docs=120):
+    """A two-topic stream over 60 words where one topic goes dormant for 90 days and shifts meanwhile.
 
     Topic A lives on one vocabulary block before the gap and on a
     shifted block afterwards; topic B is stationary and fills the gap.
     Returns (documents, ids of post-gap A-dominated documents).
     """
     rng = np.random.default_rng(seed)
+    vocab_size = 60
     block = vocab_size // 3
-    topic_a_pre = _block_topic(vocab_size, slice(0, block), rng=rng)
-    topic_a_post = _block_topic(vocab_size, slice(block // 2, block + block // 2), rng=rng)
-    topic_b = _block_topic(vocab_size, slice(2 * block, vocab_size), rng=rng)
+    topic_a_pre = _block_topic(vocab_size, slice(0, block), rng)
+    topic_a_post = _block_topic(vocab_size, slice(block // 2, block + block // 2), rng)
+    topic_b = _block_topic(vocab_size, slice(2 * block, vocab_size), rng)
 
     docs = []
     post_gap_a = []
-    ts = start_ts
+    ts = START_TS
     pre_step = 60.0 * DAY / max(pre_docs, 1)
     for i in range(pre_docs):
         if rng.random() < 0.5:
@@ -76,7 +71,7 @@ def drifting_stream(seed=0, vocab_size=60, gap_days=90.0,
         docs.append(_draw_doc(f"pre{i:05d}", ts, mixture, topics, length, rng))
         ts += pre_step
 
-    gap_step = gap_days * DAY / max(gap_docs, 1)
+    gap_step = 90.0 * DAY / max(gap_docs, 1)
     for i in range(gap_docs):
         length = int(rng.integers(40, 81))
         docs.append(_draw_doc(f"gap{i:05d}", ts, np.array([1.0]), topic_b[None, :], length, rng))
@@ -98,17 +93,18 @@ def drifting_stream(seed=0, vocab_size=60, gap_days=90.0,
     return docs, post_gap_a
 
 
-def uniform_stream(n_docs, vocab_size, seed=0, start_ts=1_600_000_000.0, n_topics=5):
-    """A plain multi-topic stream for scaling runs (one doc per hour)."""
+def uniform_stream(n_docs, vocab_size, seed=0):
+    """A plain 5-topic stream for scaling runs (one doc per hour)."""
+    n_topics = 5
     rng = np.random.default_rng(seed)
     size = max(vocab_size // n_topics, 1)
     topics = np.stack([
-        _block_topic(vocab_size, slice(k * size, min((k + 1) * size, vocab_size)), rng=rng)
+        _block_topic(vocab_size, slice(k * size, min((k + 1) * size, vocab_size)), rng)
         for k in range(n_topics)
     ])
     docs = []
     for i in range(n_docs):
         mixture = rng.dirichlet(np.full(n_topics, 0.3))
         length = int(rng.integers(30, 61))
-        docs.append(_draw_doc(f"doc{i:06d}", start_ts + i * HOUR, mixture, topics, length, rng))
+        docs.append(_draw_doc(f"doc{i:06d}", START_TS + i * HOUR, mixture, topics, length, rng))
     return docs

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,10 @@ MALFORMED_LINES = {
     "count zero": '{"id": "a", "ts": 1.0, "body_counts": {"1": 0}}',
     "count fractional": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1.5}}',
     "not JSON": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}',
+    "related a string": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "related": "xyz"}',
+    "related not strings": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "related": [1, null]}',
+    "title a number": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "title": 5}',
+    "title null": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "title": null}',
 }
 
 
@@ -190,6 +195,32 @@ class TestTrain:
         main(self.small_args(corpus, vocab_file, tmp_path, "ohdp",
                              ["--batch-size", "10", "--seed", "1"]))
         assert (tmp_path / "ohdp.tsv").read_bytes() != first
+
+    @pytest.mark.parametrize("model, header, config", [
+        ("ohdp", "hyper", online_hdp.HdpHyper()),
+        ("cidtm", "config", drifting_topics.CidtmConfig()),
+    ])
+    def test_model_flags_default_to_the_config_defaults(self, tmp_path, model, header, config):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        ckpt = tmp_path / f"{model}.ckpt"
+        assert main(["train", "--model", model, "--corpus", str(corpus), "--vocab", str(vocab_file),
+                     "--checkpoint", str(ckpt), "--tsv", str(tmp_path / f"{model}.tsv")]) == 0
+        assert json.loads(ckpt.read_text())["header"][header] == asdict(config)
+
+    @pytest.mark.parametrize("model", ["ohdp", "cidtm", "cdtm"])
+    @pytest.mark.parametrize("tau0", ["0", "0.5"])
+    def test_tau0_below_one_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch, model, tau0):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+
+        def no_fitting(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(online_hdp, "prequential_run", no_fitting)
+        monkeypatch.setattr(fixed_k_dtm, "train_cdtm", no_fitting)
+        code = main(self.small_args(corpus, vocab_file, tmp_path, model, ["--k", "3", "--tau0", tau0]))
+        assert code == 2
+        assert f"tau0 must be finite and >= 1, got {float(tau0)}" in capsys.readouterr().err
+        assert not (tmp_path / f"{model}.ckpt").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
@@ -457,6 +488,19 @@ class TestTimeline:
         assert self.edited_cidtm_timeline(plain, lambda payload: None) == 0
         assert self.edited_cidtm_timeline(old, add_topic_clocks) == 0
         assert "last_update_ts" in json.loads((old / "cidtm.ckpt").read_text())["arrays"]
+        assert (old / "x.tsv").read_bytes() == (plain / "x.tsv").read_bytes()
+
+    def test_checkpoint_with_a_prior_variance_still_loads(self, tmp_path):
+        """A cidtm file from before the track prior became a constant holds it in its config, which is ignored."""
+        def add_prior_variance(payload):
+            payload["header"]["config"]["prior_variance"] = 1.0
+
+        plain, old = tmp_path / "plain", tmp_path / "old"
+        plain.mkdir()
+        old.mkdir()
+        assert self.edited_cidtm_timeline(plain, lambda payload: None) == 0
+        assert self.edited_cidtm_timeline(old, add_prior_variance) == 0
+        assert "prior_variance" in json.loads((old / "cidtm.ckpt").read_text())["header"]["config"]
         assert (old / "x.tsv").read_bytes() == (plain / "x.tsv").read_bytes()
 
     def test_wrong_topic_count_exits_2(self, tmp_path, capsys):

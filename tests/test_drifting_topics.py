@@ -176,7 +176,7 @@ class TestStateInvariants:
         for model, result in dormancy_run(docs):
             deaths.extend(result.topics_died)
             untracked = ~model.tracked
-            prior = np.float64(model.config.prior_variance)
+            prior = np.float64(drifting_topics.PRIOR_VARIANCE)
             assert (bits(model.mean[untracked]) == bits(0.0)).all()
             assert (bits(model.var[untracked]) == bits(prior)).all()
             unborn = ~model.born

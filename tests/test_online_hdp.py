@@ -161,6 +161,11 @@ class TestHyper:
         with pytest.raises(ConfigurationError, match=field):
             HdpHyper(**{field: value})
 
+    @pytest.mark.parametrize("tau0", [0.0, 0.5, 0.999])
+    def test_tau0_below_one_rejected(self, tau0):
+        with pytest.raises(ConfigurationError, match="tau0 must be finite and >= 1"):
+            HdpHyper(tau0=tau0)
+
 
 class TestOnlineUpdate:
     def test_full_replacement_at_rho_one(self):
