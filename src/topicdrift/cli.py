@@ -60,6 +60,7 @@ def _load_corpus(args):
     vocab = corpus_mod.read_vocabulary(args.vocab)
     if not docs:
         raise ConfigurationError("corpus is empty")
+    # the fitting code checks words too, but the README promises exit 2 before any fitting
     corpus_mod.check_words(docs, vocab.size)
     return docs, vocab
 
@@ -135,10 +136,12 @@ def _read_labels(path, docs):
     """doc id -> bool from a ``doc_id<TAB>0|1`` file; at least one id must be a document's."""
     labels = {}
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             if line.strip():
-                doc_id, value = line.rstrip("\n").split("\t")
-                labels[doc_id] = bool(int(value))
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != 2 or fields[1] not in ("0", "1"):
+                    raise ConfigurationError(f"{path} line {number}: expected doc_id<TAB>0|1")
+                labels[fields[0]] = fields[1] == "1"
     if not any(doc.id in labels for doc in docs):
         raise ConfigurationError(f"no document of the corpus has a label in {path}")
     return labels

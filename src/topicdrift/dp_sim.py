@@ -11,6 +11,7 @@ with probability alpha / (i - 1 + alpha).
 """
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,8 @@ def crp_partition(n, alpha, rng):
     """Seat n customers by the Chinese restaurant process."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if alpha <= 0.0:
-        raise ParameterError("alpha must be > 0")
+    if not 0.0 < alpha < math.inf:  # also rejects nan
+        raise ParameterError(f"alpha must be finite and > 0, got {alpha}")
     table_of_customer = [0]
     sizes = [1]
     for _ in range(2, n + 1):
@@ -87,6 +88,14 @@ def crp_partition(n, alpha, rng):
             sizes[choice] += 1
         table_of_customer.append(choice)
     return Partition(table_of_customer, sizes)
+
+
+def _check_franchise(doc_sizes, alpha, gamma):
+    """The settings rule of both franchise samplers."""
+    if any(s < 1 for s in doc_sizes):
+        raise ParameterError("all doc_sizes must be >= 1")
+    if not (0.0 < alpha < math.inf and 0.0 < gamma < math.inf):  # also rejects nan
+        raise ParameterError(f"alpha and gamma must be finite and > 0, got {alpha} and {gamma}")
 
 
 def _seat_document(state, size, alpha, gamma, rng):
@@ -113,10 +122,7 @@ def _seat_document(state, size, alpha, gamma, rng):
 
 def crfp_sample(doc_sizes, alpha, gamma, rng):
     """Sample a Chinese restaurant franchise over the given document sizes."""
-    if any(s < 1 for s in doc_sizes):
-        raise ParameterError("all doc_sizes must be >= 1")
-    if alpha <= 0.0 or gamma <= 0.0:
-        raise ParameterError("alpha and gamma must be > 0")
+    _check_franchise(doc_sizes, alpha, gamma)
     state = FranchiseState()
     for size in doc_sizes:
         _seat_document(state, size, alpha, gamma, rng)
@@ -137,10 +143,11 @@ def dim_sum_sample(doc_sizes, arrival_times, alpha, gamma, drift_v, param_dim, r
     arrival_times = np.asarray(arrival_times, dtype=float)
     if arrival_times.shape != (len(doc_sizes),):
         raise ShapeMismatchError("arrival_times must align with doc_sizes")
-    if np.any(np.diff(arrival_times) <= 0.0):
-        raise ParameterError("arrival_times must be strictly increasing")
-    if drift_v < 0.0:
-        raise ParameterError("drift_v must be >= 0")
+    if not np.isfinite(arrival_times).all() or np.any(np.diff(arrival_times) <= 0.0):
+        raise ParameterError("arrival_times must be finite and strictly increasing")
+    _check_franchise(doc_sizes, alpha, gamma)
+    if not 0.0 <= drift_v < math.inf:  # also rejects nan
+        raise ParameterError(f"drift_v must be finite and >= 0, got {drift_v}")
     if param_dim < 1:
         raise ParameterError("param_dim must be >= 1")
 
@@ -172,10 +179,12 @@ def tdpm_decayed_counts(history, width_delta, decay_lambda):
     history = np.asarray(history, dtype=float)
     if history.ndim != 2:
         raise ShapeMismatchError("history must be an epochs x components matrix")
+    if not ((0.0 <= history) & (history < math.inf)).all():  # also rejects nan
+        raise ParameterError("history counts must be finite and >= 0")
     if width_delta < 0:
         raise ParameterError("width_delta must be >= 0")
-    if decay_lambda <= 0.0:
-        raise ParameterError("decay_lambda must be > 0")
+    if not 0.0 < decay_lambda < math.inf:  # also rejects nan
+        raise ParameterError(f"decay_lambda must be finite and > 0, got {decay_lambda}")
     if width_delta > history.shape[0]:
         raise ShapeMismatchError(
             f"history holds {history.shape[0]} epochs, need {width_delta}"

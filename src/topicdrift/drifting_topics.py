@@ -53,7 +53,7 @@ from .errors import (
     ParameterError,
     TimeOrderError,
 )
-from .kalman import DriftConfig, pair_filter
+from .kalman import pair_filter
 from .online_hdp import (
     ARRAYS as HDP_ARRAYS,
     BatchResult,
@@ -167,13 +167,6 @@ class DriftingTopicModel(OnlineHdp):
     def drift_per_second(self):
         return self.config.drift_v / SECONDS_PER_DAY
 
-    def drift_config(self):
-        return DriftConfig(
-            process_variance=self.drift_per_second,
-            prior_mean=0.0,
-            prior_variance=PRIOR_VARIANCE,
-        )
-
     def adjusted_matrices(self, snap):
         """HDP expectations shifted by the drift corrections and renormalized."""
         log_probs = np.log(snap.word_probs) + self.mean
@@ -244,7 +237,7 @@ def _kalman_stage(model, batch, stats):
     beta = _log_ratio(model, stats, born, words, len(batch))[:, cols]
     rows = np.ix_(born, words)
     mean, var = pair_filter(
-        unique_ts, starts, cols, beta, np.full(beta.shape, model.config.obs_var), model.drift_config(),
+        unique_ts, starts, cols, beta, np.full(beta.shape, model.config.obs_var), model.drift_per_second,
         model.mean[rows], model.var[rows],
     )
 

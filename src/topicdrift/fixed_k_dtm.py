@@ -207,15 +207,17 @@ def _fit_blocks(fits, stamps, logp_at, alpha, bounds):
         yield from zip(doc_logps, _mixture_e_step(fits[block], doc_logps, alpha, bounds))
 
 
-def _smooth_topics(knots, pairs, vocab_size, expected, cfg, obs_var):
+def _smooth_topics(knots, pairs, vocab_size, expected, drift, obs_var):
     """All K topic tracks at the pairs, smoothed from (K, P) expected counts; returns (means, variances).
 
     With count = expected + SMOOTHING, a pair's pseudo-observation is
     log(count / row sum) and its variance obs_var / count; a knot's row
     sum is its pairs' counts plus SMOOTHING for each of its V - n_s
     unobserved words.  One sparse filter and one sparse smoother pass over
-    all K topics then turn them into the (K, P) smoothed means and
-    variances.  ``expected`` is overwritten: it becomes the variances.
+    all K topics, at ``drift``'s rate and from the uniform level log(1/V)
+    with ``drift``'s prior variance, then turn them into the (K, P)
+    smoothed means and variances.  ``expected`` is overwritten: it becomes
+    the variances.
     """
     v = vocab_size
     starts = np.searchsorted(pairs, np.arange(knots.size + 1) * v)
@@ -228,15 +230,23 @@ def _smooth_topics(knots, pairs, vocab_size, expected, cfg, obs_var):
     # a count has variance ~ 1/count, scaled by the obs_var knob
     obs = np.divide(obs_var, counts, out=expected)
     words = pairs % v
-    pair_filter(knots, starts, words, beta, obs, cfg)
-    return pair_smoother(knots, starts, words, beta, obs, cfg)
+    pair_filter(knots, starts, words, beta, obs, drift.process_variance, np.log(1.0 / v), drift.prior_variance)
+    return pair_smoother(knots, starts, words, beta, obs, drift.process_variance)
+
+
+def _check_positive(**settings):
+    """The rule for alpha and obs_var, in training and in a checkpoint header: finite and > 0."""
+    if not all(0.0 < x < math.inf for x in settings.values()):  # also rejects nan
+        raise ParameterError(f"{' and '.join(settings)} must be finite and > 0,"
+                             f" got {' and '.join(map(str, settings.values()))}")
 
 
 def train_cdtm(train_docs, k, drift, sweeps, rng, vocab_size, alpha=1.0, obs_var=0.1):
     """Fit the fixed-K drifting-topic model on a timestamp-ascending corpus.
 
-    ``drift`` is a kalman.DriftConfig whose prior is taken relative to
-    the uniform log-probability level.  The per-sweep objective (sum of
+    ``drift`` is a kalman.DriftConfig whose drift rate and prior
+    variance are used; its ``prior_mean`` is not read, as every track
+    starts at the uniform level log(1/V).  The per-sweep objective (sum of
     per-document bounds) is recorded on the returned model.  Documents
     are fitted by ``_fit_blocks``, so a sweep holds the log-probs of the
     current block's knots only.  The first sweep fits every document
@@ -247,8 +257,7 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, vocab_size, alpha=1.0, obs_var
         raise ParameterError("K must be >= 1")
     if sweeps < 1:
         raise ParameterError("sweeps must be >= 1")
-    if not all(0.0 < x < math.inf for x in (alpha, obs_var)):  # also rejects nan
-        raise ParameterError(f"alpha and obs_var must be finite and > 0, got {alpha} and {obs_var}")
+    _check_positive(alpha=alpha, obs_var=obs_var)
     if not train_docs:
         raise ParameterError("train_docs must be nonempty")
     ts = [d.timestamp for d in train_docs]
@@ -258,7 +267,6 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, vocab_size, alpha=1.0, obs_var
     fits = vocab_words(train_docs, vocab_size)
     knots, doc_knot = np.unique(ts, return_inverse=True)
     base = np.log(1.0 / vocab_size)
-    cfg = DriftConfig(drift.process_variance, prior_mean=base, prior_variance=drift.prior_variance)
 
     # the observed (knot, word) pairs, and each document's columns among them
     flat = np.concatenate([q * vocab_size + np.asarray(words) for (words, _), q in zip(fits, doc_knot.tolist())])
@@ -276,7 +284,7 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, vocab_size, alpha=1.0, obs_var
             expected[:, cols] += (phi * n[:, None]).T
         objective_trace.append(objective)
 
-        means, variances = _smooth_topics(knots, pairs, vocab_size, expected, cfg, obs_var)
+        means, variances = _smooth_topics(knots, pairs, vocab_size, expected, drift, obs_var)
         model = CdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size,
                           process_variance=drift.process_variance, prior_variance=drift.prior_variance,
                           knots=knots, pairs=pairs, means=means, variances=variances,
@@ -334,6 +342,7 @@ def load_checkpoint(path):
         raise
     params = {name: header_value(header, name, kind) for name, kind in HEADER.items()}
     DriftConfig(params["process_variance"], prior_variance=params["prior_variance"])  # rejects bad settings
+    _check_positive(alpha_dirichlet=params["alpha_dirichlet"])
     k, v = params["K"], params["vocab_size"]
     knots, pairs = arrays["knots"], arrays["pairs"]
     if not knots.size or (np.diff(knots) <= 0).any():

@@ -29,7 +29,9 @@ and the backward pass is the matching fixed-interval smoother
 
 with m~_T = m_T and V~_T = V_T.  The prior (m0, V0) applies at the first
 timestamp of the track; callers that need drift before the first
-observation fold it into V0.
+observation fold it into V0.  The pair passes take the drift rate v as
+a number and the prior as numbers or arrays; the one-track API takes
+them from a ``DriftConfig``.
 """
 
 import math
@@ -137,54 +139,52 @@ def _pair_steps(timestamps, starts, columns):
     return ts, steps, int(np.max(columns, initial=-1)) + 1
 
 
-def pair_filter(timestamps, starts, columns, beta_hat, obs_variance, cfg, prior_mean=None, prior_var=None):
+def pair_filter(timestamps, starts, columns, beta_hat, obs_variance, drift, prior_mean, prior_var):
     """Sparse filter over observed (step, column) pairs, writing each pair's filtered state in place.
 
     The last axis of ``beta_hat`` and ``obs_variance`` indexes P pairs
     grouped by step: ``starts[s]:starts[s + 1]`` are the pairs observed at
     ``timestamps[s]``, ``columns`` gives each pair's column, and a column
     appears at most once per step.  Leading axes are independent tracks
-    that share the pattern.  The prior (``prior_mean``, ``prior_var``,
-    ``cfg``'s by default) applies at ``timestamps[0]`` and is broadcast to
-    the running (..., width) state, whose width is the priors' last axis,
-    or one more than the largest column for priors shared by every column.
-    Each column remembers when it was last updated, so its prediction
-    variance grows by v * (t - last) in one step across any gap.  The
+    that share the pattern.  The prior (``prior_mean``, ``prior_var``)
+    applies at ``timestamps[0]`` and is broadcast to the running
+    (..., width) state, whose width is the priors' last axis, or one more
+    than the largest column for priors shared by every column.  Each
+    column remembers when it was last updated, so its prediction variance
+    grows by ``drift`` * (t - last) in one step across any gap.  The
     filtered mean and variance of each pair overwrite its
     pseudo-observation and its variance.
 
     Returns the terminal state: each column's (mean, variance) at
-    ``timestamps[-1]``, the variance grown by v * (timestamps[-1] - last).
+    ``timestamps[-1]``, the variance grown by ``drift`` * (timestamps[-1] - last).
     """
     ts, steps, width = _pair_steps(timestamps, starts, columns)
-    m0 = cfg.prior_mean if prior_mean is None else prior_mean
-    v0 = cfg.prior_variance if prior_var is None else prior_var
-    shape = np.broadcast_shapes(beta_hat.shape[:-1] + (1,), np.shape(m0), np.shape(v0))
+    shape = np.broadcast_shapes(beta_hat.shape[:-1] + (1,), np.shape(prior_mean), np.shape(prior_var))
     if shape[-1] == 1:
         shape = shape[:-1] + (width,)
     elif shape[-1] < width:
         raise ShapeMismatchError("prior_mean and prior_var must cover every column")
-    mean = np.array(np.broadcast_to(m0, shape), dtype=float)
-    var = np.array(np.broadcast_to(v0, shape), dtype=float)
+    mean = np.array(np.broadcast_to(prior_mean, shape), dtype=float)
+    var = np.array(np.broadcast_to(prior_var, shape), dtype=float)
     last = np.full(shape[-1], ts[0])
-    v = cfg.process_variance
     for t, (lo, hi, cols) in zip(ts, steps):
-        p = var[..., cols] + v * (t - last[cols])
+        p = var[..., cols] + drift * (t - last[cols])
         gain = p / (p + obs_variance[..., lo:hi])
         m = mean[..., cols]
         mean[..., cols] = beta_hat[..., lo:hi] = m + gain * (beta_hat[..., lo:hi] - m)
         var[..., cols] = obs_variance[..., lo:hi] = (1.0 - gain) * p
         last[cols] = t
-    var += v * (ts[-1] - last)
+    var += drift * (ts[-1] - last)
     return mean, var
 
 
-def pair_smoother(timestamps, starts, columns, means, variances, cfg):
+def pair_smoother(timestamps, starts, columns, means, variances, drift):
     """Fixed-interval smoother matching ``pair_filter``, in place.
 
-    ``means`` and ``variances`` hold the filtered state at the pairs laid
-    out as for ``pair_filter``; the smoothed state overwrites them, and
-    both arrays are returned.  The steps are visited in descending order,
+    ``means`` and ``variances`` hold the state filtered at drift rate
+    ``drift``, at the pairs laid out as for ``pair_filter``; the smoothed
+    state overwrites them, and both arrays are returned.  The steps are
+    visited in descending order,
     and each column carries the smoothed state and the time of its next
     observation, so a gap takes one step.  At a column's last observation
     the smoothed state is the filtered one.
@@ -196,9 +196,8 @@ def pair_smoother(timestamps, starts, columns, means, variances, cfg):
     np.maximum.at(last, columns, np.arange(columns.size))
     next_mean, next_var = means[..., last], variances[..., last]
     next_t = np.repeat(ts, np.diff(np.asarray(starts)))[last]
-    v = cfg.process_variance
     for t, (lo, hi, cols) in zip(ts[::-1], steps[::-1]):
-        gap = v * (next_t[cols] - t)
+        gap = drift * (next_t[cols] - t)
         fm, fv = means[..., lo:hi], variances[..., lo:hi]
         denom = fv + gap
         # a zero gap keeps the next state even where fv is 0, as after an exact observation
@@ -225,7 +224,8 @@ def kalman_forward(track, cfg):
     """
     means = np.where(track.present, track.beta_hat, 0.0)
     variances = np.where(track.present, track.obs_variance, math.inf)
-    pair_filter(track.timestamps, *_one_column(track), means, variances, cfg)
+    pair_filter(track.timestamps, *_one_column(track), means, variances,
+                cfg.process_variance, cfg.prior_mean, cfg.prior_variance)
     return means, variances
 
 
@@ -234,7 +234,7 @@ def kalman_backward(track, forward, cfg):
     fwd_means, fwd_vars = (np.array(a, dtype=float) for a in forward)
     if fwd_means.shape != track.timestamps.shape or fwd_vars.shape != track.timestamps.shape:
         raise ShapeMismatchError("forward output does not align with the track")
-    return pair_smoother(track.timestamps, *_one_column(track), fwd_means, fwd_vars, cfg)
+    return pair_smoother(track.timestamps, *_one_column(track), fwd_means, fwd_vars, cfg.process_variance)
 
 
 def kalman_posterior(track, cfg):

@@ -83,10 +83,6 @@ class GlobalVariational:
     def num_topics(self):
         return self.lam.shape[0]
 
-    @property
-    def vocab_size(self):
-        return self.lam.shape[1]
-
 
 @dataclass
 class DocVariational:

@@ -47,6 +47,7 @@ from topicdrift.corpus import (
     parse_reuters,
     parse_timestamp,
 )
+from topicdrift.drifting_topics import PRIOR_VARIANCE
 from topicdrift.errors import ConfigurationError, NumericalError, ParameterError
 from topicdrift.kalman import DriftConfig
 from topicdrift.online_hdp import (
@@ -169,7 +170,7 @@ def dense_kalman_stage(model, batch, stats):
     beta = np.broadcast_to(resid, (n_steps, n_tracks))
     present = np.tile(present_words, (1, len(born)))
     obs_var = np.full((n_steps, 1), cfg_obs)
-    drift = model.drift_config()
+    drift = DriftConfig(model.drift_per_second, prior_variance=PRIOR_VARIANCE)
     f_mean, f_var = forward_steps(
         unique_ts, beta, obs_var, present, drift, prior_mean=prior_mean, prior_var=prior_var
     )

@@ -4,6 +4,7 @@ import base64
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -259,6 +260,16 @@ def test_a_damaged_cdtm_checkpoint_raises_parameter_error(trained, damage, data)
     (root / "damaged_cdtm.json").write_bytes(data.draw(damage(pristine["cdtm"])))
     with pytest.raises(ParameterError):
         fixed_k_dtm.load_checkpoint(root / "damaged_cdtm.json")
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+def test_a_cdtm_checkpoint_with_an_alpha_training_rejects_raises_parameter_error(trained, alpha):
+    root, pristine = trained
+    payload = json.loads(pristine["cdtm"])
+    payload["header"]["alpha_dirichlet"] = alpha
+    (root / "alpha_cdtm.json").write_text(json.dumps(payload))
+    with pytest.raises(ParameterError, match="alpha_dirichlet must be finite and > 0"):
+        fixed_k_dtm.load_checkpoint(root / "alpha_cdtm.json")
 
 
 def test_the_pristine_checkpoints_load(trained):

@@ -14,6 +14,7 @@ from helpers import payload_array, set_payload_array
 from topicdrift import drifting_topics, fixed_k_dtm, online_hdp
 from topicdrift.cli import main
 from topicdrift.corpus import read_canonical, write_canonical, write_vocabulary, Vocabulary
+from topicdrift.errors import NumericalError
 from topicdrift.synthetic import three_topic_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -369,6 +370,25 @@ class TestTimeline:
         assert code == 2
         assert "no document of the corpus has a label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["2", "-1", "", "1\textra", "yes"],
+                             ids=["two", "minus-one", "one-field", "three-fields", "yes"])
+    def test_label_other_than_0_or_1_exits_2_naming_the_line(self, tmp_path, monkeypatch, capsys, bad):
+        corpus, ckpt = self.train_checkpoint(tmp_path)
+        docs = read_canonical(corpus)
+        labels = tmp_path / "labels.tsv"
+        labels.write_text(f"{docs[0].id}\t1\n{docs[1].id}" + (f"\t{bad}" if bad else "") + "\n")
+
+        def no_fits(*args):
+            raise AssertionError("timeline fitted documents before reading the labels")
+
+        monkeypatch.setattr(online_hdp, "infer_batch", no_fits)
+        code = main([
+            "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+            "--topic", "0", "--labels", str(labels), "--out-assign", str(tmp_path / "assign.tsv"),
+        ])
+        assert code == 2
+        assert f"{labels} line 2: expected doc_id<TAB>0|1" in capsys.readouterr().err
+
     def test_threshold_sweep_monotone(self, tmp_path):
         corpus, ckpt = self.train_checkpoint(tmp_path)
         counts = []
@@ -522,6 +542,25 @@ class TestTimeline:
         assert "re-train" in capsys.readouterr().err
 
 
+# simulate settings outside their ranges, each with the rule its error message names
+BAD_SIMULATE_SETTINGS = {
+    "crp-alpha-nan": (["crp", "--n", "5", "--alpha", "nan"], "alpha must be finite and > 0"),
+    "crp-alpha-inf": (["crp", "--n", "5", "--alpha", "inf"], "alpha must be finite and > 0"),
+    "crfp-alpha-nan": (["crfp", "--alpha", "nan"], "alpha and gamma must be finite and > 0"),
+    "crfp-gamma-inf": (["crfp", "--gamma", "inf"], "alpha and gamma must be finite and > 0"),
+    "dimsum-alpha-nan": (["dimsum", "--alpha", "nan"], "alpha and gamma must be finite and > 0"),
+    "dimsum-alpha-0": (["dimsum", "--alpha", "0"], "alpha and gamma must be finite and > 0"),
+    "dimsum-alpha-negative": (["dimsum", "--alpha", "-1"], "alpha and gamma must be finite and > 0"),
+    "dimsum-gamma-0": (["dimsum", "--gamma", "0"], "alpha and gamma must be finite and > 0"),
+    "dimsum-doc-size-0": (["dimsum", "--doc-sizes", "0,3,3"], "all doc_sizes must be >= 1"),
+    "dimsum-drift-v-nan": (["dimsum", "--drift-v", "nan"], "drift_v must be finite and >= 0"),
+    "dimsum-drift-v-inf": (["dimsum", "--drift-v", "inf"], "drift_v must be finite and >= 0"),
+    "dimsum-arrival-nan": (["dimsum", "--doc-sizes", "3", "--arrival-times", "nan"], "arrival_times must be finite"),
+    "tdpm-decay-lambda-nan": (["tdpm", "--decay-lambda", "nan"], "decay_lambda must be finite and > 0"),
+    "tdpm-history-nan": (["tdpm", "--history", "nan;1"], "history counts must be finite and >= 0"),
+}
+
+
 class TestSimulate:
     def test_single_customer_crp(self, tmp_path, capsys):
         code = main(["simulate", "crp", "--n", "1"])
@@ -543,3 +582,45 @@ class TestSimulate:
 
     def test_bad_params_exit_2(self):
         assert main(["simulate", "crp", "--n", "0"]) == 2
+
+    @pytest.mark.parametrize("argv, message", list(BAD_SIMULATE_SETTINGS.values()), ids=list(BAD_SIMULATE_SETTINGS))
+    def test_out_of_range_settings_exit_2_naming_them(self, capsys, argv, message):
+        assert main(["simulate", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    def test_crfp_records_add_up(self, capsys):
+        argv = ["simulate", "crfp", "--doc-sizes", "7,1,12", "--alpha", "1.5", "--gamma", "0.8", "--seed", "5"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        *restaurants, menu = [json.loads(line) for line in first.splitlines()]
+        assert [r["restaurant"] for r in restaurants] == [0, 1, 2]
+        assert [sum(r["table_sizes"]) for r in restaurants] == [7, 1, 12]
+        assert all(len(r["dish_of_table"]) == len(r["table_sizes"]) for r in restaurants)
+        assert sum(menu["dish_usage"]) == sum(len(r["table_sizes"]) for r in restaurants)
+        assert menu["num_dishes"] == len(menu["dish_usage"])
+
+
+class TestMain:
+    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+
+        def diverge(*args):
+            raise NumericalError("kernel diverged")
+
+        monkeypatch.setattr(fixed_k_dtm, "_mixture_e_step", diverge)
+        code = main([
+            "train", "--model", "cdtm", "--corpus", str(corpus), "--vocab", str(vocab_file),
+            "--checkpoint", str(tmp_path / "m.json"), "--tsv", str(tmp_path / "m.tsv"), "--k", "2",
+        ])
+        assert code == 3
+        assert "numerical failure: kernel diverged" in capsys.readouterr().err
+
+    def test_module_help_lists_the_commands(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "topicdrift", "--help"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert all(command in done.stdout for command in ("ingest", "train", "timeline", "simulate"))

@@ -160,8 +160,7 @@ class TestTerminalFilter:
         steps, columns = np.nonzero(present)
         starts = np.searchsorted(steps, np.arange(len(ts) + 1))
         beta = values[..., columns]
-        return pair_filter(ts, starts, columns, beta, np.full(beta.shape, obs_var), cfg,
-                           prior_mean=m0, prior_var=v0)
+        return pair_filter(ts, starts, columns, beta, np.full(beta.shape, obs_var), cfg.process_variance, m0, v0)
 
     def check(self, ts, present, values, obs_var, cfg, m0, v0):
         mean, var = self.terminal(ts, present, values, obs_var, cfg, m0, v0)
@@ -230,10 +229,10 @@ class TestTerminalFilter:
 
     def test_observed_must_cover_every_timestamp(self):
         with pytest.raises(ShapeMismatchError):
-            pair_filter([0.0, 1.0], [0, 1], np.array([0]), np.zeros(1), np.ones(1), DriftConfig(0.1), 0.0, 1.0)
+            pair_filter([0.0, 1.0], [0, 1], np.array([0]), np.zeros(1), np.ones(1), 0.1, 0.0, 1.0)
         # priors must cover every observed column
         with pytest.raises(ShapeMismatchError):
-            pair_filter([0.0, 1.0], [0, 1, 2], np.array([0, 2]), np.zeros(2), np.ones(2), DriftConfig(0.1),
+            pair_filter([0.0, 1.0], [0, 1, 2], np.array([0, 2]), np.zeros(2), np.ones(2), 0.1,
                         np.zeros(2), np.ones(2))
 
 
@@ -269,33 +268,32 @@ class TestPairFilterAndSmoother:
         s_mean, s_var = backward_steps(ts, f_mean, f_var, cfg)
         starts, columns, steps = self.pair_layout(present)
         means, variances = values[steps, :, columns].T.copy(), noise[steps, :, columns].T.copy()
-        terminal = pair_filter(ts, starts, columns, means, variances, cfg)
+        terminal = pair_filter(ts, starts, columns, means, variances, v, cfg.prior_mean, cfg.prior_variance)
         # the returned terminal state is the dense filter's last row; column words - 1 is never observed
         width = present.shape[1] - 1
         np.testing.assert_allclose(terminal[0], f_mean[-1, :, :width], rtol=1e-10, atol=0)
         np.testing.assert_allclose(terminal[1], f_var[-1, :, :width], rtol=1e-10, atol=0)
         np.testing.assert_allclose(means, f_mean[steps, :, columns].T, rtol=1e-10, atol=0)
         np.testing.assert_allclose(variances, f_var[steps, :, columns].T, rtol=1e-10, atol=0)
-        out = pair_smoother(ts, starts, columns, means, variances, cfg)
+        out = pair_smoother(ts, starts, columns, means, variances, v)
         assert out[0] is means and out[1] is variances
         np.testing.assert_allclose(means, s_mean[steps, :, columns].T, rtol=1e-10, atol=0)
         np.testing.assert_allclose(variances, s_var[steps, :, columns].T, rtol=1e-10, atol=0)
 
     def test_last_observation_keeps_its_filtered_state(self):
         ts, present, values, noise = self.observations(3)
-        cfg = DriftConfig(0.3)
         starts, columns, steps = self.pair_layout(present)
         means, variances = values[steps, :, columns].T.copy(), noise[steps, :, columns].T.copy()
-        pair_filter(ts, starts, columns, means, variances, cfg)
+        pair_filter(ts, starts, columns, means, variances, 0.3, 0.0, 1.0)
         last = [np.flatnonzero(columns == w)[-1] for w in np.unique(columns)]
         filtered = means[:, last].copy(), variances[:, last].copy()
-        pair_smoother(ts, starts, columns, means, variances, cfg)
+        pair_smoother(ts, starts, columns, means, variances, 0.3)
         assert (means[:, last] == filtered[0]).all() and (variances[:, last] == filtered[1]).all()
 
     def test_starts_must_bound_every_timestamp(self):
         for starts in ([0, 2], [0, 1, 3], [1, 1, 2], [0, 3, 2]):
             with pytest.raises(ShapeMismatchError):
-                pair_filter([0.0, 1.0], starts, np.array([0, 1]), np.zeros(2), np.ones(2), DriftConfig(0.1))
+                pair_filter([0.0, 1.0], starts, np.array([0, 1]), np.zeros(2), np.ones(2), 0.1, 0.0, 1.0)
 
 
 class TestOneTrackWrappers:
