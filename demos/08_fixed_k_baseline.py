@@ -10,8 +10,7 @@ import math
 import numpy as np
 
 from topicdrift.evaluation import per_word_series
-from topicdrift.fixed_k_dtm import cdtm_heldout_loglik, train_cdtm
-from topicdrift.kalman import DriftConfig
+from topicdrift.fixed_k_dtm import CdtmConfig, cdtm_heldout_loglik, train_cdtm
 from topicdrift.synthetic import three_topic_corpus
 
 docs, _ = three_topic_corpus(n_docs=400, vocab_size=50, seed=8)
@@ -21,8 +20,8 @@ train = [d for i, d in enumerate(docs) if i in train_idx]
 test = [d for i, d in enumerate(docs) if i not in train_idx]
 
 for k in (1, 3, 10):
-    model = train_cdtm(train, k, DriftConfig(1e-9), sweeps=4,
-                       rng=np.random.default_rng(8), vocab_size=50)
+    # drift_v is per day, as on the command line
+    model = train_cdtm(train, CdtmConfig(K=k, drift_v=1e-4, sweeps=4), np.random.default_rng(8), vocab_size=50)
     records = cdtm_heldout_loglik(model, test)
     series = per_word_series(records)
     pwll = sum(series.values()) / len(series.values())

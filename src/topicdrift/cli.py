@@ -9,7 +9,6 @@ same seed and inputs.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -20,7 +19,6 @@ from . import drifting_topics, evaluation, fixed_k_dtm, online_hdp
 from .checkpoint import read_checkpoint
 from .dp_sim import crp_partition, crfp_sample, dim_sum_sample, tdpm_decayed_counts
 from .errors import ConfigurationError, ConvergenceError, NumericalError
-from .kalman import DriftConfig
 
 # every usage error of errors.py subclasses ValueError
 USAGE_ERRORS = (ValueError, FileNotFoundError)
@@ -82,22 +80,18 @@ def cmd_train(args):
     if args.model == "cdtm":
         if not 0.0 < args.train_fraction <= 1.0:  # also rejects nan
             raise ConfigurationError(f"--train-fraction must lie in (0, 1], got {args.train_fraction}")
-        if args.sweeps < 1:
-            raise ConfigurationError(f"--sweeps must be >= 1, got {args.sweeps}")
-        if not 0.0 < args.obs_var < math.inf:
-            raise ConfigurationError(f"--obs-var must be finite and > 0, got {args.obs_var}")
-        if not 0.0 <= args.drift_v < math.inf:
-            raise ConfigurationError(f"--drift-v must be finite and >= 0, got {args.drift_v}")
+        alpha = fixed_k_dtm.CdtmConfig.alpha if args.alpha0 is None else args.alpha0
+        config = fixed_k_dtm.CdtmConfig(K=args.k, alpha=alpha, drift_v=args.drift_v, obs_var=args.obs_var,
+                                        sweeps=args.sweeps)
     docs, vocab = _load_corpus(args)
     seed = _seed(args)
-    hyper = _hyper_from(args)
     if args.model == "ohdp":
-        model = online_hdp.OnlineHdp(hyper, vocab.size, len(docs), seed=seed)
+        model = online_hdp.OnlineHdp(_hyper_from(args), vocab.size, len(docs), seed=seed)
         records = online_hdp.prequential_run(model, docs, args.batch_size)
         online_hdp.save_checkpoint(model, args.checkpoint)
     elif args.model == "cidtm":
         cfg = drifting_topics.CidtmConfig(
-            hyper=hyper,
+            hyper=_hyper_from(args),
             drift_v=args.drift_v,
             obs_var=args.obs_var,
             active_timer_len=args.timer * drifting_topics.SECONDS_PER_DAY,
@@ -112,10 +106,7 @@ def cmd_train(args):
         train_idx = set(rng.choice(len(docs), size=n_train, replace=False).tolist())
         train = [d for i, d in enumerate(docs) if i in train_idx]
         test = [d for i, d in enumerate(docs) if i not in train_idx] or train
-        model = fixed_k_dtm.train_cdtm(
-            train, args.k, DriftConfig(args.drift_v / drifting_topics.SECONDS_PER_DAY), args.sweeps, rng,
-            alpha=hyper.alpha0, obs_var=args.obs_var, vocab_size=vocab.size,
-        )
+        model = fixed_k_dtm.train_cdtm(train, config, rng, vocab.size)
         records = fixed_k_dtm.cdtm_heldout_loglik(model, test)
         fixed_k_dtm.save_checkpoint(model, args.checkpoint)
     else:
@@ -189,6 +180,14 @@ def _emit(records, out):
         sys.stdout.write(text)
 
 
+def _numbers(text, flag, kind):
+    """The comma-separated ``kind`` values of a flag; one that does not parse exits 2 naming the flag."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"{flag} must list comma-separated {kind.__name__}s, got {text!r}") from None
+
+
 def cmd_simulate(args):
     rng = np.random.default_rng(_seed(args))
     if args.process == "crp":
@@ -199,7 +198,7 @@ def cmd_simulate(args):
             "table_of_customer": part.table_of_customer,
         }]
     elif args.process == "crfp":
-        sizes = [int(s) for s in args.doc_sizes.split(",")]
+        sizes = _numbers(args.doc_sizes, "--doc-sizes", int)
         state = crfp_sample(sizes, args.alpha, args.gamma, rng)
         records = [
             {
@@ -211,20 +210,17 @@ def cmd_simulate(args):
         ]
         records.append({"dish_usage": state.dish_usage, "num_dishes": state.num_dishes})
     elif args.process == "dimsum":
-        sizes = [int(s) for s in args.doc_sizes.split(",")]
-        times = [float(t) for t in args.arrival_times.split(",")]
+        sizes = _numbers(args.doc_sizes, "--doc-sizes", int)
+        times = _numbers(args.arrival_times, "--arrival-times", float)
         traj = dim_sum_sample(sizes, times, args.alpha, args.gamma, args.drift_v,
                               args.param_dim, rng)
-        records = []
-        for d, state in enumerate(traj.states):
-            records.append({
-                "arrival": float(traj.arrival_times[d]),
-                "num_dishes": state.num_dishes,
-                "dish_usage": state.dish_usage,
-                "dish_params": traj.dish_params[d].tolist(),
-            })
+        records = [{"arrival": float(arrival), "num_dishes": len(usage), "dish_usage": usage,
+                    "dish_params": params.tolist()}
+                   for arrival, usage, params in zip(traj.arrival_times, traj.dish_usage, traj.dish_params)]
     elif args.process == "tdpm":
-        history = [[float(x) for x in row.split(",")] for row in args.history.split(";")]
+        history = [_numbers(row, "--history", float) for row in args.history.split(";")]
+        if len({len(row) for row in history}) > 1:
+            raise ConfigurationError(f"--history rows must all hold one count per component, got {args.history!r}")
         weights = tdpm_decayed_counts(np.array(history), args.width, args.decay_lambda)
         records = [{"decayed_counts": weights.tolist()}]
     else:
@@ -249,8 +245,8 @@ def build_parser():
     p.add_argument("--min-token-length", type=int, default=corpus_mod.TokenizerConfig.min_token_length)
     p.set_defaults(func=cmd_ingest)
 
-    # the model flags default to the settings of the configs they build
-    hdp, cidtm = online_hdp.HdpHyper, drifting_topics.CidtmConfig
+    # the model flags default to the settings of the configs they build; cdtm's drift defaults are cidtm's
+    hdp, cidtm, cdtm = online_hdp.HdpHyper, drifting_topics.CidtmConfig, fixed_k_dtm.CdtmConfig
     p = sub.add_parser("train", help="train a model and emit a likelihood TSV")
     p.add_argument("--model", required=True, choices=["ohdp", "cidtm", "cdtm"])
     p.add_argument("--corpus", required=True)
@@ -261,28 +257,29 @@ def build_parser():
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--gamma", type=float, default=hdp.gamma)
     p.add_argument("--alpha0", type=float, default=None,
-                   help=f"document-level concentration (default {hdp.alpha0}; {cidtm.hyper.alpha0} for cidtm)")
+                   help=f"document-level concentration (default {hdp.alpha0}; {cidtm.hyper.alpha0} for cidtm);"
+                        f" for cdtm the Dirichlet alpha of each document's mixture (default {cdtm.alpha})")
     p.add_argument("--eta", type=float, default=hdp.eta)
     p.add_argument("--k-corpus", type=int, default=hdp.K_corpus)
     p.add_argument("--t-doc", type=int, default=hdp.T_doc)
     p.add_argument("--kappa", type=float, default=hdp.kappa)
     p.add_argument("--tau0", type=float, default=hdp.tau0)
-    p.add_argument("--drift-v", type=float, default=cidtm.drift_v)
+    p.add_argument("--drift-v", type=float, default=cidtm.drift_v, help="drift per day, for cidtm and cdtm")
     p.add_argument("--obs-var", type=float, default=cidtm.obs_var)
     p.add_argument("--timer", type=float, default=cidtm.active_timer_len / drifting_topics.SECONDS_PER_DAY,
                    help="lifecycle timer in days")
     p.add_argument("--threshold", type=float, default=cidtm.relevance_threshold)
     p.add_argument("--train-fraction", type=float, default=0.5,
                    help="share of documents cdtm trains on, in (0, 1]")
-    p.add_argument("--k", type=int, default=50, help="fixed topic count for cdtm")
-    p.add_argument("--sweeps", type=int, default=3, help="cdtm training sweeps, >= 1")
+    p.add_argument("--k", type=int, default=cdtm.K, help="fixed topic count for cdtm")
+    p.add_argument("--sweeps", type=int, default=cdtm.sweeps, help="cdtm training sweeps, >= 1")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("timeline", help="assign documents to a topic timeline")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--topic", type=int, required=True)
-    p.add_argument("--threshold", type=float, default=0.05)
+    p.add_argument("--threshold", type=float, default=evaluation.TIMELINE_THRESHOLD)
     p.add_argument("--labels")
     p.add_argument("--out-assign", required=True)
     p.add_argument("--out-confusion")

@@ -10,7 +10,6 @@ table k with probability n_k / (i - 1 + alpha) and opens a new table
 with probability alpha / (i - 1 + alpha).
 """
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -50,15 +49,12 @@ class FranchiseState:
 
 @dataclass
 class DimSumTrajectory:
-    """Franchise snapshots and drifting dish parameters per arrival."""
+    """The franchise after the last arrival, and the menu and drifting dish parameters after each."""
 
     arrival_times: np.ndarray
-    states: list
+    final_state: FranchiseState
+    dish_usage: list   # per arrival: tables serving each dish so far
     dish_params: list  # per arrival: (num_dishes_so_far, param_dim) array
-
-    @property
-    def final_state(self):
-        return self.states[-1]
 
 
 def _pick(weights, new_weight, rng):
@@ -138,7 +134,8 @@ def dim_sum_sample(doc_sizes, arrival_times, alpha, gamma, drift_v, param_dim, r
     ``param_dim``.  Dish parameters start from standard-normal draws and
     gain independent N(0, drift_v * dt) increments per coordinate
     between consecutive arrivals.  A table's dish never changes; only
-    the dish parameters move.
+    the dish parameters move.  One franchise is seated throughout; after
+    each arrival only its dish usage and the parameters are recorded.
     """
     arrival_times = np.asarray(arrival_times, dtype=float)
     if arrival_times.shape != (len(doc_sizes),):
@@ -154,7 +151,7 @@ def dim_sum_sample(doc_sizes, arrival_times, alpha, gamma, drift_v, param_dim, r
     drift_rng = rng.spawn(1)[0]
     state = FranchiseState()
     params = np.zeros((0, param_dim))
-    states, snapshots = [], []
+    usage, snapshots = [], []
     for d, size in enumerate(doc_sizes):
         if d > 0:
             dt = arrival_times[d] - arrival_times[d - 1]
@@ -164,9 +161,9 @@ def dim_sum_sample(doc_sizes, arrival_times, alpha, gamma, drift_v, param_dim, r
         born = state.num_dishes - params.shape[0]
         if born:
             params = np.vstack([params, drift_rng.standard_normal((born, param_dim))])
-        states.append(copy.deepcopy(state))
+        usage.append(list(state.dish_usage))
         snapshots.append(params.copy())
-    return DimSumTrajectory(arrival_times, states, snapshots)
+    return DimSumTrajectory(arrival_times, state, usage, snapshots)
 
 
 def tdpm_decayed_counts(history, width_delta, decay_lambda):

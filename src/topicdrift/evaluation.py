@@ -63,6 +63,10 @@ def smooth_series(series, window):
     return EvalSeries(series.points, moving_average(series.values(), window))
 
 
+# the default of ``timeline --threshold``; CidtmConfig.relevance_threshold is the lifecycles' own setting
+TIMELINE_THRESHOLD = 0.05
+
+
 def timeline_assign(docs, topic_weights, target_topic, threshold):
     """Flag documents whose weight on the target topic reaches the threshold."""
     if len(docs) != len(topic_weights):
@@ -97,8 +101,7 @@ def confusion_metrics(m):
 
 def _train_once(model_kind, docs, config):
     from .drifting_topics import CidtmConfig, DriftingTopicModel
-    from .fixed_k_dtm import train_cdtm
-    from .kalman import DriftConfig
+    from .fixed_k_dtm import CdtmConfig, train_cdtm
     from .online_hdp import HdpHyper, OnlineHdp, prequential_run
 
     seed = config.get("seed", 42)
@@ -111,10 +114,8 @@ def _train_once(model_kind, docs, config):
         model = DriftingTopicModel(CidtmConfig(hyper=hyper), vocab_size, len(docs), seed=seed)
         prequential_run(model, docs, batch_size)
     elif model_kind == "cdtm":
-        rng = np.random.default_rng(seed)
-        drift = DriftConfig(config.get("drift_v", 1e-6))
-        train_cdtm(docs, config.get("K", 10), drift, config.get("sweeps", 2), rng,
-                   vocab_size=vocab_size)
+        settings = {key: config[key] for key in ("K", "sweeps", "drift_v") if key in config}
+        train_cdtm(docs, CdtmConfig(**settings), np.random.default_rng(seed), vocab_size)
     else:
         raise ParameterError(f"unknown model kind {model_kind!r}")
 

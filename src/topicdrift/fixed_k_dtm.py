@@ -27,15 +27,16 @@ memory is O(K·P) plus one (K, V) array per timestamp asked for.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .checkpoint import header_value, read_checkpoint, write_checkpoint
+from .checkpoint import config_from, header_value, read_checkpoint, write_checkpoint
 from .corpus import vocab_words
+from .drifting_topics import PRIOR_VARIANCE, SECONDS_PER_DAY, CidtmConfig
 from .errors import NumericalError, ParameterError, TimeOrderError
-from .kalman import DriftConfig, pair_filter, pair_smoother
+from .kalman import pair_filter, pair_smoother
 
 # every document fit stops after MAX_ITER iterations or once mean |delta gamma| < TOL
 MAX_ITER = 50
@@ -46,6 +47,29 @@ BLOCK_DOCS = 16
 SMOOTHING = 0.01
 
 
+@dataclass(frozen=True)
+class CdtmConfig:
+    """Topic count, Dirichlet alpha, drift per day, observation variance and training sweeps.
+
+    The drift defaults are ``CidtmConfig``'s, so both drifting models compare at the same settings.
+    """
+
+    K: int = 50
+    alpha: float = 1.0
+    drift_v: float = CidtmConfig.drift_v
+    obs_var: float = CidtmConfig.obs_var
+    sweeps: int = 3
+
+    def __post_init__(self):
+        if self.K < 1 or self.sweeps < 1:
+            raise ParameterError(f"K and sweeps must be >= 1, got {self.K} and {self.sweeps}")
+        # the bounds are written so that nan fails them
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.obs_var < math.inf):
+            raise ParameterError(f"alpha and obs_var must be finite and > 0, got {self.alpha} and {self.obs_var}")
+        if not 0.0 <= self.drift_v < math.inf:
+            raise ParameterError(f"drift_v must be finite and >= 0, got {self.drift_v}")
+
+
 @dataclass
 class CdtmModel:
     """A trained fixed-K model: its smoothed state at the observed (knot, word) pairs.
@@ -54,11 +78,8 @@ class CdtmModel:
     word-run index of ``means_at`` is built once, here.
     """
 
-    K: int
-    alpha_dirichlet: float
+    config: CdtmConfig
     vocab_size: int
-    process_variance: float   # Brownian drift per unit time of every track
-    prior_variance: float     # track variance at the first knot, around m0 = log(1 / V)
     knots: np.ndarray         # (S,) training timestamps, strictly ascending
     pairs: np.ndarray         # (P,) observed (knot, word) pairs as knot * V + word, strictly ascending
     means: np.ndarray         # (K, P) smoothed natural parameters at the pairs
@@ -84,7 +105,7 @@ class CdtmModel:
         before, after = nxt > bounds[:-1], nxt < bounds[1:]  # the word is observed at or before / after q
         lo, hi = nxt - 1, np.minimum(nxt, keys.size - 1)  # masked out where there is no such observation
         t_lo, t_hi = knots[keys[lo] % s], knots[keys[hi] % s]
-        m0, p0, v = math.log(1.0 / self.vocab_size), self.prior_variance, self.process_variance
+        m0, p0, v = math.log(1.0 / self.vocab_size), PRIOR_VARIANCE, self.config.drift_v / SECONDS_PER_DAY
         # the next observation's weight: linear in time between two observations; before the
         # first, the track's prior variance at t over its prior variance at that observation
         num = np.where(before, t - t_lo, p0 + v * (t - knots[0]))
@@ -207,17 +228,17 @@ def _fit_blocks(fits, stamps, logp_at, alpha, bounds):
         yield from zip(doc_logps, _mixture_e_step(fits[block], doc_logps, alpha, bounds))
 
 
-def _smooth_topics(knots, pairs, vocab_size, expected, drift, obs_var):
+def _smooth_topics(knots, pairs, vocab_size, expected, config):
     """All K topic tracks at the pairs, smoothed from (K, P) expected counts; returns (means, variances).
 
     With count = expected + SMOOTHING, a pair's pseudo-observation is
-    log(count / row sum) and its variance obs_var / count; a knot's row
-    sum is its pairs' counts plus SMOOTHING for each of its V - n_s
-    unobserved words.  One sparse filter and one sparse smoother pass over
-    all K topics, at ``drift``'s rate and from the uniform level log(1/V)
-    with ``drift``'s prior variance, then turn them into the (K, P)
-    smoothed means and variances.  ``expected`` is overwritten: it becomes
-    the variances.
+    log(count / row sum) and its variance ``config.obs_var`` / count; a
+    knot's row sum is its pairs' counts plus SMOOTHING for each of its
+    V - n_s unobserved words.  One sparse filter and one sparse smoother
+    pass over all K topics, at ``config``'s drift rate and from the
+    uniform level log(1/V) with variance PRIOR_VARIANCE, then turn them
+    into the (K, P) smoothed means and variances.  ``expected`` is
+    overwritten: it becomes the variances.
     """
     v = vocab_size
     starts = np.searchsorted(pairs, np.arange(knots.size + 1) * v)
@@ -228,36 +249,23 @@ def _smooth_topics(knots, pairs, vocab_size, expected, drift, obs_var):
     np.log(np.divide(counts, beta, out=beta), out=beta)
     # pseudo-observation precision follows the evidence: the log of
     # a count has variance ~ 1/count, scaled by the obs_var knob
-    obs = np.divide(obs_var, counts, out=expected)
+    obs = np.divide(config.obs_var, counts, out=expected)
     words = pairs % v
-    pair_filter(knots, starts, words, beta, obs, drift.process_variance, np.log(1.0 / v), drift.prior_variance)
-    return pair_smoother(knots, starts, words, beta, obs, drift.process_variance)
+    rate = config.drift_v / SECONDS_PER_DAY
+    pair_filter(knots, starts, words, beta, obs, rate, np.log(1.0 / v), PRIOR_VARIANCE)
+    return pair_smoother(knots, starts, words, beta, obs, rate)
 
 
-def _check_positive(**settings):
-    """The rule for alpha and obs_var, in training and in a checkpoint header: finite and > 0."""
-    if not all(0.0 < x < math.inf for x in settings.values()):  # also rejects nan
-        raise ParameterError(f"{' and '.join(settings)} must be finite and > 0,"
-                             f" got {' and '.join(map(str, settings.values()))}")
+def train_cdtm(train_docs, config, rng, vocab_size):
+    """Fit the fixed-K drifting-topic model, with ``config``'s settings, on a timestamp-ascending corpus.
 
-
-def train_cdtm(train_docs, k, drift, sweeps, rng, vocab_size, alpha=1.0, obs_var=0.1):
-    """Fit the fixed-K drifting-topic model on a timestamp-ascending corpus.
-
-    ``drift`` is a kalman.DriftConfig whose drift rate and prior
-    variance are used; its ``prior_mean`` is not read, as every track
-    starts at the uniform level log(1/V).  The per-sweep objective (sum of
-    per-document bounds) is recorded on the returned model.  Documents
-    are fitted by ``_fit_blocks``, so a sweep holds the log-probs of the
-    current block's knots only.  The first sweep fits every document
-    against one random (K, V) draw around the uniform level; every later
-    one against the model smoothed by the sweep before.
+    The per-sweep objective (sum of per-document bounds) is recorded on
+    the returned model.  Documents are fitted by ``_fit_blocks``, so a
+    sweep holds the log-probs of the current block's knots only.  The
+    first sweep fits every document against one random (K, V) draw
+    around the uniform level; every later one against the model smoothed
+    by the sweep before.
     """
-    if k < 1:
-        raise ParameterError("K must be >= 1")
-    if sweeps < 1:
-        raise ParameterError("sweeps must be >= 1")
-    _check_positive(alpha=alpha, obs_var=obs_var)
     if not train_docs:
         raise ParameterError("train_docs must be nonempty")
     ts = [d.timestamp for d in train_docs]
@@ -273,22 +281,20 @@ def train_cdtm(train_docs, k, drift, sweeps, rng, vocab_size, alpha=1.0, obs_var
     pairs, columns = np.unique(flat, return_inverse=True)
     columns = np.split(columns, np.cumsum([len(words) for words, _ in fits])[:-1])
 
-    first = _log_normalize(rng.normal(0.0, 0.1, (k, vocab_size)) + base)
+    first = _log_normalize(rng.normal(0.0, 0.1, (config.K, vocab_size)) + base)
     logp_at, objective_trace = lambda _: first, []
-    for _ in range(sweeps):
+    for _ in range(config.sweeps):
         objective = 0.0
-        expected = np.zeros((k, pairs.size))
-        fitted = _fit_blocks(fits, ts, logp_at, alpha, bounds=True)
+        expected = np.zeros((config.K, pairs.size))
+        fitted = _fit_blocks(fits, ts, logp_at, config.alpha, bounds=True)
         for (_, n), cols, (_, (_, phi, bound)) in zip(fits, columns, fitted):
             objective += bound
             expected[:, cols] += (phi * n[:, None]).T
         objective_trace.append(objective)
 
-        means, variances = _smooth_topics(knots, pairs, vocab_size, expected, drift, obs_var)
-        model = CdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size,
-                          process_variance=drift.process_variance, prior_variance=drift.prior_variance,
-                          knots=knots, pairs=pairs, means=means, variances=variances,
-                          objective_trace=objective_trace)
+        means, variances = _smooth_topics(knots, pairs, vocab_size, expected, config)
+        model = CdtmModel(config=config, vocab_size=vocab_size, knots=knots, pairs=pairs, means=means,
+                          variances=variances, objective_trace=objective_trace)
         logp_at = model.log_word_probs_at
     return model
 
@@ -300,7 +306,7 @@ def cdtm_heldout_loglik(model, docs):
     mixture posterior is fitted: no phi, no bound.
     """
     fits = vocab_words(docs, model.vocab_size)
-    fitted = _fit_blocks(fits, [doc.timestamp for doc in docs], model.log_word_probs_at, model.alpha_dirichlet,
+    fitted = _fit_blocks(fits, [doc.timestamp for doc in docs], model.log_word_probs_at, model.config.alpha,
                          bounds=False)
     records = []
     for doc, (words, n), (logp, (gamma, _, _)) in zip(docs, fits, fitted):
@@ -310,52 +316,40 @@ def cdtm_heldout_loglik(model, docs):
     return records
 
 
-# the header fields and the arrays of a "cdtm" checkpoint; S = knots.size, P = pairs.size
-HEADER = {"K": int, "alpha_dirichlet": float, "vocab_size": int, "process_variance": float,
-          "prior_variance": float}
+# the arrays of a "cdtm" checkpoint, whose header holds the config and vocab_size; S = knots.size, P = pairs.size
 ARRAYS = {"knots": ("<f8", 1), "pairs": ("<i8", 1), "means": ("<f8", 2), "variances": ("<f8", 2),
           "objective_trace": ("<f8", 1)}
 
 
 def save_checkpoint(model, path):
-    header = {name: getattr(model, name) for name in HEADER}
     arrays = {name: getattr(model, name) for name in ARRAYS}
     arrays["objective_trace"] = np.array(model.objective_trace, dtype=float)
-    write_checkpoint("cdtm", header, arrays, path)
-
-
-def _refuse_dense_state(path):
-    """Raise the re-train error if ``path`` holds the former dense (K, S, V) state."""
-    try:
-        read_checkpoint(path, {"cdtm": {"means": ("<f8", 3)}})
-    except ParameterError:
-        return
-    raise ParameterError(f"{path} holds the former dense (K, S, V) cdtm state, no longer read;"
-                         " re-train the model") from None
+    write_checkpoint("cdtm", {"config": asdict(model.config), "vocab_size": model.vocab_size}, arrays, path)
 
 
 def load_checkpoint(path):
     try:
         _, header, arrays = read_checkpoint(path, {"cdtm": ARRAYS})
+        config = config_from(CdtmConfig, header_value(header, "config", dict))
     except ParameterError:
-        _refuse_dense_state(path)
+        # both former layouts, the dense (K, S, V) state and the (K, P) one, held the settings as header fields
+        if "K" in read_checkpoint(path, {"cdtm": {}})[1]:
+            raise ParameterError(f"{path} holds a former cdtm layout (the dense (K, S, V) state or settings as"
+                                 " header fields), no longer read; re-train the model") from None
         raise
-    params = {name: header_value(header, name, kind) for name, kind in HEADER.items()}
-    DriftConfig(params["process_variance"], prior_variance=params["prior_variance"])  # rejects bad settings
-    _check_positive(alpha_dirichlet=params["alpha_dirichlet"])
-    k, v = params["K"], params["vocab_size"]
+    v = header_value(header, "vocab_size", int)
     knots, pairs = arrays["knots"], arrays["pairs"]
     if not knots.size or (np.diff(knots) <= 0).any():
         raise ParameterError("checkpoint knots must be nonempty and strictly ascending")
-    if k < 1 or v < 1:
-        raise ParameterError(f"checkpoint K and vocab_size must be >= 1, got {k} and {v}")
+    if v < 1:
+        raise ParameterError(f"checkpoint vocab_size must be >= 1, got {v}")
     if not pairs.size or (np.diff(pairs) <= 0).any() or pairs[0] < 0 or pairs[-1] >= knots.size * v:
         raise ParameterError("checkpoint pairs must be strictly increasing indices knot * V + word in [0, S * V)")
     if np.count_nonzero(np.diff(pairs // v)) + 1 != knots.size:
         raise ParameterError("checkpoint has a knot without an observed pair")
-    shape = (k, pairs.size)
+    shape = (config.K, pairs.size)
     if arrays["means"].shape != shape or arrays["variances"].shape != shape:
         raise ParameterError(f"checkpoint means {arrays['means'].shape} and variances"
                              f" {arrays['variances'].shape} are not (K, P) = {shape}")
     arrays["objective_trace"] = arrays["objective_trace"].tolist()
-    return CdtmModel(**params, **arrays)
+    return CdtmModel(config=config, vocab_size=v, **arrays)

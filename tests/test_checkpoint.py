@@ -17,7 +17,6 @@ from topicdrift.checkpoint import CHUNK_BYTES, read_checkpoint, write_checkpoint
 from topicdrift.cli import main
 from topicdrift.corpus import write_canonical
 from topicdrift.errors import ParameterError
-from topicdrift.kalman import DriftConfig
 from topicdrift.synthetic import three_topic_corpus
 
 # deterministic runs; a timeline call on a refused file takes milliseconds
@@ -112,7 +111,8 @@ def trained(tmp_path_factory):
     online_hdp.prequential_run(cidtm, docs, batch_size=10)
     assert cidtm.tracked.sum() > 10
     drifting_topics.save_checkpoint(cidtm, root / "cidtm.json")
-    cdtm = fixed_k_dtm.train_cdtm(docs[:20], 3, DriftConfig(1e-8), 2, np.random.default_rng(2), vocab_size=30)
+    cdtm = fixed_k_dtm.train_cdtm(docs[:20], fixed_k_dtm.CdtmConfig(K=3, drift_v=8.64e-4, sweeps=2),
+                                  np.random.default_rng(2), vocab_size=30)
     fixed_k_dtm.save_checkpoint(cdtm, root / "cdtm.json")
     pristine = {kind: (root / f"{kind}.json").read_bytes() for kind in ("ohdp", "cidtm", "cdtm")}
     return root, pristine
@@ -266,9 +266,9 @@ def test_a_damaged_cdtm_checkpoint_raises_parameter_error(trained, damage, data)
 def test_a_cdtm_checkpoint_with_an_alpha_training_rejects_raises_parameter_error(trained, alpha):
     root, pristine = trained
     payload = json.loads(pristine["cdtm"])
-    payload["header"]["alpha_dirichlet"] = alpha
+    payload["header"]["config"]["alpha"] = alpha
     (root / "alpha_cdtm.json").write_text(json.dumps(payload))
-    with pytest.raises(ParameterError, match="alpha_dirichlet must be finite and > 0"):
+    with pytest.raises(ParameterError, match="alpha and obs_var must be finite and > 0"):
         fixed_k_dtm.load_checkpoint(root / "alpha_cdtm.json")
 
 

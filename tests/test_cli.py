@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from helpers import payload_array, set_payload_array
-from topicdrift import drifting_topics, fixed_k_dtm, online_hdp
-from topicdrift.cli import main
+from topicdrift import drifting_topics, evaluation, fixed_k_dtm, online_hdp
+from topicdrift.cli import build_parser, main
 from topicdrift.corpus import read_canonical, write_canonical, write_vocabulary, Vocabulary
 from topicdrift.errors import NumericalError
 from topicdrift.synthetic import three_topic_corpus
@@ -57,6 +57,12 @@ MALFORMED_LINES = {
     "title a number": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "title": 5}',
     "title null": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "title": null}',
 }
+
+
+def config_wording(message):
+    """A flag's rule as its config words it: "--obs-var must ..." reads "obs_var must ..."."""
+    flag, rule = message.split(" ", 1)
+    return f"{flag.lstrip('-').replace('-', '_')} {rule}"
 
 
 def malformed_corpus(path, line):
@@ -200,6 +206,7 @@ class TestTrain:
     @pytest.mark.parametrize("model, header, config", [
         ("ohdp", "hyper", online_hdp.HdpHyper()),
         ("cidtm", "config", drifting_topics.CidtmConfig()),
+        ("cdtm", "config", fixed_k_dtm.CdtmConfig()),
     ])
     def test_model_flags_default_to_the_config_defaults(self, tmp_path, model, header, config):
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
@@ -208,7 +215,7 @@ class TestTrain:
                      "--checkpoint", str(ckpt), "--tsv", str(tmp_path / f"{model}.tsv")]) == 0
         assert json.loads(ckpt.read_text())["header"][header] == asdict(config)
 
-    @pytest.mark.parametrize("model", ["ohdp", "cidtm", "cdtm"])
+    @pytest.mark.parametrize("model", ["ohdp", "cidtm"])
     @pytest.mark.parametrize("tau0", ["0", "0.5"])
     def test_tau0_below_one_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch, model, tau0):
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
@@ -222,6 +229,16 @@ class TestTrain:
         assert code == 2
         assert f"tau0 must be finite and >= 1, got {float(tau0)}" in capsys.readouterr().err
         assert not (tmp_path / f"{model}.ckpt").exists()
+
+    @pytest.mark.parametrize("flag", ["--kappa=0.2", "--tau0=0.5", "--k-corpus=0", "--eta=0", "--gamma=nan"])
+    def test_cdtm_neither_reads_nor_checks_the_hdp_flags(self, tmp_path, flag):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        outputs = []
+        for sub, extra in (("plain", []), ("flagged", [flag])):
+            (tmp_path / sub).mkdir()
+            assert main(self.small_args(corpus, vocab_file, tmp_path / sub, "cdtm", ["--k", "3", *extra])) == 0
+            outputs.append([(tmp_path / sub / f"cdtm.{ext}").read_bytes() for ext in ("tsv", "ckpt")])
+        assert outputs[0] == outputs[1]
 
     def test_bad_config_exits_2(self, tmp_path):
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
@@ -247,7 +264,8 @@ class TestTrain:
         monkeypatch.setattr(fixed_k_dtm, "train_cdtm", no_fitting)
         code = main(self.small_args(corpus, vocab_file, tmp_path, "cdtm", ["--k", "3", flag, value]))
         assert code == 2
-        assert message in capsys.readouterr().err
+        # the split is the command line's own rule; CdtmConfig words the sweeps rule
+        assert (message if flag == "--train-fraction" else config_wording(message)) in capsys.readouterr().err
         assert not (tmp_path / "cdtm.ckpt").exists() and not (tmp_path / "cdtm.tsv").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -271,7 +289,7 @@ class TestTrain:
         # "--flag=value", since argparse reads "-1e9" after a space as an option
         code = main(self.small_args(corpus, vocab_file, tmp_path, "cdtm", ["--k", "3", f"{flag}={value}"]))
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert config_wording(message) in capsys.readouterr().err
         assert not (tmp_path / "cdtm.ckpt").exists() and not (tmp_path / "cdtm.tsv").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -298,13 +316,16 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cidtm.ckpt").exists() and not (tmp_path / "cidtm.tsv").exists()
 
-    @pytest.mark.parametrize("model", ["ohdp", "cidtm", "cdtm"])
-    @pytest.mark.parametrize("flag", ["--gamma", "--alpha0", "--eta"])
+    # cdtm reads only --alpha0 of these, as its Dirichlet alpha
+    @pytest.mark.parametrize("flag, model", [
+        (flag, model) for model in ("ohdp", "cidtm") for flag in ("--gamma", "--alpha0", "--eta")
+    ] + [("--alpha0", "cdtm")])
     def test_non_finite_concentration_exits_2(self, tmp_path, capsys, model, flag):
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
         code = main(self.small_args(corpus, vocab_file, tmp_path, model, ["--k", "3", f"{flag}=nan"]))
         assert code == 2
-        assert "gamma, alpha0 and eta must be finite and > 0" in capsys.readouterr().err
+        message = "alpha and obs_var" if model == "cdtm" else "gamma, alpha0 and eta"
+        assert f"{message} must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / f"{model}.ckpt").exists()
 
     def test_negative_word_index_exits_2(self, tmp_path, capsys):
@@ -358,6 +379,14 @@ class TestTimeline:
         values = dict(zip(header.split("\t"), row.split("\t")))
         assert float(values["recall"]) == 1.0
         assert float(values["precision"]) == 1.0
+
+    def test_threshold_defaults_to_the_timeline_constant(self, tmp_path):
+        corpus, ckpt = self.train_checkpoint(tmp_path)
+        base = ["timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus), "--topic", "0", "--out-assign"]
+        assert main([*base, str(tmp_path / "default.tsv")]) == 0
+        assert main([*base, str(tmp_path / "given.tsv"), "--threshold", repr(evaluation.TIMELINE_THRESHOLD)]) == 0
+        assert (tmp_path / "default.tsv").read_bytes() == (tmp_path / "given.tsv").read_bytes()
+        assert build_parser().parse_args(["timeline", *base[1:], "a"]).threshold == evaluation.TIMELINE_THRESHOLD
 
     def test_labels_naming_no_corpus_document_exit_2(self, tmp_path, capsys):
         corpus, ckpt = self.train_checkpoint(tmp_path)
@@ -558,6 +587,16 @@ BAD_SIMULATE_SETTINGS = {
     "dimsum-arrival-nan": (["dimsum", "--doc-sizes", "3", "--arrival-times", "nan"], "arrival_times must be finite"),
     "tdpm-decay-lambda-nan": (["tdpm", "--decay-lambda", "nan"], "decay_lambda must be finite and > 0"),
     "tdpm-history-nan": (["tdpm", "--history", "nan;1"], "history counts must be finite and >= 0"),
+    "crfp-doc-size-fractional": (["crfp", "--doc-sizes", "1.5"], "--doc-sizes must list comma-separated ints"),
+    "dimsum-doc-size-fractional": (["dimsum", "--doc-sizes", "3,1.5"],
+                                   "--doc-sizes must list comma-separated ints, got '3,1.5'"),
+    "dimsum-arrival-not-a-number": (["dimsum", "--arrival-times", "0,x,2"],
+                                    "--arrival-times must list comma-separated floats, got '0,x,2'"),
+    "dimsum-arrival-empty-entry": (["dimsum", "--arrival-times", "0,,2"],
+                                   "--arrival-times must list comma-separated floats"),
+    "tdpm-history-not-a-number": (["tdpm", "--history", "2;x"], "--history must list comma-separated floats"),
+    "tdpm-history-ragged": (["tdpm", "--history", "1,2;3"],
+                            "--history rows must all hold one count per component, got '1,2;3'"),
 }
 
 

@@ -1,6 +1,7 @@
 """Dirichlet-process simulators: seating laws, sharing, drift, decay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,28 @@ class TestDimSum:
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ShapeMismatchError):
             dim_sum_sample([1, 1], [0.0], 1.0, 1.0, 0.1, 2, np.random.default_rng(0))
+
+    def test_usage_after_each_arrival_is_the_franchise_of_its_prefix(self):
+        sizes = [12, 3, 20, 8, 15]
+        traj = dim_sum_sample(sizes, [0.0, 1.0, 2.5, 4.0, 9.0], 0.9, 1.1, 0.3, 2, np.random.default_rng(4))
+        assert len(traj.dish_usage) == len(traj.dish_params) == len(sizes)
+        for d, (usage, params) in enumerate(zip(traj.dish_usage, traj.dish_params)):
+            # seating consumes the generator as crfp_sample does, so a prefix seats alike
+            assert usage == crfp_sample(sizes[: d + 1], 0.9, 1.1, np.random.default_rng(4)).dish_usage
+            assert params.shape == (len(usage), 2)
+        assert traj.dish_usage[-1] == traj.final_state.dish_usage
+        assert len(traj.final_state.restaurants) == len(sizes)
+
+    def test_memory_stays_linear_in_the_documents(self):
+        # copying the franchise after every arrival peaked at 76 MB here
+        tracemalloc.start()
+        try:
+            traj = dim_sum_sample([50] * 400, np.arange(400.0), 1.0, 1.0, 0.1, 2, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.dish_usage) == 400
+        assert peak < 4e6
 
 
 class TestTdpmDecay:

@@ -22,9 +22,11 @@ from topicdrift import fixed_k_dtm
 from topicdrift.checkpoint import write_checkpoint
 from topicdrift.corpus import Document
 from topicdrift.errors import NumericalError, ParameterError
+from topicdrift.drifting_topics import SECONDS_PER_DAY
 from topicdrift.fixed_k_dtm import (
     BLOCK_DOCS,
     MAX_ITER,
+    CdtmConfig,
     CdtmModel,
     _mixture_e_step,
     _smooth_topics,
@@ -42,43 +44,48 @@ def train_test_split(n_docs=300, vocab=50, seed=0):
     return docs[::2], docs[1::2]
 
 
+def cdtm_config(k, drift, sweeps):
+    """A CdtmConfig with its drift given per second, the unit of the timestamps."""
+    return CdtmConfig(K=k, drift_v=drift * SECONDS_PER_DAY, sweeps=sweeps)
+
+
 class TestTraining:
     def test_zero_topics_rejected(self):
-        with pytest.raises(ParameterError):
-            train_cdtm([Document("a", 0.0, {0: 1}, 1)], 0, DriftConfig(0.1), 1,
-                       np.random.default_rng(0), vocab_size=50)
+        with pytest.raises(ParameterError, match="K and sweeps must be >= 1, got 0 and 3"):
+            CdtmConfig(K=0)
 
     @pytest.mark.parametrize("sweeps", [0, -2])
     def test_fewer_than_one_sweep_rejected(self, sweeps):
-        with pytest.raises(ParameterError, match="sweeps"):
-            train_cdtm([Document("a", 0.0, {0: 1}, 1)], 2, DriftConfig(0.1), sweeps,
-                       np.random.default_rng(0), vocab_size=50)
+        with pytest.raises(ParameterError, match=f"K and sweeps must be >= 1, got 50 and {sweeps}"):
+            CdtmConfig(sweeps=sweeps)
 
     @pytest.mark.parametrize("setting", [{"obs_var": -0.1}, {"obs_var": math.nan}, {"obs_var": math.inf},
                                          {"obs_var": 0.0}, {"alpha": 0.0}, {"alpha": math.nan}])
     def test_bad_observation_settings_rejected(self, setting):
-        with pytest.raises(ParameterError, match="alpha and obs_var"):
-            train_cdtm([Document("a", 0.0, {0: 1}, 1)], 2, DriftConfig(0.1), 1,
-                       np.random.default_rng(0), vocab_size=50, **setting)
+        with pytest.raises(ParameterError, match="alpha and obs_var must be finite and > 0"):
+            CdtmConfig(**setting)
+
+    @pytest.mark.parametrize("drift_v", [-1.0, math.nan, math.inf])
+    def test_bad_drift_rejected(self, drift_v):
+        with pytest.raises(ParameterError, match="drift_v must be finite and >= 0"):
+            CdtmConfig(drift_v=drift_v)
 
     @pytest.mark.parametrize("counts", [{}, {50: 1}, {-1: 2}])
     def test_words_outside_the_vocabulary_rejected(self, counts):
         docs = [Document("a", 0.0, {0: 1}, 1), Document("b", 1.0, counts, 2)]
         with pytest.raises(ParameterError, match="words in"):
-            train_cdtm(docs, 2, DriftConfig(0.1), 1, np.random.default_rng(0), vocab_size=50)
+            train_cdtm(docs, cdtm_config(2, 0.1, 1), np.random.default_rng(0), vocab_size=50)
 
     def test_zero_drift_keeps_topics_constant_over_time(self):
         train, _ = train_test_split(n_docs=60)
-        model = train_cdtm(train, 2, DriftConfig(0.0), sweeps=3,
-                           rng=np.random.default_rng(1), vocab_size=50)
+        model = train_cdtm(train, cdtm_config(2, 0.0, 3), rng=np.random.default_rng(1), vocab_size=50)
         first = model.means_at(model.knots[0])
         spread = max(np.abs(model.means_at(t) - first).max() for t in model.knots)
         assert spread < 1e-9
 
     def test_single_topic_tracks_corpus_frequencies(self):
         train, _ = train_test_split(n_docs=120)
-        model = train_cdtm(train, 1, DriftConfig(1e-9), sweeps=2,
-                           rng=np.random.default_rng(2), vocab_size=50)
+        model = train_cdtm(train, cdtm_config(1, 1e-9, 2), np.random.default_rng(2), vocab_size=50)
         counts = np.zeros(50)
         for d in train:
             for w, c in d.counts.items():
@@ -93,30 +100,27 @@ class TestTraining:
 
     def test_objective_non_decreasing(self):
         train, _ = train_test_split()
-        model = train_cdtm(train, 3, DriftConfig(1e-9), sweeps=6,
-                           rng=np.random.default_rng(3), vocab_size=50)
+        model = train_cdtm(train, cdtm_config(3, 1e-9, 6), np.random.default_rng(3), vocab_size=50)
         diffs = np.diff(model.objective_trace)
         assert np.all(diffs >= -1e-6)
 
     def test_learns_better_than_uniform(self):
         train, test = train_test_split()
-        model = train_cdtm(train, 3, DriftConfig(1e-9), sweeps=6,
-                           rng=np.random.default_rng(4), vocab_size=50)
+        model = train_cdtm(train, cdtm_config(3, 1e-9, 6), np.random.default_rng(4), vocab_size=50)
         records = cdtm_heldout_loglik(model, test)
         pwll = sum(r[2] for r in records) / sum(r[3] for r in records)
         assert pwll > math.log(1 / 50) + 0.3
 
     def test_topic_count_is_structural(self):
         train, _ = train_test_split(n_docs=40)
-        model = train_cdtm(train, 4, DriftConfig(1e-9), sweeps=2,
-                           rng=np.random.default_rng(5), vocab_size=50)
-        assert model.K == 4
+        model = train_cdtm(train, cdtm_config(4, 1e-9, 2), np.random.default_rng(5), vocab_size=50)
+        assert model.config.K == 4
         assert model.means.shape[0] == 4
 
     def test_deterministic_under_seed(self):
         train, _ = train_test_split(n_docs=60)
-        a = train_cdtm(train, 3, DriftConfig(1e-8), 3, np.random.default_rng(6), vocab_size=50)
-        b = train_cdtm(train, 3, DriftConfig(1e-8), 3, np.random.default_rng(6), vocab_size=50)
+        a = train_cdtm(train, cdtm_config(3, 1e-8, 3), np.random.default_rng(6), vocab_size=50)
+        b = train_cdtm(train, cdtm_config(3, 1e-8, 3), np.random.default_rng(6), vocab_size=50)
         np.testing.assert_array_equal(a.means, b.means)
         assert a.objective_trace == b.objective_trace
 
@@ -124,7 +128,7 @@ class TestTraining:
 def every_pair_observed(knots, means):
     """A hand-built model with (K, S, V) ``means`` as its pair state: every (knot, word) pair is observed."""
     k, s, v = means.shape
-    return CdtmModel(K=k, alpha_dirichlet=1.0, vocab_size=v, process_variance=0.0, prior_variance=1.0,
+    return CdtmModel(config=CdtmConfig(K=k, drift_v=0.0), vocab_size=v,
                      knots=np.asarray(knots, dtype=float), pairs=np.arange(s * v), means=means.reshape(k, -1),
                      variances=np.ones((k, s * v)), objective_trace=[])
 
@@ -142,8 +146,7 @@ class TestHeldout:
 
     def test_duplicate_document_scores_identically(self):
         train, test = train_test_split(n_docs=60)
-        model = train_cdtm(train, 2, DriftConfig(1e-9), 2,
-                           np.random.default_rng(7), vocab_size=50)
+        model = train_cdtm(train, cdtm_config(2, 1e-9, 2), np.random.default_rng(7), vocab_size=50)
         doc = test[0]
         a, b = cdtm_heldout_loglik(model, [doc, doc])
         assert a[2] == b[2]
@@ -321,10 +324,11 @@ class TestMatchesPerDocumentLoops:
         blocks = [held[i:i + BLOCK_DOCS] for i in range(0, len(held), BLOCK_DOCS)]
         assert len(blocks) > 2
         assert any(len({d.timestamp for d in block}) < len(block) for block in blocks)
-        for drift in (0.0, 1e-6):
-            args = (train, 4, DriftConfig(drift), 3)
-            model = train_cdtm(*args, np.random.default_rng(2), alpha=0.7, vocab_size=EDGE_VOCAB)
-            ref = reference_train_cdtm(*args, np.random.default_rng(2), alpha=0.7, vocab_size=EDGE_VOCAB)
+        for drift_v in (0.0, 0.0864):
+            cfg = CdtmConfig(K=4, alpha=0.7, drift_v=drift_v, sweeps=3)
+            model = train_cdtm(train, cfg, np.random.default_rng(2), vocab_size=EDGE_VOCAB)
+            ref = reference_train_cdtm(train, 4, DriftConfig(drift_v / SECONDS_PER_DAY), 3, np.random.default_rng(2),
+                                       alpha=0.7, vocab_size=EDGE_VOCAB)
             knot, word = np.divmod(model.pairs, EDGE_VOCAB)
             assert set(knot[word == 30]) == {0} and set(knot[word == 31]) == {model.knots.size - 1}
             assert 32 not in word and model.pairs.size < model.knots.size * 30
@@ -343,7 +347,9 @@ def smoothing_inputs(k=20, s=30, v=100, seed=0):
 
     Every knot has a pair; word v - 2 is observed only at the first knot,
     word v - 3 first at the last knot, and word v - 1 never.  Returns
-    (knots, pairs, expected, dense model, dense expected, present, cfg).
+    (knots, pairs, expected, dense model, dense expected, present, cfg,
+    config): ``cfg`` is the reference's drift and prior, with the prior
+    variance PRIOR_VARIANCE_PATCH, and ``config`` the model's settings.
     """
     rng = np.random.default_rng(seed)
     knots = np.cumsum(rng.uniform(0.1, 5.0, s))
@@ -353,24 +359,29 @@ def smoothing_inputs(k=20, s=30, v=100, seed=0):
     present[0, v - 2] = present[-1, v - 3] = True
     pairs = np.flatnonzero(present)
     expected = rng.gamma(0.3, 2.0, (k, pairs.size))
-    cfg = DriftConfig(0.05, prior_mean=math.log(1 / v), prior_variance=1.5)
+    config = CdtmConfig(K=k, drift_v=4320.0)  # 0.05 per second
+    cfg = DriftConfig(config.drift_v / SECONDS_PER_DAY, prior_mean=math.log(1 / v), prior_variance=PRIOR_VARIANCE_PATCH)
     dense = DenseCdtmModel(K=k, alpha_dirichlet=1.0, vocab_size=v, knots=knots,
                            means=np.empty((k, s, v)), variances=np.empty((k, s, v)))
     dense_expected = np.zeros((k, s * v))
     dense_expected[:, pairs] = expected
-    return knots, pairs, expected, dense, dense_expected.reshape(k, s, v), present, cfg
+    return knots, pairs, expected, dense, dense_expected.reshape(k, s, v), present, cfg, config
+
+
+# a track prior variance other than 1, so the closed-form tests pin where it enters
+PRIOR_VARIANCE_PATCH = 1.5
 
 
 class TestSmoothTopics:
     """One sparse filter and smoother pass over all K topics, against the former dense per-topic loop."""
 
-    def test_matches_the_dense_per_topic_loop(self):
-        knots, pairs, expected, dense, dense_expected, present, cfg = smoothing_inputs()
-        reference_smooth_topics(dense, dense_expected, present, cfg, 0.1, 0.01)
-        means, variances = _smooth_topics(knots, pairs, dense.vocab_size, expected, cfg, 0.1)
-        model = CdtmModel(K=dense.K, alpha_dirichlet=1.0, vocab_size=dense.vocab_size, process_variance=0.05,
-                          prior_variance=1.5, knots=knots, pairs=pairs, means=means, variances=variances,
-                          objective_trace=[])
+    def test_matches_the_dense_per_topic_loop(self, monkeypatch):
+        monkeypatch.setattr(fixed_k_dtm, "PRIOR_VARIANCE", PRIOR_VARIANCE_PATCH)
+        knots, pairs, expected, dense, dense_expected, present, cfg, config = smoothing_inputs()
+        reference_smooth_topics(dense, dense_expected, present, cfg, config.obs_var, 0.01)
+        means, variances = _smooth_topics(knots, pairs, dense.vocab_size, expected, config)
+        model = CdtmModel(config=config, vocab_size=dense.vocab_size, knots=knots, pairs=pairs, means=means,
+                          variances=variances, objective_trace=[])
         assert_close(model.means, at_pairs(model, dense.means))
         assert_close(model.variances, at_pairs(model, dense.variances))
         # the closed form at any time, including before a word's first observation
@@ -391,15 +402,15 @@ class TestSmoothTopics:
         for name in ("pair_filter", "pair_smoother"):
             monkeypatch.setattr(fixed_k_dtm, name, counted(fixed_k_dtm, name))
         train, test = train_test_split(n_docs=40)
-        model = train_cdtm(train, 3, DriftConfig(1e-8), 2, np.random.default_rng(0), vocab_size=50)
+        model = train_cdtm(train, cdtm_config(3, 1e-8, 2), np.random.default_rng(0), vocab_size=50)
         cdtm_heldout_loglik(model, test)
         assert calls == ["pair_filter", "pair_smoother"] * 2
 
     def test_peak_memory_below_one_state_array(self):
-        knots, pairs, expected, dense, *_, cfg = smoothing_inputs()
+        knots, pairs, expected, dense, *_, config = smoothing_inputs()
         tracemalloc.start()
         try:
-            means, _ = _smooth_topics(knots, pairs, dense.vocab_size, expected, cfg, 0.1)
+            means, _ = _smooth_topics(knots, pairs, dense.vocab_size, expected, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -411,7 +422,7 @@ class TestSmoothTopics:
         docs = uniform_stream(200, vocab, seed=3)
         tracemalloc.start()
         try:
-            model = train_cdtm(docs, k, DriftConfig(1e-6), 2, np.random.default_rng(0), vocab_size=vocab)
+            model = train_cdtm(docs, cdtm_config(k, 1e-6, 2), np.random.default_rng(0), vocab_size=vocab)
             cdtm_heldout_loglik(model, docs[:BLOCK_DOCS])
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -423,8 +434,8 @@ class TestSmoothTopics:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         train, test = train_test_split(n_docs=40)
-        model = train_cdtm(train, 2, DriftConfig(1e-8, prior_variance=0.5), 2,
-                           np.random.default_rng(8), vocab_size=50)
+        config = CdtmConfig(K=2, alpha=0.7, drift_v=8.64e-4, obs_var=0.2, sweeps=2)
+        model = train_cdtm(train, config, np.random.default_rng(8), vocab_size=50)
         path = tmp_path / "cdtm.json"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -433,15 +444,14 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.knots, model.knots)
         np.testing.assert_array_equal(loaded.pairs, model.pairs)
         assert loaded.objective_trace == model.objective_trace
-        assert (loaded.K, loaded.alpha_dirichlet, loaded.vocab_size) == (model.K, model.alpha_dirichlet, 50)
-        assert (loaded.process_variance, loaded.prior_variance) == (1e-8, 0.5)
+        assert (loaded.config, loaded.vocab_size) == (config, 50)
         assert cdtm_heldout_loglik(loaded, test[:3]) == cdtm_heldout_loglik(model, test[:3])
 
     @staticmethod
     def saved(tmp_path):
         """A trained model's checkpoint path and its parsed payload."""
         train, _ = train_test_split(n_docs=40)
-        model = train_cdtm(train, 2, DriftConfig(1e-8), 1, np.random.default_rng(8), vocab_size=50)
+        model = train_cdtm(train, cdtm_config(2, 1e-8, 1), np.random.default_rng(8), vocab_size=50)
         assert model.knots.size > 2
         path = tmp_path / "cdtm.json"
         save_checkpoint(model, path)
@@ -477,4 +487,31 @@ class TestCheckpoint:
                          {"knots": np.arange(3.0), "means": dense, "variances": dense + 1.0,
                           "objective_trace": np.zeros(2)}, path)
         with pytest.raises(ParameterError, match="dense .* re-train"):
+            load_checkpoint(path)
+
+    def test_header_holds_the_config_and_vocab_size(self, tmp_path):
+        _, payload = self.saved(tmp_path)
+        assert payload["header"] == {"config": dataclasses.asdict(cdtm_config(2, 1e-8, 1)), "vocab_size": 50}
+
+    def test_former_per_field_header_asks_to_retrain(self, tmp_path):
+        path, payload = self.saved(tmp_path)
+        payload["header"] = {"K": 2, "alpha_dirichlet": 1.0, "vocab_size": 50, "process_variance": 1e-8,
+                             "prior_variance": 1.0}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParameterError, match="settings as header fields.* re-train"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"K": 0}, "K and sweeps must be >= 1, got 0"),
+        ({"sweeps": -1}, "K and sweeps must be >= 1"),
+        ({"alpha": 0.0}, "alpha and obs_var must be finite and > 0"),
+        ({"obs_var": math.nan}, "alpha and obs_var must be finite and > 0"),
+        ({"drift_v": -1.0}, "drift_v must be finite and >= 0"),
+        ({"K": 2.0}, "'K' is not a int"),
+    ])
+    def test_load_applies_the_config_rule(self, tmp_path, setting, message):
+        path, payload = self.saved(tmp_path)
+        payload["header"]["config"].update(setting)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParameterError, match=re.escape(message)):
             load_checkpoint(path)
