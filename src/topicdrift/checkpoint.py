@@ -1,11 +1,13 @@
-"""The one checkpoint reader and writer of the three models (format 2).
+"""The one checkpoint reader and writer of the three models (format 3).
 
 A checkpoint is one sorted-key JSON object ``{"arrays", "format_version":
-2, "header", "kind"}``: ``header`` holds scalars and config, and each
+3, "header", "kind"}``: ``header`` holds scalars and config, and each
 array is ``{"data", "dtype", "shape"}`` with ``data`` the base64 of its
-little-endian bytes.  The model modules map their state to ``(header,
-arrays)`` and back and keep their own consistency checks.  Any damaged
-file, a format-1 file or one that is not JSON raises ``ParameterError``.
+little-endian bytes.  A bool mask that a model stores packed, eight
+entries per ``|u1`` byte, goes through ``pack_mask`` and ``unpack_mask``.
+The model modules map their state to ``(header, arrays)`` and back and
+keep their own consistency checks.  Any damaged file, a file of an
+earlier format or one that is not JSON raises ``ParameterError``.
 """
 
 import base64
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 CHUNK_BYTES = 3 << 16  # a multiple of 3, so only an array's last chunk has base64 padding
 # the JSON types a header value may have, by the type it is read as; a bool is never a number
 JSON_TYPES = {int: (int,), float: (int, float), dict: (dict,)}
@@ -27,13 +29,15 @@ JSON_TYPES = {int: (int,), float: (int, float), dict: (dict,)}
 def write_checkpoint(kind, header, arrays, path):
     """Write ``header`` and ``arrays`` (name -> array), one array and chunk at a time.
 
-    Bool arrays are stored as ``|b1``, integer arrays as ``<i8`` and the rest as ``<f8``.
+    Bool arrays are stored as ``|b1``, uint8 arrays as ``|u1``, other integer arrays as ``<i8``
+    and the rest as ``<f8``.
     """
     with open(path, "wb") as f:
         f.write(b'{"arrays": {')
         for i, name in enumerate(sorted(arrays)):
             array = np.asarray(arrays[name])
-            dtype = "|b1" if array.dtype == bool else "<i8" if array.dtype.kind in "iu" else "<f8"
+            dtype = ("|b1" if array.dtype == bool else "|u1" if array.dtype == np.uint8
+                     else "<i8" if array.dtype.kind in "iu" else "<f8")
             flat = np.ascontiguousarray(array, dtype=dtype).reshape(-1).view(np.uint8)
             f.write(f'{", " if i else ""}{json.dumps(name)}: {{"data": "'.encode())
             for start in range(0, flat.size, CHUNK_BYTES):
@@ -41,6 +45,25 @@ def write_checkpoint(kind, header, arrays, path):
             f.write(f'", "dtype": "{dtype}", "shape": {json.dumps(list(array.shape))}}}'.encode())
         f.write(f'}}, "format_version": {FORMAT_VERSION}, "header": {json.dumps(header, sort_keys=True)}, '
                 f'"kind": {json.dumps(kind)}}}'.encode())
+
+
+def pack_mask(mask):
+    """The bool array ``mask`` flattened in C order and packed eight entries per byte, first entry in the high bit."""
+    return np.packbits(mask, axis=None)
+
+
+def unpack_mask(name, packed, shape):
+    """The bool array of ``shape`` that ``pack_mask`` packed into the 1-D uint8 array ``packed``.
+
+    ``packed`` must hold exactly the bytes that ``shape`` needs, and every
+    pad bit past its last entry must be 0.
+    """
+    size = math.prod(shape)
+    if any(n < 0 for n in shape) or packed.size != -(-size // 8):
+        raise ParameterError(f"checkpoint mask {name!r} holds {packed.size} bytes, not the bits of {list(shape)}")
+    if size % 8 and packed[-1] & (0xFF >> size % 8):
+        raise ParameterError(f"checkpoint mask {name!r} sets a pad bit past its {size} entries")
+    return np.unpackbits(packed, count=size).view(bool).reshape(shape)
 
 
 def _decode_array(name, entry, dtype, ndim):
@@ -57,6 +80,8 @@ def _decode_array(name, entry, dtype, ndim):
         raise ParameterError(f"checkpoint array {name!r}: bad base64 ({exc})") from None
     if len(raw) != math.prod(shape) * np.dtype(dtype).itemsize:
         raise ParameterError(f"checkpoint array {name!r} holds {len(raw)} bytes, not shape {shape}")
+    if len(data) != 4 * -(-len(raw) // 3):  # b64decode accepts "=" past the padding the writer puts
+        raise ParameterError(f"checkpoint array {name!r}: bad base64 (padding past its last byte)")
     if dtype == "|b1" and raw.translate(None, b"\x00\x01"):
         raise ParameterError(f"checkpoint array {name!r} holds a byte that is not a bool")
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()

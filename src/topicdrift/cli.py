@@ -27,7 +27,12 @@ NUMERICAL_ERRORS = (ConvergenceError, NumericalError, FloatingPointError)
 
 def _seed(args):
     env = os.environ.get("TM_SEED")
-    return int(env) if env else args.seed
+    if not env:
+        return args.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigurationError(f"TM_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_ingest(args):

@@ -231,6 +231,8 @@ def tokenize_corpus(records, cfg=TokenizerConfig()):
 
 def build_vocabulary(tokenized, min_doc_freq):
     """Dense term indices, in term order, for all terms reaching the document-frequency floor."""
+    if min_doc_freq < 1:
+        raise ConfigurationError(f"min_doc_freq must be >= 1, got {min_doc_freq}")
     if not tokenized.records:
         raise ParameterError("docs must be nonempty")
     df = Counter(chain.from_iterable(tokenized.bags))

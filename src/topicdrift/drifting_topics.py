@@ -46,7 +46,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.special import logsumexp
 
-from .checkpoint import config_from, header_value, read_checkpoint, write_checkpoint
+from .checkpoint import config_from, header_value, pack_mask, read_checkpoint, unpack_mask, write_checkpoint
 from .errors import (
     ConfigurationError,
     LifecycleProtocolError,
@@ -286,17 +286,16 @@ def process_batch(model, batch):
     return BatchResult(records, born, died)
 
 
-# the arrays of a "cidtm" checkpoint: the HDP state, the tracked (topic, word) pairs as strictly
-# increasing flat indices into K * V with their mean and var, and the (K,) lifecycles
+# the arrays of a "cidtm" checkpoint: the HDP state, the tracked (topic, word) pairs as the packed (K, V)
+# mask with their mean and var in C order, and the (K,) lifecycles
 LIFECYCLE_ARRAYS = {"born": ("|b1", 1), "active": ("|b1", 1), "deadline": ("<f8", 1)}
-ARRAYS = {**HDP_ARRAYS, "tracked": ("<i8", 1), "mean": ("<f8", 1), "var": ("<f8", 1), **LIFECYCLE_ARRAYS}
+ARRAYS = {**HDP_ARRAYS, "tracked": ("|u1", 1), "mean": ("<f8", 1), "var": ("<f8", 1), **LIFECYCLE_ARRAYS}
 
 
 def save_checkpoint(model, path):
     header, arrays = encode_hdp(model)
     arrays.update({name: getattr(model, name) for name in LIFECYCLE_ARRAYS})
-    arrays.update(tracked=np.flatnonzero(model.tracked), mean=model.mean[model.tracked],
-                  var=model.var[model.tracked])
+    arrays.update(tracked=pack_mask(model.tracked), mean=model.mean[model.tracked], var=model.var[model.tracked])
     write_checkpoint("cidtm", {**header, "config": asdict(model.config), "clock": model.clock}, arrays, path)
 
 
@@ -312,21 +311,18 @@ def decode_checkpoint(header, arrays):
         if arrays[name].shape != (k,):
             raise ParameterError(f"checkpoint {name!r} lists {arrays[name].size} topics, not K_corpus = {k}")
         setattr(model, name, arrays[name])
-    tracked = arrays["tracked"]
-    if arrays["mean"].shape != tracked.shape or arrays["var"].shape != tracked.shape:
+    tracked = unpack_mask("tracked", arrays["tracked"], (k, v))
+    pairs = np.count_nonzero(tracked)
+    if arrays["mean"].shape != (pairs,) or arrays["var"].shape != (pairs,):
         raise ParameterError("checkpoint mean and var must hold one value per tracked index")
-    if (np.diff(tracked) <= 0).any():
-        raise ParameterError("checkpoint tracked indices are not strictly increasing")
-    if tracked.size and not (0 <= tracked[0] and tracked[-1] < k * v):
-        raise ParameterError(f"checkpoint tracked index outside [0, K_corpus * vocab_size = {k * v})")
-    if tracked.size and model.clock is None:
+    if pairs and model.clock is None:
         raise ParameterError("checkpoint tracks words but has no clock to date their variances")
-    unborn = np.flatnonzero(~model.born & (model.active | np.isin(np.arange(k), tracked // v)))
+    unborn = np.flatnonzero(~model.born & (model.active | tracked.any(axis=1)))
     if unborn.size:
         raise ParameterError(f"topic {unborn[0]} is not born but is active or tracks words")
-    for name in ("mean", "var"):
-        getattr(model, name).reshape(-1)[tracked] = arrays[name]
-    model.tracked.reshape(-1)[tracked] = True
+    model.mean[tracked] = arrays["mean"]
+    model.var[tracked] = arrays["var"]
+    model.tracked = tracked
     return model
 
 

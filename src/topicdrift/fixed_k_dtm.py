@@ -328,15 +328,8 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    try:
-        _, header, arrays = read_checkpoint(path, {"cdtm": ARRAYS})
-        config = config_from(CdtmConfig, header_value(header, "config", dict))
-    except ParameterError:
-        # both former layouts, the dense (K, S, V) state and the (K, P) one, held the settings as header fields
-        if "K" in read_checkpoint(path, {"cdtm": {}})[1]:
-            raise ParameterError(f"{path} holds a former cdtm layout (the dense (K, S, V) state or settings as"
-                                 " header fields), no longer read; re-train the model") from None
-        raise
+    _, header, arrays = read_checkpoint(path, {"cdtm": ARRAYS})
+    config = config_from(CdtmConfig, header_value(header, "config", dict))
     v = header_value(header, "vocab_size", int)
     knots, pairs = arrays["knots"], arrays["pairs"]
     if not knots.size or (np.diff(knots) <= 0).any():

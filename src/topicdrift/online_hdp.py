@@ -33,7 +33,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .checkpoint import config_from, header_value, read_checkpoint, write_checkpoint
+from .checkpoint import config_from, header_value, pack_mask, read_checkpoint, unpack_mask, write_checkpoint
 from .corpus import batch_iter, vocab_words
 from .errors import ConfigurationError, NumericalError, ParameterError
 
@@ -227,7 +227,7 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
         n[i, : sizes[i]] = counts
         eb[i, : sizes[i]] = elog_beta[:, words].T
     zeta = np.full((sizes.size, t_doc, sizes.max()), 1.0 / t_doc)  # (B, T, M)
-    weighted = np.empty_like(zeta)                                   # zeta * counts
+    weighted = zeta * n[:, None, :]                                  # zeta * counts, kept by every sweep
     varphi_scores = np.empty((sizes.size, t_doc, elog_beta.shape[0]))  # (B, T, K)
     varphi = np.empty_like(varphi_scores)
     a = np.ones((sizes.size, t_doc - 1))
@@ -239,7 +239,6 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     bound = np.full(sizes.size, np.nan)
     out = [None] * sizes.size
     for sweep in range(1, max_sweeps + 1):
-        np.multiply(zeta, n[:, None, :], out=weighted)
         np.matmul(weighted, eb, out=varphi_scores)
         varphi_scores += elog_sticks
         varphi_norm = _softmax(varphi_scores, 2, varphi)
@@ -283,11 +282,11 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
         if not rows.size:
             break
         for dst, src in enumerate(rows):  # rows only move forward
-            n[dst], eb[dst], zeta[dst] = n[src], eb[src], zeta[src]
+            n[dst], eb[dst], zeta[dst], weighted[dst] = n[src], eb[src], zeta[src], weighted[src]
         running = running[rows]
         k, width = rows.size, sizes[running].max()
-        n, eb, zeta = n[:k, :width], eb[:k, :width], zeta[:k, :, :width]
-        weighted, varphi_scores, varphi = weighted[:k, :, :width], varphi_scores[:k], varphi[:k]
+        n, eb, zeta, weighted = n[:k, :width], eb[:k, :width], zeta[:k, :, :width], weighted[:k, :, :width]
+        varphi_scores, varphi = varphi_scores[:k], varphi[:k]
         elog_sticks_doc, bound = elog_sticks_doc[rows], bound[rows]
     return out
 
@@ -404,15 +403,19 @@ def prequential_run(model, docs, batch_size):
     return records
 
 
-# name -> (dtype, ndim) of the arrays of an "ohdp" checkpoint; a "cidtm" one adds its tracks
-ARRAYS = {"lam": ("<f8", 2), "stick_u": ("<f8", 1), "stick_v": ("<f8", 1)}
+# name -> (dtype, ndim) of the arrays of an "ohdp" checkpoint; a "cidtm" one adds its tracks.  lam is
+# stored as the packed (K, V) mask of its entries equal to eta and its other entries in C order: with
+# the default tau0 = 1 the first update has rate 1, so every entry that no batch has touched is eta
+ARRAYS = {"lam_is_eta": ("|u1", 1), "lam_off_eta": ("<f8", 1), "stick_u": ("<f8", 1), "stick_v": ("<f8", 1)}
 
 
 def encode_hdp(hdp):
     """Checkpoint header fields and arrays of an OnlineHdp, shared by both online models."""
     g = hdp.g
     header = {"vocab_size": hdp.vocab_size, "corpus_scale": hdp.corpus_scale, "update_count": g.update_count}
-    return header, {"lam": g.lam, "stick_u": g.stick_u, "stick_v": g.stick_v}
+    is_eta = g.lam == hdp.hyper.eta
+    arrays = {"lam_is_eta": pack_mask(is_eta), "lam_off_eta": g.lam[~is_eta]}
+    return header, {**arrays, "stick_u": g.stick_u, "stick_v": g.stick_v}
 
 
 def decode_hdp(model, header, arrays, hyper):
@@ -421,10 +424,15 @@ def decode_hdp(model, header, arrays, hyper):
     model.vocab_size = header_value(header, "vocab_size", int)
     model.corpus_scale = header_value(header, "corpus_scale", float)
     k = hyper.K_corpus
-    lam, stick_u, stick_v = arrays["lam"], arrays["stick_u"], arrays["stick_v"]
-    if lam.shape != (k, model.vocab_size) or stick_u.shape != (k - 1,) or stick_v.shape != (k - 1,):
-        raise ParameterError(f"checkpoint lam {lam.shape} and sticks {stick_u.shape}, {stick_v.shape}"
-                             f" do not fit K_corpus = {k} and vocab_size = {model.vocab_size}")
+    stick_u, stick_v = arrays["stick_u"], arrays["stick_v"]
+    if stick_u.shape != (k - 1,) or stick_v.shape != (k - 1,):
+        raise ParameterError(f"checkpoint sticks {stick_u.shape}, {stick_v.shape} do not fit K_corpus = {k}")
+    off_eta = ~unpack_mask("lam_is_eta", arrays["lam_is_eta"], (k, model.vocab_size))
+    size, expected = arrays["lam_off_eta"].size, np.count_nonzero(off_eta)
+    if size != expected:
+        raise ParameterError(f"checkpoint lam_off_eta holds {size} values, not one per lam entry off eta ({expected})")
+    lam = np.full(off_eta.shape, hyper.eta)
+    lam[off_eta] = arrays["lam_off_eta"]
     model.g = GlobalVariational(lam, stick_u, stick_v, header_value(header, "update_count", int))
     return model
 

@@ -495,13 +495,13 @@ def reference_ingest(fmt, input_path, out_corpus, out_vocab, min_doc_freq=2, min
 
 
 def payload_array(payload, name):
-    """The array stored under ``name`` in a parsed format-2 checkpoint."""
+    """The array stored under ``name`` in a parsed checkpoint."""
     entry = payload["arrays"][name]
     return np.frombuffer(base64.b64decode(entry["data"]), entry["dtype"]).reshape(entry["shape"])
 
 
 def set_payload_array(payload, name, array):
-    """Store ``array`` under ``name`` in a parsed format-2 checkpoint, at the entry's dtype."""
+    """Store ``array`` under ``name`` in a parsed checkpoint, at the entry's dtype."""
     entry = payload["arrays"][name]
     array = np.ascontiguousarray(array, dtype=entry["dtype"])
     entry.update(data=base64.b64encode(array.tobytes()).decode("ascii"), shape=list(array.shape))

@@ -1,4 +1,4 @@
-"""Format-2 checkpoints: the layout, the typed reader, and damaged files that must be refused."""
+"""Format-3 checkpoints: the layout, the typed reader, the packed masks, and damaged files that must be refused."""
 
 import base64
 import contextlib
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import payload_array, set_payload_array
 from topicdrift import drifting_topics, fixed_k_dtm, online_hdp
-from topicdrift.checkpoint import CHUNK_BYTES, read_checkpoint, write_checkpoint
+from topicdrift.checkpoint import CHUNK_BYTES, pack_mask, read_checkpoint, unpack_mask, write_checkpoint
 from topicdrift.cli import main
 from topicdrift.corpus import write_canonical
 from topicdrift.errors import ParameterError
@@ -26,7 +26,7 @@ DAMAGE = settings(derandomize=True, deadline=None, max_examples=60)
 def layout_bytes(kind, header, arrays):
     """json.dump(..., sort_keys=True) of the documented layout, built in one piece."""
     payload = {
-        "format_version": 2,
+        "format_version": 3,
         "kind": kind,
         "header": header,
         "arrays": {
@@ -46,6 +46,7 @@ def demo_arrays():
         "empty": (np.zeros((2, 0)), "<f8"),
         "index": (np.array([0, 5, 2**40, -3]), "<i8"),
         "mask": (np.array([True, False, True]), "|b1"),
+        "packed": (np.array([0, 7, 128, 255], dtype=np.uint8), "|u1"),
     }
 
 
@@ -95,6 +96,83 @@ def test_a_bool_array_holds_only_bytes_0_and_1(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ParameterError, match="not a bool"):
         read_checkpoint(path, {"demo": {"mask": ("|b1", 1)}})
+
+
+def test_base64_padding_past_the_last_byte_is_refused(tmp_path):
+    path = tmp_path / "out.json"
+    write_checkpoint("demo", {}, {"x": np.arange(3.0)}, path)
+    payload = json.loads(path.read_text())
+    payload["arrays"]["x"]["data"] += "="
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParameterError, match="bad base64"):
+        read_checkpoint(path, {"demo": {"x": ("<f8", 1)}})
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (8,), (3, 7), (2, 8), (5, 13)])
+def test_a_mask_unpacks_to_the_packed_one(shape):
+    mask = np.random.default_rng(sum(shape)).random(shape) < 0.5
+    packed = pack_mask(mask)
+    assert packed.dtype == np.uint8 and packed.size == math.ceil(mask.size / 8)
+    np.testing.assert_array_equal(unpack_mask("m", packed, shape), mask)
+    # the first entry is the high bit of the first byte
+    if mask.size:
+        assert packed[0] >> 7 == mask.flat[0]
+
+
+def test_a_mask_of_the_wrong_size_or_with_a_pad_bit_set_is_refused():
+    packed = pack_mask(np.ones((3, 7), dtype=bool))  # 21 entries: 3 bytes, 3 pad bits
+    for wrong in (packed[:-1], np.append(packed, 0)):
+        with pytest.raises(ParameterError, match="holds .* bytes, not the bits of"):
+            unpack_mask("m", wrong, (3, 7))
+    with pytest.raises(ParameterError, match="sets a pad bit"):
+        unpack_mask("m", packed | np.array([0, 0, 1], dtype=np.uint8), (3, 7))
+    with pytest.raises(ParameterError):
+        unpack_mask("m", packed, (-3, -7))
+
+
+def online_state(model):
+    """Every array and scalar of an online model's state, by name."""
+    state = {"lam": model.g.lam, "stick_u": model.g.stick_u, "stick_v": model.g.stick_v,
+             "update_count": model.g.update_count, "vocab_size": model.vocab_size}
+    for name in ("mean", "var", "tracked", "born", "active", "deadline", "clock"):
+        if hasattr(model, name):
+            state[name] = getattr(model, name)
+    return state
+
+
+def online_model(kind, lam_case):
+    """A trained K = 3, V = 7 model (K·V = 21, not a multiple of 8) whose lam has no, every or some eta entries."""
+    docs, _ = three_topic_corpus(n_docs=30, vocab_size=7, seed=4)
+    hyper = online_hdp.HdpHyper(K_corpus=3, T_doc=2)
+    if kind == "ohdp":
+        model = online_hdp.OnlineHdp(hyper, 7, len(docs), seed=1)
+    else:
+        model = drifting_topics.DriftingTopicModel(drifting_topics.CidtmConfig(hyper=hyper), 7, len(docs), seed=1)
+    online_hdp.prequential_run(model, docs, batch_size=10)
+    if lam_case == "every entry eta":
+        model.g.lam[:] = hyper.eta
+    elif lam_case == "no entry eta":
+        model.g.lam[:] = hyper.eta + np.random.default_rng(0).random(model.g.lam.shape) + 1e-3
+    else:
+        model.g.lam[:, ::2] = hyper.eta
+    return model
+
+
+@pytest.mark.parametrize("lam_case", ["every entry eta", "no entry eta", "some entries eta"])
+@pytest.mark.parametrize("kind", ["ohdp", "cidtm"])
+def test_an_online_model_round_trips_array_for_array(tmp_path, kind, lam_case):
+    module = online_hdp if kind == "ohdp" else drifting_topics
+    model = online_model(kind, lam_case)
+    if kind == "cidtm":
+        assert 0 < model.tracked.sum() < model.tracked.size
+    module.save_checkpoint(model, tmp_path / "model.json")
+    payload = json.loads((tmp_path / "model.json").read_text())
+    assert payload["format_version"] == 3 and "lam" not in payload["arrays"]
+    saved, loaded = online_state(model), online_state(module.load_checkpoint(tmp_path / "model.json"))
+    assert saved.keys() == loaded.keys()
+    for name, value in saved.items():
+        assert np.asarray(loaded[name]).dtype == np.asarray(value).dtype, name
+        np.testing.assert_array_equal(loaded[name], value, err_msg=name)
 
 
 @pytest.fixture(scope="module")
@@ -224,11 +302,38 @@ def index_broken(draw, payload, name, size):
     return json.dumps(payload).encode()
 
 
+def packed_set_broken(draw, payload, mask, values):
+    """The payload with the packed ``mask`` one byte short or long or with a pad bit set, or with one
+    array of ``values`` (one value per set or unset bit) holding one value fewer or more.
+
+    The trained models have K·V = 6 · 30 = 180 entries, so each mask ends in 4 pad bits.
+    """
+    fault = draw(st.sampled_from(["short", "long", "pad bit", "value missing", "value added"]))
+    name = mask if fault in ("short", "long", "pad bit") else draw(st.sampled_from(values))
+    array = payload_array(payload, name).copy()
+    if fault == "short":
+        array = array[:-1]
+    elif fault == "long":
+        array = np.append(array, np.uint8(draw(st.integers(0, 255))))
+    elif fault == "pad bit":
+        array[-1] |= 1 << draw(st.integers(0, 3))
+    elif fault == "value missing":
+        array = np.delete(array, draw(st.integers(0, array.size - 1)))
+    else:
+        array = np.insert(array, draw(st.integers(0, array.size)), draw(st.floats(allow_nan=False)))
+    set_payload_array(payload, name, array)
+    return json.dumps(payload).encode()
+
+
+@st.composite
+def lam_mask_broken(draw, raw):
+    return packed_set_broken(draw, json.loads(raw), "lam_is_eta", ["lam_off_eta"])
+
+
 @st.composite
 def tracked_index_broken(draw, raw):
-    payload = json.loads(raw)
-    size = payload["header"]["config"]["hyper"]["K_corpus"] * payload["header"]["vocab_size"]
-    return index_broken(draw, payload, "tracked", size)
+    """cidtm's tracked set, its packed (K, V) mask or its mean and var, broken."""
+    return packed_set_broken(draw, json.loads(raw), "tracked", ["mean", "var"])
 
 
 @st.composite
@@ -239,7 +344,7 @@ def pairs_broken(draw, raw):
 
 
 DAMAGES = [truncated, key_deleted, leaf_retyped, array_misencoded]
-ONLINE_CASES = [(kind, damage) for kind in ("ohdp", "cidtm") for damage in DAMAGES]
+ONLINE_CASES = [(kind, damage) for kind in ("ohdp", "cidtm") for damage in DAMAGES + [lam_mask_broken]]
 ONLINE_CASES.append(("cidtm", tracked_index_broken))
 
 
@@ -270,6 +375,20 @@ def test_a_cdtm_checkpoint_with_an_alpha_training_rejects_raises_parameter_error
     (root / "alpha_cdtm.json").write_text(json.dumps(payload))
     with pytest.raises(ParameterError, match="alpha and obs_var must be finite and > 0"):
         fixed_k_dtm.load_checkpoint(root / "alpha_cdtm.json")
+
+
+@pytest.mark.parametrize("kind", ["ohdp", "cidtm", "cdtm"])
+def test_a_format_2_checkpoint_asks_to_retrain(trained, kind):
+    root, pristine = trained
+    payload = json.loads(pristine[kind])
+    payload["format_version"] = 2
+    if kind == "cdtm":
+        (root / "v2_cdtm.json").write_text(json.dumps(payload))
+        with pytest.raises(ParameterError, match="format-2 checkpoint, no longer read; re-train the model"):
+            fixed_k_dtm.load_checkpoint(root / "v2_cdtm.json")
+    else:
+        code, err = timeline_exit(root, json.dumps(payload).encode())
+        assert code == 2 and "format-2 checkpoint, no longer read; re-train the model" in err, err
 
 
 def test_the_pristine_checkpoints_load(trained):

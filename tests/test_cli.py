@@ -136,6 +136,17 @@ class TestIngest:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.startswith("documents\t3\n")
 
+    @pytest.mark.parametrize("floor", ["0", "-4"])
+    def test_min_doc_freq_below_one_exits_2(self, tmp_path, capsys, floor):
+        code = main([
+            "ingest", "--format", "bbc", "--input", str(FIXTURES / "sample_bbc.txt"),
+            "--out-corpus", str(tmp_path / "c.jsonl"), "--out-vocab", str(tmp_path / "v.txt"),
+            "--min-doc-freq", floor,
+        ])
+        assert code == 2
+        assert f"min_doc_freq must be >= 1, got {floor}" in capsys.readouterr().err
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_unreadable_input_exits_2(self, tmp_path):
         code = main([
             "ingest", "--format", "reuters", "--input", str(tmp_path / "missing.sgm"),
@@ -202,6 +213,14 @@ class TestTrain:
         main(self.small_args(corpus, vocab_file, tmp_path, "ohdp",
                              ["--batch-size", "10", "--seed", "1"]))
         assert (tmp_path / "ohdp.tsv").read_bytes() != first
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", " "])
+    def test_env_seed_that_is_not_an_integer_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        monkeypatch.setenv("TM_SEED", value)
+        assert main(self.small_args(corpus, vocab_file, tmp_path, "ohdp")) == 2
+        assert f"TM_SEED must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "ohdp.tsv").exists()
 
     @pytest.mark.parametrize("model, header, config", [
         ("ohdp", "hyper", online_hdp.HdpHyper()),
@@ -513,20 +532,28 @@ class TestTimeline:
 
     @pytest.mark.parametrize("word", ["30", "-1"])
     def test_tracked_word_outside_the_vocabulary_exits_2(self, tmp_path, capsys, word):
+        """The (6, 30) tracked mask packs into 23 bytes, whose last 4 bits are padding.
+
+        Word 30 of the last topic would be entry 180, a pad bit; word -1 of the first would be the
+        last bit of a byte before the first, which makes the mask 24 bytes.
+        """
         def track_word(payload):
-            # word 30 of the last topic is flat index 6 * 30, word -1 of the first is -1
-            index = 5 * 30 + int(word) if word == "30" else int(word)
-            arrays = {name: payload_array(payload, name) for name in ("tracked", "mean", "var")}
-            at = np.searchsorted(arrays["tracked"], index)
-            set_payload_array(payload, "tracked", np.insert(arrays["tracked"], at, index))
-            for name in ("mean", "var"):
-                set_payload_array(payload, name, np.insert(arrays[name], at, 0.5))
+            mask = payload_array(payload, "tracked").copy()
+            if word == "30":
+                mask[180 // 8] |= 0x80 >> 180 % 8
+            else:
+                mask = np.insert(mask, 0, 1)
+            set_payload_array(payload, "tracked", mask)
 
         assert self.edited_cidtm_timeline(tmp_path, track_word) == 2
-        assert "tracked index outside [0, K_corpus * vocab_size = 180)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if word == "30":
+            assert "mask 'tracked' sets a pad bit past its 180 entries" in err
+        else:
+            assert "mask 'tracked' holds 24 bytes, not the bits of [6, 30]" in err
 
     def test_checkpoint_with_a_clock_per_topic_still_loads(self, tmp_path):
-        """A cidtm file from before the model kept one clock holds a (K,) last_update_ts, which is ignored."""
+        """A (K,) last_update_ts array, which cidtm files held before the model kept one clock, is ignored."""
         def add_topic_clocks(payload):
             payload["arrays"]["last_update_ts"] = {"dtype": "<f8"}
             set_payload_array(payload, "last_update_ts", np.full(6, payload["header"]["clock"]))
@@ -540,7 +567,7 @@ class TestTimeline:
         assert (old / "x.tsv").read_bytes() == (plain / "x.tsv").read_bytes()
 
     def test_checkpoint_with_a_prior_variance_still_loads(self, tmp_path):
-        """A cidtm file from before the track prior became a constant holds it in its config, which is ignored."""
+        """A prior_variance in the config, which cidtm files held before it became a constant, is ignored."""
         def add_prior_variance(payload):
             payload["header"]["config"]["prior_variance"] = 1.0
 

@@ -197,6 +197,11 @@ class TestVocabulary:
         with pytest.raises(ConfigurationError):
             vocabulary([raw("alpha"), raw("bravo", "d2")], min_doc_freq=2)
 
+    @pytest.mark.parametrize("min_doc_freq", [0, -4])
+    def test_min_doc_freq_below_one_is_config_error(self, min_doc_freq):
+        with pytest.raises(ConfigurationError, match=f"min_doc_freq must be >= 1, got {min_doc_freq}"):
+            vocabulary([raw("alpha"), raw("bravo", "d2")], min_doc_freq=min_doc_freq)
+
     def test_mean_unique_terms_matches_recount(self):
         rng = random.Random(0)
         terms = [f"term{i}" for i in range(30)]

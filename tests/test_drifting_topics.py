@@ -453,12 +453,13 @@ class TestCheckpoint:
         _, header, arrays = read_checkpoint(path, {"cidtm": drifting_topics.ARRAYS})
         return header, arrays
 
-    # indices outside [0, K * V) and a wrong topic count: test_cli.py::TestTimeline;
+    # a tracked mask of the wrong size or with a pad bit set and a wrong topic count: test_cli.py::TestTimeline;
     # damaged files: test_checkpoint.py
     @pytest.mark.parametrize("corrupt, message", [
         (lambda arrays: arrays.update(var=arrays["var"][:-1]),
          "mean and var must hold one value per tracked index"),
-        (lambda arrays: np.put(arrays["born"], arrays["tracked"][0] // 60, False), "is not born"),
+        (lambda arrays: np.put(arrays["born"], np.flatnonzero(np.unpackbits(arrays["tracked"]))[0] // 60, False),
+         "is not born"),
         (lambda arrays: np.put(arrays["active"], np.flatnonzero(~arrays["born"])[0], True),
          "is active or tracks words"),
     ])

@@ -480,13 +480,21 @@ class TestCheckpoint:
         with pytest.raises(ParameterError, match="a knot without an observed pair"):
             load_checkpoint(path)
 
+    @staticmethod
+    def as_format_2(path):
+        """Rewrite the checkpoint at ``path`` with format_version 2, the format every former layout used."""
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 2
+        path.write_text(json.dumps(payload))
+
     def test_former_dense_state_asks_to_retrain(self, tmp_path):
         path = tmp_path / "dense.json"
         dense = np.zeros((2, 3, 5))
         write_checkpoint("cdtm", {"K": 2, "alpha_dirichlet": 1.0, "vocab_size": 5},
                          {"knots": np.arange(3.0), "means": dense, "variances": dense + 1.0,
                           "objective_trace": np.zeros(2)}, path)
-        with pytest.raises(ParameterError, match="dense .* re-train"):
+        self.as_format_2(path)
+        with pytest.raises(ParameterError, match="format-2 checkpoint, no longer read; re-train the model"):
             load_checkpoint(path)
 
     def test_header_holds_the_config_and_vocab_size(self, tmp_path):
@@ -498,7 +506,8 @@ class TestCheckpoint:
         payload["header"] = {"K": 2, "alpha_dirichlet": 1.0, "vocab_size": 50, "process_variance": 1e-8,
                              "prior_variance": 1.0}
         path.write_text(json.dumps(payload))
-        with pytest.raises(ParameterError, match="settings as header fields.* re-train"):
+        self.as_format_2(path)
+        with pytest.raises(ParameterError, match="format-2 checkpoint, no longer read; re-train the model"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("setting, message", [
