@@ -34,7 +34,7 @@ block0 = set(range(10))
 with open(labels, "w") as f:
     for doc in read_canonical(work / "corpus.jsonl"):
         mass = sum(c for w, c in doc.counts.items() if w in block0)
-        f.write(f"{doc.id}\t{int(mass > doc.total_tokens / 2)}\n")
+        f.write(f"{doc.id}\t{int(mass > sum(doc.counts.values()) / 2)}\n")
 
 print("assigning documents to each inferred topic's timeline ...")
 for topic in range(4):

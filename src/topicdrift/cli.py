@@ -28,11 +28,15 @@ NUMERICAL_ERRORS = (ConvergenceError, NumericalError, FloatingPointError)
 def _seed(args):
     env = os.environ.get("TM_SEED")
     if not env:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigurationError(f"TM_SEED must be an integer, got {env!r}") from None
+        seed, name = args.seed, "--seed"
+    else:
+        try:
+            seed, name = int(env), "TM_SEED"
+        except ValueError:
+            raise ConfigurationError(f"TM_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def cmd_ingest(args):

@@ -49,7 +49,6 @@ class Document:
     id: str
     timestamp: float
     counts: dict  # word index -> count
-    total_tokens: int
     related: tuple = ()
     title: str = ""
 
@@ -194,14 +193,6 @@ def parse_timestamp(text, format_hint):
     raise TimestampParseError(f"unknown format hint {format_hint!r}")
 
 
-def detect_timestamp_format(text):
-    if _REUTERS_TS.match(text):
-        return "reuters"
-    if _BBC_TS.match(text):
-        return "bbc"
-    raise TimestampParseError(f"cannot recognize timestamp {text!r}")
-
-
 def tokenize(body, cfg=TokenizerConfig()):
     """Bag-of-words counts of the lowercased ``[a-z0-9]+`` tokens that are long enough and not stopwords.
 
@@ -247,10 +238,11 @@ def build_vocabulary(tokenized, min_doc_freq):
     )
 
 
-def to_documents(tokenized, vocab, format_hint=None):
+def to_documents(tokenized, vocab, format_hint):
     """Normalize tokenized records onto the vocabulary, sorted by (timestamp, id).
 
-    Out-of-vocabulary terms are dropped; records left with no
+    Every timestamp is parsed in ``format_hint``'s format, "reuters" or
+    "bbc".  Out-of-vocabulary terms are dropped; records left with no
     in-vocabulary terms are excluded, but their timestamps are still
     checked.  Each distinct timestamp text is parsed once.  Each bag is
     released as soon as its document is built, so ``tokenized`` can be
@@ -264,14 +256,11 @@ def to_documents(tokenized, vocab, format_hint=None):
         text = record.timestamp_text
         ts = stamps.get(text)
         if ts is None:
-            ts = stamps[text] = parse_timestamp(text, format_hint or detect_timestamp_format(text))
+            ts = stamps[text] = parse_timestamp(text, format_hint)
         counts = {index[t]: c for t, c in bags[i].items() if index[t] is not None}
         bags[i] = None
         if counts:
-            out.append(Document(
-                id=record.id, timestamp=ts, counts=counts, total_tokens=sum(counts.values()),
-                related=tuple(record.related_ids), title=record.title,
-            ))
+            out.append(Document(record.id, ts, counts, tuple(record.related_ids), record.title))
     out.sort(key=lambda d: (d.timestamp, d.id))
     return out
 
@@ -356,7 +345,7 @@ def read_canonical(path):
                         or type(related) is not list or not all(type(r) is str for r in related)
                         or type(title) is not str):
                     raise ValueError
-                docs.append(Document(record["id"], float(ts), counts, sum(counts.values()), tuple(related), title))
+                docs.append(Document(record["id"], float(ts), counts, tuple(related), title))
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
                 raise CorpusParseError(
                     f"{path} line {number} is not a document: it needs a string id, a finite number ts"

@@ -15,9 +15,10 @@ document.
 As in the sparse variational inference of Wang, Blei and Heckerman
 (UAI 2008), a track is touched only where its word is observed.  The
 model keeps its state at the P observed (knot, word) pairs, as (K, P)
-``means`` and ``variances``, and re-estimation, ``_smooth_topics``, runs
-one sparse filter and one sparse smoother pass over all K topics per
-sweep.  The smoothed mean at any other time follows in closed form from
+smoothed ``means``, and re-estimation, ``_smooth_topics``, runs one
+sparse filter and one sparse smoother pass over all K topics per sweep;
+the smoothed variances are scratch, since scoring reads only the means.
+The smoothed mean at any other time follows in closed form from
 the Markov property of the Brownian track: linear in time between two
 observations of the word, its last value after its last observation,
 ``m0 + (P0 + v (t - t0)) / (P0 + v (a - t0)) * (m_a - m0)`` before its
@@ -72,7 +73,7 @@ class CdtmConfig:
 
 @dataclass
 class CdtmModel:
-    """A trained fixed-K model: its smoothed state at the observed (knot, word) pairs.
+    """A trained fixed-K model: its smoothed means at the observed (knot, word) pairs.
 
     ``knots`` and ``pairs`` never change after construction, so the
     word-run index of ``means_at`` is built once, here.
@@ -83,7 +84,6 @@ class CdtmModel:
     knots: np.ndarray         # (S,) training timestamps, strictly ascending
     pairs: np.ndarray         # (P,) observed (knot, word) pairs as knot * V + word, strictly ascending
     means: np.ndarray         # (K, P) smoothed natural parameters at the pairs
-    variances: np.ndarray     # (K, P)
     objective_trace: list     # the objective after each training sweep
 
     def __post_init__(self):
@@ -229,7 +229,7 @@ def _fit_blocks(fits, stamps, logp_at, alpha, bounds):
 
 
 def _smooth_topics(knots, pairs, vocab_size, expected, config):
-    """All K topic tracks at the pairs, smoothed from (K, P) expected counts; returns (means, variances).
+    """All K topic tracks at the pairs, smoothed from (K, P) expected counts; returns the (K, P) means.
 
     With count = expected + SMOOTHING, a pair's pseudo-observation is
     log(count / row sum) and its variance ``config.obs_var`` / count; a
@@ -237,8 +237,8 @@ def _smooth_topics(knots, pairs, vocab_size, expected, config):
     V - n_s unobserved words.  One sparse filter and one sparse smoother
     pass over all K topics, at ``config``'s drift rate and from the
     uniform level log(1/V) with variance PRIOR_VARIANCE, then turn them
-    into the (K, P) smoothed means and variances.  ``expected`` is
-    overwritten: it becomes the variances.
+    into the (K, P) smoothed means.  ``expected`` is overwritten: it is
+    the scratch for the variances, which nothing reads.
     """
     v = vocab_size
     starts = np.searchsorted(pairs, np.arange(knots.size + 1) * v)
@@ -253,7 +253,7 @@ def _smooth_topics(knots, pairs, vocab_size, expected, config):
     words = pairs % v
     rate = config.drift_v / SECONDS_PER_DAY
     pair_filter(knots, starts, words, beta, obs, rate, np.log(1.0 / v), PRIOR_VARIANCE)
-    return pair_smoother(knots, starts, words, beta, obs, rate)
+    return pair_smoother(knots, starts, words, beta, obs, rate)[0]
 
 
 def train_cdtm(train_docs, config, rng, vocab_size):
@@ -292,9 +292,9 @@ def train_cdtm(train_docs, config, rng, vocab_size):
             expected[:, cols] += (phi * n[:, None]).T
         objective_trace.append(objective)
 
-        means, variances = _smooth_topics(knots, pairs, vocab_size, expected, config)
+        means = _smooth_topics(knots, pairs, vocab_size, expected, config)
         model = CdtmModel(config=config, vocab_size=vocab_size, knots=knots, pairs=pairs, means=means,
-                          variances=variances, objective_trace=objective_trace)
+                          objective_trace=objective_trace)
         logp_at = model.log_word_probs_at
     return model
 
@@ -317,8 +317,7 @@ def cdtm_heldout_loglik(model, docs):
 
 
 # the arrays of a "cdtm" checkpoint, whose header holds the config and vocab_size; S = knots.size, P = pairs.size
-ARRAYS = {"knots": ("<f8", 1), "pairs": ("<i8", 1), "means": ("<f8", 2), "variances": ("<f8", 2),
-          "objective_trace": ("<f8", 1)}
+ARRAYS = {"knots": ("<f8", 1), "pairs": ("<i8", 1), "means": ("<f8", 2), "objective_trace": ("<f8", 1)}
 
 
 def save_checkpoint(model, path):
@@ -340,9 +339,7 @@ def load_checkpoint(path):
         raise ParameterError("checkpoint pairs must be strictly increasing indices knot * V + word in [0, S * V)")
     if np.count_nonzero(np.diff(pairs // v)) + 1 != knots.size:
         raise ParameterError("checkpoint has a knot without an observed pair")
-    shape = (config.K, pairs.size)
-    if arrays["means"].shape != shape or arrays["variances"].shape != shape:
-        raise ParameterError(f"checkpoint means {arrays['means'].shape} and variances"
-                             f" {arrays['variances'].shape} are not (K, P) = {shape}")
+    if arrays["means"].shape != (config.K, pairs.size):
+        raise ParameterError(f"checkpoint means {arrays['means'].shape} are not (K, P) = {(config.K, pairs.size)}")
     arrays["objective_trace"] = arrays["objective_trace"].tolist()
     return CdtmModel(config=config, vocab_size=v, **arrays)

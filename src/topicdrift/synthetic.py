@@ -20,7 +20,7 @@ def _draw_doc(doc_id, ts, mixture, topics, length, rng):
     word_dist = mixture @ topics
     counts_vec = rng.multinomial(length, word_dist)
     counts = {int(w): int(c) for w, c in enumerate(counts_vec) if c > 0}
-    return Document(id=doc_id, timestamp=ts, counts=counts, total_tokens=int(counts_vec.sum()))
+    return Document(id=doc_id, timestamp=ts, counts=counts)
 
 
 def three_topic_corpus(n_docs=500, vocab_size=50, seed=0, mix_alpha=0.3):

@@ -41,7 +41,6 @@ from scipy.special import digamma, gammaln
 from topicdrift.corpus import (
     Document,
     Vocabulary,
-    detect_timestamp_format,
     doc_words,
     parse_bbc,
     parse_reuters,
@@ -327,14 +326,13 @@ def mixture_e_step(words, n, logp_doc, alpha, max_iter=50, tol=1e-4):
 
 @dataclass
 class DenseCdtmModel:
-    """The former ``CdtmModel``: (K, S, V) smoothed means and variances at every knot."""
+    """The former ``CdtmModel``: (K, S, V) smoothed means at every knot."""
 
     K: int
     alpha_dirichlet: float
     vocab_size: int
     knots: np.ndarray = None
     means: np.ndarray = None
-    variances: np.ndarray = None
     objective_trace: list = field(default_factory=list)
 
     def means_at(self, ts):
@@ -374,7 +372,6 @@ def reference_train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0
     model = DenseCdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size)
     model.knots = knots
     model.means = base + rng.normal(0.0, 0.1, (k, 1, vocab_size)) * np.ones((1, s, 1))
-    model.variances = np.full((k, s, vocab_size), drift.prior_variance)
 
     for _ in range(sweeps):
         objective = 0.0
@@ -401,9 +398,7 @@ def reference_smooth_topics(model, expected, present, cfg, obs_var, smoothing):
         beta = np.log(counts / counts.sum(axis=1, keepdims=True))
         obs = obs_var / counts
         f_mean, f_var = forward_steps(model.knots, beta, obs, present, cfg)
-        s_mean, s_var = backward_steps(model.knots, f_mean, f_var, cfg)
-        model.means[topic] = s_mean
-        model.variances[topic] = s_var
+        model.means[topic] = backward_steps(model.knots, f_mean, f_var, cfg)[0]
 
 
 def reference_cdtm_heldout(model, docs):
@@ -440,14 +435,14 @@ def reference_build_vocabulary(records, min_token_length, min_doc_freq):
 def reference_to_documents(records, vocab, min_token_length, format_hint):
     out = []
     for record in records:
-        ts = parse_timestamp(record.timestamp_text, format_hint or detect_timestamp_format(record.timestamp_text))
+        ts = parse_timestamp(record.timestamp_text, format_hint)
         counts = {}
         for term, count in reference_tokenize(record.body, min_token_length).items():
             idx = vocab.term_to_index.get(term)
             if idx is not None:
                 counts[idx] = count
         if counts:
-            out.append(Document(record.id, ts, counts, sum(counts.values()), tuple(record.related_ids)))
+            out.append(Document(record.id, ts, counts, tuple(record.related_ids)))
     out.sort(key=lambda d: (d.timestamp, d.id))
     return out
 

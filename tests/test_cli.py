@@ -222,6 +222,18 @@ class TestTrain:
         assert f"TM_SEED must be an integer, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "ohdp.tsv").exists()
 
+    @pytest.mark.parametrize("model, env, flag, message", [
+        ("ohdp", "", "-1", "--seed must be >= 0, got -1"),
+        ("cdtm", "", "-1", "--seed must be >= 0, got -1"),
+        ("ohdp", "-3", "1", "TM_SEED must be >= 0, got -3"),
+    ])
+    def test_negative_seed_exits_2_naming_its_source(self, tmp_path, monkeypatch, capsys, model, env, flag, message):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        monkeypatch.setenv("TM_SEED", env)
+        assert main(self.small_args(corpus, vocab_file, tmp_path, model, ["--seed", flag])) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / f"{model}.tsv").exists()
+
     @pytest.mark.parametrize("model, header, config", [
         ("ohdp", "hyper", online_hdp.HdpHyper()),
         ("cidtm", "config", drifting_topics.CidtmConfig()),
@@ -624,6 +636,7 @@ BAD_SIMULATE_SETTINGS = {
     "tdpm-history-not-a-number": (["tdpm", "--history", "2;x"], "--history must list comma-separated floats"),
     "tdpm-history-ragged": (["tdpm", "--history", "1,2;3"],
                             "--history rows must all hold one count per component, got '1,2;3'"),
+    "crp-seed-negative": (["crp", "--seed", "-2"], "--seed must be >= 0, got -2"),
 }
 
 

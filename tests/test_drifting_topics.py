@@ -143,7 +143,7 @@ class TestLifecycleStage:
             # repeated timestamps, and steps that land exactly on a deadline
             ts_list = ts + np.cumsum(rng.choice([0.0, 0.0, 1.0, 5.0, 10.0], size=n_docs))
             ts = float(ts_list[-1])
-            batch = [Document(f"d{i}", float(t), {0: 1}, 1) for i, t in enumerate(ts_list)]
+            batch = [Document(f"d{i}", float(t), {0: 1}) for i, t in enumerate(ts_list)]
             # relevance exactly at the threshold counts; rare relevance lets topics expire
             mixtures = [rng.choice([0.0, 0.1, threshold, 0.9], p=[0.55, 0.2, 0.1, 0.15], size=n_topics)
                         for _ in batch]
@@ -161,7 +161,7 @@ class TestLifecycleStage:
 
     def test_birth_records_the_birth_timestamp(self):
         model = DriftingTopicModel(small_config(relevance_threshold=0.5), 5, 100, seed=0)
-        batch = [Document("a", 3.0, {0: 1}, 1), Document("b", 7.0, {0: 1}, 1)]
+        batch = [Document("a", 3.0, {0: 1}), Document("b", 7.0, {0: 1})]
         mixtures = [np.eye(8)[1], np.eye(8)[[1, 4]].sum(axis=0)]
         born, died = drifting_topics._lifecycle_stage(model, batch, mixtures)
         assert born == {1, 4} and died == set()
@@ -249,7 +249,7 @@ class TestProcessBatch:
 
     def test_unordered_batch_rejected(self):
         model = DriftingTopicModel(small_config(), 10, 100, seed=0)
-        docs = [Document("a", 10.0, {0: 1}, 1), Document("b", 5.0, {0: 1}, 1)]
+        docs = [Document("a", 10.0, {0: 1}), Document("b", 5.0, {0: 1})]
         with pytest.raises(TimeOrderError):
             model.process_batch(docs)
 
@@ -257,11 +257,11 @@ class TestProcessBatch:
         model = DriftingTopicModel(small_config(), 10, 100, seed=0)
         model.clock = 50.0
         with pytest.raises(TimeOrderError):
-            model.process_batch([Document("a", 10.0, {0: 1}, 1)])
+            model.process_batch([Document("a", 10.0, {0: 1})])
 
     def test_equal_timestamps_single_step_anchoring(self):
         docs, _ = three_topic_corpus(n_docs=12, vocab_size=20, seed=1)
-        same_ts = [Document(d.id, 1000.0, d.counts, d.total_tokens) for d in docs]
+        same_ts = [Document(d.id, 1000.0, d.counts) for d in docs]
         model = DriftingTopicModel(small_config(), 20, 12, seed=0)
         model.process_batch(same_ts[:6])
         result = model.process_batch(same_ts[6:])
@@ -376,7 +376,7 @@ class TestSparseKalmanStage:
         start = 1_600_000_000.0
         batch = [
             Document(f"d{i}", start + 3600.0 * i,
-                     {int(w): 1 for w in rng.choice(vocab, size=25, replace=False)}, 25)
+                     {int(w): 1 for w in rng.choice(vocab, size=25, replace=False)})
             for i in range(n_steps)
         ]
         n_words = len({w for doc in batch for w in doc.counts})
@@ -425,7 +425,7 @@ class TestCheckpoint:
 
         # a checkpointed model continues identically
         more, _ = three_topic_corpus(n_docs=10, vocab_size=20, seed=10)
-        shifted = [Document(d.id, d.timestamp + 1e9, d.counts, d.total_tokens) for d in more]
+        shifted = [Document(d.id, d.timestamp + 1e9, d.counts) for d in more]
         r1 = model.process_batch(shifted)
         r2 = loaded.process_batch(shifted)
         assert r1.per_doc == r2.per_doc
@@ -441,7 +441,7 @@ class TestCheckpoint:
         assert_same_state(state_of(loaded), state_of(model))
 
         # both continue bit-identically over a batch where topics are born and revive
-        more = [Document(d.id, d.timestamp + 200 * DAY, d.counts, d.total_tokens) for d in docs[:32]]
+        more = [Document(d.id, d.timestamp + 200 * DAY, d.counts) for d in docs[:32]]
         for batch in (more[:16], more[16:]):
             assert loaded.process_batch(batch) == model.process_batch(batch)
         assert_same_state(state_of(loaded), state_of(model))

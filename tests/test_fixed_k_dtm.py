@@ -72,7 +72,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("counts", [{}, {50: 1}, {-1: 2}])
     def test_words_outside_the_vocabulary_rejected(self, counts):
-        docs = [Document("a", 0.0, {0: 1}, 1), Document("b", 1.0, counts, 2)]
+        docs = [Document("a", 0.0, {0: 1}), Document("b", 1.0, counts)]
         with pytest.raises(ParameterError, match="words in"):
             train_cdtm(docs, cdtm_config(2, 0.1, 1), np.random.default_rng(0), vocab_size=50)
 
@@ -130,7 +130,7 @@ def every_pair_observed(knots, means):
     k, s, v = means.shape
     return CdtmModel(config=CdtmConfig(K=k, drift_v=0.0), vocab_size=v,
                      knots=np.asarray(knots, dtype=float), pairs=np.arange(s * v), means=means.reshape(k, -1),
-                     variances=np.ones((k, s * v)), objective_trace=[])
+                     objective_trace=[])
 
 
 class TestHeldout:
@@ -139,7 +139,7 @@ class TestHeldout:
 
     def test_uniform_topics_score_log_inverse_vocab(self):
         model = self.uniform_model()
-        docs = [Document("a", 5.0, {3: 4, 90: 6}, 10)]
+        docs = [Document("a", 5.0, {3: 4, 90: 6})]
         records = cdtm_heldout_loglik(model, docs)
         assert records[0][2] == pytest.approx(10 * math.log(1 / 100), rel=1e-9)
         assert records[0][3] == 10
@@ -156,7 +156,7 @@ class TestHeldout:
             np.tile(np.log([0.6, 0.3, 0.1]), (2, 1)),
             np.tile(np.log([0.1, 0.1, 0.8]), (2, 1)),
         ]))
-        doc = Document("a", 0.5, {0: 2, 1: 1, 2: 3}, 6)
+        doc = Document("a", 0.5, {0: 2, 1: 1, 2: 3})
         ((_, _, total, _),) = cdtm_heldout_loglik(model, [doc])
 
         logp = model.log_word_probs_at(0.5)
@@ -170,7 +170,7 @@ class TestHeldout:
 
     @pytest.mark.parametrize("word", [-1, 100])
     def test_words_outside_the_vocabulary_rejected(self, word):
-        docs = [Document("a", 5.0, {3: 4}, 4), Document("b", 5.0, {word: 3}, 3)]
+        docs = [Document("a", 5.0, {3: 4}), Document("b", 5.0, {word: 3})]
         with pytest.raises(ParameterError, match=r"document 'b' needs words in \[0, 100\)"):
             cdtm_heldout_loglik(self.uniform_model(), docs)
 
@@ -183,7 +183,7 @@ class TestHeldout:
             return original(ts)
         monkeypatch.setattr(model, "log_word_probs_at", counted)
         stamps = [1.0] * 20 + [2.0] * 20 + [3.0] * 3 + [1.0] * 5
-        docs = [Document(f"d{i}", ts, {i % 100: 2}, 2) for i, ts in enumerate(stamps)]
+        docs = [Document(f"d{i}", ts, {i % 100: 2}) for i, ts in enumerate(stamps)]
         records = cdtm_heldout_loglik(model, docs)
         # three blocks: a stamp is built where it first appears and carried into the next block
         assert len(docs) == 3 * BLOCK_DOCS
@@ -294,9 +294,9 @@ EDGE_VOCAB = 33
 def with_edge_words(train):
     """The training documents with word 30 added to the first one only and word 31 to the last one only."""
     first, last = train[0], train[-1]
-    return ([dataclasses.replace(first, counts={**first.counts, 30: 2}, total_tokens=first.total_tokens + 2)]
+    return ([dataclasses.replace(first, counts={**first.counts, 30: 2})]
             + train[1:-1]
-            + [dataclasses.replace(last, counts={**last.counts, 31: 1}, total_tokens=last.total_tokens + 1)])
+            + [dataclasses.replace(last, counts={**last.counts, 31: 1})])
 
 
 def at_pairs(model, dense):
@@ -333,7 +333,6 @@ class TestMatchesPerDocumentLoops:
             assert set(knot[word == 30]) == {0} and set(knot[word == 31]) == {model.knots.size - 1}
             assert 32 not in word and model.pairs.size < model.knots.size * 30
             assert_close(model.means, at_pairs(model, ref.means))
-            assert_close(model.variances, at_pairs(model, ref.variances))
             assert_close(model.objective_trace, ref.objective_trace)
             for ts in probe_times(model.knots):
                 assert_close(model.log_word_probs_at(ts), ref.log_word_probs_at(ts))
@@ -362,7 +361,7 @@ def smoothing_inputs(k=20, s=30, v=100, seed=0):
     config = CdtmConfig(K=k, drift_v=4320.0)  # 0.05 per second
     cfg = DriftConfig(config.drift_v / SECONDS_PER_DAY, prior_mean=math.log(1 / v), prior_variance=PRIOR_VARIANCE_PATCH)
     dense = DenseCdtmModel(K=k, alpha_dirichlet=1.0, vocab_size=v, knots=knots,
-                           means=np.empty((k, s, v)), variances=np.empty((k, s, v)))
+                           means=np.empty((k, s, v)))
     dense_expected = np.zeros((k, s * v))
     dense_expected[:, pairs] = expected
     return knots, pairs, expected, dense, dense_expected.reshape(k, s, v), present, cfg, config
@@ -379,11 +378,10 @@ class TestSmoothTopics:
         monkeypatch.setattr(fixed_k_dtm, "PRIOR_VARIANCE", PRIOR_VARIANCE_PATCH)
         knots, pairs, expected, dense, dense_expected, present, cfg, config = smoothing_inputs()
         reference_smooth_topics(dense, dense_expected, present, cfg, config.obs_var, 0.01)
-        means, variances = _smooth_topics(knots, pairs, dense.vocab_size, expected, config)
+        means = _smooth_topics(knots, pairs, dense.vocab_size, expected, config)
         model = CdtmModel(config=config, vocab_size=dense.vocab_size, knots=knots, pairs=pairs, means=means,
-                          variances=variances, objective_trace=[])
+                          objective_trace=[])
         assert_close(model.means, at_pairs(model, dense.means))
-        assert_close(model.variances, at_pairs(model, dense.variances))
         # the closed form at any time, including before a word's first observation
         for ts in probe_times(model.knots):
             assert_close(model.means_at(ts), dense.means_at(ts))
@@ -410,11 +408,11 @@ class TestSmoothTopics:
         knots, pairs, expected, dense, *_, config = smoothing_inputs()
         tracemalloc.start()
         try:
-            means, _ = _smooth_topics(knots, pairs, dense.vocab_size, expected, config)
+            means = _smooth_topics(knots, pairs, dense.vocab_size, expected, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the new means and the (K, V) filter and smoother state; expected becomes the variances
+        # the new means and the (K, V) filter and smoother state; expected is the variances' scratch
         assert peak < 2 * means.nbytes
 
     def test_training_peak_stays_below_one_dense_array(self):
@@ -439,13 +437,34 @@ class TestCheckpoint:
         path = tmp_path / "cdtm.json"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
+        assert set(json.loads(path.read_text())["arrays"]) == {"knots", "pairs", "means", "objective_trace"}
         np.testing.assert_array_equal(loaded.means, model.means)
-        np.testing.assert_array_equal(loaded.variances, model.variances)
         np.testing.assert_array_equal(loaded.knots, model.knots)
         np.testing.assert_array_equal(loaded.pairs, model.pairs)
         assert loaded.objective_trace == model.objective_trace
         assert (loaded.config, loaded.vocab_size) == (config, 50)
         assert cdtm_heldout_loglik(loaded, test[:3]) == cdtm_heldout_loglik(model, test[:3])
+
+    def test_loads_a_file_that_still_holds_the_smoothed_variances(self, tmp_path, monkeypatch):
+        """Earlier files also held the last sweep's (K, P) smoothed ``variances``; loading ignores them."""
+        smoothed, smoother = [], fixed_k_dtm.pair_smoother
+
+        def recorded(*args):
+            smoothed.append(smoother(*args))
+            return smoothed[-1]
+        monkeypatch.setattr(fixed_k_dtm, "pair_smoother", recorded)
+        train, test = train_test_split(n_docs=40)
+        model = train_cdtm(train, CdtmConfig(K=2, sweeps=2), np.random.default_rng(8), vocab_size=50)
+        variances = smoothed[-1][1]
+        assert variances.shape == model.means.shape and (variances > 0).all()
+        path = tmp_path / "cdtm.json"
+        write_checkpoint("cdtm", {"config": dataclasses.asdict(model.config), "vocab_size": 50},
+                         {"knots": model.knots, "pairs": model.pairs, "means": model.means, "variances": variances,
+                          "objective_trace": np.array(model.objective_trace)}, path)
+        loaded = load_checkpoint(path)
+        assert not hasattr(loaded, "variances")
+        np.testing.assert_array_equal(loaded.means, model.means)
+        assert cdtm_heldout_loglik(loaded, test) == cdtm_heldout_loglik(model, test)
 
     @staticmethod
     def saved(tmp_path):
@@ -459,7 +478,6 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("name, corrupt, message", [
         ("means", lambda a: a.T, "are not (K, P)"),
-        ("variances", lambda a: a[:, :-1], "are not (K, P)"),
         ("knots", lambda a: a[::-1], "strictly ascending"),
         ("pairs", lambda a: a[::-1], "strictly increasing"),
         ("pairs", lambda a: a + 50, "in [0, S * V)"),
@@ -474,7 +492,7 @@ class TestCheckpoint:
     def test_load_rejects_a_knot_without_a_pair(self, tmp_path):
         path, payload = self.saved(tmp_path)
         keep = payload_array(payload, "pairs") // 50 != 1
-        for name in ("pairs", "means", "variances"):
+        for name in ("pairs", "means"):
             set_payload_array(payload, name, payload_array(payload, name)[..., keep])
         path.write_text(json.dumps(payload))
         with pytest.raises(ParameterError, match="a knot without an observed pair"):

@@ -39,7 +39,7 @@ from topicdrift.synthetic import drifting_stream, three_topic_corpus
 
 
 def make_doc(counts, doc_id="d", ts=0.0):
-    return Document(doc_id, ts, counts, sum(counts.values()))
+    return Document(doc_id, ts, counts)
 
 
 def make_global(lam, gamma=1.0):
@@ -482,8 +482,7 @@ class TestStreaming:
         docs, _ = three_topic_corpus(n_docs=60, vocab_size=20, seed=7)
         perm = np.random.default_rng(8).permutation(20)
         permuted = [
-            Document(d.id, d.timestamp, {int(perm[w]): c for w, c in d.counts.items()},
-                     d.total_tokens)
+            Document(d.id, d.timestamp, {int(perm[w]): c for w, c in d.counts.items()})
             for d in docs
         ]
         hyper = HdpHyper(K_corpus=5, T_doc=4)
