@@ -322,13 +322,23 @@ def write_canonical(docs, path):
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict; a key given twice raises ValueError, where json.loads would keep the last value."""
+    record = dict(pairs)
+    if len(record) != len(pairs):
+        raise ValueError("duplicate key")
+    return record
+
+
 def read_canonical(path):
     """The documents of a canonical corpus file, in file order.
 
     Every non-blank line must be an object with a string ``id``, a finite
-    number ``ts`` and ``body_counts`` mapping integer keys to positive
-    integer counts, and, where present, a list of strings ``related`` and
-    a string ``title``; any other line raises CorpusParseError naming it.
+    number ``ts`` and ``body_counts`` mapping integer keys, no two of
+    which name the same word index (as "1" and "01" do, or "1" given
+    twice), to positive integer counts, and, where present, a list of
+    strings ``related`` and a string ``title``; any other line raises
+    CorpusParseError naming it.
     """
     docs = []
     with open(path, "r", encoding="utf-8") as f:
@@ -336,11 +346,12 @@ def read_canonical(path):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line, object_pairs_hook=_unique_keys)
                 ts = record["ts"]
                 counts = {int(k): v for k, v in record["body_counts"].items()}
                 related, title = record.get("related", []), record.get("title", "")
                 if (type(record["id"]) is not str or type(ts) not in (int, float) or not math.isfinite(ts)
+                        or len(counts) != len(record["body_counts"])
                         or not all(type(v) is int and v > 0 for v in counts.values())
                         or type(related) is not list or not all(type(r) is str for r in related)
                         or type(title) is not str):
@@ -349,7 +360,8 @@ def read_canonical(path):
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
                 raise CorpusParseError(
                     f"{path} line {number} is not a document: it needs a string id, a finite number ts"
-                    " and body_counts mapping integer keys to positive integer counts; related, if present,"
+                    " and body_counts mapping integer keys, no two naming the same word index, to positive"
+                    " integer counts; related, if present,"
                     " must be a list of strings and title a string"
                 ) from None
     return docs

@@ -14,7 +14,10 @@ that fits documents: ``score_batch`` (for both online models) and the
 timeline call it.  It fits BLOCK_DOCS documents at a time with one
 batched kernel, ``_fit_block``: the block's evidence is padded to
 (B, M, K), every update is a stacked matmul or a vectorized digamma,
-and each document still stops at its own sweep.  Corpus-level
+and each document still stops at its own sweep.  Given the corpus
+state the blocks are independent, so up to WORKERS of them are fitted
+on worker threads while the caller consumes the one before; a caller
+holds at most WORKERS + 1 blocks' factors.  Corpus-level
 learning is a stochastic natural-gradient step with rate
 rho_t = (tau0 + t)^(-kappa) that blends the current state with the
 batch estimate scaled up to corpus size.
@@ -28,6 +31,9 @@ runner of both online models.
 """
 
 import math
+import os
+from collections import deque
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -42,6 +48,17 @@ MAX_SWEEPS = 50
 SWEEP_TOL = 1e-6
 # documents fitted together; a block's padded (B, M, K) evidence is the kernel's extra memory
 BLOCK_DOCS = 16
+
+
+def _usable_cpus():
+    """The CPUs this process may run on, where the platform says so, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# blocks that infer_batch fits at once, on worker threads; 1 fits them on the calling thread
+WORKERS = min(4, _usable_cpus())
 
 
 @dataclass(frozen=True)
@@ -291,21 +308,67 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     return out
 
 
+class _CallingThread(Executor):
+    """Runs each submitted call at once on the calling thread: the one-worker stand-in for a pool."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as err:
+            future.set_exception(err)
+        return future
+
+
+def _submit_block(pool, block, elog_beta, elog_sticks, hyper):
+    """(fits, future fit) of one block.  Its words are checked on the calling thread; a ParameterError
+    waits in the future, so that it is raised when the block's turn comes, as the one-worker loop does."""
+    try:
+        fits = vocab_words(block, elog_beta.shape[1])
+    except ParameterError as err:
+        failed = Future()
+        failed.set_exception(err)
+        return [], failed
+    return fits, pool.submit(_fit_block, fits, elog_beta, elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
+
+
 def infer_batch(docs, elog_beta, elog_sticks, hyper):
     """Fit each document against fixed (K, V) and (K,) corpus expectations.
 
     Documents are fitted BLOCK_DOCS at a time by one batched coordinate
-    ascent, so a caller holds one block's factors at a time.  Yields
-    (words, counts, factors, bound, topic weights) per document, lazily
-    and in order.  A document with no words, or with one outside [0, V),
-    raises ParameterError.
+    ascent.  Yields (words, counts, factors, bound, topic weights) per
+    document, lazily and in order.  A document with no words, or with one
+    outside [0, V), raises ParameterError when its block's turn comes.
+
+    With WORKERS > 1 and at least two blocks, only ``_fit_block`` runs on
+    a pool of WORKERS threads: block i + WORKERS is submitted before block
+    i's documents are yielded, so a caller holds at most WORKERS + 1
+    blocks' factors.  Word checks, topic weights and whatever the caller
+    does with each document stay on the calling thread.  Otherwise the
+    same loop fits each block on the calling thread as its turn comes.
+    Either way the yields, and the error raised, are bit-identical.
+
+    WORKERS is one per CPU the process may run on, at most 4: memory grows
+    by a block's working arrays per worker, and the share of the kernel
+    that holds the GIL limits what more threads can gain.  Only 1 and 2
+    workers have been measured.
     """
-    for block in batch_iter(docs, BLOCK_DOCS):
-        fits = vocab_words(block, elog_beta.shape[1])
-        for (words, n), (dv, bound, _) in zip(
-            fits, _fit_block(fits, elog_beta, elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
-        ):
-            yield words, n, dv, bound, doc_topic_mixture(dv)
+    blocks = list(batch_iter(docs, BLOCK_DOCS))
+    ahead = WORKERS if WORKERS > 1 and len(blocks) > 1 else 0
+    pool = ThreadPoolExecutor(ahead, thread_name_prefix="infer_batch") if ahead else _CallingThread()
+    try:
+        pending = deque()
+        for i in range(len(blocks) + ahead):
+            if i < len(blocks):
+                pending.append(_submit_block(pool, blocks[i], elog_beta, elog_sticks, hyper))
+            if i >= ahead:
+                fits, fitted = pending.popleft()
+                for (words, n), (dv, bound, _) in zip(fits, fitted.result()):
+                    yield words, n, dv, bound, doc_topic_mixture(dv)
+                del fits, fitted  # the block's factors are freed before the next block is fitted
+    finally:
+        # an abandoned or failed iteration drops the queued blocks and joins the threads
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def accumulate_stats(stats, dv, words, n):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -49,6 +50,8 @@ MALFORMED_LINES = {
     "ts nan": '{"id": "a", "ts": NaN, "body_counts": {"1": 1}}',
     "ts a string": '{"id": "a", "ts": "1.0", "body_counts": {"1": 1}}',
     "word not an integer": '{"id": "a", "ts": 1.0, "body_counts": {"x": 1}}',
+    "word index twice": '{"id": "a", "ts": 1.0, "body_counts": {"1": 2, "01": 3}}',
+    "word key twice": '{"id": "a", "ts": 1.0, "body_counts": {"1": 2, "1": 3}}',
     "count zero": '{"id": "a", "ts": 1.0, "body_counts": {"1": 0}}',
     "count fractional": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1.5}}',
     "not JSON": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}',
@@ -638,6 +641,39 @@ BAD_SIMULATE_SETTINGS = {
                             "--history rows must all hold one count per component, got '1,2;3'"),
     "crp-seed-negative": (["crp", "--seed", "-2"], "--seed must be >= 0, got -2"),
 }
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("model", ["ohdp", "cidtm"])
+    def test_one_and_two_workers_write_the_same_bytes(self, tmp_path, monkeypatch, model):
+        """Three batches of four blocks each; with two workers every block is fitted off the calling thread."""
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=192)
+        kernel, fitted_on = online_hdp._fit_block, []
+
+        def recording(*args):
+            fitted_on.append(threading.current_thread() is threading.main_thread())
+            return kernel(*args)
+
+        monkeypatch.setattr(online_hdp, "_fit_block", recording)
+        outputs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(online_hdp, "WORKERS", workers)
+            out, threads = tmp_path / str(workers), threading.active_count()
+            out.mkdir()
+            fitted_on.clear()
+            assert main([
+                "train", "--model", model, "--corpus", str(corpus), "--vocab", str(vocab_file),
+                "--checkpoint", str(out / "m.ckpt"), "--tsv", str(out / "m.tsv"),
+                "--k-corpus", "8", "--t-doc", "4", "--batch-size", "64", "--seed", "42",
+            ]) == 0
+            assert main([
+                "timeline", "--checkpoint", str(out / "m.ckpt"), "--corpus", str(corpus),
+                "--topic", "1", "--out-assign", str(out / "assign.tsv"),
+            ]) == 0
+            assert threading.active_count() == threads
+            assert fitted_on == [workers == 1] * (3 * 4 + 12)
+            outputs[workers] = {name: (out / name).read_bytes() for name in ("m.ckpt", "m.tsv", "assign.tsv")}
+        assert outputs[1] == outputs[2]
 
 
 class TestSimulate:

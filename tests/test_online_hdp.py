@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -236,17 +238,34 @@ class TestTopicWordProbs:
 
 
 def record_sweeps(monkeypatch):
-    """Collect the per-document sweep counts of every block the kernel fits."""
-    sweeps = []
-    kernel = online_hdp._fit_block
+    """Collect the per-document sweep counts of every block the kernel fits, in block order.
 
-    def recording(*args):
-        fitted = kernel(*args)
-        sweeps.extend(ran for *_, ran in fitted)
+    Blocks may be fitted on worker threads and finish in any order, so each
+    block's slot is made when ``infer_batch`` checks its words, on the
+    calling thread in block order, and the kernel fills the slot of the
+    ``fits`` list it is given.  Returns the list of slots.
+    """
+    blocks, slot_of = [], {}
+    check, kernel = online_hdp.vocab_words, online_hdp._fit_block
+
+    def checking(*args):
+        fits = check(*args)
+        slot_of[id(fits)] = (fits, [])  # kept alive, so that no later list takes its id
+        blocks.append(slot_of[id(fits)][1])
+        return fits
+
+    def recording(fits, *args):
+        fitted = kernel(fits, *args)
+        slot_of[id(fits)][1].extend(ran for *_, ran in fitted)
         return fitted
 
+    monkeypatch.setattr(online_hdp, "vocab_words", checking)
     monkeypatch.setattr(online_hdp, "_fit_block", recording)
-    return sweeps
+    return blocks
+
+
+def in_block_order(blocks):
+    return [ran for block in blocks for ran in block]
 
 
 def assert_records_match(got, want):
@@ -262,6 +281,11 @@ def trained_snapshot(hyper, docs, vocab_size=60):
 
 
 class TestInferBatch:
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        """Fit on two worker threads whatever the host's CPU count, so block order is checked under threads."""
+        monkeypatch.setattr(online_hdp, "WORKERS", 2)
+
     def test_every_caller_matches_the_reference_loop(self, monkeypatch):
         """Ids, timestamps, word counts and sweep counts exactly; scores and
         topic weights within 1e-10 relative (the kernel sums in another order)."""
@@ -281,7 +305,7 @@ class TestInferBatch:
         assert_records_match(score_batch(hdp, held)[0], records)
         for got, want in zip(cli._doc_topic_weights(hdp, held), mixtures, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
-        assert sweeps == ref_sweeps * 2
+        assert in_block_order(sweeps) == ref_sweeps * 2
 
         cfg = drifting_topics.CidtmConfig(hyper=hyper, drift_v=0.02, relevance_threshold=0.2)
         model = drifting_topics.DriftingTopicModel(cfg, 60, len(docs), seed=3)
@@ -295,7 +319,7 @@ class TestInferBatch:
         assert_records_match(score_batch(model, held)[0], records)
         for got, want in zip(cli._doc_topic_weights(model, held), mixtures, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
-        assert sweeps == ref_sweeps * 2
+        assert in_block_order(sweeps) == ref_sweeps * 2
 
     @pytest.mark.parametrize("size", [1, BLOCK_DOCS - 1, BLOCK_DOCS, BLOCK_DOCS + 1, 2 * BLOCK_DOCS + 1])
     def test_batch_sizes_around_the_block(self, size, monkeypatch):
@@ -309,7 +333,7 @@ class TestInferBatch:
         sweeps = record_sweeps(monkeypatch)
         fits = list(infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper))
         assert [doc_words(d)[0] for d in held] == [words for words, *_ in fits]
-        assert sweeps == ref_sweeps
+        assert in_block_order(sweeps) == ref_sweeps
         assert_records_match(
             [(d.id, d.timestamp, mixture_score(w, n, theta, snap.word_probs), int(n.sum()))
              for d, (w, n, _, _, theta) in zip(held, fits)],
@@ -347,7 +371,7 @@ class TestInferBatch:
         )
         sweeps = record_sweeps(monkeypatch)
         fits = list(infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper))
-        assert sweeps == ref_sweeps
+        assert in_block_order(sweeps) == ref_sweeps
         for (words, n, dv, bound, theta), want in zip(fits, mixtures, strict=True):
             assert dv.varphi.shape == (t, k) and dv.zeta.shape == (len(words), t)
             assert dv.stick_a.shape == dv.stick_b.shape == (t - 1,)
@@ -365,7 +389,7 @@ class TestInferBatch:
         )
         sweeps = record_sweeps(monkeypatch)
         fits = list(infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper))
-        assert sweeps == ref_sweeps
+        assert in_block_order(sweeps) == ref_sweeps
         assert fits[3][2].zeta.shape == (1, 6)
         for (*_, theta), want in zip(fits, mixtures, strict=True):
             np.testing.assert_allclose(theta, want, rtol=1e-10, atol=0)
@@ -387,9 +411,10 @@ class TestInferBatch:
             infer_core(words, n, elog[:, words], snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
 
     def test_memory_is_bounded_by_the_block(self):
-        """Fitting 128 documents at K=100, T=20 holds one block's arrays at a
-        time.  Measured tracemalloc peaks: 3.3 MB through ``infer_batch``
-        (blocks of 16) and 25.1 MB for one 128-document block."""
+        """Fitting 128 documents at K=100, T=20 on the class's two workers
+        holds at most three blocks' arrays at a time.  Measured tracemalloc
+        peaks through ``infer_batch`` (blocks of 16): 3.3 MB with one
+        worker, 6.1 MB with two; 25.1 MB for one 128-document block."""
         rng = np.random.default_rng(15)
         vocab = 2000
         docs = []
@@ -412,6 +437,90 @@ class TestInferBatch:
             [doc_words(d) for d in docs], snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
         ))
         assert blocked < 8.0 < whole
+
+
+class TestWorkers:
+    """Every worker count yields the same documents and raises the same error at the same block."""
+
+    @staticmethod
+    def fit_until_error(docs, elog, elog_sticks, hyper):
+        """(yielded (words, counts, factors, bound, weights), the error raised or None); threads joined."""
+        threads = threading.active_count()
+        got = []
+        try:
+            for words, n, dv, bound, theta in infer_batch(docs, elog, elog_sticks, hyper):
+                factors = (dv.stick_a, dv.stick_b, dv.varphi, dv.zeta)
+                got.append((words, n.tobytes(), *(f.tobytes() for f in factors), bound, theta.tobytes()))
+            error = None
+        except (NumericalError, ParameterError) as err:
+            error = err
+        assert threading.active_count() == threads
+        return got, error
+
+    def late_block_docs(self, counts):
+        """48 documents, three blocks; the second document of the third block gets ``counts`` added."""
+        docs, _ = drifting_stream(seed=17, pre_docs=80, gap_docs=0, post_docs=30)
+        hyper = HdpHyper(K_corpus=10, T_doc=5)
+        snap = trained_snapshot(hyper, docs[:60], vocab_size=61)
+        held = docs[60:108]
+        late = held[2 * BLOCK_DOCS + 1]
+        held[2 * BLOCK_DOCS + 1] = make_doc({**late.counts, **counts}, late.id, late.timestamp)
+        assert all(60 not in d.counts for d in docs[:60] + held[: 2 * BLOCK_DOCS])
+        return held, snap, hyper
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_whole_stream_and_abandoned_stream(self, workers, monkeypatch):
+        held, snap, hyper = self.late_block_docs({})
+        monkeypatch.setattr(online_hdp, "WORKERS", 1)
+        want, _ = self.fit_until_error(held, snap.elog_beta, snap.elog_sticks, hyper)
+        monkeypatch.setattr(online_hdp, "WORKERS", workers)
+        assert self.fit_until_error(held, snap.elog_beta, snap.elog_sticks, hyper) == (want, None)
+        threads = threading.active_count()
+        fits = infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper)
+        next(fits)
+        assert (threading.active_count() > threads) == (workers > 1)
+        del fits  # abandoned after one document: the queued blocks are dropped and the threads joined
+        assert threading.active_count() == threads
+
+    def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
+        """Ten blocks on eight threads, switching every microsecond: the same yields as one worker."""
+        docs, _ = drifting_stream(seed=18, pre_docs=200, gap_docs=0, post_docs=20)
+        hyper = HdpHyper(K_corpus=10, T_doc=5)
+        snap = trained_snapshot(hyper, docs[:60])
+        held = docs[60:220]
+        monkeypatch.setattr(online_hdp, "WORKERS", 1)
+        want, _ = self.fit_until_error(held, snap.elog_beta, snap.elog_sticks, hyper)
+        monkeypatch.setattr(online_hdp, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.fit_until_error(held, snap.elog_beta, snap.elog_sticks, hyper)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == (want, None) and len(want) == 10 * BLOCK_DOCS
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_evidence_in_a_later_block(self, workers, monkeypatch):
+        held, snap, hyper = self.late_block_docs({60: 2})
+        elog = snap.elog_beta.copy()
+        elog[:, 60] = np.nan  # only the third block reads word 60
+        monkeypatch.setattr(online_hdp, "WORKERS", 1)
+        want, _ = self.fit_until_error(held[: 2 * BLOCK_DOCS], elog, snap.elog_sticks, hyper)
+        monkeypatch.setattr(online_hdp, "WORKERS", workers)
+        got, error = self.fit_until_error(held, elog, snap.elog_sticks, hyper)
+        assert got == want and len(got) == 2 * BLOCK_DOCS
+        assert isinstance(error, NumericalError) and error.sweep == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_word_outside_the_vocabulary_in_a_later_block(self, workers, monkeypatch):
+        held, snap, hyper = self.late_block_docs({61: 1})
+        monkeypatch.setattr(online_hdp, "WORKERS", 1)
+        want, _ = self.fit_until_error(held[: 2 * BLOCK_DOCS], snap.elog_beta, snap.elog_sticks, hyper)
+        monkeypatch.setattr(online_hdp, "WORKERS", workers)
+        got, error = self.fit_until_error(held, snap.elog_beta, snap.elog_sticks, hyper)
+        assert got == want and len(got) == 2 * BLOCK_DOCS
+        assert isinstance(error, ParameterError) and "61" in str(error)
 
 
 class TestHeldout:
