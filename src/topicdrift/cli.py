@@ -126,21 +126,28 @@ def cmd_train(args):
     return 0
 
 
-def _doc_topic_weights(model, docs):
-    """Expected topic weights of each document under a loaded online model."""
-    elog, elog_sticks, _ = model.expectations()
-    return [theta for *_, theta in online_hdp.infer_batch(docs, elog, elog_sticks, model.hyper)]
+def _doc_topic_weights(docs, elog, elog_sticks, hyper):
+    """Expected topic weights of each document against an online model's (K, V) and (K,) expectations.
+
+    Only the expectations are passed, so that the caller can let the model
+    and the rest of its state go before the documents are fitted.
+    """
+    return [theta for *_, theta in online_hdp.infer_batch(docs, elog, elog_sticks, hyper)]
 
 
 def _read_labels(path, docs):
-    """doc id -> bool from a ``doc_id<TAB>0|1`` file; at least one id must be a document's."""
-    labels = {}
+    """doc id -> bool from a ``doc_id<TAB>0|1`` file; at least one id must be a document's, and none twice."""
+    labels, line_of = {}, {}
     with open(path, "r", encoding="utf-8") as f:
         for number, line in enumerate(f, 1):
             if line.strip():
                 fields = line.rstrip("\n").split("\t")
                 if len(fields) != 2 or fields[1] not in ("0", "1"):
                     raise ConfigurationError(f"{path} line {number}: expected doc_id<TAB>0|1")
+                if fields[0] in line_of:
+                    raise ConfigurationError(
+                        f"{path} lines {line_of[fields[0]]} and {number}: doc id {fields[0]!r} is labelled twice")
+                line_of[fields[0]] = number
                 labels[fields[0]] = fields[1] == "1"
     if not any(doc.id in labels for doc in docs):
         raise ConfigurationError(f"no document of the corpus has a label in {path}")
@@ -151,6 +158,7 @@ def cmd_timeline(args):
     kinds = {"ohdp": online_hdp, "cidtm": drifting_topics}
     kind, header, arrays = read_checkpoint(args.checkpoint, {k: module.ARRAYS for k, module in kinds.items()})
     model = kinds[kind].decode_checkpoint(header, arrays)
+    del arrays
     if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
         raise ConfigurationError(f"--threshold must lie in [0, 1], got {args.threshold}")
     if not 0 <= args.topic < model.hyper.K_corpus:
@@ -158,7 +166,11 @@ def cmd_timeline(args):
     docs = corpus_mod.read_canonical(args.corpus)
     corpus_mod.check_words(docs, model.vocab_size)
     labels = _read_labels(args.labels, docs) if args.labels else None
-    weights = _doc_topic_weights(model, docs)
+    # the fit reads only these: the model's (K, V) state and its word probabilities go before it starts
+    elog, elog_sticks = model.expectations()[:2]
+    hyper = model.hyper
+    del model
+    weights = _doc_topic_weights(docs, elog, elog_sticks, hyper)
     assigned = evaluation.timeline_assign(docs, weights, args.topic, args.threshold)
 
     with open(args.out_assign, "w", encoding="utf-8") as f:

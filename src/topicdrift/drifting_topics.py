@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .checkpoint import config_from, header_value, pack_mask, read_checkpoint, unpack_mask, write_checkpoint
 from .errors import (
@@ -168,11 +167,24 @@ class DriftingTopicModel(OnlineHdp):
         return self.config.drift_v / SECONDS_PER_DAY
 
     def adjusted_matrices(self, snap):
-        """HDP expectations shifted by the drift corrections and renormalized."""
-        log_probs = np.log(snap.word_probs) + self.mean
-        log_z = logsumexp(log_probs, axis=1, keepdims=True)
-        probs = np.exp(log_probs - log_z)
-        elog = snap.elog_beta + self.mean - log_z
+        """HDP expectations shifted by the drift corrections and renormalized: (elog_beta, word_probs).
+
+        Row k of the word distribution is softmax(log word_probs_k + mean_k),
+        with log normalizer log_z_k, and the expected log is shifted to
+        elog_beta_k + mean_k - log_z_k.  The snapshot's ``word_probs`` and
+        ``elog_beta`` buffers are reused for the two results, so the
+        snapshot holds them afterwards, not the HDP's expectations.
+        """
+        probs = np.log(snap.word_probs, out=snap.word_probs)
+        probs += self.mean
+        top = probs.max(axis=1, keepdims=True)
+        probs -= top
+        np.exp(probs, out=probs)
+        total = probs.sum(axis=1, keepdims=True)
+        probs /= total
+        elog = snap.elog_beta
+        elog += self.mean
+        elog -= top + np.log(total)
         return elog, probs
 
     def expectations(self):
@@ -206,10 +218,12 @@ def _check_batch_order(model, batch):
 
 def _log_ratio(model, stats, born, words, n_docs):
     """The log-ratio of the batch's and the HDP's word distributions at the born topics' batch words."""
-    fresh = model.hyper.eta + model.corpus_scale / n_docs * stats.lam[born]
-    lam = model.g.lam[born]
+    fresh = stats.lam[born]
+    fresh *= model.corpus_scale / n_docs
+    fresh += model.hyper.eta
+    lam = model.g.lam
     return (np.log(fresh[:, words] / fresh.sum(axis=1, keepdims=True))
-            - np.log(lam[:, words] / lam.sum(axis=1, keepdims=True)))
+            - np.log(lam[np.ix_(born, words)] / lam.sum(axis=1)[born][:, None]))
 
 
 def _kalman_stage(model, batch, stats):

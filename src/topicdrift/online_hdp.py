@@ -176,14 +176,16 @@ def expected_corpus_weights(g):
     return _stick_means(g.stick_u, g.stick_v)
 
 
-def elog_beta(g):
-    """E[log p(word | topic)] under the Dirichlet rows lambda_k."""
-    return digamma(g.lam) - digamma(g.lam.sum(axis=1))[:, None]
+def elog_beta(g, row_sums=None):
+    """E[log p(word | topic)] under the Dirichlet rows lambda_k, whose sums ``row_sums`` may pass in."""
+    out = digamma(g.lam)
+    out -= digamma(g.lam.sum(axis=1) if row_sums is None else row_sums)[:, None]
+    return out
 
 
-def topic_word_probs(g):
-    """Posterior-mean word distribution per topic (rows sum to 1)."""
-    return g.lam / g.lam.sum(axis=1)[:, None]
+def topic_word_probs(g, row_sums=None):
+    """Posterior-mean word distribution per topic (rows sum to 1); ``row_sums`` as for ``elog_beta``."""
+    return g.lam / (g.lam.sum(axis=1) if row_sums is None else row_sums)[:, None]
 
 
 @dataclass
@@ -196,10 +198,11 @@ class HdpSnapshot:
 
     @classmethod
     def of(cls, g):
+        row_sums = g.lam.sum(axis=1)
         return cls(
-            elog_beta=elog_beta(g),
+            elog_beta=elog_beta(g, row_sums),
             elog_sticks=expect_log_sticks(g.stick_u, g.stick_v),
-            word_probs=topic_word_probs(g),
+            word_probs=topic_word_probs(g, row_sums),
         )
 
 
@@ -382,12 +385,21 @@ def learning_rate(hyper, update_count):
 
 
 def online_update(g, stats, hyper, corpus_scale):
-    """One stochastic natural-gradient step; returns the new corpus state."""
+    """One stochastic natural-gradient step; returns the new corpus state.
+
+    Neither ``g`` nor ``stats`` is changed.  The new lambda is
+    (1 - rho) lambda + rho (eta + scale * batch lambda), built with one
+    (K, V) scratch array besides the result.
+    """
     if stats.batch_doc_count < 1:
         raise ParameterError("stats must come from at least one document")
     rho = learning_rate(hyper, g.update_count)
     scale = corpus_scale / stats.batch_doc_count
-    lam = (1.0 - rho) * g.lam + rho * (hyper.eta + scale * stats.lam)
+    step = stats.lam * scale
+    step += hyper.eta
+    step *= rho
+    lam = g.lam * (1.0 - rho)
+    lam += step
     k = g.num_topics
     if k > 1:
         tail = np.flip(np.cumsum(np.flip(stats.usage[1:])))

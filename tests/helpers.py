@@ -24,6 +24,12 @@ replaced.
 ``reference_ingest`` keep the ingest that tokenized every record three
 times, once in each of those passes, which ``corpus.tokenize_corpus``
 replaced with one pass.
+``reference_elog_beta``, ``reference_online_update``,
+``reference_log_ratio``, ``reference_adjusted_matrices`` and
+``reference_drifting_expectations`` keep the online models' per-batch
+(K, V) expressions as they were before they were built in place, the
+last two with scipy's ``logsumexp``; ``reference_doc_topic_weights``
+keeps the timeline fit that held the whole loaded model.
 ``payload_array`` and ``set_payload_array`` read and edit the arrays of
 a parsed checkpoint with ``base64`` and numpy alone.
 """
@@ -36,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, logsumexp
 
 from topicdrift.corpus import (
     Document,
@@ -51,7 +57,10 @@ from topicdrift.errors import ConfigurationError, NumericalError, ParameterError
 from topicdrift.kalman import DriftConfig
 from topicdrift.online_hdp import (
     DocVariational,
+    GlobalVariational,
     expect_log_sticks,
+    infer_batch,
+    learning_rate,
     mixture_score,
     topic_word_probs,
 )
@@ -291,6 +300,56 @@ def reference_doc_loop(docs, elog_beta, elog_sticks, word_probs, hyper):
         mixtures.append(theta)
         sweeps.append(ran)
     return records, mixtures, sweeps
+
+
+def reference_elog_beta(g):
+    """The former ``online_hdp.elog_beta``: one expression, two (K, V) temporaries."""
+    return digamma(g.lam) - digamma(g.lam.sum(axis=1))[:, None]
+
+
+def reference_online_update(g, stats, hyper, corpus_scale):
+    """The former ``online_hdp.online_update``, its new lambda one expression."""
+    rho = learning_rate(hyper, g.update_count)
+    scale = corpus_scale / stats.batch_doc_count
+    lam = (1.0 - rho) * g.lam + rho * (hyper.eta + scale * stats.lam)
+    k = g.num_topics
+    if k > 1:
+        tail = np.flip(np.cumsum(np.flip(stats.usage[1:])))
+        u = (1.0 - rho) * g.stick_u + rho * (1.0 + scale * stats.usage[: k - 1])
+        v = (1.0 - rho) * g.stick_v + rho * (hyper.gamma + scale * tail)
+    else:
+        u, v = g.stick_u.copy(), g.stick_v.copy()
+    return GlobalVariational(lam, u, v, g.update_count + 1)
+
+
+def reference_log_ratio(model, stats, born, words, n_docs):
+    """The former ``drifting_topics._log_ratio``, with (born, V) copies of the batch's and the HDP's lambda."""
+    fresh = model.hyper.eta + model.corpus_scale / n_docs * stats.lam[born]
+    lam = model.g.lam[born]
+    return (np.log(fresh[:, words] / fresh.sum(axis=1, keepdims=True))
+            - np.log(lam[:, words] / lam.sum(axis=1, keepdims=True)))
+
+
+def reference_adjusted_matrices(elog_beta, word_probs, mean):
+    """The former ``DriftingTopicModel.adjusted_matrices``: new arrays, normalized by ``logsumexp``."""
+    log_probs = np.log(word_probs) + mean
+    log_z = logsumexp(log_probs, axis=1, keepdims=True)
+    probs = np.exp(log_probs - log_z)
+    elog = elog_beta + mean - log_z
+    return elog, probs
+
+
+def reference_drifting_expectations(model):
+    """The former ``DriftingTopicModel.expectations()``: (elog_beta, elog_sticks, word_probs)."""
+    g = model.g
+    elog, probs = reference_adjusted_matrices(reference_elog_beta(g), topic_word_probs(g), model.mean)
+    return elog, expect_log_sticks(g.stick_u, g.stick_v), probs
+
+
+def reference_doc_topic_weights(model, docs):
+    """The former timeline fit: the loaded model, with its whole state, stays alive while documents are fitted."""
+    elog, elog_sticks, _ = model.expectations()
+    return [theta for *_, theta in infer_batch(docs, elog, elog_sticks, model.hyper)]
 
 
 def mixture_e_step(words, n, logp_doc, alpha, max_iter=50, tol=1e-4):

@@ -8,7 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import dense_kalman_stage
+from helpers import (
+    dense_kalman_stage,
+    reference_adjusted_matrices,
+    reference_drifting_expectations,
+    reference_log_ratio,
+)
 from topicdrift import drifting_topics
 from topicdrift.checkpoint import read_checkpoint
 from topicdrift.corpus import Document
@@ -28,7 +33,15 @@ from topicdrift.drifting_topics import (
     save_checkpoint,
 )
 from topicdrift.errors import LifecycleProtocolError, ParameterError, TimeOrderError
-from topicdrift.online_hdp import BatchResult, BatchStats, HdpHyper, OnlineHdp, prequential_run, score_batch
+from topicdrift.online_hdp import (
+    BatchResult,
+    BatchStats,
+    HdpHyper,
+    HdpSnapshot,
+    OnlineHdp,
+    prequential_run,
+    score_batch,
+)
 from topicdrift.synthetic import drifting_stream, three_topic_corpus
 
 DAY = 86400.0
@@ -398,6 +411,68 @@ class TestSparseKalmanStage:
         track_array = n_topics * n_words * 8
         assert peak_bytes(drifting_topics._kalman_stage) < 64 * track_array
         assert peak_bytes(dense_kalman_stage) > 4 * n_steps * track_array
+
+
+class TestExpectations:
+    """The per-batch (K, V) arrays built in place against the former expressions."""
+
+    @staticmethod
+    def trained_model(vocab=60):
+        docs, _ = drifting_stream(seed=19, pre_docs=60, gap_docs=10, post_docs=20)
+        model = DriftingTopicModel(small_config(drift_v=0.02), vocab, len(docs), seed=3)
+        prequential_run(model, docs, batch_size=30)
+        assert model.tracked.any() and not model.tracked.all()
+        return model
+
+    def test_adjusted_matrices_match_the_logsumexp_form(self):
+        """Within 1e-12 relative, on rows whose tracks sit at 0 and rows shifted by up to 600 nats."""
+        model = self.trained_model()
+        rng = np.random.default_rng(20)
+        mean = model.mean
+        mean[0] = 0.0  # an untracked row
+        mean[1] = rng.normal(0.0, 30.0, mean.shape[1])  # large |mean| throughout
+        mean[2] = 600.0  # a constant shift leaves the row's probabilities as they are
+        mean[3] = -600.0
+        mean[4] = 0.0
+        mean[4, 5] = 400.0  # one word takes nearly all the mass
+        snap = HdpSnapshot.of(model.g)
+        want_elog, want_probs = reference_adjusted_matrices(snap.elog_beta, snap.word_probs, mean)
+        elog, probs = model.adjusted_matrices(snap)
+        assert elog is snap.elog_beta and probs is snap.word_probs  # built in the snapshot's buffers
+        np.testing.assert_allclose(elog, want_elog, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(probs, want_probs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
+        got = model.expectations()
+        for a, b in zip(got, reference_drifting_expectations(model)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+    def test_log_ratio_matches_the_former_expression_bit_for_bit(self):
+        model = self.trained_model(vocab=61)
+        rng = np.random.default_rng(21)
+        stats = BatchStats(rng.gamma(0.2, 3.0, model.g.lam.shape), np.ones(8), 9)
+        born = np.array([0, 2, 3, 6])
+        words = np.sort(rng.choice(61, 23, replace=False))
+        lam = model.g.lam.copy()
+        got = drifting_topics._log_ratio(model, stats, born, words, 9)
+        want = reference_log_ratio(model, stats, born, words, 9)
+        assert got.tobytes() == want.tobytes()
+        assert model.g.lam.tobytes() == lam.tobytes()
+
+    def test_expectations_memory_is_two_arrays(self):
+        """Measured tracemalloc peaks at K=40, V=5000, in (K, V) arrays: 2.00
+        in place, 8.13 for the former expressions with ``logsumexp``."""
+        model = DriftingTopicModel(small_config(hyper=HdpHyper(K_corpus=40, T_doc=4)), 5000, 1000, seed=0)
+        model.mean[:] = np.random.default_rng(22).normal(0.0, 0.5, model.mean.shape)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1] / model.mean.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert peak(model.expectations) < 3.0 < peak(lambda: reference_drifting_expectations(model))
 
 
 class TestCheckpoint:

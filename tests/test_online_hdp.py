@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 
-from helpers import infer_core, reference_doc_loop
+from helpers import infer_core, reference_doc_loop, reference_elog_beta, reference_online_update
 from topicdrift import cli, drifting_topics, online_hdp
 from topicdrift.corpus import Document, doc_words
 from topicdrift.errors import ConfigurationError, NumericalError, ParameterError
@@ -24,6 +24,7 @@ from topicdrift.online_hdp import (
     HdpSnapshot,
     OnlineHdp,
     doc_topic_mixture,
+    elog_beta,
     expect_log_sticks,
     accumulate_stats,
     expected_corpus_weights,
@@ -221,6 +222,50 @@ class TestOnlineUpdate:
         tail = np.flip(np.cumsum(np.flip(stats.usage[1:])))
         np.testing.assert_allclose(out.stick_v, hyper.gamma + tail, atol=1e-12)
 
+    @pytest.mark.parametrize("update_count", [0, 1, 7])
+    def test_matches_the_former_expression_bit_for_bit(self, update_count):
+        """The step is built in one scratch array in the former expression's operations; neither input moves."""
+        rng = np.random.default_rng(16)
+        hyper = HdpHyper(K_corpus=5, T_doc=3, eta=0.03)
+        g = dataclasses.replace(init_global(hyper, 37, corpus_scale=90, seed=1), update_count=update_count)
+        stats = BatchStats(rng.gamma(0.5, 2.0, (5, 37)), rng.gamma(2.0, 1.0, 5), 7)
+        before = [a.copy() for a in (g.lam, g.stick_u, g.stick_v, stats.lam, stats.usage)]
+        got, want = online_update(g, stats, hyper, 90), reference_online_update(g, stats, hyper, 90)
+        for name in ("lam", "stick_u", "stick_v"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.update_count == want.update_count == update_count + 1
+        for a, b in zip(before, (g.lam, g.stick_u, g.stick_v, stats.lam, stats.usage)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_memory_is_the_result_and_one_scratch_array(self):
+        """Measured tracemalloc peaks at K=40, V=5000, in (K, V) arrays: 2.00.  The
+        former expression also peaks at 2.00 where numpy reuses its temporaries
+        (numpy 2.4), so no smaller bound separates the two; the in-place form
+        holds the bound without relying on that reuse."""
+        rng = np.random.default_rng(17)
+        hyper = HdpHyper(K_corpus=40, T_doc=3)
+        g = init_global(hyper, 5000, corpus_scale=1000, seed=0)
+        stats = BatchStats(rng.random((40, 5000)), np.ones(40), 10)
+        tracemalloc.start()
+        try:
+            online_update(g, stats, hyper, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * g.lam.nbytes
+
+
+class TestElogBeta:
+    def test_matches_the_former_expression_bit_for_bit(self):
+        rng = np.random.default_rng(18)
+        g = make_global(rng.gamma(0.3, 1.0, (7, 53)) + 0.01)
+        want = reference_elog_beta(g).tobytes()
+        assert elog_beta(g).tobytes() == want
+        assert elog_beta(g, g.lam.sum(axis=1)).tobytes() == want
+        snap = HdpSnapshot.of(g)
+        assert snap.elog_beta.tobytes() == want
+        assert snap.word_probs.tobytes() == (g.lam / g.lam.sum(axis=1)[:, None]).tobytes()
+
 
 class TestTopicWordProbs:
     def test_uniform_row(self):
@@ -303,7 +348,7 @@ class TestInferBatch:
         assert 1 < len(set(ref_sweeps)) and max(ref_sweeps) == MAX_SWEEPS
         sweeps = record_sweeps(monkeypatch)
         assert_records_match(score_batch(hdp, held)[0], records)
-        for got, want in zip(cli._doc_topic_weights(hdp, held), mixtures, strict=True):
+        for got, want in zip(cli._doc_topic_weights(held, *hdp.expectations()[:2], hyper), mixtures, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
         assert in_block_order(sweeps) == ref_sweeps * 2
 
@@ -317,7 +362,7 @@ class TestInferBatch:
         )
         sweeps.clear()
         assert_records_match(score_batch(model, held)[0], records)
-        for got, want in zip(cli._doc_topic_weights(model, held), mixtures, strict=True):
+        for got, want in zip(cli._doc_topic_weights(held, *model.expectations()[:2], hyper), mixtures, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
         assert in_block_order(sweeps) == ref_sweeps * 2
 
