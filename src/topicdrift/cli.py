@@ -159,6 +159,8 @@ def cmd_timeline(args):
     kind, header, arrays = read_checkpoint(args.checkpoint, {k: module.ARRAYS for k, module in kinds.items()})
     model = kinds[kind].decode_checkpoint(header, arrays)
     del arrays
+    if kind == "cidtm":  # its expectations read only the drift means: the (K, V) variances and mask go now
+        del model.var, model.tracked
     if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
         raise ConfigurationError(f"--threshold must lie in [0, 1], got {args.threshold}")
     if not 0 <= args.topic < model.hyper.K_corpus:

@@ -11,13 +11,13 @@ The variational family factorizes completely:
 Per-document inference is coordinate ascent over (varphi, zeta, a, b)
 holding the corpus state fixed.  ``infer_batch`` is the one entry point
 that fits documents: ``score_batch`` (for both online models) and the
-timeline call it.  It fits BLOCK_DOCS documents at a time with one
-batched kernel, ``_fit_block``: the block's evidence is padded to
-(B, M, K), every update is a stacked matmul or a vectorized digamma,
-and each document still stops at its own sweep.  Given the corpus
-state the blocks are independent, so up to WORKERS of them are fitted
-on worker threads while the caller consumes the one before; a caller
-holds at most WORKERS + 1 blocks' factors.  Corpus-level
+timeline call it.  It fits BLOCK_DOCS (64) documents at a time with
+one batched kernel, ``_fit_block``: the block's evidence is padded to
+(B, M, K), every update is a stacked matmul or one vectorized special
+function call, and each document still stops at its own sweep.  Given
+the corpus state the blocks are independent, so up to WORKERS of them
+are fitted on worker threads while the caller consumes the one before;
+a caller holds at most WORKERS + 1 blocks' factors.  Corpus-level
 learning is a stochastic natural-gradient step with rate
 rho_t = (tau0 + t)^(-kappa) that blends the current state with the
 batch estimate scaled up to corpus size.
@@ -46,8 +46,9 @@ from .errors import ConfigurationError, NumericalError, ParameterError
 # every document fit stops after MAX_SWEEPS or once the bound moves by <= SWEEP_TOL (relative)
 MAX_SWEEPS = 50
 SWEEP_TOL = 1e-6
-# documents fitted together; a block's padded (B, M, K) evidence is the kernel's extra memory
-BLOCK_DOCS = 16
+# documents fitted together; a block's padded (B, M, K) evidence is the kernel's extra memory, and each
+# sweep's fixed cost, which holds the GIL, is spread over the block's rows (see infer_batch)
+BLOCK_DOCS = 64
 
 
 def _usable_cpus():
@@ -206,12 +207,10 @@ class HdpSnapshot:
         )
 
 
-def _beta_entropy(a, b, dg_a, dg_b, dg_ab):
-    """Entropy of Beta(a, b), given the digammas of a, b and a + b."""
-    return (
-        gammaln(a) + gammaln(b) - gammaln(a + b)
-        - (a - 1.0) * dg_a - (b - 1.0) * dg_b + (a + b - 2.0) * dg_ab
-    )
+def _beta_entropy(sticks, dg, lg):
+    """Entropy of Beta(a, b), given the stacked (a, b, a + b), their digammas and their log-gammas."""
+    a, b, ab = sticks
+    return lg[0] + lg[1] - lg[2] - (a - 1.0) * dg[0] - (b - 1.0) * dg[1] + (ab - 2.0) * dg[2]
 
 
 def _softmax(scores, axis, out):
@@ -250,9 +249,10 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     weighted = zeta * n[:, None, :]                                  # zeta * counts, kept by every sweep
     varphi_scores = np.empty((sizes.size, t_doc, elog_beta.shape[0]))  # (B, T, K)
     varphi = np.empty_like(varphi_scores)
-    a = np.ones((sizes.size, t_doc - 1))
-    b = np.full((sizes.size, t_doc - 1), alpha0)
-    elog_sticks_doc = expect_log_sticks(a, b)                        # (B, T)
+    # the document sticks' (a, b, a + b), stacked so that each special function is one call per sweep
+    sticks = np.empty((3, sizes.size, t_doc - 1))
+    sticks[0], sticks[1] = 1.0, alpha0
+    elog_sticks_doc = expect_log_sticks(sticks[0], sticks[1])        # (B, T)
     stick_prior = (t_doc - 1) * math.log(alpha0)
 
     running = np.arange(sizes.size)
@@ -267,10 +267,14 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
         zeta += elog_sticks_doc[:, :, None]
         zeta_norm = _softmax(zeta, 1, zeta)
         slot_mass = np.multiply(zeta, n[:, None, :], out=weighted).sum(axis=2)  # (B, T)
-        a = 1.0 + slot_mass[:, :-1]
-        b = alpha0 + np.flip(np.cumsum(np.flip(slot_mass[:, 1:], 1), axis=1), 1)
-        dg_a, dg_b, dg_ab = digamma(a), digamma(b), digamma(a + b)
-        new_sticks_doc = _log_sticks(dg_a - dg_ab, dg_b - dg_ab)
+        a, b, ab = sticks
+        np.add(1.0, slot_mass[:, :-1], out=a)
+        np.cumsum(slot_mass[:, :0:-1], axis=1, out=b[:, ::-1])
+        b += alpha0
+        np.add(a, b, out=ab)
+        dg, lg = digamma(sticks), gammaln(sticks)
+        elog_frac = dg[:2] - dg[2]  # E[log frac] and E[log(1 - frac)] of every document stick
+        new_sticks_doc = _log_sticks(elog_frac[0], elog_frac[1])
 
         # zeta is the softmax of (varphi @ eb^T + old sticks), so its data,
         # stick and entropy terms collapse to sum_m n_m log Z_m plus the
@@ -283,7 +287,7 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
             + (varphi @ elog_sticks).sum(axis=1)
             - np.einsum("btk,btk->b", varphi, varphi_scores) + varphi_norm.sum(axis=(1, 2))
             + stick_prior
-            + ((alpha0 - 1.0) * (dg_b - dg_ab) + _beta_entropy(a, b, dg_a, dg_b, dg_ab)).sum(axis=1)
+            + ((alpha0 - 1.0) * elog_frac[1] + _beta_entropy(sticks, dg, lg)).sum(axis=1)
         )
         elog_sticks_doc = new_sticks_doc
         if not np.isfinite(bound).all():
@@ -306,7 +310,7 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
         running = running[rows]
         k, width = rows.size, sizes[running].max()
         n, eb, zeta, weighted = n[:k, :width], eb[:k, :width], zeta[:k, :, :width], weighted[:k, :, :width]
-        varphi_scores, varphi = varphi_scores[:k], varphi[:k]
+        varphi_scores, varphi, sticks = varphi_scores[:k], varphi[:k], sticks[:, :k]
         elog_sticks_doc, bound = elog_sticks_doc[rows], bound[rows]
     return out
 
@@ -355,6 +359,16 @@ def infer_batch(docs, elog_beta, elog_sticks, hyper):
     by a block's working arrays per worker, and the share of the kernel
     that holds the GIL limits what more threads can gain.  Only 1 and 2
     workers have been measured.
+
+    Blocks are 64 documents because a sweep's numpy calls each hold the
+    GIL for a fixed cost whatever their size, and a block's rows thin out
+    as its documents stop.  With 16-document blocks the drifting model's
+    blocks swept about 6 live rows on average, and two workers were
+    slower than one as the threads passed the GIL around every short
+    call.  64 documents spread that cost over about 4 times the rows.
+    The price is memory: a block's padded (B, M, K) arrays are 4 times
+    those of a 16-document block, one set per worker fitting a block, and
+    the WORKERS + 1 blocks' factors a caller holds grow alike.
     """
     blocks = list(batch_iter(docs, BLOCK_DOCS))
     ahead = WORKERS if WORKERS > 1 and len(blocks) > 1 else 0

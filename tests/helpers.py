@@ -12,6 +12,8 @@ over every (step, track) cell that ``kalman.pair_filter`` and
 ``reference_doc_loop``, the per-document loop every caller of
 ``online_hdp.infer_batch`` used to write out, with ``infer_core``, the
 one-document coordinate ascent that ``online_hdp._fit_block`` replaced;
+``reference_fit_block``, the block kernel before each sweep's stick
+digammas and log-gammas became one call each;
 ``mixture_e_step``, ``reference_train_cdtm`` and ``reference_cdtm_heldout``,
 the one-document mixture fit and the per-document loops of the fixed-K
 baseline that ``fixed_k_dtm._mixture_e_step`` replaced, with
@@ -58,6 +60,8 @@ from topicdrift.kalman import DriftConfig
 from topicdrift.online_hdp import (
     DocVariational,
     GlobalVariational,
+    _log_sticks,
+    _softmax,
     expect_log_sticks,
     infer_batch,
     learning_rate,
@@ -271,6 +275,82 @@ def infer_core(words, n, elog_beta_doc, elog_sticks, hyper, max_sweeps, tol):
         elbo = new_elbo
 
     return DocVariational(a, b, varphi, zeta), elbo, sweep
+
+
+def reference_fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
+    """The former ``online_hdp._fit_block``: three ``digamma`` and three ``gammaln`` calls per sweep.
+
+    Same arguments and result: (factors, bound, sweeps) per document.
+    """
+    t_doc, alpha0 = hyper.T_doc, hyper.alpha0
+    sizes = np.array([len(words) for words, _ in fits])
+    n = np.zeros((sizes.size, sizes.max()))
+    eb = np.zeros((sizes.size, sizes.max(), elog_beta.shape[0]))
+    for i, (words, counts) in enumerate(fits):
+        n[i, : sizes[i]] = counts
+        eb[i, : sizes[i]] = elog_beta[:, words].T
+    zeta = np.full((sizes.size, t_doc, sizes.max()), 1.0 / t_doc)
+    weighted = zeta * n[:, None, :]
+    varphi_scores = np.empty((sizes.size, t_doc, elog_beta.shape[0]))
+    varphi = np.empty_like(varphi_scores)
+    a = np.ones((sizes.size, t_doc - 1))
+    b = np.full((sizes.size, t_doc - 1), alpha0)
+    elog_sticks_doc = expect_log_sticks(a, b)
+    stick_prior = (t_doc - 1) * math.log(alpha0)
+
+    running = np.arange(sizes.size)
+    bound = np.full(sizes.size, np.nan)
+    out = [None] * sizes.size
+    for sweep in range(1, max_sweeps + 1):
+        np.matmul(weighted, eb, out=varphi_scores)
+        varphi_scores += elog_sticks
+        varphi_norm = _softmax(varphi_scores, 2, varphi)
+        np.matmul(varphi, eb.transpose(0, 2, 1), out=zeta)
+        zeta += elog_sticks_doc[:, :, None]
+        zeta_norm = _softmax(zeta, 1, zeta)
+        slot_mass = np.multiply(zeta, n[:, None, :], out=weighted).sum(axis=2)
+        a = 1.0 + slot_mass[:, :-1]
+        b = alpha0 + np.flip(np.cumsum(np.flip(slot_mass[:, 1:], 1), axis=1), 1)
+        dg_a, dg_b, dg_ab = digamma(a), digamma(b), digamma(a + b)
+        new_sticks_doc = _log_sticks(dg_a - dg_ab, dg_b - dg_ab)
+        entropy = (
+            gammaln(a) + gammaln(b) - gammaln(a + b)
+            - (a - 1.0) * dg_a - (b - 1.0) * dg_b + (a + b - 2.0) * dg_ab
+        )
+
+        prev = bound
+        bound = (
+            (n * zeta_norm[:, 0, :]).sum(axis=1)
+            + (slot_mass * (new_sticks_doc - elog_sticks_doc)).sum(axis=1)
+            + (varphi @ elog_sticks).sum(axis=1)
+            - np.einsum("btk,btk->b", varphi, varphi_scores) + varphi_norm.sum(axis=(1, 2))
+            + stick_prior
+            + ((alpha0 - 1.0) * (dg_b - dg_ab) + entropy).sum(axis=1)
+        )
+        elog_sticks_doc = new_sticks_doc
+        if not np.isfinite(bound).all():
+            raise NumericalError("document bound became non-finite", sweep=sweep)
+
+        done = np.abs(bound - prev) <= tol * np.maximum(1.0, np.abs(prev))
+        if sweep == max_sweeps:
+            done[:] = True
+        if not done.any():
+            continue
+        for j in np.flatnonzero(done):
+            i = running[j]
+            dv = DocVariational(a[j].copy(), b[j].copy(), varphi[j].copy(), zeta[j, :, : sizes[i]].T.copy())
+            out[i] = (dv, float(bound[j]), sweep)
+        rows = np.flatnonzero(~done)
+        if not rows.size:
+            break
+        for dst, src in enumerate(rows):
+            n[dst], eb[dst], zeta[dst], weighted[dst] = n[src], eb[src], zeta[src], weighted[src]
+        running = running[rows]
+        k, width = rows.size, sizes[running].max()
+        n, eb, zeta, weighted = n[:k, :width], eb[:k, :width], zeta[:k, :, :width], weighted[:k, :, :width]
+        varphi_scores, varphi = varphi_scores[:k], varphi[:k]
+        elog_sticks_doc, bound = elog_sticks_doc[rows], bound[rows]
+    return out
 
 
 def reference_doc_loop(docs, elog_beta, elog_sticks, word_probs, hyper):

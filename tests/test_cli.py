@@ -468,22 +468,37 @@ class TestTimeline:
         assert f"{labels} lines 1 and 4: doc id {docs[0].id!r} is labelled twice" in capsys.readouterr().err
         assert not (tmp_path / "assign.tsv").exists()
 
+    WIDE_K, WIDE_V = 40, 5000
+
+    def train_wide_checkpoint(self, tmp_path, model):
+        """(corpus, checkpoint) of ``model`` trained with WIDE_K topics on 48 documents over WIDE_V words."""
+        corpus, vocab_file = tmp_path / "corpus.jsonl", tmp_path / "vocab.txt"
+        write_canonical(uniform_stream(48, self.WIDE_V, seed=1), corpus)
+        terms = [f"w{i}" for i in range(self.WIDE_V)]
+        write_vocabulary(Vocabulary({t: i for i, t in enumerate(terms)}, terms), vocab_file)
+        ckpt = tmp_path / "m.ckpt"
+        assert main([
+            "train", "--model", model, "--corpus", str(corpus), "--vocab", str(vocab_file), "--checkpoint", str(ckpt),
+            "--tsv", str(tmp_path / "m.tsv"), "--k-corpus", str(self.WIDE_K), "--t-doc", "5", "--batch-size", "24",
+        ]) == 0
+        return corpus, ckpt
+
+    def peak_in_arrays(self, run):
+        """``tracemalloc`` peak of ``run()``, in (WIDE_K, WIDE_V) float64 arrays."""
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / (self.WIDE_K * self.WIDE_V * 8)
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("model", ["ohdp", "cidtm"])
     def test_fit_holds_the_expectations_not_the_model(self, tmp_path, monkeypatch, model):
         """Traced peak from the start of the fit to the end of the command, in
         (K, V) arrays at K=40, V=5000.  Measured: 1.77 for both models; 3.95
         (ohdp) and 6.35 (cidtm) when the whole loaded model stays alive through
         the fit."""
-        k, v = 40, 5000
-        corpus, vocab_file = tmp_path / "corpus.jsonl", tmp_path / "vocab.txt"
-        write_canonical(uniform_stream(48, v, seed=1), corpus)
-        terms = [f"w{i}" for i in range(v)]
-        write_vocabulary(Vocabulary({t: i for i, t in enumerate(terms)}, terms), vocab_file)
-        ckpt = tmp_path / "m.ckpt"
-        assert main([
-            "train", "--model", model, "--corpus", str(corpus), "--vocab", str(vocab_file), "--checkpoint", str(ckpt),
-            "--tsv", str(tmp_path / "m.tsv"), "--k-corpus", str(k), "--t-doc", "5", "--batch-size", "24",
-        ]) == 0
+        corpus, ckpt = self.train_wide_checkpoint(tmp_path, model)
         inner = online_hdp.infer_batch
 
         def measured(*args):
@@ -493,23 +508,36 @@ class TestTimeline:
         monkeypatch.setattr(online_hdp, "infer_batch", measured)
         monkeypatch.setattr("helpers.infer_batch", measured)
 
-        def peak(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1] / (k * v * 8)
-            finally:
-                tracemalloc.stop()
-
         def former():
             modules = {"ohdp": online_hdp, "cidtm": drifting_topics}
             kind, header, arrays = read_checkpoint(ckpt, {name: m.ARRAYS for name, m in modules.items()})
             reference_doc_topic_weights(modules[kind].decode_checkpoint(header, arrays), read_canonical(corpus))
 
-        assert peak(lambda: main([
+        assert self.peak_in_arrays(lambda: main([
             "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus), "--topic", "1",
             "--out-assign", str(tmp_path / "assign.tsv"),
-        ])) < 3.0 < peak(former)
+        ])) < 3.0 < self.peak_in_arrays(former)
+
+    def test_cidtm_timeline_never_holds_the_drift_variances(self, tmp_path):
+        """Traced peak of the whole command, in (K, V) arrays at K=40, V=5000.
+        Measured: 4.14; 5.26 when the decoded model keeps its variances and
+        tracked mask, and 5.13 for decoding the checkpoint and building the
+        expectations alone with them.  The weights are written bit for bit."""
+        corpus, ckpt = self.train_wide_checkpoint(tmp_path, "cidtm")
+        assign = tmp_path / "assign.tsv"
+
+        def former():
+            model = drifting_topics.decode_checkpoint(*read_checkpoint(ckpt, {"cidtm": drifting_topics.ARRAYS})[1:])
+            model.expectations()
+
+        timeline = self.peak_in_arrays(lambda: main([
+            "timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus), "--topic", "1", "--out-assign", str(assign),
+        ]))
+        assert timeline < 4.7 < self.peak_in_arrays(former)
+        model = drifting_topics.load_checkpoint(ckpt)
+        assert model.tracked.any()
+        want = [repr(float(w[1])) for w in reference_doc_topic_weights(model, read_canonical(corpus))]
+        assert [line.split("\t")[3] for line in assign.read_text().splitlines()[1:]] == want
 
     def test_threshold_sweep_monotone(self, tmp_path):
         corpus, ckpt = self.train_checkpoint(tmp_path)
@@ -706,7 +734,7 @@ class TestWorkers:
     @pytest.mark.parametrize("model", ["ohdp", "cidtm"])
     def test_one_and_two_workers_write_the_same_bytes(self, tmp_path, monkeypatch, model):
         """Three batches of four blocks each; with two workers every block is fitted off the calling thread."""
-        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=192)
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=12 * online_hdp.BLOCK_DOCS)
         kernel, fitted_on = online_hdp._fit_block, []
 
         def recording(*args):
@@ -723,7 +751,7 @@ class TestWorkers:
             assert main([
                 "train", "--model", model, "--corpus", str(corpus), "--vocab", str(vocab_file),
                 "--checkpoint", str(out / "m.ckpt"), "--tsv", str(out / "m.tsv"),
-                "--k-corpus", "8", "--t-doc", "4", "--batch-size", "64", "--seed", "42",
+                "--k-corpus", "8", "--t-doc", "4", "--batch-size", str(4 * online_hdp.BLOCK_DOCS), "--seed", "42",
             ]) == 0
             assert main([
                 "timeline", "--checkpoint", str(out / "m.ckpt"), "--corpus", str(corpus),

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 
-from helpers import infer_core, reference_doc_loop, reference_elog_beta, reference_online_update
+from helpers import (
+    infer_core,
+    reference_doc_loop,
+    reference_elog_beta,
+    reference_fit_block,
+    reference_online_update,
+)
 from topicdrift import cli, drifting_topics, online_hdp
 from topicdrift.corpus import Document, doc_words
 from topicdrift.errors import ConfigurationError, NumericalError, ParameterError
@@ -334,8 +340,8 @@ class TestInferBatch:
     def test_every_caller_matches_the_reference_loop(self, monkeypatch):
         """Ids, timestamps, word counts and sweep counts exactly; scores and
         topic weights within 1e-10 relative (the kernel sums in another order)."""
-        docs, _ = drifting_stream(seed=5, pre_docs=60, gap_docs=10, post_docs=30)
-        train, held = docs[:80], docs[80:]
+        docs, _ = drifting_stream(seed=5, pre_docs=60, gap_docs=10, post_docs=BLOCK_DOCS + 14)
+        train, held = docs[:80], docs[80:]  # one whole block and a partial one
         # some of the held-out fits stop on the tolerance, others at the sweep cap
         hyper = HdpHyper(K_corpus=12, T_doc=6)
 
@@ -368,10 +374,11 @@ class TestInferBatch:
 
     @pytest.mark.parametrize("size", [1, BLOCK_DOCS - 1, BLOCK_DOCS, BLOCK_DOCS + 1, 2 * BLOCK_DOCS + 1])
     def test_batch_sizes_around_the_block(self, size, monkeypatch):
-        docs, _ = drifting_stream(seed=11, pre_docs=60, gap_docs=10, post_docs=40)
+        docs, _ = drifting_stream(seed=11, pre_docs=60, gap_docs=10, post_docs=2 * BLOCK_DOCS + 8)
         hyper = HdpHyper(K_corpus=12, T_doc=6)
         snap = trained_snapshot(hyper, docs[:64])
         held = docs[64 : 64 + size]
+        assert len(held) == size
         records, mixtures, ref_sweeps = reference_doc_loop(
             held, snap.elog_beta, snap.elog_sticks, snap.word_probs, hyper
         )
@@ -456,14 +463,16 @@ class TestInferBatch:
             infer_core(words, n, elog[:, words], snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
 
     def test_memory_is_bounded_by_the_block(self):
-        """Fitting 128 documents at K=100, T=20 on the class's two workers
-        holds at most three blocks' arrays at a time.  Measured tracemalloc
-        peaks through ``infer_batch`` (blocks of 16): 3.3 MB with one
-        worker, 6.1 MB with two; 25.1 MB for one 128-document block."""
+        """Fitting eight blocks of documents at K=100, T=20 on the class's two
+        workers holds at most WORKERS + 1 = three blocks' arrays at a time:
+        less than one fit of three blocks' documents.  Measured tracemalloc
+        peaks (blocks of 64): 12.7 MB through ``infer_batch`` with one worker,
+        25.2-25.4 MB with two; 12.5 MB for one block, 37.8 MB for three blocks'
+        documents fitted at once and 100.8 MB for all eight's."""
         rng = np.random.default_rng(15)
         vocab = 2000
         docs = []
-        for i in range(128):
+        for i in range(8 * BLOCK_DOCS):
             words = rng.choice(vocab, int(rng.integers(20, 120)), replace=False)
             docs.append(make_doc({int(w): int(rng.integers(1, 4)) for w in words}, f"d{i}"))
         hyper = HdpHyper(K_corpus=100, T_doc=20)
@@ -477,11 +486,38 @@ class TestInferBatch:
             finally:
                 tracemalloc.stop()
 
+        def fit_at_once(docs):
+            return lambda: online_hdp._fit_block(
+                [doc_words(d) for d in docs], snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
+            )
+
         blocked = peak(lambda: all(True for _ in infer_batch(docs, snap.elog_beta, snap.elog_sticks, hyper)))
-        whole = peak(lambda: online_hdp._fit_block(
-            [doc_words(d) for d in docs], snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
-        ))
-        assert blocked < 8.0 < whole
+        three_blocks = peak(fit_at_once(docs[: (online_hdp.WORKERS + 1) * BLOCK_DOCS]))
+        assert blocked < three_blocks < peak(fit_at_once(docs))
+
+
+
+class TestFitBlock:
+    @pytest.mark.parametrize("k, t, alpha0", [(12, 6, 1.0), (12, 6, 0.2), (12, 6, 3.0), (12, 1, 1.0), (1, 6, 1.0)])
+    def test_matches_the_former_kernel_bit_for_bit(self, k, t, alpha0):
+        """Factors, bounds and sweep counts of one block, with documents that stop
+        on the tolerance, at the sweep cap and with one word, as the kernel gave them
+        with three digamma and three gammaln calls per sweep."""
+        docs, _ = drifting_stream(seed=20, pre_docs=60, gap_docs=10, post_docs=BLOCK_DOCS)
+        hyper = HdpHyper(K_corpus=k, T_doc=t, alpha0=alpha0)
+        snap = trained_snapshot(hyper, docs[:70])
+        fits = [doc_words(d) for d in docs[70:]]
+        fits.insert(3, doc_words(make_doc({7: 3})))
+        args = (snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
+        got, want = online_hdp._fit_block(fits, *args), reference_fit_block(fits, *args)
+        assert len(got) == len(want) == BLOCK_DOCS + 1
+        for (dv, bound, sweeps), (ref, ref_bound, ref_sweeps) in zip(got, want):
+            assert (bound, sweeps) == (ref_bound, ref_sweeps)
+            for name in ("stick_a", "stick_b", "varphi", "zeta"):
+                x, y = getattr(dv, name), getattr(ref, name)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        if t > 1 and k > 1:
+            assert 1 < len({ran for *_, ran in got}) and max(ran for *_, ran in got) == MAX_SWEEPS
 
 
 class TestWorkers:
@@ -503,11 +539,11 @@ class TestWorkers:
         return got, error
 
     def late_block_docs(self, counts):
-        """48 documents, three blocks; the second document of the third block gets ``counts`` added."""
-        docs, _ = drifting_stream(seed=17, pre_docs=80, gap_docs=0, post_docs=30)
+        """Three blocks of documents; the second document of the third block gets ``counts`` added."""
+        docs, _ = drifting_stream(seed=17, pre_docs=3 * BLOCK_DOCS + 32, gap_docs=0, post_docs=30)
         hyper = HdpHyper(K_corpus=10, T_doc=5)
         snap = trained_snapshot(hyper, docs[:60], vocab_size=61)
-        held = docs[60:108]
+        held = docs[60 : 60 + 3 * BLOCK_DOCS]
         late = held[2 * BLOCK_DOCS + 1]
         held[2 * BLOCK_DOCS + 1] = make_doc({**late.counts, **counts}, late.id, late.timestamp)
         assert all(60 not in d.counts for d in docs[:60] + held[: 2 * BLOCK_DOCS])
@@ -529,10 +565,10 @@ class TestWorkers:
 
     def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
         """Ten blocks on eight threads, switching every microsecond: the same yields as one worker."""
-        docs, _ = drifting_stream(seed=18, pre_docs=200, gap_docs=0, post_docs=20)
+        docs, _ = drifting_stream(seed=18, pre_docs=10 * BLOCK_DOCS + 40, gap_docs=0, post_docs=20)
         hyper = HdpHyper(K_corpus=10, T_doc=5)
         snap = trained_snapshot(hyper, docs[:60])
-        held = docs[60:220]
+        held = docs[60 : 60 + 10 * BLOCK_DOCS]
         monkeypatch.setattr(online_hdp, "WORKERS", 1)
         want, _ = self.fit_until_error(held, snap.elog_beta, snap.elog_sticks, hyper)
         monkeypatch.setattr(online_hdp, "WORKERS", 8)
@@ -566,6 +602,50 @@ class TestWorkers:
         got, error = self.fit_until_error(held, snap.elog_beta, snap.elog_sticks, hyper)
         assert got == want and len(got) == 2 * BLOCK_DOCS
         assert isinstance(error, ParameterError) and "61" in str(error)
+
+
+
+class TestBlockLayout:
+    """A document's fit depends on its block mates only in the last bits, so the block size is free to change."""
+
+    @staticmethod
+    def stream_fit(make_model, docs, block_docs):
+        """(records, topic weights, sweep counts) per document of a score-then-learn run with ``block_docs``."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(online_hdp, "BLOCK_DOCS", block_docs)
+            sweeps, weights, inner = record_sweeps(mp), [], online_hdp.infer_batch
+
+            def recording(*args):
+                for fit in inner(*args):
+                    weights.append(fit[-1])
+                    yield fit
+
+            mp.setattr(online_hdp, "infer_batch", recording)
+            records = prequential_run(make_model(), docs, batch_size=5 * BLOCK_DOCS // 2 + 3)
+        return records, weights, in_block_order(sweeps)
+
+    @pytest.mark.parametrize("model", ["ohdp", "cidtm"])
+    def test_sixteen_document_blocks_match_the_shipped_size(self, model):
+        """Identical sweep counts; scores within 1e-12 relative.  Topic weights
+        within 1e-12 of the document's largest weight, and within 1e-10
+        relative each: a weight of 5e-116 moved by 1.2e-12 relative, as its
+        log, near -265, moved in the last bits."""
+        docs, _ = drifting_stream(seed=19, pre_docs=4 * BLOCK_DOCS, gap_docs=30, post_docs=2 * BLOCK_DOCS)
+        hyper = HdpHyper(K_corpus=12, T_doc=6)
+        cfg = drifting_topics.CidtmConfig(hyper=hyper, drift_v=0.02, relevance_threshold=0.2)
+        make_model = {
+            "ohdp": lambda: OnlineHdp(hyper, 60, corpus_scale=len(docs), seed=3),
+            "cidtm": lambda: drifting_topics.DriftingTopicModel(cfg, 60, len(docs), seed=3),
+        }[model]
+        assert BLOCK_DOCS != 16
+        records, weights, sweeps = self.stream_fit(make_model, docs, 16)
+        want_records, want_weights, want_sweeps = self.stream_fit(make_model, docs, BLOCK_DOCS)
+        assert sweeps == want_sweeps and len(sweeps) == len(docs) and 1 < len(set(sweeps))
+        assert [(i, t, c) for i, t, _, c in records] == [(i, t, c) for i, t, _, c in want_records]
+        np.testing.assert_allclose([r[2] for r in records], [r[2] for r in want_records], rtol=1e-12, atol=0)
+        for got, want in zip(weights, want_weights, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 class TestHeldout:
