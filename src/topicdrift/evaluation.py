@@ -9,8 +9,8 @@ import numpy as np
 from .errors import ParameterError
 
 UNDEFINED = None  # marker for ratios with an empty denominator
-# runtime_benchmark trains each prefix this many times and reports the median
-REPEATS = 3
+# runtime_benchmark trains each prefix this many times and reports the fastest
+REPEATS = 5
 
 
 @dataclass
@@ -126,9 +126,9 @@ def runtime_benchmark(model_kind, docs, prefix_sizes, config):
     Prefix sizes must be ascending and within the corpus.  A discarded
     warm-up run on the smallest prefix excludes interpreter and cache
     effects; all timed runs are sequential in one process.  Each prefix
-    is timed REPEATS times and reported by the median, so one slow run
-    does not move the result.  The repeats run in rounds that time every
-    prefix once, so a swing in the host's speed reaches all prefixes alike.
+    is timed REPEATS times and reported by its fastest run, as load only
+    slows a run; each round times every prefix once, every other round in
+    reverse order, so the host's swings reach all prefixes alike.
     """
     sizes = list(prefix_sizes)
     if sizes != sorted(sizes) or (sizes and sizes[-1] > len(docs)):
@@ -136,12 +136,12 @@ def runtime_benchmark(model_kind, docs, prefix_sizes, config):
     if sizes:
         _train_once(model_kind, docs[: min(sizes[0], 200)], config)
     seconds = [[] for _ in sizes]
-    for _ in range(REPEATS):
-        for size, times in zip(sizes, seconds):
+    for r in range(REPEATS):
+        for size, times in list(zip(sizes, seconds))[:: -1 if r % 2 else 1]:
             start = time.perf_counter()
             _train_once(model_kind, docs[:size], config)
             times.append(time.perf_counter() - start)
-    return [(size, float(np.median(times))) for size, times in zip(sizes, seconds)]
+    return [(size, min(times)) for size, times in zip(sizes, seconds)]
 
 
 def write_series_tsv(series, path):

@@ -7,7 +7,7 @@ training timestamp (knot) become log-probability pseudo-observations
 that are smoothed through the scalar Kalman machinery, one track per
 (topic, word).  The topic count K never changes.  Training and held-out
 scoring fit their documents through one loop, ``_fit_blocks``:
-BLOCK_DOCS documents at a time with one batched kernel,
+online_hdp.BLOCK_DOCS documents at a time with one batched kernel,
 ``_mixture_e_step``, in factored form: a block's word probabilities are
 exponentiated once, so an iteration exponentiates only K values per
 document.
@@ -24,7 +24,7 @@ observations of the word, its last value after its last observation,
 ``m0 + (P0 + v (t - t0)) / (P0 + v (a - t0)) * (m_a - m0)`` before its
 first observation at ``a``, and the prior mean ``m0`` for a word never
 observed; timestamps outside the knots clamp to the end knots.  So
-memory is O(K·P) plus one (K, V) array per timestamp asked for.
+memory is O(K·P) plus the (K, V) array of one timestamp at a time.
 """
 
 import math
@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import digamma, gammaln
 
+from . import online_hdp
 from .checkpoint import config_from, header_value, read_checkpoint, write_checkpoint
 from .corpus import vocab_words
 from .drifting_topics import PRIOR_VARIANCE, SECONDS_PER_DAY, CidtmConfig
@@ -42,11 +43,6 @@ from .kalman import pair_filter, pair_smoother
 # every document fit stops after MAX_ITER iterations or once mean |delta gamma| < TOL
 MAX_ITER = 50
 TOL = 1e-4
-# documents fitted together; a block's padded (B, M, K) log-probs are the kernel's extra memory.  It
-# stays below online_hdp's 64 because a block also holds one (K, V) log-prob array per distinct stamp
-# of its documents: at one stamp per document, 64-document blocks at K=50, V=20000 would hold 512 MB.
-# On day stamps (cdtm-daily) 64-document blocks were 5-20% faster for +5 MB.
-BLOCK_DOCS = 16
 # pseudo-count added to every (knot, word) expected count before it becomes an observation
 SMOOTHING = 0.01
 
@@ -148,17 +144,16 @@ def _block_bounds(n, lp, phi, gamma, alpha):
     return words + prior - entropy
 
 
-def _mixture_e_step(fits, logps, alpha, bounds=True):
+def _mixture_e_step(fits, lp, alpha, bounds=True):
     """Variational mixture fit of a block of documents against fixed topic log-probs.
 
-    ``fits`` holds (words, counts) per document and ``logps`` the (K, V)
-    log-probs each document is fitted against.  The block's log-probs at
-    its words are padded to (B, M, K) with zero counts and exponentiated
-    once, shifted by each word's maximum over K (the shift cancels in
-    phi).  Since phi_mk is proportional to exp(Elog theta_k) exp(logp_mk),
-    an iteration then takes K exponentials per document and two stacked
-    matmuls: the normalizers z = beta @ exp(Elog theta) and the topic
-    counts exp(Elog theta) * ((n / z) @ beta).  A document stops at its
+    ``fits`` holds (words, counts) per document and ``lp``, never modified,
+    the (B, M, K) log-probs at their words, zero-padded to the widest.  They
+    are exponentiated once, shifted by each word's maximum over K (the shift
+    cancels in phi).  Since phi_mk is proportional to exp(Elog theta_k)
+    exp(logp_mk), an iteration then takes K exponentials per document and
+    two stacked matmuls: the normalizers z = beta @ exp(Elog theta) and the
+    topic counts exp(Elog theta) * ((n / z) @ beta).  A document stops at its
     own iteration: once mean |delta gamma| < TOL, or after MAX_ITER; the
     phi and bounds of the documents that stop together are built in one
     pass over their padded rows.  The documents still running are moved
@@ -168,13 +163,11 @@ def _mixture_e_step(fits, logps, alpha, bounds=True):
     bound are None unless ``bounds``.
     """
     sizes = np.array([len(words) for words, _ in fits])
-    k = logps[0].shape[0]
-    n = np.zeros((sizes.size, sizes.max()))
-    lp = np.zeros((sizes.size, sizes.max(), k))     # (B, M, K)
+    k = lp.shape[2]
+    n = np.zeros(lp.shape[:2])
     gamma = np.empty((sizes.size, k))
-    for i, ((words, counts), logp) in enumerate(zip(fits, logps)):
+    for i, (_, counts) in enumerate(fits):
         n[i, : sizes[i]] = counts
-        lp[i, : sizes[i]] = logp[:, words].T
         gamma[i] = alpha + counts.sum() / k
     beta = np.exp(lp - lp.max(axis=2, keepdims=True))
 
@@ -196,7 +189,7 @@ def _mixture_e_step(fits, logps, alpha, bounds=True):
         stop = np.flatnonzero(done)
         if bounds:
             phi = beta[stop] * et[stop, None, :] / z[stop, :, None]
-            bound = _block_bounds(n[stop], lp[stop], phi, gamma[stop], alpha)
+            bound = _block_bounds(n[stop], lp[running[stop], : n.shape[1]], phi, gamma[stop], alpha)
             if not np.isfinite(bound).all():
                 raise NumericalError("document bound became non-finite", sweep=it)
         for r, j in enumerate(stop):
@@ -207,28 +200,35 @@ def _mixture_e_step(fits, logps, alpha, bounds=True):
         if not rows.size:
             break
         for dst, src in enumerate(rows):  # rows only move forward
-            n[dst], lp[dst], beta[dst] = n[src], lp[src], beta[src]
+            n[dst], beta[dst] = n[src], beta[src]
         running = running[rows]
         b, width = rows.size, sizes[running].max()
-        n, lp, beta = n[:b, :width], lp[:b, :width], beta[:b, :width]
+        n, beta = n[:b, :width], beta[:b, :width]
         gamma = gamma[rows]
     return out
 
 
-def _fit_blocks(fits, stamps, logp_at, alpha, bounds):
+def _fit_blocks(fits, stamps, logp_at, k, alpha, bounds):
     """``_mixture_e_step`` over documents BLOCK_DOCS at a time; yields (log-probs, fit) per document, in order.
 
     Document i is fitted against ``logp_at(stamps[i])``, the (K, V)
-    log-probs at its timestamp.  A block builds those of each of its
-    distinct stamps once and reuses the previous block's, so a run of
-    consecutive blocks that share a stamp builds its log-probs once.
+    log-probs at its timestamp.  A block builds those of each distinct
+    stamp once, copies its documents' columns into one padded (B, M, K)
+    array and drops them before it builds the next stamp's, so it holds
+    one (K, V) array at a time; a document's log-probs are its (M, K) rows.
     """
-    logps = {}
-    for start in range(0, len(fits), BLOCK_DOCS):
-        block = slice(start, start + BLOCK_DOCS)
-        logps = {ts: logps[ts] if ts in logps else logp_at(ts) for ts in dict.fromkeys(stamps[block])}
-        doc_logps = [logps[ts] for ts in stamps[block]]
-        yield from zip(doc_logps, _mixture_e_step(fits[block], doc_logps, alpha, bounds))
+    size = online_hdp.BLOCK_DOCS
+    for start in range(0, len(fits), size):
+        block, at = fits[start : start + size], np.asarray(stamps[start : start + size])
+        lp = np.zeros((len(block), max(len(words) for words, _ in block), k))
+        for ts in dict.fromkeys(at.tolist()):
+            logp = logp_at(ts)
+            for i in np.flatnonzero(at == ts):
+                words = block[i][0]
+                lp[i, : len(words)] = logp[:, words].T
+            del logp
+        fitted = _mixture_e_step(block, lp, alpha, bounds)
+        yield from ((doc_lp[: len(words)], fit) for doc_lp, (words, _), fit in zip(lp, block, fitted))
 
 
 def _smooth_topics(knots, pairs, vocab_size, expected, config):
@@ -264,7 +264,7 @@ def train_cdtm(train_docs, config, rng, vocab_size):
 
     The per-sweep objective (sum of per-document bounds) is recorded on
     the returned model.  Documents are fitted by ``_fit_blocks``, so a
-    sweep holds the log-probs of the current block's knots only.  The
+    sweep holds the log-probs of one knot at a time.  The
     first sweep fits every document against one random (K, V) draw
     around the uniform level; every later one against the model smoothed
     by the sweep before.
@@ -289,7 +289,7 @@ def train_cdtm(train_docs, config, rng, vocab_size):
     for _ in range(config.sweeps):
         objective = 0.0
         expected = np.zeros((config.K, pairs.size))
-        fitted = _fit_blocks(fits, ts, logp_at, config.alpha, bounds=True)
+        fitted = _fit_blocks(fits, ts, logp_at, config.K, config.alpha, bounds=True)
         for (_, n), cols, (_, (_, phi, bound)) in zip(fits, columns, fitted):
             objective += bound
             expected[:, cols] += (phi * n[:, None]).T
@@ -309,12 +309,12 @@ def cdtm_heldout_loglik(model, docs):
     mixture posterior is fitted: no phi, no bound.
     """
     fits = vocab_words(docs, model.vocab_size)
-    fitted = _fit_blocks(fits, [doc.timestamp for doc in docs], model.log_word_probs_at, model.config.alpha,
-                         bounds=False)
+    fitted = _fit_blocks(fits, [doc.timestamp for doc in docs], model.log_word_probs_at, model.config.K,
+                         model.config.alpha, bounds=False)
     records = []
-    for doc, (words, n), (logp, (gamma, _, _)) in zip(docs, fits, fitted):
+    for doc, (_, n), (lp, (gamma, _, _)) in zip(docs, fits, fitted):
         theta = gamma / gamma.sum()
-        per_word = theta @ np.exp(logp[:, words])
+        per_word = np.exp(lp) @ theta
         records.append((doc.id, doc.timestamp, float(np.dot(n, np.log(per_word))), int(n.sum())))
     return records
 

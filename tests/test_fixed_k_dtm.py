@@ -18,13 +18,12 @@ from helpers import (
     reference_train_cdtm,
     set_payload_array,
 )
-from topicdrift import fixed_k_dtm
+from topicdrift import fixed_k_dtm, online_hdp
 from topicdrift.checkpoint import write_checkpoint
 from topicdrift.corpus import Document
 from topicdrift.errors import NumericalError, ParameterError
 from topicdrift.drifting_topics import SECONDS_PER_DAY
 from topicdrift.fixed_k_dtm import (
-    BLOCK_DOCS,
     MAX_ITER,
     CdtmConfig,
     CdtmModel,
@@ -36,6 +35,7 @@ from topicdrift.fixed_k_dtm import (
     train_cdtm,
 )
 from topicdrift.kalman import DriftConfig
+from topicdrift.online_hdp import BLOCK_DOCS
 from topicdrift.synthetic import three_topic_corpus, uniform_stream
 
 
@@ -160,7 +160,8 @@ class TestHeldout:
         ((_, _, total, _),) = cdtm_heldout_loglik(model, [doc])
 
         logp = model.log_word_probs_at(0.5)
-        ((gamma, _, _),) = _mixture_e_step([([0, 1, 2], np.array([2.0, 1.0, 3.0]))], [logp], 1.0)
+        fit = ([0, 1, 2], np.array([2.0, 1.0, 3.0]))
+        ((gamma, _, _),) = _mixture_e_step([fit], gathered([fit], [logp]), 1.0)
         theta = gamma / gamma.sum()
         oracle = sum(
             c * math.log(sum(theta[k] * math.exp(logp[k, w]) for k in range(2)))
@@ -182,13 +183,31 @@ class TestHeldout:
             calls.append(ts)
             return original(ts)
         monkeypatch.setattr(model, "log_word_probs_at", counted)
-        stamps = [1.0] * 20 + [2.0] * 20 + [3.0] * 3 + [1.0] * 5
+        stamps = [1.0] * (BLOCK_DOCS + 4) + [2.0] * (BLOCK_DOCS - 8) + [3.0] * 3 + [1.0] * (BLOCK_DOCS + 1)
         docs = [Document(f"d{i}", ts, {i % 100: 2}) for i, ts in enumerate(stamps)]
         records = cdtm_heldout_loglik(model, docs)
-        # three blocks: a stamp is built where it first appears and carried into the next block
+        # three blocks: each builds its distinct stamps once, in order of first appearance, and none
+        # is carried into the next block
         assert len(docs) == 3 * BLOCK_DOCS
-        assert calls == [1.0, 2.0, 3.0]
+        assert calls == [1.0, 1.0, 2.0, 3.0, 1.0]
         assert [r[2] for r in records] == pytest.approx([2 * math.log(1 / 100)] * len(docs), rel=1e-9)
+
+    def test_heldout_peak_holds_one_stamp_at_a_time(self):
+        """A block of documents at distinct stamps holds one stamp's (K, V) log-probs at a time."""
+        k, vocab = 20, 5000
+        docs = uniform_stream(2 * BLOCK_DOCS, vocab, seed=4)
+        model = train_cdtm(docs[::2], cdtm_config(k, 1e-6, 1), np.random.default_rng(0), vocab_size=vocab)
+        held = docs[1::2]
+        assert len(held) == len({d.timestamp for d in held}) == BLOCK_DOCS
+        tracemalloc.start()
+        try:
+            cdtm_heldout_loglik(model, held)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # building one stamp's log-probs takes a few (K, V) temporaries; a block that kept each stamp's
+        # array until its fit would hold BLOCK_DOCS of them
+        assert peak < 6 * k * vocab * 8
 
     def test_interpolation_between_knots(self):
         model = every_pair_observed([0.0, 10.0], np.array([[[0.0, 0.0], [2.0, 0.0]]]))
@@ -214,9 +233,19 @@ def assert_close(actual, desired):
     np.testing.assert_allclose(actual, desired, rtol=1e-10, atol=0)
 
 
+def gathered(fits, logps):
+    """Each document's (K, V) log-probs read at its words, as one zero-padded (B, M, K) array."""
+    lp = np.zeros((len(fits), max(len(words) for words, _ in fits), logps[0].shape[0]))
+    for i, ((words, _), logp) in enumerate(zip(fits, logps)):
+        lp[i, : len(words)] = logp[:, words].T
+    return lp
+
+
 def assert_matches_one_document_fits(fits, logps, alpha):
     """Each document's gamma, phi and bound against the former one-document fit; returns its iterations."""
-    fitted = _mixture_e_step(fits, logps, alpha)
+    lp = gathered(fits, logps)
+    fitted = _mixture_e_step(fits, lp, alpha)
+    np.testing.assert_array_equal(lp, gathered(fits, logps))  # the kernel reads its input, never writes it
     assert len(fitted) == len(fits)
     ran = []
     for (words, n), logp, (gamma, phi, bound) in zip(fits, logps, fitted):
@@ -256,7 +285,7 @@ class TestBlockKernel:
         logps[1] = logps[1].copy()
         logps[1][:, fits[1][0][0]] = np.nan
         with pytest.raises(NumericalError, match="mixture"):
-            _mixture_e_step(fits, logps, 0.5)
+            _mixture_e_step(fits, gathered(fits, logps), 0.5)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
     def test_word_impossible_under_a_topic_raises_numerical_error(self):
@@ -265,7 +294,7 @@ class TestBlockKernel:
         logps[2] = logps[2].copy()
         logps[2][0, fits[2][0][0]] = -np.inf
         with pytest.raises(NumericalError, match="bound"):
-            _mixture_e_step(fits, logps, 0.5)
+            _mixture_e_step(fits, gathered(fits, logps), 0.5)
 
 
 def daily_stream():
@@ -277,12 +306,13 @@ def daily_stream():
 def unsorted_heldout(docs, train, rng):
     """Held-out documents out of time order: between the knots, on them, before and after them.
 
-    Groups of documents share a timestamp, so blocks reuse log-probs.
+    Groups of BLOCK_DOCS / 4 documents share a timestamp, so a block builds
+    one stamp's log-probs for several documents.
     """
     first, last = train[0].timestamp, train[-1].timestamp
     stamps = [first - 7200.0, first - 1.0, docs[41].timestamp + 1800.0, last + 1.0, last + 86400.0]
     shared = [dataclasses.replace(d, id=f"{d.id}-{j}", timestamp=ts)
-              for j, ts in enumerate(stamps) for d in docs[10 * j: 10 * j + 6]]
+              for j, ts in enumerate(stamps) for d in docs[10 * j: 10 * j + BLOCK_DOCS // 4]]
     held = docs[1::2] + shared + [dataclasses.replace(d, id=d.id + "-k") for d in train[:5]]
     return [held[i] for i in rng.permutation(len(held))]
 
@@ -312,11 +342,16 @@ def probe_times(knots):
 class TestMatchesPerDocumentLoops:
     """Training and scoring against the former dense per-document loops (tests/helpers.py), within 1e-10."""
 
-    @pytest.mark.parametrize("stream", ["daily", "distinct"])
-    def test_states_objective_and_scores(self, stream):
+    @staticmethod
+    def split(stream):
+        """The training documents and the unsorted held-out documents of the "daily" or "distinct" stream."""
         docs = daily_stream() if stream == "daily" else uniform_stream(150, 30, seed=5)
         train = with_edge_words(docs[::2])
-        held = unsorted_heldout(docs, train, np.random.default_rng(9))
+        return train, unsorted_heldout(docs, train, np.random.default_rng(9))
+
+    @pytest.mark.parametrize("stream", ["daily", "distinct"])
+    def test_states_objective_and_scores(self, stream):
+        train, held = self.split(stream)
         if stream == "daily":
             assert len({d.timestamp for d in train}) < len(train) / 2
         else:
@@ -339,6 +374,24 @@ class TestMatchesPerDocumentLoops:
             records, ref_records = cdtm_heldout_loglik(model, held), reference_cdtm_heldout(ref, held)
             assert [(i, ts, n) for i, ts, _, n in records] == [(i, ts, n) for i, ts, _, n in ref_records]
             assert_close([r[2] for r in records], [r[2] for r in ref_records])
+
+    @pytest.mark.parametrize("stream", ["daily", "distinct"])
+    def test_sixteen_document_blocks_match_the_shipped_size(self, stream, monkeypatch):
+        """The block size moves only the last bits of the states, the objective and the scores."""
+        assert BLOCK_DOCS != 16
+        train, held = self.split(stream)
+        cfg = CdtmConfig(K=4, alpha=0.7, drift_v=0.0864, sweeps=3)
+
+        def fitted():
+            model = train_cdtm(train, cfg, np.random.default_rng(2), vocab_size=EDGE_VOCAB)
+            return model, cdtm_heldout_loglik(model, held)
+        want, want_records = fitted()
+        monkeypatch.setattr(online_hdp, "BLOCK_DOCS", 16)
+        got, records = fitted()
+        assert_close(got.means, want.means)
+        assert_close(got.objective_trace, want.objective_trace)
+        assert [(i, ts, n) for i, ts, _, n in records] == [(i, ts, n) for i, ts, _, n in want_records]
+        assert_close([r[2] for r in records], [r[2] for r in want_records])
 
 
 def smoothing_inputs(k=20, s=30, v=100, seed=0):
