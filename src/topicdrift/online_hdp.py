@@ -16,8 +16,8 @@ one batched kernel, ``_fit_block``: the block's evidence is padded to
 (B, M, K), every update is a stacked matmul or one vectorized special
 function call, and each document still stops at its own sweep.  Given
 the corpus state the blocks are independent, so up to WORKERS of them
-are fitted on worker threads while the caller consumes the one before;
-a caller holds at most WORKERS + 1 blocks' factors.  Corpus-level
+are checked and fitted on worker threads while the caller consumes the
+one before; a caller holds at most WORKERS + 1 blocks' factors.  Corpus-level
 learning is a stochastic natural-gradient step with rate
 rho_t = (tau0 + t)^(-kappa) that blends the current state with the
 batch estimate scaled up to corpus size.
@@ -30,10 +30,11 @@ is the one fit-and-score loop and ``prequential_run`` the one stream
 runner of both online models.
 """
 
+import functools
 import math
 import os
 from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -315,28 +316,24 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     return out
 
 
-class _CallingThread(Executor):
-    """Runs each submitted call at once on the calling thread: the one-worker stand-in for a pool."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as err:
-            future.set_exception(err)
-        return future
+def _fit_checked(block, elog_beta, elog_sticks, hyper):
+    """(fits, fitted) of one block; ``vocab_words`` checks its words first."""
+    fits = vocab_words(block, elog_beta.shape[1])
+    return fits, _fit_block(fits, elog_beta, elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
 
 
-def _submit_block(pool, block, elog_beta, elog_sticks, hyper):
-    """(fits, future fit) of one block.  Its words are checked on the calling thread; a ParameterError
-    waits in the future, so that it is raised when the block's turn comes, as the one-worker loop does."""
-    try:
-        fits = vocab_words(block, elog_beta.shape[1])
-    except ParameterError as err:
-        failed = Future()
-        failed.set_exception(err)
-        return [], failed
-    return fits, pool.submit(_fit_block, fits, elog_beta, elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
+def _in_order(fit, blocks):
+    """``map(fit, blocks)`` on WORKERS threads.  Block i + WORKERS is submitted once block i is done, so
+    every submitted block has a thread; leaving the ``with`` joins them when the stream ends, fails or is
+    abandoned."""
+    with ThreadPoolExecutor(WORKERS, thread_name_prefix="infer_batch") as pool:
+        pending = deque(pool.submit(fit, block) for block in blocks[:WORKERS])
+        for i in range(WORKERS, len(blocks) + WORKERS):
+            done = pending.popleft().result()
+            if i < len(blocks):
+                pending.append(pool.submit(fit, blocks[i]))
+            yield done
+            del done  # the block's factors are freed before the next block is awaited
 
 
 def infer_batch(docs, elog_beta, elog_sticks, hyper):
@@ -347,13 +344,14 @@ def infer_batch(docs, elog_beta, elog_sticks, hyper):
     document, lazily and in order.  A document with no words, or with one
     outside [0, V), raises ParameterError when its block's turn comes.
 
-    With WORKERS > 1 and at least two blocks, only ``_fit_block`` runs on
-    a pool of WORKERS threads: block i + WORKERS is submitted before block
-    i's documents are yielded, so a caller holds at most WORKERS + 1
-    blocks' factors.  Word checks, topic weights and whatever the caller
-    does with each document stay on the calling thread.  Otherwise the
-    same loop fits each block on the calling thread as its turn comes.
-    Either way the yields, and the error raised, are bit-identical.
+    With WORKERS > 1 and at least two blocks, each block's task, the word
+    check and ``_fit_block``, runs on a pool of WORKERS threads: block
+    i + WORKERS is submitted before block i's documents are yielded, so a
+    caller holds at most WORKERS + 1 blocks' factors.  A block's
+    ParameterError is raised at the block's turn, and topic weights stay
+    on the calling thread.  Otherwise the built-in ``map`` fits each block
+    on the calling thread as its turn comes.  Either way the yields, and
+    the error raised, are bit-identical.
 
     WORKERS is one per CPU the process may run on, at most 4: memory grows
     by a block's working arrays per worker, and the share of the kernel
@@ -371,21 +369,12 @@ def infer_batch(docs, elog_beta, elog_sticks, hyper):
     the WORKERS + 1 blocks' factors a caller holds grow alike.
     """
     blocks = list(batch_iter(docs, BLOCK_DOCS))
-    ahead = WORKERS if WORKERS > 1 and len(blocks) > 1 else 0
-    pool = ThreadPoolExecutor(ahead, thread_name_prefix="infer_batch") if ahead else _CallingThread()
-    try:
-        pending = deque()
-        for i in range(len(blocks) + ahead):
-            if i < len(blocks):
-                pending.append(_submit_block(pool, blocks[i], elog_beta, elog_sticks, hyper))
-            if i >= ahead:
-                fits, fitted = pending.popleft()
-                for (words, n), (dv, bound, _) in zip(fits, fitted.result()):
-                    yield words, n, dv, bound, doc_topic_mixture(dv)
-                del fits, fitted  # the block's factors are freed before the next block is fitted
-    finally:
-        # an abandoned or failed iteration drops the queued blocks and joins the threads
-        pool.shutdown(wait=True, cancel_futures=True)
+    fit = functools.partial(_fit_checked, elog_beta=elog_beta, elog_sticks=elog_sticks, hyper=hyper)
+    fitted_blocks = map(fit, blocks) if WORKERS == 1 or len(blocks) == 1 else _in_order(fit, blocks)
+    for fits, fitted in fitted_blocks:
+        for (words, n), (dv, bound, _) in zip(fits, fitted):
+            yield words, n, dv, bound, doc_topic_mixture(dv)
+        del fits, fitted  # the block's factors are freed before the next block is fitted
 
 
 def accumulate_stats(stats, dv, words, n):

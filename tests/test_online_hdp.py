@@ -291,18 +291,25 @@ class TestTopicWordProbs:
 def record_sweeps(monkeypatch):
     """Collect the per-document sweep counts of every block the kernel fits, in block order.
 
-    Blocks may be fitted on worker threads and finish in any order, so each
-    block's slot is made when ``infer_batch`` checks its words, on the
-    calling thread in block order, and the kernel fills the slot of the
-    ``fits`` list it is given.  Returns the list of slots.
+    Blocks may be checked and fitted on worker threads, in any order, so
+    each block's slot is made when ``batch_iter`` cuts it, on the calling
+    thread in block order.  The word check maps the block's ``fits`` list
+    to that slot, and the kernel fills the slot of the ``fits`` it is
+    given.  Returns the list of slots; a stream's batches, which are cut
+    the same way, leave theirs empty.
     """
     blocks, slot_of = [], {}
-    check, kernel = online_hdp.vocab_words, online_hdp._fit_block
+    cut, check, kernel = online_hdp.batch_iter, online_hdp.vocab_words, online_hdp._fit_block
 
-    def checking(*args):
-        fits = check(*args)
-        slot_of[id(fits)] = (fits, [])  # kept alive, so that no later list takes its id
-        blocks.append(slot_of[id(fits)][1])
+    def cutting(*args):
+        for block in cut(*args):
+            slot_of[id(block)] = (block, [])  # kept alive, so that no later list takes its id
+            blocks.append(slot_of[id(block)][1])
+            yield block
+
+    def checking(block, *args):
+        fits = check(block, *args)
+        slot_of[id(fits)] = (fits, slot_of[id(block)][1])
         return fits
 
     def recording(fits, *args):
@@ -310,6 +317,7 @@ def record_sweeps(monkeypatch):
         slot_of[id(fits)][1].extend(ran for *_, ran in fitted)
         return fitted
 
+    monkeypatch.setattr(online_hdp, "batch_iter", cutting)
     monkeypatch.setattr(online_hdp, "vocab_words", checking)
     monkeypatch.setattr(online_hdp, "_fit_block", recording)
     return blocks
@@ -395,6 +403,26 @@ class TestInferBatch:
             np.testing.assert_allclose(theta, want, rtol=1e-10, atol=0)
             np.testing.assert_allclose(dv.varphi.sum(axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(dv.zeta.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_one_block_is_fitted_on_the_calling_thread(self, monkeypatch):
+        """At two workers a batch of exactly one block starts no thread: its kernel
+        runs on the main thread, and the yields are those of one worker."""
+        docs, _ = drifting_stream(seed=21, pre_docs=60, gap_docs=0, post_docs=BLOCK_DOCS)
+        hyper = HdpHyper(K_corpus=12, T_doc=6)
+        snap = trained_snapshot(hyper, docs[:60])
+        held = docs[60:]
+        assert len(held) == BLOCK_DOCS
+        threads, kernel, fitted_on = threading.active_count(), online_hdp._fit_block, []
+
+        def recording(*args):
+            fitted_on.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+            return kernel(*args)
+
+        monkeypatch.setattr(online_hdp, "_fit_block", recording)
+        got = TestWorkers.fit_until_error(held, snap.elog_beta, snap.elog_sticks, hyper)
+        assert fitted_on == [(True, threads)] and len(got[0]) == BLOCK_DOCS
+        monkeypatch.setattr(online_hdp, "WORKERS", 1)
+        assert TestWorkers.fit_until_error(held, snap.elog_beta, snap.elog_sticks, hyper) == got
 
     @pytest.mark.parametrize("alpha0", [0.2, 1.0, 3.0])
     def test_bounds_and_factors_match_the_reference(self, alpha0):
