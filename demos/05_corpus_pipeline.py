@@ -40,9 +40,10 @@ print(f"vocabulary: {stats['vocabulary_size']} terms, "
       f"mean unique terms/doc {stats['mean_unique_terms']:.1f}")
 
 with tempfile.TemporaryDirectory() as tmp:
-    out = Path(tmp) / "corpus.jsonl"
+    out, again = Path(tmp) / "corpus.jsonl", Path(tmp) / "again.jsonl"
     write_canonical(docs, out)
-    assert read_canonical(out) == docs
+    write_canonical(read_canonical(out), again)
+    assert again.read_bytes() == out.read_bytes()
 print(f"canonical round-trip through {out.name}: exact")
 
 print("\n== line records ==")

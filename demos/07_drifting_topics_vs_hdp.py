@@ -14,7 +14,7 @@ from topicdrift.online_hdp import HdpHyper, OnlineHdp, prequential_run
 from topicdrift.synthetic import drifting_stream
 
 docs, post_gap_a = drifting_stream(seed=0)
-vocab = 1 + max(max(d.counts) for d in docs)
+vocab = 1 + max(int(d.words[-1]) for d in docs)
 print(f"stream: {len(docs)} documents, {len(post_gap_a)} post-gap documents "
       "from the shifted topic")
 

@@ -10,8 +10,9 @@ Two input layouts are supported:
   ``2010/08/09 15:51:53``.
 
 Normalized documents are timestamped sparse bags of words over a fixed
-vocabulary, written to a line-delimited JSON canonical format that
-round-trips bit-exactly.
+vocabulary, held as arrays of ascending word indices and their counts,
+which only this module builds; they are written to a line-delimited JSON
+canonical format that round-trips bit-exactly.
 """
 
 import json
@@ -44,13 +45,20 @@ class RawDocument:
 
 @dataclass(frozen=True)
 class Document:
-    """Timestamped sparse bag of words over vocabulary indices."""
+    """Timestamped bag of words: its distinct vocabulary indices ``words``, ascending, and their ``counts``."""
 
     id: str
     timestamp: float
-    counts: dict  # word index -> count
+    words: np.ndarray  # (M,) np.intp
+    counts: np.ndarray  # (M,) float64
     related: tuple = ()
     title: str = ""
+
+    @classmethod
+    def from_counts(cls, id, timestamp, counts, related=(), title=""):
+        """The document of a {word index: count} mapping."""
+        words = np.array(sorted(counts), np.intp)
+        return cls(id, timestamp, words, np.array([counts[w] for w in words.tolist()], float), tuple(related), title)
 
 
 @dataclass
@@ -244,23 +252,28 @@ def to_documents(tokenized, vocab, format_hint):
     Every timestamp is parsed in ``format_hint``'s format, "reuters" or
     "bbc".  Out-of-vocabulary terms are dropped; records left with no
     in-vocabulary terms are excluded, but their timestamps are still
-    checked.  Each distinct timestamp text is parsed once.  Each bag is
-    released as soon as its document is built, so ``tokenized`` can be
-    normalized only once.
+    checked.  Each distinct timestamp text is parsed once.  All records'
+    arrays are built in one pass and the bags released, so ``tokenized``
+    can be normalized only once; each document holds slices of them.
     """
-    index = [vocab.term_to_index.get(t) for t in tokenized.terms]
-    bags = tokenized.bags
-    stamps = {}
-    out = []
-    for i, record in enumerate(tokenized.records):
+    index = np.array([vocab.term_to_index.get(t, -1) for t in tokenized.terms], dtype=np.intp)
+    sizes = np.fromiter(map(len, tokenized.bags), np.intp, len(tokenized.bags))
+    words = index[np.fromiter(chain.from_iterable(tokenized.bags), np.intp, sizes.sum())]
+    counts = np.fromiter(chain.from_iterable(map(dict.values, tokenized.bags)), float, words.size)
+    tokenized.bags[:] = [None] * sizes.size
+    keys = np.repeat(np.arange(sizes.size) * vocab.size, sizes) + words  # record * V + word
+    kept = np.flatnonzero(words >= 0)
+    kept = kept[np.argsort(keys[kept])]
+    words, counts, keys = words[kept], counts[kept], keys[kept]
+    bounds = np.searchsorted(keys, np.arange(sizes.size + 1) * vocab.size)
+    stamps, out = {}, []
+    for record, lo, hi in zip(tokenized.records, bounds.tolist(), bounds[1:].tolist()):
         text = record.timestamp_text
         ts = stamps.get(text)
         if ts is None:
             ts = stamps[text] = parse_timestamp(text, format_hint)
-        counts = {index[t]: c for t, c in bags[i].items() if index[t] is not None}
-        bags[i] = None
-        if counts:
-            out.append(Document(record.id, ts, counts, tuple(record.related_ids), record.title))
+        if lo < hi:
+            out.append(Document(record.id, ts, words[lo:hi], counts[lo:hi], tuple(record.related_ids), record.title))
     out.sort(key=lambda d: (d.timestamp, d.id))
     return out
 
@@ -273,31 +286,28 @@ def corpus_statistics(docs, vocab, n_records):
     """
     return {
         "vocabulary_size": vocab.size,
-        "mean_unique_terms": sum(len(d.counts) for d in docs) / n_records if n_records else 0.0,
+        "mean_unique_terms": sum(d.words.size for d in docs) / n_records if n_records else 0.0,
     }
 
 
-def doc_words(doc):
-    """The document's distinct word indices, ascending, and their counts as floats."""
-    words = sorted(doc.counts)
-    n = np.array([doc.counts[w] for w in words], dtype=float)
-    return words, n
-
-
 def check_words(docs, vocab_size):
-    """Every document needs at least one word, and every word index must lie in [0, vocab_size)."""
-    for doc in docs:
-        if not doc.counts:
+    """Every document needs words, strictly ascending in [0, vocab_size), and one count per word.
+
+    All the documents are checked in one vectorized pass; the first that fails raises ParameterError.
+    """
+    sizes = np.array([doc.words.size for doc in docs], dtype=np.intp)
+    words = np.concatenate([np.empty(0, np.intp), *(doc.words for doc in docs)])
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    bad = (words < 0) | (words >= vocab_size)
+    bad[1:] |= (words[1:] <= words[:-1]) & (owner[1:] == owner[:-1])  # not above the word before it
+    failed = (sizes == 0) | np.array([doc.counts.shape != doc.words.shape for doc in docs], dtype=bool)
+    failed[owner[bad]] = True
+    if failed.any():
+        doc = docs[int(failed.argmax())]
+        if not doc.words.size:
             raise ParameterError(f"document {doc.id!r} has no words; it needs words in [0, {vocab_size})")
-        for w in (min(doc.counts), max(doc.counts)):
-            if not 0 <= w < vocab_size:
-                raise ParameterError(f"document {doc.id!r} needs words in [0, {vocab_size}), not {w}")
-
-
-def vocab_words(docs, vocab_size):
-    """``doc_words`` of each document, after ``check_words``."""
-    check_words(docs, vocab_size)
-    return [doc_words(doc) for doc in docs]
+        raise ParameterError(f"document {doc.id!r} needs words in [0, {vocab_size}), strictly ascending, with one"
+                             f" count each, not {doc.words} with {doc.counts.size} counts")
 
 
 def batch_iter(docs, batch_size):
@@ -316,7 +326,8 @@ def write_canonical(docs, path):
                 "id": doc.id,
                 "ts": doc.timestamp,
                 "title": doc.title,
-                "body_counts": {str(k): v for k, v in doc.counts.items()},  # sort_keys orders them
+                # sort_keys orders the words as strings
+                "body_counts": dict(zip(map(str, doc.words.tolist()), doc.counts.astype(np.int64).tolist())),
                 "related": list(doc.related),
             }
             f.write(json.dumps(record, sort_keys=True) + "\n")
@@ -336,9 +347,9 @@ def read_canonical(path):
     Every non-blank line must be an object with a string ``id``, a finite
     number ``ts`` and ``body_counts`` mapping integer keys, no two of
     which name the same word index (as "1" and "01" do, or "1" given
-    twice), to positive integer counts, and, where present, a list of
-    strings ``related`` and a string ``title``; any other line raises
-    CorpusParseError naming it.
+    twice), to integer counts in [1, 2**53], which float64 holds exactly,
+    and, where present, a list of strings ``related`` and a string
+    ``title``; any other line raises CorpusParseError naming it.
     """
     docs = []
     with open(path, "r", encoding="utf-8") as f:
@@ -352,16 +363,16 @@ def read_canonical(path):
                 related, title = record.get("related", []), record.get("title", "")
                 if (type(record["id"]) is not str or type(ts) not in (int, float) or not math.isfinite(ts)
                         or len(counts) != len(record["body_counts"])
-                        or not all(type(v) is int and v > 0 for v in counts.values())
+                        or not all(type(v) is int and 0 < v <= 2**53 for v in counts.values())
                         or type(related) is not list or not all(type(r) is str for r in related)
                         or type(title) is not str):
                     raise ValueError
-                docs.append(Document(record["id"], float(ts), counts, tuple(related), title))
+                docs.append(Document.from_counts(record["id"], float(ts), counts, related, title))
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
                 raise CorpusParseError(
                     f"{path} line {number} is not a document: it needs a string id, a finite number ts"
-                    " and body_counts mapping integer keys, no two naming the same word index, to positive"
-                    " integer counts; related, if present,"
+                    " and body_counts mapping integer keys, no two naming the same word index, to integer"
+                    " counts in [1, 2**53]; related, if present,"
                     " must be a list of strings and title a string"
                 ) from None
     return docs

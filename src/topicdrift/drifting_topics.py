@@ -240,10 +240,9 @@ def _kalman_stage(model, batch, stats):
     born = np.flatnonzero(model.born)
     if not born.size:
         return
-    doc_words = [np.fromiter(doc.counts, np.intp, len(doc.counts)) for doc in batch]
-    words, cols = np.unique(np.concatenate(doc_words), return_inverse=True)
+    words, cols = np.unique(np.concatenate([doc.words for doc in batch]), return_inverse=True)
     unique_ts, inverse = np.unique([doc.timestamp for doc in batch], return_inverse=True)
-    steps = np.repeat(inverse, [w.size for w in doc_words])
+    steps = np.repeat(inverse, [doc.words.size for doc in batch])
     steps, cols = np.divmod(np.unique(steps * words.size + cols), words.size)
     starts = np.searchsorted(steps, np.arange(unique_ts.size + 1))
 

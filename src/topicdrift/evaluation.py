@@ -1,5 +1,5 @@
 """Evaluation harness: per-word likelihood series, smoothing, timelines,
-confusion metrics and wall-clock scaling runs."""
+confusion metrics and CPU-time scaling runs."""
 
 import time
 from dataclasses import dataclass
@@ -121,13 +121,13 @@ def _train_once(model_kind, docs, config):
 
 
 def runtime_benchmark(model_kind, docs, prefix_sizes, config):
-    """Wall-clock seconds to train from scratch on each corpus prefix.
+    """CPU seconds of the process (``time.process_time``, all threads) to train from scratch on each prefix.
 
-    Prefix sizes must be ascending and within the corpus.  A discarded
-    warm-up run on the smallest prefix excludes interpreter and cache
-    effects; all timed runs are sequential in one process.  Each prefix
-    is timed REPEATS times and reported by its fastest run, as load only
-    slows a run; each round times every prefix once, every other round in
+    CPU time leaves out the waits that other processes' load adds to wall
+    time.  Prefix sizes must be ascending and within the corpus.  A
+    discarded warm-up run on the smallest prefix excludes interpreter and
+    cache effects.  Each prefix is timed REPEATS times, in one process, and
+    reported by its fastest run; every other round times the prefixes in
     reverse order, so the host's swings reach all prefixes alike.
     """
     sizes = list(prefix_sizes)
@@ -138,9 +138,9 @@ def runtime_benchmark(model_kind, docs, prefix_sizes, config):
     seconds = [[] for _ in sizes]
     for r in range(REPEATS):
         for size, times in list(zip(sizes, seconds))[:: -1 if r % 2 else 1]:
-            start = time.perf_counter()
+            start = time.process_time()
             _train_once(model_kind, docs[:size], config)
-            times.append(time.perf_counter() - start)
+            times.append(time.process_time() - start)
     return [(size, min(times)) for size, times in zip(sizes, seconds)]
 
 

@@ -35,7 +35,7 @@ from scipy.special import digamma, gammaln
 
 from . import online_hdp
 from .checkpoint import config_from, header_value, read_checkpoint, write_checkpoint
-from .corpus import vocab_words
+from .corpus import batch_iter, check_words
 from .drifting_topics import PRIOR_VARIANCE, SECONDS_PER_DAY, CidtmConfig
 from .errors import NumericalError, ParameterError, TimeOrderError
 from .kalman import pair_filter, pair_smoother
@@ -144,10 +144,10 @@ def _block_bounds(n, lp, phi, gamma, alpha):
     return words + prior - entropy
 
 
-def _mixture_e_step(fits, lp, alpha, bounds=True):
+def _mixture_e_step(docs, lp, alpha, bounds=True):
     """Variational mixture fit of a block of documents against fixed topic log-probs.
 
-    ``fits`` holds (words, counts) per document and ``lp``, never modified,
+    ``docs`` are the block's documents and ``lp``, never modified,
     the (B, M, K) log-probs at their words, zero-padded to the widest.  They
     are exponentiated once, shifted by each word's maximum over K (the shift
     cancels in phi).  Since phi_mk is proportional to exp(Elog theta_k)
@@ -162,13 +162,13 @@ def _mixture_e_step(fits, lp, alpha, bounds=True):
     (M, K) word responsibilities and the document's bound; phi and the
     bound are None unless ``bounds``.
     """
-    sizes = np.array([len(words) for words, _ in fits])
+    sizes = np.array([doc.words.size for doc in docs])
     k = lp.shape[2]
     n = np.zeros(lp.shape[:2])
     gamma = np.empty((sizes.size, k))
-    for i, (_, counts) in enumerate(fits):
-        n[i, : sizes[i]] = counts
-        gamma[i] = alpha + counts.sum() / k
+    for i, doc in enumerate(docs):
+        n[i, : sizes[i]] = doc.counts
+        gamma[i] = alpha + doc.counts.sum() / k
     beta = np.exp(lp - lp.max(axis=2, keepdims=True))
 
     running = np.arange(sizes.size)
@@ -208,36 +208,31 @@ def _mixture_e_step(fits, lp, alpha, bounds=True):
     return out
 
 
-def _fit_blocks(fits, stamps, logp_at, k, alpha, bounds):
+def _fit_blocks(docs, logp_at, k, alpha, bounds):
     """``_mixture_e_step`` over documents BLOCK_DOCS at a time; yields (log-probs, fit) per document, in order.
 
-    Document i is fitted against ``logp_at(stamps[i])``, the (K, V)
+    A document is fitted against ``logp_at(doc.timestamp)``, the (K, V)
     log-probs at its timestamp.  A block builds those of each distinct
     stamp once, copies its documents' columns into one padded (B, M, K)
     array and drops them before it builds the next stamp's, so it holds
     one (K, V) array at a time; a document's log-probs are its (M, K) rows.
 
-    Blocks are fitted in turn on the calling thread.  On the worker pool
-    of ``online_hdp.infer_batch`` they gained nothing.  In-process
-    ``train`` on the seed-0 ``cdtm-daily`` archive, best of 7 on a 2-vCPU
-    host, took 0.186 and 0.179 s on the calling thread in two rounds,
-    and 0.186 and 0.183 s on two workers, with a 6-9 MB higher peak RSS
-    and identical outputs.  The benchmark's span tracer also times
-    ``_mixture_e_step`` and ``log_word_probs_at`` on one span stack,
-    which is not thread-safe.
+    Blocks are fitted in turn on the calling thread: on the worker pool
+    of ``online_hdp.infer_batch`` they ran no faster and peaked 6-9 MB
+    higher, and the benchmark's span tracer, which times
+    ``_mixture_e_step``, is not thread-safe.
     """
-    size = online_hdp.BLOCK_DOCS
-    for start in range(0, len(fits), size):
-        block, at = fits[start : start + size], np.asarray(stamps[start : start + size])
-        lp = np.zeros((len(block), max(len(words) for words, _ in block), k))
+    for block in batch_iter(docs, online_hdp.BLOCK_DOCS):
+        at = np.array([doc.timestamp for doc in block])
+        lp = np.zeros((len(block), max(doc.words.size for doc in block), k))
         for ts in dict.fromkeys(at.tolist()):
             logp = logp_at(ts)
             for i in np.flatnonzero(at == ts):
-                words = block[i][0]
-                lp[i, : len(words)] = logp[:, words].T
+                words = block[i].words
+                lp[i, : words.size] = logp[:, words].T
             del logp
         fitted = _mixture_e_step(block, lp, alpha, bounds)
-        yield from ((doc_lp[: len(words)], fit) for doc_lp, (words, _), fit in zip(lp, block, fitted))
+        yield from ((doc_lp[: doc.words.size], fit) for doc_lp, doc, fit in zip(lp, block, fitted))
 
 
 def _smooth_topics(knots, pairs, vocab_size, expected, config):
@@ -284,24 +279,24 @@ def train_cdtm(train_docs, config, rng, vocab_size):
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise TimeOrderError("train_docs must be timestamp-ascending")
 
-    fits = vocab_words(train_docs, vocab_size)
+    check_words(train_docs, vocab_size)
     knots, doc_knot = np.unique(ts, return_inverse=True)
     base = np.log(1.0 / vocab_size)
 
     # the observed (knot, word) pairs, and each document's columns among them
-    flat = np.concatenate([q * vocab_size + np.asarray(words) for (words, _), q in zip(fits, doc_knot.tolist())])
+    flat = np.concatenate([q * vocab_size + doc.words for doc, q in zip(train_docs, doc_knot.tolist())])
     pairs, columns = np.unique(flat, return_inverse=True)
-    columns = np.split(columns, np.cumsum([len(words) for words, _ in fits])[:-1])
+    columns = np.split(columns, np.cumsum([doc.words.size for doc in train_docs])[:-1])
 
     first = _log_normalize(rng.normal(0.0, 0.1, (config.K, vocab_size)) + base)
     logp_at, objective_trace = lambda _: first, []
     for _ in range(config.sweeps):
         objective = 0.0
         expected = np.zeros((config.K, pairs.size))
-        fitted = _fit_blocks(fits, ts, logp_at, config.K, config.alpha, bounds=True)
-        for (_, n), cols, (_, (_, phi, bound)) in zip(fits, columns, fitted):
+        fitted = _fit_blocks(train_docs, logp_at, config.K, config.alpha, bounds=True)
+        for doc, cols, (_, (_, phi, bound)) in zip(train_docs, columns, fitted):
             objective += bound
-            expected[:, cols] += (phi * n[:, None]).T
+            expected[:, cols] += (phi * doc.counts[:, None]).T
         objective_trace.append(objective)
 
         means = _smooth_topics(knots, pairs, vocab_size, expected, config)
@@ -317,14 +312,13 @@ def cdtm_heldout_loglik(model, docs):
     Documents are fitted by ``_fit_blocks``.  Only each document's
     mixture posterior is fitted: no phi, no bound.
     """
-    fits = vocab_words(docs, model.vocab_size)
-    fitted = _fit_blocks(fits, [doc.timestamp for doc in docs], model.log_word_probs_at, model.config.K,
-                         model.config.alpha, bounds=False)
+    check_words(docs, model.vocab_size)
+    fitted = _fit_blocks(docs, model.log_word_probs_at, model.config.K, model.config.alpha, bounds=False)
     records = []
-    for doc, (_, n), (lp, (gamma, _, _)) in zip(docs, fits, fitted):
+    for doc, (lp, (gamma, _, _)) in zip(docs, fitted):
         theta = gamma / gamma.sum()
         per_word = np.exp(lp) @ theta
-        records.append((doc.id, doc.timestamp, float(np.dot(n, np.log(per_word))), int(n.sum())))
+        records.append((doc.id, doc.timestamp, float(np.dot(doc.counts, np.log(per_word))), int(doc.counts.sum())))
     return records
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .checkpoint import config_from, header_value, pack_mask, read_checkpoint, unpack_mask, write_checkpoint
-from .corpus import batch_iter, vocab_words
+from .corpus import batch_iter, check_words
 from .errors import ConfigurationError, NumericalError, ParameterError
 
 # every document fit stops after MAX_SWEEPS or once the bound moves by <= SWEEP_TOL (relative)
@@ -227,10 +227,10 @@ def _softmax(scores, axis, out):
     return top + np.log(total)
 
 
-def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
+def _fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     """Coordinate ascent for a block of documents against fixed corpus expectations.
 
-    ``fits`` holds (words, counts) per document and ``elog_beta`` is (K, V).
+    ``docs`` are the block's documents and ``elog_beta`` is (K, V).
     Every document's evidence is padded to the block's longest document
     with zero counts, which add exact zeros to every product and sum.  A
     document leaves the block at the sweep where its own fit stops: after
@@ -240,12 +240,12 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     per document, in order.
     """
     t_doc, alpha0 = hyper.T_doc, hyper.alpha0
-    sizes = np.array([len(words) for words, _ in fits])
+    sizes = np.array([doc.words.size for doc in docs])
     n = np.zeros((sizes.size, sizes.max()))
     eb = np.zeros((sizes.size, sizes.max(), elog_beta.shape[0]))     # (B, M, K)
-    for i, (words, counts) in enumerate(fits):
-        n[i, : sizes[i]] = counts
-        eb[i, : sizes[i]] = elog_beta[:, words].T
+    for i, doc in enumerate(docs):
+        n[i, : sizes[i]] = doc.counts
+        eb[i, : sizes[i]] = elog_beta[:, doc.words].T
     zeta = np.full((sizes.size, t_doc, sizes.max()), 1.0 / t_doc)  # (B, T, M)
     weighted = zeta * n[:, None, :]                                  # zeta * counts, kept by every sweep
     varphi_scores = np.empty((sizes.size, t_doc, elog_beta.shape[0]))  # (B, T, K)
@@ -317,9 +317,9 @@ def _fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
 
 
 def _fit_checked(block, elog_beta, elog_sticks, hyper):
-    """(fits, fitted) of one block; ``vocab_words`` checks its words first."""
-    fits = vocab_words(block, elog_beta.shape[1])
-    return fits, _fit_block(fits, elog_beta, elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
+    """``_fit_block`` of one block, after ``check_words``."""
+    check_words(block, elog_beta.shape[1])
+    return _fit_block(block, elog_beta, elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
 
 
 def _in_order(fit, blocks):
@@ -340,9 +340,10 @@ def infer_batch(docs, elog_beta, elog_sticks, hyper):
     """Fit each document against fixed (K, V) and (K,) corpus expectations.
 
     Documents are fitted BLOCK_DOCS at a time by one batched coordinate
-    ascent.  Yields (words, counts, factors, bound, topic weights) per
-    document, lazily and in order.  A document with no words, or with one
-    outside [0, V), raises ParameterError when its block's turn comes.
+    ascent.  Yields (factors, bound, topic weights) per document, lazily
+    and in order; the documents' words and counts are the caller's.  A
+    document that fails ``check_words`` raises ParameterError when its
+    block's turn comes.
 
     With WORKERS > 1 and at least two blocks, each block's task, the word
     check and ``_fit_block``, runs on a pool of WORKERS threads: block
@@ -360,25 +361,21 @@ def infer_batch(docs, elog_beta, elog_sticks, hyper):
 
     Blocks are 64 documents because a sweep's numpy calls each hold the
     GIL for a fixed cost whatever their size, and a block's rows thin out
-    as its documents stop.  With 16-document blocks the drifting model's
-    blocks swept about 6 live rows on average, and two workers were
-    slower than one as the threads passed the GIL around every short
-    call.  64 documents spread that cost over about 4 times the rows.
-    The price is memory: a block's padded (B, M, K) arrays are 4 times
-    those of a 16-document block, one set per worker fitting a block, and
-    the WORKERS + 1 blocks' factors a caller holds grow alike.
+    as its documents stop: with 16-document blocks two workers were slower
+    than one.  The price is memory: each worker's padded (B, M, K) arrays,
+    and the WORKERS + 1 blocks' factors a caller holds, grow with the block.
     """
     blocks = list(batch_iter(docs, BLOCK_DOCS))
     fit = functools.partial(_fit_checked, elog_beta=elog_beta, elog_sticks=elog_sticks, hyper=hyper)
     fitted_blocks = map(fit, blocks) if WORKERS == 1 or len(blocks) == 1 else _in_order(fit, blocks)
-    for fits, fitted in fitted_blocks:
-        for (words, n), (dv, bound, _) in zip(fits, fitted):
-            yield words, n, dv, bound, doc_topic_mixture(dv)
-        del fits, fitted  # the block's factors are freed before the next block is fitted
+    for fitted in fitted_blocks:
+        for dv, bound, _ in fitted:
+            yield dv, bound, doc_topic_mixture(dv)
+        del fitted  # the block's factors are freed before the next block is fitted
 
 
-def accumulate_stats(stats, dv, words, n):
-    stats.lam[:, words] += dv.varphi.T @ (dv.zeta * n[:, None]).T
+def accumulate_stats(stats, dv, doc):
+    stats.lam[:, doc.words] += dv.varphi.T @ (dv.zeta * doc.counts[:, None]).T
     stats.usage += dv.varphi.sum(axis=0)
     stats.batch_doc_count += 1
 
@@ -418,10 +415,10 @@ def doc_topic_mixture(dv):
     return _stick_means(dv.stick_a, dv.stick_b) @ dv.varphi
 
 
-def mixture_score(words, n, theta, word_probs):
-    """log p(words) under a plug-in topic mixture, in nats."""
-    per_word = theta @ word_probs[:, words]
-    return float(np.dot(n, np.log(per_word)))
+def mixture_score(doc, theta, word_probs):
+    """log p(words) of a document under a plug-in topic mixture, in nats."""
+    per_word = theta @ word_probs[:, doc.words]
+    return float(np.dot(doc.counts, np.log(per_word)))
 
 
 @dataclass
@@ -466,10 +463,10 @@ def score_batch(model, batch):
     elog, elog_sticks, word_probs = model.expectations()
     stats = BatchStats.zeros(model.hyper.K_corpus, model.vocab_size)
     records, mixtures = [], []
-    for doc, (words, n, dv, _, theta) in zip(batch, infer_batch(batch, elog, elog_sticks, model.hyper)):
-        records.append((doc.id, doc.timestamp, mixture_score(words, n, theta, word_probs), int(n.sum())))
+    for doc, (dv, _, theta) in zip(batch, infer_batch(batch, elog, elog_sticks, model.hyper)):
+        records.append((doc.id, doc.timestamp, mixture_score(doc, theta, word_probs), int(doc.counts.sum())))
         mixtures.append(theta)
-        accumulate_stats(stats, dv, words, n)
+        accumulate_stats(stats, dv, doc)
     return records, mixtures, stats
 
 

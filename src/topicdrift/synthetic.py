@@ -17,10 +17,9 @@ def _block_topic(vocab_size, block, rng):
 
 
 def _draw_doc(doc_id, ts, mixture, topics, length, rng):
-    word_dist = mixture @ topics
-    counts_vec = rng.multinomial(length, word_dist)
-    counts = {int(w): int(c) for w, c in enumerate(counts_vec) if c > 0}
-    return Document(id=doc_id, timestamp=ts, counts=counts)
+    counts = rng.multinomial(length, mixture @ topics)
+    words = np.flatnonzero(counts).tolist()
+    return Document.from_counts(doc_id, ts, dict(zip(words, counts[words].tolist())))
 
 
 def three_topic_corpus(n_docs=500, vocab_size=50, seed=0, mix_alpha=0.3):

@@ -34,6 +34,9 @@ last two with scipy's ``logsumexp``; ``reference_doc_topic_weights``
 keeps the timeline fit that held the whole loaded model.
 ``payload_array`` and ``set_payload_array`` read and edit the arrays of
 a parsed checkpoint with ``base64`` and numpy alone.
+``documents_equal`` compares documents field by field: ``==`` on a
+``Document`` compares its word and count arrays elementwise, which raises
+for most documents.
 """
 
 import base64
@@ -41,7 +44,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import digamma, gammaln, logsumexp
@@ -49,7 +52,6 @@ from scipy.special import digamma, gammaln, logsumexp
 from topicdrift.corpus import (
     Document,
     Vocabulary,
-    doc_words,
     parse_bbc,
     parse_reuters,
     parse_timestamp,
@@ -157,14 +159,14 @@ def dense_kalman_stage(model, batch, stats):
     fresh_logp = np.log(fresh / fresh.sum(axis=1, keepdims=True))
     baseline_logp = np.log(topic_word_probs(model.g))
 
-    words = sorted({w for doc in batch for w in doc.counts})
+    words = sorted({w for doc in batch for w in doc.words.tolist()})
     unique_ts, inverse = np.unique([doc.timestamp for doc in batch], return_inverse=True)
     n_steps = unique_ts.size
     word_col = {w: j for j, w in enumerate(words)}
     present_words = np.zeros((n_steps, len(words)), dtype=bool)
     for i, doc in enumerate(batch):
         step = inverse[i]
-        for w in doc.counts:
+        for w in doc.words.tolist():
             present_words[step, word_col[w]] = True
 
     # one track per (born topic, batch word), vectorized across tracks
@@ -277,18 +279,18 @@ def infer_core(words, n, elog_beta_doc, elog_sticks, hyper, max_sweeps, tol):
     return DocVariational(a, b, varphi, zeta), elbo, sweep
 
 
-def reference_fit_block(fits, elog_beta, elog_sticks, hyper, max_sweeps, tol):
+def reference_fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     """The former ``online_hdp._fit_block``: three ``digamma`` and three ``gammaln`` calls per sweep.
 
     Same arguments and result: (factors, bound, sweeps) per document.
     """
     t_doc, alpha0 = hyper.T_doc, hyper.alpha0
-    sizes = np.array([len(words) for words, _ in fits])
+    sizes = np.array([doc.words.size for doc in docs])
     n = np.zeros((sizes.size, sizes.max()))
     eb = np.zeros((sizes.size, sizes.max(), elog_beta.shape[0]))
-    for i, (words, counts) in enumerate(fits):
-        n[i, : sizes[i]] = counts
-        eb[i, : sizes[i]] = elog_beta[:, words].T
+    for i, doc in enumerate(docs):
+        n[i, : sizes[i]] = doc.counts
+        eb[i, : sizes[i]] = elog_beta[:, doc.words].T
     zeta = np.full((sizes.size, t_doc, sizes.max()), 1.0 / t_doc)
     weighted = zeta * n[:, None, :]
     varphi_scores = np.empty((sizes.size, t_doc, elog_beta.shape[0]))
@@ -362,8 +364,7 @@ def reference_doc_loop(docs, elog_beta, elog_sticks, word_probs, hyper):
     """
     records, mixtures, sweeps = [], [], []
     for doc in docs:
-        words = sorted(doc.counts)
-        n = np.array([doc.counts[w] for w in words], dtype=float)
+        words, n = doc.words, doc.counts
         dv, _, ran = infer_core(words, n, elog_beta[:, words], elog_sticks, hyper, 50, 1e-6)
         t = dv.varphi.shape[0]
         if t == 1:
@@ -375,7 +376,7 @@ def reference_doc_loop(docs, elog_beta, elog_sticks, word_probs, hyper):
             slot_weights[: t - 1] = frac * remaining[: t - 1]
             slot_weights[t - 1] = remaining[t - 1]
         theta = slot_weights @ dv.varphi
-        score = mixture_score(words, n, theta, word_probs)
+        score = mixture_score(doc, theta, word_probs)
         records.append((doc.id, doc.timestamp, score, int(n.sum())))
         mixtures.append(theta)
         sweeps.append(ran)
@@ -497,7 +498,7 @@ def reference_train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0
     """The former ``train_cdtm``: one mixture fit per document, every knot's log-probs cached, dense state."""
     ts = [d.timestamp for d in train_docs]
     if vocab_size is None:
-        vocab_size = 1 + max(max(d.counts) for d in train_docs)
+        vocab_size = 1 + max(int(d.words[-1]) for d in train_docs)
     knots, doc_knot = np.unique(ts, return_inverse=True)
     s = knots.size
     base = np.log(1.0 / vocab_size)
@@ -505,8 +506,7 @@ def reference_train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0
 
     present = np.zeros((s, vocab_size), dtype=bool)
     for i, doc in enumerate(train_docs):
-        for w in doc.counts:
-            present[doc_knot[i], w] = True
+        present[doc_knot[i], doc.words] = True
 
     model = DenseCdtmModel(K=k, alpha_dirichlet=alpha, vocab_size=vocab_size)
     model.knots = knots
@@ -520,7 +520,7 @@ def reference_train_cdtm(train_docs, k, drift, sweeps, rng, alpha=1.0, obs_var=0
             knot = doc_knot[i]
             if knot not in logp_cache:
                 logp_cache[knot] = model.log_word_probs_at(knots[knot])
-            words, n = doc_words(doc)
+            words, n = doc.words, doc.counts
             _, phi, bound, _ = mixture_e_step(words, n, logp_cache[knot][:, words], alpha)
             objective += bound
             expected[:, knot, words] += (phi * n[:, None]).T
@@ -545,7 +545,7 @@ def reference_cdtm_heldout(model, docs):
     records = []
     for doc in docs:
         logp = model.log_word_probs_at(doc.timestamp)
-        words, n = doc_words(doc)
+        words, n = doc.words, doc.counts
         gamma, _, _, _ = mixture_e_step(words, n, logp[:, words], model.alpha_dirichlet)
         theta = gamma / gamma.sum()
         per_word = theta @ np.exp(logp[:, words])
@@ -581,7 +581,7 @@ def reference_to_documents(records, vocab, min_token_length, format_hint):
             if idx is not None:
                 counts[idx] = count
         if counts:
-            out.append(Document(record.id, ts, counts, tuple(record.related_ids)))
+            out.append(Document.from_counts(record.id, ts, counts, record.related_ids))
     out.sort(key=lambda d: (d.timestamp, d.id))
     return out
 
@@ -615,7 +615,7 @@ def reference_ingest(fmt, input_path, out_corpus, out_vocab, min_doc_freq=2, min
                 "id": doc.id,
                 "ts": doc.timestamp,
                 "title": titles.get(doc.id, ""),
-                "body_counts": {str(k): v for k, v in sorted(doc.counts.items())},
+                "body_counts": {str(w): int(c) for w, c in zip(doc.words.tolist(), doc.counts.tolist())},
                 "related": list(doc.related),
             }
             f.write(json.dumps(record, sort_keys=True) + "\n")
@@ -626,6 +626,16 @@ def reference_ingest(fmt, input_path, out_corpus, out_vocab, min_doc_freq=2, min
         f"documents\t{len(docs)}\nskipped\t{parsed.skipped}\n"
         f"vocabulary_size\t{vocab.size}\nmean_unique_terms\t{mean:.4f}\n"
     )
+
+
+def documents_equal(got, want):
+    """Whether two lists of documents agree field by field, their arrays in dtype and value."""
+
+    def same(x, y):
+        return x.dtype == y.dtype and np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+    return len(got) == len(want) and all(
+        same(getattr(g, f.name), getattr(w, f.name)) for g, w in zip(got, want) for f in fields(Document))
 
 
 def payload_array(payload, name):

@@ -56,6 +56,8 @@ MALFORMED_LINES = {
     "word key twice": '{"id": "a", "ts": 1.0, "body_counts": {"1": 2, "1": 3}}',
     "count zero": '{"id": "a", "ts": 1.0, "body_counts": {"1": 0}}',
     "count fractional": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1.5}}',
+    "count above 2**53": '{"id": "a", "ts": 1.0, "body_counts": {"1": 9007199254740993}}',
+    "word index above int64": '{"id": "a", "ts": 1.0, "body_counts": {"99999999999999999999": 1}}',
     "not JSON": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}',
     "related a string": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "related": "xyz"}',
     "related not strings": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "related": [1, null]}',

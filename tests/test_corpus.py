@@ -1,13 +1,15 @@
 """Parsers, tokenization, vocabulary, canonical format, batching."""
 
 import random
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_tokenize
+from helpers import documents_equal, reference_to_documents, reference_tokenize
 from topicdrift import corpus
 from topicdrift.corpus import (
     Document,
@@ -15,6 +17,7 @@ from topicdrift.corpus import (
     TokenizerConfig,
     batch_iter,
     build_vocabulary,
+    check_words,
     corpus_statistics,
     parse_bbc,
     parse_reuters,
@@ -34,6 +37,7 @@ from topicdrift.errors import (
     TimestampParseError,
 )
 from topicdrift.stopwords import STOPWORDS
+from topicdrift.synthetic import uniform_stream
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -216,7 +220,7 @@ class TestToDocuments:
         docs = [raw("the and of"), raw("alpha bravo alpha", "d2")]
         _, out = normalize(docs)
         assert [d.id for d in out] == ["d2"]
-        assert sum(out[0].counts.values()) == 3
+        assert out[0].counts.sum() == 3
 
     def test_equal_timestamps_break_ties_by_id(self):
         docs = [raw("alpha", "zz"), raw("alpha", "aa")]
@@ -235,7 +239,7 @@ class TestToDocuments:
     def test_oov_tokens_dropped(self):
         docs = [raw("alpha bravo"), raw("alpha zulu", "d2")]
         vocab, out = normalize(docs, min_doc_freq=2)  # only alpha survives
-        assert all(set(d.counts) == {vocab.term_to_index["alpha"]} for d in out)
+        assert all(d.words.tolist() == [vocab.term_to_index["alpha"]] for d in out)
 
     def test_dropped_record_with_a_bad_timestamp_is_rejected(self):
         docs = [raw("alpha"), raw("alpha", "d2"), raw("zulu", "d3", ts="yesterday")]
@@ -255,12 +259,76 @@ class TestToDocuments:
         docs = [raw("alpha", "a1", title="First"), raw("alpha", "a1", "2010/08/10 00:00:00", "Second")]
         assert [d.title for d in normalize(docs)[1]] == ["First", "Second"]
 
+    def test_matches_the_per_record_build(self):
+        """Each document's words, ascending np.intp, and float counts are those of a per-record dict build."""
+        rng = random.Random(2)
+        terms = [f"term{i}" for i in range(40)]
+        records = [raw(" ".join(rng.choices(terms, k=rng.randint(1, 30))), f"d{i}") for i in range(200)]
+        records += load_bbc().documents
+        vocab, out = normalize(records, min_doc_freq=3)
+        want = reference_to_documents(records, vocab, 2, "bbc")
+        assert len(out) == len(want) and vocab.size < 45
+        assert all(d.words.dtype == np.intp and d.counts.dtype == np.float64 for d in out)
+        assert all((np.diff(d.words) > 0).all() for d in out)
+        for got, ref in zip(out, want):
+            assert (got.id, got.timestamp, got.related) == (ref.id, ref.timestamp, ref.related)
+            assert got.words.tolist() == ref.words.tolist() and got.counts.tolist() == ref.counts.tolist()
+
     def test_bags_are_released_once_normalized(self):
         tokenized = tokenize_corpus([raw("alpha bravo"), raw("the", "d2")])
         assert tokenized.terms == ["alpha", "bravo"]
         assert tokenized.bags == [{0: 1, 1: 1}, {}]
         to_documents(tokenized, build_vocabulary(tokenized, min_doc_freq=1), "bbc")
         assert tokenized.bags == [None, None]
+
+
+def check_words_oracle(docs, vocab_size):
+    """The id of the first document that ``check_words`` must reject, one document at a time, or None."""
+    for doc in docs:
+        words = doc.words.tolist()
+        if (not words or doc.counts.shape != doc.words.shape or words != sorted(set(words))
+                or words[0] < 0 or words[-1] >= vocab_size):
+            return doc.id
+    return None
+
+
+class TestCheckWords:
+    @pytest.mark.parametrize("words, counts, shown", [
+        ([3, 3], [1.0, 1.0], r"\[3 3\] with 2 counts"),
+        ([5, 2], [1.0, 1.0], r"\[5 2\] with 2 counts"),
+        ([1, 2], [1.0], r"\[1 2\] with 1 counts"),
+        ([-1, 2], [1.0, 1.0], r"\[-1  2\] with 2 counts"),
+        ([4, 10], [1.0, 1.0], r"\[ 4 10\] with 2 counts"),
+        ([], [], None),
+    ])
+    def test_first_failing_document_is_named(self, words, counts, shown):
+        docs = [Document.from_counts("a", 0.0, {7: 1, 9: 2}), Document("b", 0.0, np.array(words, np.intp),
+                np.array(counts)), Document("c", 0.0, np.array([3, 3]), np.ones(2))]
+        message = (r"needs words in \[0, 10\), strictly ascending, with one count each, not " + shown if shown
+                   else r"has no words; it needs words in \[0, 10\)")
+        with pytest.raises(ParameterError, match=f"^document 'b' {message}$"):
+            check_words(docs, 10)
+
+    def test_a_document_may_start_below_the_last_word_of_the_one_before(self):
+        check_words([Document.from_counts("a", 0.0, {8: 1, 9: 1}), Document.from_counts("b", 0.0, {0: 1})], 10)
+        check_words([], 10)
+
+    def test_matches_a_per_document_check(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            docs = []
+            for i in range(int(rng.integers(1, 6))):
+                words = np.sort(rng.choice(12, int(rng.integers(0, 5)), replace=False)) - int(rng.integers(0, 2))
+                counts = np.ones(words.size + int(rng.random() < 0.05))
+                if words.size > 1 and rng.random() < 0.1:
+                    words[1] = words[0]  # a repeated word
+                docs.append(Document(f"d{i}", 0.0, words.astype(np.intp), counts))
+            want = check_words_oracle(docs, 10)
+            if want is None:
+                check_words(docs, 10)
+            else:
+                with pytest.raises(ParameterError, match=f"document '{want}'"):
+                    check_words(docs, 10)
 
 
 class TestBatchIter:
@@ -285,21 +353,48 @@ class TestBatchIter:
 class TestCanonicalFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         docs = [
-            Document("1", REUTERS_EPOCH, {0: 2, 7: 1}, related=("5",)),
-            Document("5", BBC_EPOCH, {3: 4}),
-            Document("x", 1281369113.25, {1: 1, 2: 2, 3: 3}),
+            Document.from_counts("1", REUTERS_EPOCH, {0: 2, 7: 1}, related=("5",)),
+            Document.from_counts("5", BBC_EPOCH, {3: 4}),
+            Document.from_counts("x", 1281369113.25, {1: 1, 2: 2, 3: 3}),
         ]
         path = tmp_path / "corpus.jsonl"
         write_canonical(docs, path)
         loaded = read_canonical(path)
-        assert loaded == docs
+        assert documents_equal(loaded, docs)
 
     def test_full_pipeline_round_trip(self, tmp_path):
         _, docs = normalize(load_reuters().documents, format_hint="reuters")
         assert docs[0].timestamp == REUTERS_EPOCH
         path = tmp_path / "corpus.jsonl"
         write_canonical(docs, path)
-        assert read_canonical(path) == docs
+        assert documents_equal(read_canonical(path), docs)
+
+    def test_keys_that_sort_apart_as_strings_read_back_ascending(self, tmp_path):
+        """"2" < "10" < "100" as integers but not as strings: the words are ascending integers, and
+        writing them back gives the file's bytes, whose keys JSON sorts as strings."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"body_counts": {"10": 2, "100": 1, "2": 3}, "id": "a", "related": [], "title": "",'
+                        ' "ts": 1.0}\n', encoding="utf-8")
+        (doc,) = read_canonical(path)
+        assert doc.words.tolist() == [2, 10, 100] and doc.counts.tolist() == [3.0, 2.0, 1.0]
+        assert doc.words.dtype == np.intp and doc.counts.dtype == np.float64
+        again = tmp_path / "again.jsonl"
+        write_canonical([doc], again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_loaded_corpus_holds_under_1600_bytes_per_document(self, tmp_path):
+        """Traced memory of the documents ``read_canonical`` returns, 30-60 tokens
+        and about 45 distinct words each.  Measured: 1,250 B per document; the
+        former {word: count} dicts held 3,208 B."""
+        path = tmp_path / "corpus.jsonl"
+        write_canonical(uniform_stream(512, 8000, seed=0), path)
+        tracemalloc.start()
+        try:
+            docs = read_canonical(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(docs) == 512 and held / len(docs) < 1600
 
     def test_vocabulary_file_round_trip(self, tmp_path):
         vocab = vocabulary(load_bbc().documents, min_doc_freq=1)

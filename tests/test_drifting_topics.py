@@ -1,6 +1,7 @@
 """Drifting-topic model: lifecycle, evolution, batches, HDP reduction."""
 
 import copy
+import dataclasses
 import re
 import tracemalloc
 from collections import Counter
@@ -156,7 +157,7 @@ class TestLifecycleStage:
             # repeated timestamps, and steps that land exactly on a deadline
             ts_list = ts + np.cumsum(rng.choice([0.0, 0.0, 1.0, 5.0, 10.0], size=n_docs))
             ts = float(ts_list[-1])
-            batch = [Document(f"d{i}", float(t), {0: 1}) for i, t in enumerate(ts_list)]
+            batch = [Document.from_counts(f"d{i}", float(t), {0: 1}) for i, t in enumerate(ts_list)]
             # relevance exactly at the threshold counts; rare relevance lets topics expire
             mixtures = [rng.choice([0.0, 0.1, threshold, 0.9], p=[0.55, 0.2, 0.1, 0.15], size=n_topics)
                         for _ in batch]
@@ -174,7 +175,7 @@ class TestLifecycleStage:
 
     def test_birth_records_the_birth_timestamp(self):
         model = DriftingTopicModel(small_config(relevance_threshold=0.5), 5, 100, seed=0)
-        batch = [Document("a", 3.0, {0: 1}), Document("b", 7.0, {0: 1})]
+        batch = [Document.from_counts("a", 3.0, {0: 1}), Document.from_counts("b", 7.0, {0: 1})]
         mixtures = [np.eye(8)[1], np.eye(8)[[1, 4]].sum(axis=0)]
         born, died = drifting_topics._lifecycle_stage(model, batch, mixtures)
         assert born == {1, 4} and died == set()
@@ -251,7 +252,7 @@ def run_pair(docs, batch_size, seed, drift_v, obs_var, hyper=None, threshold=0.0
 
 
 def _vocab(docs):
-    return 1 + max(max(d.counts) for d in docs)
+    return 1 + max(int(d.words[-1]) for d in docs)
 
 
 class TestProcessBatch:
@@ -262,7 +263,7 @@ class TestProcessBatch:
 
     def test_unordered_batch_rejected(self):
         model = DriftingTopicModel(small_config(), 10, 100, seed=0)
-        docs = [Document("a", 10.0, {0: 1}), Document("b", 5.0, {0: 1})]
+        docs = [Document.from_counts("a", 10.0, {0: 1}), Document.from_counts("b", 5.0, {0: 1})]
         with pytest.raises(TimeOrderError):
             model.process_batch(docs)
 
@@ -270,11 +271,11 @@ class TestProcessBatch:
         model = DriftingTopicModel(small_config(), 10, 100, seed=0)
         model.clock = 50.0
         with pytest.raises(TimeOrderError):
-            model.process_batch([Document("a", 10.0, {0: 1})])
+            model.process_batch([Document.from_counts("a", 10.0, {0: 1})])
 
     def test_equal_timestamps_single_step_anchoring(self):
         docs, _ = three_topic_corpus(n_docs=12, vocab_size=20, seed=1)
-        same_ts = [Document(d.id, 1000.0, d.counts) for d in docs]
+        same_ts = [dataclasses.replace(d, timestamp=1000.0) for d in docs]
         model = DriftingTopicModel(small_config(), 20, 12, seed=0)
         model.process_batch(same_ts[:6])
         result = model.process_batch(same_ts[6:])
@@ -388,11 +389,11 @@ class TestSparseKalmanStage:
         cfg = small_config(hyper=HdpHyper(K_corpus=n_topics, T_doc=4), drift_v=0.02)
         start = 1_600_000_000.0
         batch = [
-            Document(f"d{i}", start + 3600.0 * i,
-                     {int(w): 1 for w in rng.choice(vocab, size=25, replace=False)})
+            Document.from_counts(f"d{i}", start + 3600.0 * i,
+                                 {int(w): 1 for w in rng.choice(vocab, size=25, replace=False)})
             for i in range(n_steps)
         ]
-        n_words = len({w for doc in batch for w in doc.counts})
+        n_words = len({w for doc in batch for w in doc.words.tolist()})
         stats = BatchStats.zeros(n_topics, vocab)
 
         def peak_bytes(stage):
@@ -500,7 +501,7 @@ class TestCheckpoint:
 
         # a checkpointed model continues identically
         more, _ = three_topic_corpus(n_docs=10, vocab_size=20, seed=10)
-        shifted = [Document(d.id, d.timestamp + 1e9, d.counts) for d in more]
+        shifted = [dataclasses.replace(d, timestamp=d.timestamp + 1e9) for d in more]
         r1 = model.process_batch(shifted)
         r2 = loaded.process_batch(shifted)
         assert r1.per_doc == r2.per_doc
@@ -516,7 +517,7 @@ class TestCheckpoint:
         assert_same_state(state_of(loaded), state_of(model))
 
         # both continue bit-identically over a batch where topics are born and revive
-        more = [Document(d.id, d.timestamp + 200 * DAY, d.counts) for d in docs[:32]]
+        more = [dataclasses.replace(d, timestamp=d.timestamp + 200 * DAY) for d in docs[:32]]
         for batch in (more[:16], more[16:]):
             assert loaded.process_batch(batch) == model.process_batch(batch)
         assert_same_state(state_of(loaded), state_of(model))

@@ -57,10 +57,10 @@ class TestPerWordSeries:
         for i in range(20):
             counts = {int(w): int(c) for w, c in
                       zip(rng.choice(vocab, 5, replace=False), rng.integers(1, 5, 5))}
-            doc = Document(f"d{i}", float(i), counts)
-            ((words, n, _, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+            doc = Document.from_counts(f"d{i}", float(i), counts)
+            ((_, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
             records.append((doc.id, doc.timestamp,
-                            mixture_score(words, n, theta, snap.word_probs), int(n.sum())))
+                            mixture_score(doc, theta, snap.word_probs), int(doc.counts.sum())))
         series = per_word_series(records)
         for _, _, value in series.points:
             assert value == pytest.approx(math.log(1 / vocab), rel=1e-9)
@@ -94,7 +94,7 @@ class TestMovingAverage:
 
 
 class TestTimelineAssign:
-    DOCS = [Document(f"d{i}", float(i), {0: 1}) for i in range(5)]
+    DOCS = [Document.from_counts(f"d{i}", float(i), {0: 1}) for i in range(5)]
     WEIGHTS = [
         [0.9, 0.1],
         [0.04, 0.96],

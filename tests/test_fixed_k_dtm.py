@@ -72,8 +72,13 @@ class TestTraining:
 
     @pytest.mark.parametrize("counts", [{}, {50: 1}, {-1: 2}])
     def test_words_outside_the_vocabulary_rejected(self, counts):
-        docs = [Document("a", 0.0, {0: 1}), Document("b", 1.0, counts)]
+        docs = [Document.from_counts("a", 0.0, {0: 1}), Document.from_counts("b", 1.0, counts)]
         with pytest.raises(ParameterError, match="words in"):
+            train_cdtm(docs, cdtm_config(2, 0.1, 1), np.random.default_rng(0), vocab_size=50)
+
+    def test_repeated_word_rejected(self):
+        docs = [Document.from_counts("a", 0.0, {0: 1}), Document("d", 0.0, np.array([3, 3]), np.ones(2))]
+        with pytest.raises(ParameterError, match=r"document 'd' needs words in \[0, 50\), strictly ascending"):
             train_cdtm(docs, cdtm_config(2, 0.1, 1), np.random.default_rng(0), vocab_size=50)
 
     def test_zero_drift_keeps_topics_constant_over_time(self):
@@ -88,8 +93,7 @@ class TestTraining:
         model = train_cdtm(train, cdtm_config(1, 1e-9, 2), np.random.default_rng(2), vocab_size=50)
         counts = np.zeros(50)
         for d in train:
-            for w, c in d.counts.items():
-                counts[w] += c
+            counts[d.words] += d.counts
         freq = counts / counts.sum()
         probs = np.exp(model.log_word_probs_at(train[0].timestamp)[0])
         # words with sparse per-knot evidence shrink toward the uniform
@@ -139,7 +143,7 @@ class TestHeldout:
 
     def test_uniform_topics_score_log_inverse_vocab(self):
         model = self.uniform_model()
-        docs = [Document("a", 5.0, {3: 4, 90: 6})]
+        docs = [Document.from_counts("a", 5.0, {3: 4, 90: 6})]
         records = cdtm_heldout_loglik(model, docs)
         assert records[0][2] == pytest.approx(10 * math.log(1 / 100), rel=1e-9)
         assert records[0][3] == 10
@@ -156,23 +160,27 @@ class TestHeldout:
             np.tile(np.log([0.6, 0.3, 0.1]), (2, 1)),
             np.tile(np.log([0.1, 0.1, 0.8]), (2, 1)),
         ]))
-        doc = Document("a", 0.5, {0: 2, 1: 1, 2: 3})
+        doc = Document.from_counts("a", 0.5, {0: 2, 1: 1, 2: 3})
         ((_, _, total, _),) = cdtm_heldout_loglik(model, [doc])
 
         logp = model.log_word_probs_at(0.5)
-        fit = ([0, 1, 2], np.array([2.0, 1.0, 3.0]))
-        ((gamma, _, _),) = _mixture_e_step([fit], gathered([fit], [logp]), 1.0)
+        ((gamma, _, _),) = _mixture_e_step([doc], gathered([doc], [logp]), 1.0)
         theta = gamma / gamma.sum()
         oracle = sum(
             c * math.log(sum(theta[k] * math.exp(logp[k, w]) for k in range(2)))
-            for w, c in doc.counts.items()
+            for w, c in [(0, 2), (1, 1), (2, 3)]
         )
         assert total == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("word", [-1, 100])
     def test_words_outside_the_vocabulary_rejected(self, word):
-        docs = [Document("a", 5.0, {3: 4}), Document("b", 5.0, {word: 3})]
+        docs = [Document.from_counts("a", 5.0, {3: 4}), Document.from_counts("b", 5.0, {word: 3})]
         with pytest.raises(ParameterError, match=r"document 'b' needs words in \[0, 100\)"):
+            cdtm_heldout_loglik(self.uniform_model(), docs)
+
+    def test_repeated_word_rejected(self):
+        docs = [Document.from_counts("a", 5.0, {3: 4}), Document("d", 0.0, np.array([3, 3]), np.ones(2))]
+        with pytest.raises(ParameterError, match=r"document 'd' needs words in \[0, 100\), strictly ascending"):
             cdtm_heldout_loglik(self.uniform_model(), docs)
 
     def test_log_probs_built_once_per_stamp_across_consecutive_blocks(self, monkeypatch):
@@ -184,7 +192,7 @@ class TestHeldout:
             return original(ts)
         monkeypatch.setattr(model, "log_word_probs_at", counted)
         stamps = [1.0] * (BLOCK_DOCS + 4) + [2.0] * (BLOCK_DOCS - 8) + [3.0] * 3 + [1.0] * (BLOCK_DOCS + 1)
-        docs = [Document(f"d{i}", ts, {i % 100: 2}) for i, ts in enumerate(stamps)]
+        docs = [Document.from_counts(f"d{i}", ts, {i % 100: 2}) for i, ts in enumerate(stamps)]
         records = cdtm_heldout_loglik(model, docs)
         # three blocks: each builds its distinct stamps once, in order of first appearance, and none
         # is carried into the next block
@@ -219,13 +227,13 @@ class TestHeldout:
 
 
 def random_block(rng, sizes, k=6, vocab=40):
-    """(words, counts) per document and the (K, V) log-probs of one of two knots each."""
+    """Documents of the given sizes and the (K, V) log-probs of one of two knots each."""
     knots = [np.log(rng.dirichlet(np.full(vocab, 0.3), k)) for _ in range(2)]
-    fits = []
+    docs = []
     for m in sizes:
         words = sorted(rng.choice(vocab, m, replace=False).tolist())
-        fits.append((words, rng.integers(1, 6, m).astype(float)))
-    return fits, [knots[i % 2] for i in range(len(fits))]
+        docs.append(Document.from_counts("d", 0.0, dict(zip(words, rng.integers(1, 6, m).tolist()))))
+    return docs, [knots[i % 2] for i in range(len(docs))]
 
 
 def assert_close(actual, desired):
@@ -233,22 +241,23 @@ def assert_close(actual, desired):
     np.testing.assert_allclose(actual, desired, rtol=1e-10, atol=0)
 
 
-def gathered(fits, logps):
+def gathered(docs, logps):
     """Each document's (K, V) log-probs read at its words, as one zero-padded (B, M, K) array."""
-    lp = np.zeros((len(fits), max(len(words) for words, _ in fits), logps[0].shape[0]))
-    for i, ((words, _), logp) in enumerate(zip(fits, logps)):
-        lp[i, : len(words)] = logp[:, words].T
+    lp = np.zeros((len(docs), max(doc.words.size for doc in docs), logps[0].shape[0]))
+    for i, (doc, logp) in enumerate(zip(docs, logps)):
+        lp[i, : doc.words.size] = logp[:, doc.words].T
     return lp
 
 
-def assert_matches_one_document_fits(fits, logps, alpha):
+def assert_matches_one_document_fits(docs, logps, alpha):
     """Each document's gamma, phi and bound against the former one-document fit; returns its iterations."""
-    lp = gathered(fits, logps)
-    fitted = _mixture_e_step(fits, lp, alpha)
-    np.testing.assert_array_equal(lp, gathered(fits, logps))  # the kernel reads its input, never writes it
-    assert len(fitted) == len(fits)
+    lp = gathered(docs, logps)
+    fitted = _mixture_e_step(docs, lp, alpha)
+    np.testing.assert_array_equal(lp, gathered(docs, logps))  # the kernel reads its input, never writes it
+    assert len(fitted) == len(docs)
     ran = []
-    for (words, n), logp, (gamma, phi, bound) in zip(fits, logps, fitted):
+    for doc, logp, (gamma, phi, bound) in zip(docs, logps, fitted):
+        words, n = doc.words, doc.counts
         ref_gamma, ref_phi, ref_bound, iterations = mixture_e_step(words, n, logp[:, words], alpha)
         assert phi.shape == ref_phi.shape == (len(words), logp.shape[0])
         assert_close(gamma, ref_gamma)
@@ -266,35 +275,35 @@ class TestBlockKernel:
         rng = np.random.default_rng(size)
         sizes = rng.integers(1, 30, size)
         sizes[::4] = 1  # one-word documents
-        fits, logps = random_block(rng, sizes)
-        ran = assert_matches_one_document_fits(fits, logps, 0.5)
+        docs, logps = random_block(rng, sizes)
+        ran = assert_matches_one_document_fits(docs, logps, 0.5)
         if size > 1:
             # documents stop at different iterations, and some run out of iterations
             assert len(set(ran)) > 1 and MAX_ITER in ran
 
     def test_word_improbable_under_every_topic(self):
         # exp(-1000) underflows to 0, so the kernel needs its per-word shift
-        fits, logps = random_block(np.random.default_rng(3), [5, 3, 8, 1])
+        docs, logps = random_block(np.random.default_rng(3), [5, 3, 8, 1])
         logps = [logp.copy() for logp in logps]
-        for (words, _), logp in zip(fits, logps):
-            logp[:, words[0]] = -1000.0 + np.linspace(0.0, 2.0, logp.shape[0])
-        assert_matches_one_document_fits(fits, logps, 0.5)
+        for doc, logp in zip(docs, logps):
+            logp[:, doc.words[0]] = -1000.0 + np.linspace(0.0, 2.0, logp.shape[0])
+        assert_matches_one_document_fits(docs, logps, 0.5)
 
     def test_nan_log_probs_raise_numerical_error(self):
-        fits, logps = random_block(np.random.default_rng(0), [5, 3, 8])
+        docs, logps = random_block(np.random.default_rng(0), [5, 3, 8])
         logps[1] = logps[1].copy()
-        logps[1][:, fits[1][0][0]] = np.nan
+        logps[1][:, docs[1].words[0]] = np.nan
         with pytest.raises(NumericalError, match="mixture"):
-            _mixture_e_step(fits, gathered(fits, logps), 0.5)
+            _mixture_e_step(docs, gathered(docs, logps), 0.5)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
     def test_word_impossible_under_a_topic_raises_numerical_error(self):
         # gamma stays finite, but the topic's 0 * -inf makes the bound nan
-        fits, logps = random_block(np.random.default_rng(1), [5, 3, 8])
+        docs, logps = random_block(np.random.default_rng(1), [5, 3, 8])
         logps[2] = logps[2].copy()
-        logps[2][0, fits[2][0][0]] = -np.inf
+        logps[2][0, docs[2].words[0]] = -np.inf
         with pytest.raises(NumericalError, match="bound"):
-            _mixture_e_step(fits, gathered(fits, logps), 0.5)
+            _mixture_e_step(docs, gathered(docs, logps), 0.5)
 
 
 def daily_stream():
@@ -324,9 +333,9 @@ EDGE_VOCAB = 33
 def with_edge_words(train):
     """The training documents with word 30 added to the first one only and word 31 to the last one only."""
     first, last = train[0], train[-1]
-    return ([dataclasses.replace(first, counts={**first.counts, 30: 2})]
+    return ([dataclasses.replace(first, words=np.append(first.words, 30), counts=np.append(first.counts, 2.0))]
             + train[1:-1]
-            + [dataclasses.replace(last, counts={**last.counts, 31: 1})])
+            + [dataclasses.replace(last, words=np.append(last.words, 31), counts=np.append(last.counts, 1.0))])
 
 
 def at_pairs(model, dense):

@@ -18,7 +18,7 @@ from helpers import (
     reference_online_update,
 )
 from topicdrift import cli, drifting_topics, online_hdp
-from topicdrift.corpus import Document, doc_words
+from topicdrift.corpus import Document
 from topicdrift.errors import ConfigurationError, NumericalError, ParameterError
 from topicdrift.online_hdp import (
     BLOCK_DOCS,
@@ -48,7 +48,7 @@ from topicdrift.synthetic import drifting_stream, three_topic_corpus
 
 
 def make_doc(counts, doc_id="d", ts=0.0):
-    return Document(doc_id, ts, counts)
+    return Document.from_counts(doc_id, ts, counts)
 
 
 def make_global(lam, gamma=1.0):
@@ -98,9 +98,9 @@ class TestInferDocument:
         g = make_global([[1.0, 2.0, 3.0]])
         doc = make_doc({0: 2, 2: 1})
         snap = HdpSnapshot.of(g)
-        ((words, n, dv, elbo, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+        ((dv, elbo, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
         stats = BatchStats.zeros(1, 3)
-        accumulate_stats(stats, dv, words, n)
+        accumulate_stats(stats, dv, doc)
         np.testing.assert_allclose(dv.varphi, 1.0)
         np.testing.assert_allclose(dv.zeta.sum(axis=1), 1.0, atol=1e-12)
         assert math.isfinite(elbo)
@@ -113,7 +113,7 @@ class TestInferDocument:
         g = make_global(np.ones((5, 8)) * 0.7, gamma=1.5)
         doc = make_doc({3: 4})
         snap = HdpSnapshot.of(g)
-        ((_, _, dv, _, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+        ((dv, _, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
         sticks = expect_log_sticks(g.stick_u, g.stick_v)
         expected = np.exp(sticks - sticks.max())
         expected /= expected.sum()
@@ -129,11 +129,10 @@ class TestInferDocument:
                                                  rng.integers(1, 4, 12))}
         doc = make_doc(counts)
         snap = HdpSnapshot.of(g)
-        words, n = doc_words(doc)
         bounds = []
         for sweeps in range(1, 11):
             ((_, elbo, _),) = online_hdp._fit_block(
-                [(words, n)], snap.elog_beta, snap.elog_sticks, hyper, sweeps, 0.0
+                [doc], snap.elog_beta, snap.elog_sticks, hyper, sweeps, 0.0
             )
             bounds.append(elbo)
         assert all(b - a >= -1e-8 for a, b in zip(bounds, bounds[1:]))
@@ -144,7 +143,7 @@ class TestInferDocument:
         g = make_global(rng.gamma(1.0, 1.0, (7, 40)) + 0.01)
         doc = make_doc({int(w): 1 for w in rng.choice(40, 15, replace=False)})
         snap = HdpSnapshot.of(g)
-        ((_, _, dv, _, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+        ((dv, _, _),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
         np.testing.assert_allclose(dv.varphi.sum(axis=1), 1.0, atol=1e-10)
         np.testing.assert_allclose(dv.zeta.sum(axis=1), 1.0, atol=1e-10)
 
@@ -159,6 +158,18 @@ class TestInferDocument:
         lam = model.g.lam.copy()
         batch = [make_doc({2: 1}, "a"), make_doc({word: 3}, "b")]
         with pytest.raises(ParameterError, match=r"document 'b' needs words in \[0, 8\)"):
+            model.process_batch(batch)
+        np.testing.assert_array_equal(model.g.lam, lam)
+
+    @pytest.mark.parametrize("words, counts", [([3, 3], [1.0, 1.0]), ([3, 1], [1.0, 1.0]), ([1, 3], [1.0])])
+    def test_repeated_unordered_or_miscounted_words_rejected(self, words, counts):
+        """A repeated word would count once in ``accumulate_stats``; such documents never reach the kernel."""
+        model = OnlineHdp(HdpHyper(K_corpus=3, T_doc=2), 8, 2, seed=0)
+        lam = model.g.lam.copy()
+        batch = [make_doc({2: 1}, "a"), Document("d", 0.0, np.array(words), np.array(counts))]
+        with pytest.raises(ParameterError, match=r"document 'd' needs words in \[0, 8\), strictly ascending"):
+            next(infer_batch(batch, *model.expectations()[:2], model.hyper))
+        with pytest.raises(ParameterError, match="document 'd'"):
             model.process_batch(batch)
         np.testing.assert_array_equal(model.g.lam, lam)
 
@@ -220,8 +231,8 @@ class TestOnlineUpdate:
         g = init_global(hyper, 20, corpus_scale=5, seed=0)
         snap = HdpSnapshot.of(g)
         stats = BatchStats.zeros(4, 20)
-        for words, n, dv, _, _ in infer_batch(docs, snap.elog_beta, snap.elog_sticks, hyper):
-            accumulate_stats(stats, dv, words, n)
+        for doc, (dv, _, _) in zip(docs, infer_batch(docs, snap.elog_beta, snap.elog_sticks, hyper), strict=True):
+            accumulate_stats(stats, dv, doc)
         out = online_update(g, stats, hyper, corpus_scale=5)  # rho = (1+0)^-k = 1
         np.testing.assert_allclose(out.lam, hyper.eta + stats.lam, atol=1e-12)
         np.testing.assert_allclose(out.stick_u, 1.0 + stats.usage[:3], atol=1e-12)
@@ -293,13 +304,12 @@ def record_sweeps(monkeypatch):
 
     Blocks may be checked and fitted on worker threads, in any order, so
     each block's slot is made when ``batch_iter`` cuts it, on the calling
-    thread in block order.  The word check maps the block's ``fits`` list
-    to that slot, and the kernel fills the slot of the ``fits`` it is
-    given.  Returns the list of slots; a stream's batches, which are cut
-    the same way, leave theirs empty.
+    thread in block order, and the kernel fills the slot of the block it
+    is given.  Returns the list of slots; a stream's batches, which are
+    cut the same way, leave theirs empty.
     """
     blocks, slot_of = [], {}
-    cut, check, kernel = online_hdp.batch_iter, online_hdp.vocab_words, online_hdp._fit_block
+    cut, kernel = online_hdp.batch_iter, online_hdp._fit_block
 
     def cutting(*args):
         for block in cut(*args):
@@ -307,18 +317,12 @@ def record_sweeps(monkeypatch):
             blocks.append(slot_of[id(block)][1])
             yield block
 
-    def checking(block, *args):
-        fits = check(block, *args)
-        slot_of[id(fits)] = (fits, slot_of[id(block)][1])
-        return fits
-
-    def recording(fits, *args):
-        fitted = kernel(fits, *args)
-        slot_of[id(fits)][1].extend(ran for *_, ran in fitted)
+    def recording(block, *args):
+        fitted = kernel(block, *args)
+        slot_of[id(block)][1].extend(ran for *_, ran in fitted)
         return fitted
 
     monkeypatch.setattr(online_hdp, "batch_iter", cutting)
-    monkeypatch.setattr(online_hdp, "vocab_words", checking)
     monkeypatch.setattr(online_hdp, "_fit_block", recording)
     return blocks
 
@@ -392,14 +396,14 @@ class TestInferBatch:
         )
         sweeps = record_sweeps(monkeypatch)
         fits = list(infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper))
-        assert [doc_words(d)[0] for d in held] == [words for words, *_ in fits]
+        assert len(fits) == len(held)
         assert in_block_order(sweeps) == ref_sweeps
         assert_records_match(
-            [(d.id, d.timestamp, mixture_score(w, n, theta, snap.word_probs), int(n.sum()))
-             for d, (w, n, _, _, theta) in zip(held, fits)],
+            [(d.id, d.timestamp, mixture_score(d, theta, snap.word_probs), int(d.counts.sum()))
+             for d, (_, _, theta) in zip(held, fits)],
             records,
         )
-        for (_, _, dv, _, theta), want in zip(fits, mixtures, strict=True):
+        for (dv, _, theta), want in zip(fits, mixtures, strict=True):
             np.testing.assert_allclose(theta, want, rtol=1e-10, atol=0)
             np.testing.assert_allclose(dv.varphi.sum(axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(dv.zeta.sum(axis=1), 1.0, atol=1e-12)
@@ -430,11 +434,11 @@ class TestInferBatch:
         hyper = HdpHyper(K_corpus=12, T_doc=6, alpha0=alpha0)
         snap = trained_snapshot(hyper, docs[:60])
         held = docs[60:]
-        for (words, n, dv, bound, _), doc in zip(
+        for (dv, bound, _), doc in zip(
             infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper), held, strict=True
         ):
             ref, ref_bound, _ = infer_core(
-                words, n, snap.elog_beta[:, words], snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
+                doc.words, doc.counts, snap.elog_beta[:, doc.words], snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
             )
             assert bound == pytest.approx(ref_bound, rel=1e-10, abs=0)
             for name in ("stick_a", "stick_b", "varphi", "zeta"):
@@ -452,8 +456,8 @@ class TestInferBatch:
         sweeps = record_sweeps(monkeypatch)
         fits = list(infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper))
         assert in_block_order(sweeps) == ref_sweeps
-        for (words, n, dv, bound, theta), want in zip(fits, mixtures, strict=True):
-            assert dv.varphi.shape == (t, k) and dv.zeta.shape == (len(words), t)
+        for doc, (dv, bound, theta), want in zip(held, fits, mixtures, strict=True):
+            assert dv.varphi.shape == (t, k) and dv.zeta.shape == (doc.words.size, t)
             assert dv.stick_a.shape == dv.stick_b.shape == (t - 1,)
             np.testing.assert_allclose(theta, want, rtol=1e-10, atol=0)
 
@@ -463,14 +467,14 @@ class TestInferBatch:
         snap = trained_snapshot(hyper, docs[:60])
         held = docs[60:70]
         held.insert(3, make_doc({7: 3}, "one-word", held[2].timestamp))
-        assert min(len(d.counts) for d in held) == 1 and max(len(d.counts) for d in held) > 20
+        assert min(d.words.size for d in held) == 1 and max(d.words.size for d in held) > 20
         _, mixtures, ref_sweeps = reference_doc_loop(
             held, snap.elog_beta, snap.elog_sticks, snap.word_probs, hyper
         )
         sweeps = record_sweeps(monkeypatch)
         fits = list(infer_batch(held, snap.elog_beta, snap.elog_sticks, hyper))
         assert in_block_order(sweeps) == ref_sweeps
-        assert fits[3][2].zeta.shape == (1, 6)
+        assert fits[3][0].zeta.shape == (1, 6)
         for (*_, theta), want in zip(fits, mixtures, strict=True):
             np.testing.assert_allclose(theta, want, rtol=1e-10, atol=0)
 
@@ -480,13 +484,13 @@ class TestInferBatch:
         docs, _ = drifting_stream(seed=14, pre_docs=20, gap_docs=0, post_docs=0)
         hyper = HdpHyper(K_corpus=8, T_doc=4)
         snap = trained_snapshot(hyper, docs[:16])
-        word = min(docs[18].counts)
+        word = docs[18].words[0]
         elog = snap.elog_beta.copy()
         elog[2, word] = bad
         with pytest.raises(NumericalError) as err:
             list(infer_batch(docs[16:20], elog, snap.elog_sticks, hyper))
         assert err.value.sweep == 1
-        words, n = doc_words(docs[18])
+        words, n = docs[18].words, docs[18].counts
         with pytest.raises(NumericalError):  # the former loop raised too
             infer_core(words, n, elog[:, words], snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
 
@@ -516,7 +520,7 @@ class TestInferBatch:
 
         def fit_at_once(docs):
             return lambda: online_hdp._fit_block(
-                [doc_words(d) for d in docs], snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
+                docs, snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
             )
 
         blocked = peak(lambda: all(True for _ in infer_batch(docs, snap.elog_beta, snap.elog_sticks, hyper)))
@@ -534,10 +538,10 @@ class TestFitBlock:
         docs, _ = drifting_stream(seed=20, pre_docs=60, gap_docs=10, post_docs=BLOCK_DOCS)
         hyper = HdpHyper(K_corpus=k, T_doc=t, alpha0=alpha0)
         snap = trained_snapshot(hyper, docs[:70])
-        fits = [doc_words(d) for d in docs[70:]]
-        fits.insert(3, doc_words(make_doc({7: 3})))
+        block = docs[70:]
+        block.insert(3, make_doc({7: 3}))
         args = (snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
-        got, want = online_hdp._fit_block(fits, *args), reference_fit_block(fits, *args)
+        got, want = online_hdp._fit_block(block, *args), reference_fit_block(block, *args)
         assert len(got) == len(want) == BLOCK_DOCS + 1
         for (dv, bound, sweeps), (ref, ref_bound, ref_sweeps) in zip(got, want):
             assert (bound, sweeps) == (ref_bound, ref_sweeps)
@@ -553,13 +557,13 @@ class TestWorkers:
 
     @staticmethod
     def fit_until_error(docs, elog, elog_sticks, hyper):
-        """(yielded (words, counts, factors, bound, weights), the error raised or None); threads joined."""
+        """(yielded (factors, bound, weights), the error raised or None); threads joined."""
         threads = threading.active_count()
         got = []
         try:
-            for words, n, dv, bound, theta in infer_batch(docs, elog, elog_sticks, hyper):
+            for dv, bound, theta in infer_batch(docs, elog, elog_sticks, hyper):
                 factors = (dv.stick_a, dv.stick_b, dv.varphi, dv.zeta)
-                got.append((words, n.tobytes(), *(f.tobytes() for f in factors), bound, theta.tobytes()))
+                got.append((*(f.tobytes() for f in factors), bound, theta.tobytes()))
             error = None
         except (NumericalError, ParameterError) as err:
             error = err
@@ -573,8 +577,9 @@ class TestWorkers:
         snap = trained_snapshot(hyper, docs[:60], vocab_size=61)
         held = docs[60 : 60 + 3 * BLOCK_DOCS]
         late = held[2 * BLOCK_DOCS + 1]
-        held[2 * BLOCK_DOCS + 1] = make_doc({**late.counts, **counts}, late.id, late.timestamp)
-        assert all(60 not in d.counts for d in docs[:60] + held[: 2 * BLOCK_DOCS])
+        held[2 * BLOCK_DOCS + 1] = make_doc({**dict(zip(late.words.tolist(), late.counts.tolist())), **counts},
+                                            late.id, late.timestamp)
+        assert all(60 not in d.words for d in docs[:60] + held[: 2 * BLOCK_DOCS])
         return held, snap, hyper
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -682,8 +687,8 @@ class TestHeldout:
         g = make_global(np.full((3, 100), 2.0))
         doc = make_doc({5: 4, 80: 6})
         snap = HdpSnapshot.of(g)
-        ((words, n, _, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
-        score = mixture_score(words, n, theta, snap.word_probs)
+        ((_, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+        score = mixture_score(doc, theta, snap.word_probs)
         assert score == pytest.approx(10 * math.log(1 / 100), rel=1e-9)
 
     def test_perfect_single_topic_prediction_is_zero(self):
@@ -691,25 +696,24 @@ class TestHeldout:
         g = make_global([[1e9, 1e-9, 1e-9]])
         doc = make_doc({0: 7})
         snap = HdpSnapshot.of(g)
-        ((words, n, _, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
-        assert mixture_score(words, n, theta, snap.word_probs) == pytest.approx(0.0, abs=1e-6)
+        ((_, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+        assert mixture_score(doc, theta, snap.word_probs) == pytest.approx(0.0, abs=1e-6)
 
     def test_matches_explicit_mixture_computation(self):
         hyper = HdpHyper(K_corpus=2, T_doc=3)
         g = make_global([[6.0, 3.0, 1.0], [1.0, 1.0, 8.0]])
         doc = make_doc({0: 2, 1: 1, 2: 3})
         snap = HdpSnapshot.of(g)
-        ((words, n, _, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
-        score = mixture_score(words, n, theta, snap.word_probs)
+        ((_, _, theta),) = infer_batch([doc], snap.elog_beta, snap.elog_sticks, hyper)
+        score = mixture_score(doc, theta, snap.word_probs)
 
-        words, n = doc_words(doc)
         ((dv, _, _),) = online_hdp._fit_block(
-            [(words, n)], snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
+            [doc], snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL
         )
         theta = doc_topic_mixture(dv)
         probs = topic_word_probs(g)
         oracle = 0.0
-        for w, c in doc.counts.items():
+        for w, c in zip(doc.words.tolist(), doc.counts.tolist()):
             mix = sum(theta[k] * probs[k, w] for k in range(2))
             oracle += c * math.log(mix)
         assert score == pytest.approx(oracle, rel=1e-12)
@@ -744,7 +748,7 @@ class TestStreaming:
         docs, _ = three_topic_corpus(n_docs=60, vocab_size=20, seed=7)
         perm = np.random.default_rng(8).permutation(20)
         permuted = [
-            Document(d.id, d.timestamp, {int(perm[w]): c for w, c in d.counts.items()})
+            Document.from_counts(d.id, d.timestamp, dict(zip(perm[d.words].tolist(), d.counts.tolist())))
             for d in docs
         ]
         hyper = HdpHyper(K_corpus=5, T_doc=4)
