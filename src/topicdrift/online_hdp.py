@@ -14,7 +14,11 @@ that fits documents: ``score_batch`` (for both online models) and the
 timeline call it.  It fits BLOCK_DOCS (64) documents at a time with
 one batched kernel, ``_fit_block``: the block's evidence is padded to
 (B, M, K), every update is a stacked matmul or one vectorized special
-function call, and each document still stops at its own sweep.  Given
+function call, and each document still stops at its own sweep.  Inside
+a sweep the varphi softmax raises its shifted scores to FLUSH_BELOW, so
+that no subnormal reaches ``exp`` or the next matmul; every sum such a
+weight joins comes out the same, and a stopping document's varphi is
+rebuilt exactly, so the factors are the exact softmax's.  Given
 the corpus state the blocks are independent, so up to WORKERS of them
 are checked and fitted on worker threads while the caller consumes the
 one before; a caller holds at most WORKERS + 1 blocks' factors.  Corpus-level
@@ -50,6 +54,10 @@ SWEEP_TOL = 1e-6
 # documents fitted together; a block's padded (B, M, K) evidence is the kernel's extra memory, and each
 # sweep's fixed cost, which holds the GIL, is spread over the block's rows (see infer_batch)
 BLOCK_DOCS = 64
+# each sweep's varphi softmax raises its shifted scores to this floor: exp(-600) ~ 2.6e-261 is a normal
+# double, so neither exp nor the varphi @ eb^T that reads its result meets a subnormal, which numpy's exp
+# and the matmul both handle on a slow hardware path; a stopping document's varphi is rebuilt exactly
+FLUSH_BELOW = -600.0
 
 
 def _usable_cpus():
@@ -227,6 +235,22 @@ def _softmax(scores, axis, out):
     return top + np.log(total)
 
 
+def _flushed_softmax(scores, axis, out):
+    """``_softmax`` with every shifted score below FLUSH_BELOW raised to it.
+
+    A raised weight is e^FLUSH_BELOW / total instead of a smaller, often
+    subnormal, one.  The total is at least 1, so it and the log normalizer
+    are those of ``_softmax``, bit for bit.
+    """
+    top = scores.max(axis=axis, keepdims=True)
+    np.subtract(scores, top, out=out)
+    np.maximum(out, FLUSH_BELOW, out=out)
+    np.exp(out, out=out)
+    total = out.sum(axis=axis, keepdims=True)
+    out /= total
+    return top + np.log(total)
+
+
 def _fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     """Coordinate ascent for a block of documents against fixed corpus expectations.
 
@@ -238,6 +262,18 @@ def _fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     documents still running are then moved to the front of the block's
     arrays, which every sweep reuses.  Returns (factors, bound, sweeps)
     per document, in order.
+
+    Each sweep's varphi is ``_flushed_softmax``'s: a weight below
+    e^FLUSH_BELOW / total, which the exact softmax often makes subnormal or
+    0, is raised to that normal double.  The outputs stay exact, bit for
+    bit.  The evidence, the scores and the stick terms are all negative, so
+    every sum a raised weight joins keeps one sign and holds a term at least
+    the row's largest weight (>= 1/K) times a nonzero evidence or score
+    entry; round-to-nearest returns the same double whatever the raised
+    addend is.  Padded evidence rows are +0 either way, and NaN passes
+    through the raise.  So zeta, the sticks, the bound and the sweep counts
+    are unchanged, and the varphi a stopping document leaves with is
+    rebuilt from its scores by the exact ``_softmax``.
     """
     t_doc, alpha0 = hyper.T_doc, hyper.alpha0
     sizes = np.array([doc.words.size for doc in docs])
@@ -262,7 +298,7 @@ def _fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     for sweep in range(1, max_sweeps + 1):
         np.matmul(weighted, eb, out=varphi_scores)
         varphi_scores += elog_sticks
-        varphi_norm = _softmax(varphi_scores, 2, varphi)
+        varphi_norm = _flushed_softmax(varphi_scores, 2, varphi)
         # varphi @ eb^T is the zeta logit less the document sticks
         np.matmul(varphi, eb.transpose(0, 2, 1), out=zeta)
         zeta += elog_sticks_doc[:, :, None]
@@ -299,15 +335,20 @@ def _fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
             done[:] = True
         if not done.any():
             continue
-        for j in np.flatnonzero(done):
+        stop = np.flatnonzero(done)
+        exact = varphi_scores[stop]
+        _softmax(exact, 2, exact)
+        for r, j in enumerate(stop):
             i = running[j]
-            dv = DocVariational(a[j].copy(), b[j].copy(), varphi[j].copy(), zeta[j, :, : sizes[i]].T.copy())
+            dv = DocVariational(a[j].copy(), b[j].copy(), exact[r], zeta[j, :, : sizes[i]].T.copy())
             out[i] = (dv, float(bound[j]), sweep)
         rows = np.flatnonzero(~done)
         if not rows.size:
             break
-        for dst, src in enumerate(rows):  # rows only move forward
-            n[dst], eb[dst], zeta[dst], weighted[dst] = n[src], eb[src], zeta[src], weighted[src]
+        # rows only move forward, one at a time, since a fancy-indexed copy of eb would be a block-sized transient;
+        # the next sweep overwrites zeta before reading it, so only the evidence and the weighted counts move
+        for dst, src in enumerate(rows):
+            n[dst], eb[dst], weighted[dst] = n[src], eb[src], weighted[src]
         running = running[rows]
         k, width = rows.size, sizes[running].max()
         n, eb, zeta, weighted = n[:k, :width], eb[:k, :width], zeta[:k, :, :width], weighted[:k, :, :width]

@@ -529,27 +529,107 @@ class TestInferBatch:
 
 
 
+# where exp's result of a shifted softmax score is 0 (below) or subnormal (from here up to SUBNORMAL_ABOVE)
+ZERO_BELOW, SUBNORMAL_ABOVE = -745.13, -708.4
+
+
+def shifted_score_census(shifted):
+    """How many shifted scores exp takes to 0, to a subnormal, and to at least e^FLUSH_BELOW."""
+    return np.array([
+        np.count_nonzero(shifted < ZERO_BELOW),
+        np.count_nonzero((ZERO_BELOW <= shifted) & (shifted < SUBNORMAL_ABOVE)),
+        np.count_nonzero(shifted >= online_hdp.FLUSH_BELOW),
+    ])
+
+
 class TestFitBlock:
-    @pytest.mark.parametrize("k, t, alpha0", [(12, 6, 1.0), (12, 6, 0.2), (12, 6, 3.0), (12, 1, 1.0), (1, 6, 1.0)])
-    def test_matches_the_former_kernel_bit_for_bit(self, k, t, alpha0):
-        """Factors, bounds and sweep counts of one block, with documents that stop
-        on the tolerance, at the sweep cap and with one word, as the kernel gave them
-        with three digamma and three gammaln calls per sweep."""
+    @staticmethod
+    def block_and_args(k, t, alpha0):
+        """One block of BLOCK_DOCS + 1 documents with a one-word document, and the kernel's other arguments."""
         docs, _ = drifting_stream(seed=20, pre_docs=60, gap_docs=10, post_docs=BLOCK_DOCS)
         hyper = HdpHyper(K_corpus=k, T_doc=t, alpha0=alpha0)
         snap = trained_snapshot(hyper, docs[:70])
         block = docs[70:]
         block.insert(3, make_doc({7: 3}))
-        args = (snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
-        got, want = online_hdp._fit_block(block, *args), reference_fit_block(block, *args)
-        assert len(got) == len(want) == BLOCK_DOCS + 1
+        return block, (snap.elog_beta, snap.elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        assert len(got) == len(want)
         for (dv, bound, sweeps), (ref, ref_bound, ref_sweeps) in zip(got, want):
             assert (bound, sweeps) == (ref_bound, ref_sweeps)
             for name in ("stick_a", "stick_b", "varphi", "zeta"):
                 x, y = getattr(dv, name), getattr(ref, name)
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+    @pytest.mark.parametrize("k, t, alpha0", [(12, 6, 1.0), (12, 6, 0.2), (12, 6, 3.0), (12, 1, 1.0), (1, 6, 1.0)])
+    def test_matches_the_former_kernel_bit_for_bit(self, k, t, alpha0):
+        """Factors, bounds and sweep counts of one block, with documents that stop
+        on the tolerance, at the sweep cap and with one word, as the kernel gave them
+        with three digamma and three gammaln calls per sweep."""
+        block, args = self.block_and_args(k, t, alpha0)
+        got = online_hdp._fit_block(block, *args)
+        assert len(got) == BLOCK_DOCS + 1
+        self.assert_same_bytes(got, reference_fit_block(block, *args))
         if t > 1 and k > 1:
             assert 1 < len({ran for *_, ran in got}) and max(ran for *_, ran in got) == MAX_SWEEPS
+
+    def test_flushed_sweeps_keep_every_output_exact(self, monkeypatch):
+        """Each sweep's varphi softmax raises the shifted scores below FLUSH_BELOW.  On a block whose
+        shifted scores fall where exp gives 0, where it gives subnormals and in [FLUSH_BELOW, 0], the
+        factors, bounds and sweep counts are still the exact kernel's, bit for bit, with a document
+        stopped at the sweep cap; two workers yield the bytes of one."""
+        block, args = self.block_and_args(12, 6, 1.0)
+        sweep_softmax, census = online_hdp._flushed_softmax, []
+
+        def counting(scores, axis, out):
+            census.append(shifted_score_census(scores - scores.max(axis=axis, keepdims=True)))
+            return sweep_softmax(scores, axis, out)
+
+        monkeypatch.setattr(online_hdp, "_flushed_softmax", counting)
+        got = online_hdp._fit_block(block, *args)
+        assert np.sum(census, axis=0).all()
+        assert max(ran for *_, ran in got) == MAX_SWEEPS
+        self.assert_same_bytes(got, reference_fit_block(block, *args))
+
+        elog, elog_sticks, hyper = args[:3]
+        monkeypatch.setattr(online_hdp, "WORKERS", 1)
+        one = TestWorkers.fit_until_error(block, elog, elog_sticks, hyper)
+        monkeypatch.setattr(online_hdp, "WORKERS", 2)
+        assert len(one[0]) == len(block) > BLOCK_DOCS
+        assert TestWorkers.fit_until_error(block, elog, elog_sticks, hyper) == one
+        want = [(*(f.tobytes() for f in (dv.stick_a, dv.stick_b, dv.varphi, dv.zeta)), bound)
+                for i in range(0, len(block), BLOCK_DOCS)
+                for dv, bound, _ in reference_fit_block(block[i : i + BLOCK_DOCS], *args)]
+        assert [fit[:5] for fit in one[0]] == want
+
+
+class TestFlushedSoftmax:
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_log_normalizer_exact_and_only_low_weights_raised(self, axis):
+        """Scores from -1e4 to 0, with some near -700.5 and -745.5 after the shift: the log normalizer
+        is ``_softmax``'s bit for bit, the weights of shifted scores >= FLUSH_BELOW are ``_softmax``'s,
+        and every other weight is e^FLUSH_BELOW over ``_softmax``'s total."""
+        rng = np.random.default_rng(8)
+        scores = rng.uniform(-1e4, 0.0, (5, 24, 30))
+        lanes = np.moveaxis(scores, axis, -1)  # a view: the edits land in scores
+        lanes[..., 0] = 0.0
+        for i, (low, high) in enumerate([(-701.0, -700.0), (-746.0, -745.0), (-740.0, -710.0), (-650.0, -550.0)]):
+            lanes[..., 1 + 4 * i : 5 + 4 * i] = rng.uniform(low, high, lanes.shape[:-1] + (4,))
+        scores += rng.uniform(-40.0, 40.0, (5, 1, 1))
+        shifted = scores - scores.max(axis=axis, keepdims=True)
+        assert shifted_score_census(shifted).all() and (shifted < -1e3).any()
+
+        exact, flushed = np.empty_like(scores), np.empty_like(scores)
+        norm = online_hdp._softmax(scores, axis, exact)
+        assert online_hdp._flushed_softmax(scores, axis, flushed).tobytes() == norm.tobytes()
+        kept = shifted >= online_hdp.FLUSH_BELOW
+        assert (flushed[kept] == exact[kept]).all()
+        total = np.exp(shifted).sum(axis=axis, keepdims=True)
+        raised = np.broadcast_to(np.exp(online_hdp.FLUSH_BELOW) / total, scores.shape)
+        assert (flushed[~kept] == raised[~kept]).all()
+        tiny = np.finfo(float).tiny
+        assert (flushed >= tiny).all() and ((0.0 < exact) & (exact < tiny)).any() and (exact == 0.0).any()
 
 
 class TestWorkers:
