@@ -6,7 +6,8 @@ array is ``{"data", "dtype", "shape"}`` with ``data`` the base64 of its
 little-endian bytes.  A bool mask that a model stores packed, eight
 entries per ``|u1`` byte, goes through ``pack_mask`` and ``unpack_mask``.
 The model modules map their state to ``(header, arrays)`` and back and
-keep their own consistency checks.  Any damaged file, a file of an
+keep their own consistency checks, with ``check_values`` for the values
+that must be finite or positive.  Any damaged file, a file of an
 earlier format or one that is not JSON raises ``ParameterError``.
 """
 
@@ -124,6 +125,19 @@ def header_value(header, name, kind, nullable=False):
     if isinstance(value, bool) or not isinstance(value, JSON_TYPES[kind]):
         raise ParameterError(f"checkpoint header field {name!r} is not a {kind.__name__}")
     return value
+
+
+def check_values(name, values, positive=False):
+    """Raise ParameterError naming ``name`` unless every one of ``values`` is finite, and > 0 if ``positive``.
+
+    Only the least and the greatest value are compared, so no temporary as
+    large as ``values`` is made; a nan makes both nan, which fails each bound.
+    """
+    values = np.asarray(values, dtype=float)
+    low, high = values.min(initial=math.inf), values.max(initial=-math.inf)
+    if not ((0.0 if positive else -math.inf) < low and high < math.inf):
+        rule = "finite and > 0" if positive else "finite"
+        raise ParameterError(f"checkpoint {name!r} must be {rule}, but holds values in [{low}, {high}]")
 
 
 def config_from(cls, raw):

@@ -46,8 +46,6 @@ def cmd_ingest(args):
     elif args.format == "bbc":
         with open(args.input, "r", encoding="utf-8") as f:
             parsed = corpus_mod.parse_bbc(f)
-    else:
-        raise ConfigurationError(f"unknown format {args.format!r}")
     cfg = corpus_mod.TokenizerConfig(min_token_length=args.min_token_length)
     tokenized = corpus_mod.tokenize_corpus(parsed.documents, cfg)
     vocab = corpus_mod.build_vocabulary(tokenized, min_doc_freq=args.min_doc_freq)
@@ -118,8 +116,6 @@ def cmd_train(args):
         model = fixed_k_dtm.train_cdtm(train, config, rng, vocab.size)
         records = fixed_k_dtm.cdtm_heldout_loglik(model, test)
         fixed_k_dtm.save_checkpoint(model, args.checkpoint)
-    else:
-        raise ConfigurationError(f"unknown model {args.model!r}")
     series = evaluation.per_word_series(records)
     evaluation.write_series_tsv(evaluation.smooth_series(series, 100), args.tsv)
     print(f"documents_scored\t{len(records)}")
@@ -246,8 +242,6 @@ def cmd_simulate(args):
             raise ConfigurationError(f"--history rows must all hold one count per component, got {args.history!r}")
         weights = tdpm_decayed_counts(np.array(history), args.width, args.decay_lambda)
         records = [{"decayed_counts": weights.tolist()}]
-    else:
-        raise ConfigurationError(f"unknown process {args.process!r}")
     _emit(records, args.out)
     return 0
 

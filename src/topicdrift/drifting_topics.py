@@ -45,7 +45,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .checkpoint import config_from, header_value, pack_mask, read_checkpoint, unpack_mask, write_checkpoint
+from .checkpoint import (
+    check_values, config_from, header_value, pack_mask, read_checkpoint, unpack_mask, write_checkpoint,
+)
 from .errors import (
     ConfigurationError,
     LifecycleProtocolError,
@@ -59,6 +61,7 @@ from .online_hdp import (
     HdpHyper,
     HdpSnapshot,
     OnlineHdp,
+    _softmax,
     decode_hdp,
     encode_hdp,
     online_update,
@@ -177,14 +180,9 @@ class DriftingTopicModel(OnlineHdp):
         """
         probs = np.log(snap.word_probs, out=snap.word_probs)
         probs += self.mean
-        top = probs.max(axis=1, keepdims=True)
-        probs -= top
-        np.exp(probs, out=probs)
-        total = probs.sum(axis=1, keepdims=True)
-        probs /= total
         elog = snap.elog_beta
         elog += self.mean
-        elog -= top + np.log(total)
+        elog -= _softmax(probs, 1, probs)
         return elog, probs
 
     def expectations(self):
@@ -234,8 +232,9 @@ def _kalman_stage(model, batch, stats):
     (timestamp, word) pairs, ordered by timestamp and then word, are the
     pairs of ``pair_filter``, shared by every born topic: each pair
     observes its topic's log-ratio at its word with variance ``obs_var``,
-    and the prior is the track's persisted state.  Only the filter's
-    terminal state at the batch's last timestamp is kept.
+    and the prior is the track's persisted state, gathered once into the
+    (born, W) arrays that the filter runs in.  Only the filter's terminal
+    state at the batch's last timestamp is kept.
     """
     born = np.flatnonzero(model.born)
     if not born.size:
@@ -249,10 +248,9 @@ def _kalman_stage(model, batch, stats):
     # the (born, V) and (born, W) intermediates are gone before the (born, P) pairs are filtered
     beta = _log_ratio(model, stats, born, words, len(batch))[:, cols]
     rows = np.ix_(born, words)
-    mean, var = pair_filter(
-        unique_ts, starts, cols, beta, np.full(beta.shape, model.config.obs_var), model.drift_per_second,
-        model.mean[rows], model.var[rows],
-    )
+    mean, var = model.mean[rows], model.var[rows]
+    pair_filter(unique_ts, starts, cols, beta, np.full(beta.shape, model.config.obs_var), model.drift_per_second,
+                mean, var)
 
     # tracked words outside the batch drift to its end; the batch's words take the filtered state
     evolve_topics(model, unique_ts[-1])
@@ -318,6 +316,11 @@ def decode_checkpoint(header, arrays):
     model = decode_hdp(DriftingTopicModel.__new__(DriftingTopicModel), header, arrays, config.hyper)
     model.config = config
     model.clock = header_value(header, "clock", float, nullable=True)
+    if model.clock is not None:
+        check_values("clock", model.clock)
+    check_values("mean", arrays["mean"])
+    check_values("var", arrays["var"], positive=True)
+    check_values("deadline", arrays["deadline"])
     model._clear_tracks()
     k, v = config.hyper.K_corpus, model.vocab_size
     for name in LIFECYCLE_ARRAYS:

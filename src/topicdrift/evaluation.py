@@ -52,11 +52,9 @@ def moving_average(values, window):
         raise ParameterError("window must be >= 1")
     values = np.asarray(values, dtype=float)
     prefix = np.concatenate([[0.0], np.cumsum(values)])
-    out = np.empty(values.size)
-    for i in range(values.size):
-        lo = max(0, i + 1 - window)
-        out[i] = (prefix[i + 1] - prefix[lo]) / (i + 1 - lo)
-    return out.tolist()
+    end = np.arange(1, values.size + 1)
+    start = np.maximum(0, end - window)
+    return ((prefix[end] - prefix[start]) / (end - start)).tolist()
 
 
 def smooth_series(series, window):

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from . import online_hdp
-from .checkpoint import config_from, header_value, read_checkpoint, write_checkpoint
+from .checkpoint import check_values, config_from, header_value, read_checkpoint, write_checkpoint
 from .corpus import batch_iter, check_words
 from .drifting_topics import PRIOR_VARIANCE, SECONDS_PER_DAY, CidtmConfig
 from .errors import NumericalError, ParameterError, TimeOrderError
@@ -242,10 +242,11 @@ def _smooth_topics(knots, pairs, vocab_size, expected, config):
     log(count / row sum) and its variance ``config.obs_var`` / count; a
     knot's row sum is its pairs' counts plus SMOOTHING for each of its
     V - n_s unobserved words.  One sparse filter and one sparse smoother
-    pass over all K topics, at ``config``'s drift rate and from the
-    uniform level log(1/V) with variance PRIOR_VARIANCE, then turn them
-    into the (K, P) smoothed means.  ``expected`` is overwritten: it is
-    the scratch for the variances, which nothing reads.
+    pass over all K topics, at ``config``'s drift rate, turn them into the
+    (K, P) smoothed means; the filter runs in a (K, V) state that starts at
+    the uniform level log(1/V) with variance PRIOR_VARIANCE.  ``expected``
+    is overwritten: it is the scratch for the variances, which nothing
+    reads.
     """
     v = vocab_size
     starts = np.searchsorted(pairs, np.arange(knots.size + 1) * v)
@@ -259,7 +260,8 @@ def _smooth_topics(knots, pairs, vocab_size, expected, config):
     obs = np.divide(config.obs_var, counts, out=expected)
     words = pairs % v
     rate = config.drift_v / SECONDS_PER_DAY
-    pair_filter(knots, starts, words, beta, obs, rate, np.log(1.0 / v), PRIOR_VARIANCE)
+    shape = (counts.shape[0], v)
+    pair_filter(knots, starts, words, beta, obs, rate, np.full(shape, np.log(1.0 / v)), np.full(shape, PRIOR_VARIANCE))
     return pair_smoother(knots, starts, words, beta, obs, rate)[0]
 
 
@@ -336,6 +338,8 @@ def load_checkpoint(path):
     _, header, arrays = read_checkpoint(path, {"cdtm": ARRAYS})
     config = config_from(CdtmConfig, header_value(header, "config", dict))
     v = header_value(header, "vocab_size", int)
+    for name in ("knots", "means", "objective_trace"):
+        check_values(name, arrays[name])
     knots, pairs = arrays["knots"], arrays["pairs"]
     if not knots.size or (np.diff(knots) <= 0).any():
         raise ParameterError("checkpoint knots must be nonempty and strictly ascending")

@@ -10,10 +10,12 @@ One sparse filter and smoother implement that model.  ``pair_filter``
 and ``pair_smoother`` touch a track only at the steps where it is
 observed, grow its variance across each gap in one step, and keep the
 filtered and then the smoothed state of each observed (step, column)
-pair in place in the caller's (..., P) arrays; the filter also returns
-every column's state at the last timestamp.  The online drifting model
-keeps only that terminal state, the offline baseline smooths all of its
-(topic, word) tracks with one pass of each per sweep, and
+pair in place in the caller's (..., P) arrays.  The filter's running
+state lives in the caller's (..., width) ``mean`` and ``var``, which hold
+the prior on entry and every column's state at the last timestamp on
+return; it returns nothing.  The online drifting model keeps only that
+terminal state, the offline baseline smooths all of its (topic, word)
+tracks with one pass of each per sweep, and
 ``kalman_forward``/``kalman_backward`` run one track whose every step is
 a pair, an absent step being an observation with infinite variance.
 
@@ -30,8 +32,8 @@ and the backward pass is the matching fixed-interval smoother
 with m~_T = m_T and V~_T = V_T.  The prior (m0, V0) applies at the first
 timestamp of the track; callers that need drift before the first
 observation fold it into V0.  The pair passes take the drift rate v as
-a number and the prior as numbers or arrays; the one-track API takes
-them from a ``DriftConfig``.
+a number, and ``pair_filter`` the prior as the state arrays it filters
+in place; the one-track API takes both from a ``DriftConfig``.
 """
 
 import math
@@ -139,34 +141,32 @@ def _pair_steps(timestamps, starts, columns):
     return ts, steps, int(np.max(columns, initial=-1)) + 1
 
 
-def pair_filter(timestamps, starts, columns, beta_hat, obs_variance, drift, prior_mean, prior_var):
-    """Sparse filter over observed (step, column) pairs, writing each pair's filtered state in place.
+def pair_filter(timestamps, starts, columns, beta_hat, obs_variance, drift, mean, var):
+    """Sparse filter over observed (step, column) pairs, in the caller's arrays; returns nothing.
 
     The last axis of ``beta_hat`` and ``obs_variance`` indexes P pairs
     grouped by step: ``starts[s]:starts[s + 1]`` are the pairs observed at
     ``timestamps[s]``, ``columns`` gives each pair's column, and a column
     appears at most once per step.  Leading axes are independent tracks
-    that share the pattern.  The prior (``prior_mean``, ``prior_var``)
-    applies at ``timestamps[0]`` and is broadcast to the running
-    (..., width) state, whose width is the priors' last axis, or one more
-    than the largest column for priors shared by every column.  Each
-    column remembers when it was last updated, so its prediction variance
-    grows by ``drift`` * (t - last) in one step across any gap.  The
-    filtered mean and variance of each pair overwrite its
-    pseudo-observation and its variance.
+    that share the pattern.  ``mean`` and ``var`` are the running state:
+    float arrays of one (..., width) shape, whose leading axes are
+    ``beta_hat``'s and whose width covers every column, holding the prior
+    that applies at ``timestamps[0]``.  Each column remembers when it was
+    last updated, so its prediction variance grows by ``drift`` *
+    (t - last) in one step across any gap.  The filtered mean and variance
+    of each pair overwrite its pseudo-observation and its variance.
 
-    Returns the terminal state: each column's (mean, variance) at
-    ``timestamps[-1]``, the variance grown by ``drift`` * (timestamps[-1] - last).
+    On return ``mean`` and ``var`` hold the terminal state: each column's
+    (mean, variance) at ``timestamps[-1]``, the variance grown by
+    ``drift`` * (timestamps[-1] - last).
     """
     ts, steps, width = _pair_steps(timestamps, starts, columns)
-    shape = np.broadcast_shapes(beta_hat.shape[:-1] + (1,), np.shape(prior_mean), np.shape(prior_var))
-    if shape[-1] == 1:
-        shape = shape[:-1] + (width,)
-    elif shape[-1] < width:
-        raise ShapeMismatchError("prior_mean and prior_var must cover every column")
-    mean = np.array(np.broadcast_to(prior_mean, shape), dtype=float)
-    var = np.array(np.broadcast_to(prior_var, shape), dtype=float)
-    last = np.full(shape[-1], ts[0])
+    if not all(isinstance(a, np.ndarray) and a.dtype.kind == "f" for a in (mean, var)):
+        raise ParameterError("mean and var must be float arrays")
+    if (mean.shape != var.shape or mean.ndim != beta_hat.ndim or mean.shape[:-1] != beta_hat.shape[:-1]
+            or mean.shape[-1] < width):
+        raise ShapeMismatchError("mean and var must have one shape, with beta_hat's tracks, covering every column")
+    last = np.full(mean.shape[-1], ts[0])
     for t, (lo, hi, cols) in zip(ts, steps):
         p = var[..., cols] + drift * (t - last[cols])
         gain = p / (p + obs_variance[..., lo:hi])
@@ -175,7 +175,6 @@ def pair_filter(timestamps, starts, columns, beta_hat, obs_variance, drift, prio
         var[..., cols] = obs_variance[..., lo:hi] = (1.0 - gain) * p
         last[cols] = t
     var += drift * (ts[-1] - last)
-    return mean, var
 
 
 def pair_smoother(timestamps, starts, columns, means, variances, drift):
@@ -224,8 +223,8 @@ def kalman_forward(track, cfg):
     """
     means = np.where(track.present, track.beta_hat, 0.0)
     variances = np.where(track.present, track.obs_variance, math.inf)
-    pair_filter(track.timestamps, *_one_column(track), means, variances,
-                cfg.process_variance, cfg.prior_mean, cfg.prior_variance)
+    pair_filter(track.timestamps, *_one_column(track), means, variances, cfg.process_variance,
+                np.array([cfg.prior_mean], dtype=float), np.array([cfg.prior_variance], dtype=float))
     return means, variances
 
 

@@ -44,7 +44,9 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .checkpoint import config_from, header_value, pack_mask, read_checkpoint, unpack_mask, write_checkpoint
+from .checkpoint import (
+    check_values, config_from, header_value, pack_mask, read_checkpoint, unpack_mask, write_checkpoint,
+)
 from .corpus import batch_iter, check_words
 from .errors import ConfigurationError, NumericalError, ParameterError
 
@@ -139,8 +141,8 @@ def init_global(hyper, vocab_size, corpus_scale, seed):
     lam = hyper.eta + rng.gamma(1.0, 1.0, (k, vocab_size)) * (corpus_scale / (k * vocab_size))
     return GlobalVariational(
         lam=lam,
-        stick_u=np.ones(max(k - 1, 0)),
-        stick_v=np.full(max(k - 1, 0), hyper.gamma),
+        stick_u=np.ones(k - 1),
+        stick_v=np.full(k - 1, hyper.gamma),
         update_count=0,
     )
 
@@ -171,8 +173,6 @@ def _stick_means(u, v):
     residual mass.
     """
     k = u.size + 1
-    if k == 1:
-        return np.ones(1)
     frac = u / (u + v)
     remaining = np.concatenate([[1.0], np.cumprod(1.0 - frac)])
     weights = np.empty(k)
@@ -222,29 +222,21 @@ def _beta_entropy(sticks, dg, lg):
     return lg[0] + lg[1] - lg[2] - (a - 1.0) * dg[0] - (b - 1.0) * dg[1] + (ab - 2.0) * dg[2]
 
 
-def _softmax(scores, axis, out):
+def _softmax(scores, axis, out, floor=None):
     """Softmax of ``scores`` along ``axis`` into ``out``; returns the log normalizer (keepdims).
 
     Since the weights sum to 1, sum(p log p) = sum(p * scores) - log normalizer.
+    With a ``floor``, every score below it after the max shift is raised to
+    it: such a weight is e^floor / total instead of a smaller, often
+    subnormal, one.  The shift leaves a 0 in every lane, so the total is at
+    least 1, and at a floor as low as FLUSH_BELOW the raised addends are far
+    below its last bit: the total and the log normalizer are those of the
+    softmax without a floor, bit for bit.
     """
     top = scores.max(axis=axis, keepdims=True)
     np.subtract(scores, top, out=out)
-    np.exp(out, out=out)
-    total = out.sum(axis=axis, keepdims=True)
-    out /= total
-    return top + np.log(total)
-
-
-def _flushed_softmax(scores, axis, out):
-    """``_softmax`` with every shifted score below FLUSH_BELOW raised to it.
-
-    A raised weight is e^FLUSH_BELOW / total instead of a smaller, often
-    subnormal, one.  The total is at least 1, so it and the log normalizer
-    are those of ``_softmax``, bit for bit.
-    """
-    top = scores.max(axis=axis, keepdims=True)
-    np.subtract(scores, top, out=out)
-    np.maximum(out, FLUSH_BELOW, out=out)
+    if floor is not None:
+        np.maximum(out, floor, out=out)
     np.exp(out, out=out)
     total = out.sum(axis=axis, keepdims=True)
     out /= total
@@ -263,17 +255,17 @@ def _fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     arrays, which every sweep reuses.  Returns (factors, bound, sweeps)
     per document, in order.
 
-    Each sweep's varphi is ``_flushed_softmax``'s: a weight below
-    e^FLUSH_BELOW / total, which the exact softmax often makes subnormal or
-    0, is raised to that normal double.  The outputs stay exact, bit for
-    bit.  The evidence, the scores and the stick terms are all negative, so
-    every sum a raised weight joins keeps one sign and holds a term at least
-    the row's largest weight (>= 1/K) times a nonzero evidence or score
-    entry; round-to-nearest returns the same double whatever the raised
-    addend is.  Padded evidence rows are +0 either way, and NaN passes
+    Each sweep's varphi is ``_softmax``'s with the floor FLUSH_BELOW: a
+    weight below e^FLUSH_BELOW / total, which the exact softmax often makes
+    subnormal or 0, is raised to that normal double.  The outputs stay
+    exact, bit for bit.  The evidence, the scores and the stick terms are
+    all negative, so every sum a raised weight joins keeps one sign and
+    holds a term at least the row's largest weight (>= 1/K) times a nonzero
+    evidence or score entry; round-to-nearest returns the same double
+    whatever the raised addend is.  Padded evidence rows are +0 either way, and NaN passes
     through the raise.  So zeta, the sticks, the bound and the sweep counts
     are unchanged, and the varphi a stopping document leaves with is
-    rebuilt from its scores by the exact ``_softmax``.
+    rebuilt from its scores by ``_softmax`` without a floor.
     """
     t_doc, alpha0 = hyper.T_doc, hyper.alpha0
     sizes = np.array([doc.words.size for doc in docs])
@@ -298,7 +290,7 @@ def _fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     for sweep in range(1, max_sweeps + 1):
         np.matmul(weighted, eb, out=varphi_scores)
         varphi_scores += elog_sticks
-        varphi_norm = _flushed_softmax(varphi_scores, 2, varphi)
+        varphi_norm = _softmax(varphi_scores, 2, varphi, FLUSH_BELOW)
         # varphi @ eb^T is the zeta logit less the document sticks
         np.matmul(varphi, eb.transpose(0, 2, 1), out=zeta)
         zeta += elog_sticks_doc[:, :, None]
@@ -442,12 +434,9 @@ def online_update(g, stats, hyper, corpus_scale):
     lam = g.lam * (1.0 - rho)
     lam += step
     k = g.num_topics
-    if k > 1:
-        tail = np.flip(np.cumsum(np.flip(stats.usage[1:])))
-        u = (1.0 - rho) * g.stick_u + rho * (1.0 + scale * stats.usage[: k - 1])
-        v = (1.0 - rho) * g.stick_v + rho * (hyper.gamma + scale * tail)
-    else:
-        u, v = g.stick_u.copy(), g.stick_v.copy()
+    tail = np.flip(np.cumsum(np.flip(stats.usage[1:])))
+    u = (1.0 - rho) * g.stick_u + rho * (1.0 + scale * stats.usage[: k - 1])
+    v = (1.0 - rho) * g.stick_v + rho * (hyper.gamma + scale * tail)
     return GlobalVariational(lam, u, v, g.update_count + 1)
 
 
@@ -539,6 +528,12 @@ def decode_hdp(model, header, arrays, hyper):
     model.hyper = hyper
     model.vocab_size = header_value(header, "vocab_size", int)
     model.corpus_scale = header_value(header, "corpus_scale", float)
+    update_count = header_value(header, "update_count", int)
+    if update_count < 0:
+        raise ParameterError(f"checkpoint 'update_count' must be >= 0, got {update_count}")
+    check_values("corpus_scale", model.corpus_scale, positive=True)
+    for name in ("lam_off_eta", "stick_u", "stick_v"):
+        check_values(name, arrays[name], positive=True)
     k = hyper.K_corpus
     stick_u, stick_v = arrays["stick_u"], arrays["stick_v"]
     if stick_u.shape != (k - 1,) or stick_v.shape != (k - 1,):
@@ -549,7 +544,7 @@ def decode_hdp(model, header, arrays, hyper):
         raise ParameterError(f"checkpoint lam_off_eta holds {size} values, not one per lam entry off eta ({expected})")
     lam = np.full(off_eta.shape, hyper.eta)
     lam[off_eta] = arrays["lam_off_eta"]
-    model.g = GlobalVariational(lam, stick_u, stick_v, header_value(header, "update_count", int))
+    model.g = GlobalVariational(lam, stick_u, stick_v, update_count)
     return model
 
 

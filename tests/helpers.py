@@ -31,7 +31,9 @@ replaced with one pass.
 ``reference_drifting_expectations`` keep the online models' per-batch
 (K, V) expressions as they were before they were built in place, the
 last two with scipy's ``logsumexp``; ``reference_doc_topic_weights``
-keeps the timeline fit that held the whole loaded model.
+keeps the timeline fit that held the whole loaded model, and
+``reference_moving_average`` the per-index loop of
+``evaluation.moving_average``.
 ``payload_array`` and ``set_payload_array`` read and edit the arrays of
 a parsed checkpoint with ``base64`` and numpy alone.
 ``documents_equal`` compares documents field by field: ``==`` on a
@@ -425,6 +427,17 @@ def reference_drifting_expectations(model):
     g = model.g
     elog, probs = reference_adjusted_matrices(reference_elog_beta(g), topic_word_probs(g), model.mean)
     return elog, expect_log_sticks(g.stick_u, g.stick_v), probs
+
+
+def reference_moving_average(values, window):
+    """The former ``evaluation.moving_average``: one window's mean per index, in a Python loop."""
+    values = np.asarray(values, dtype=float)
+    prefix = np.concatenate([[0.0], np.cumsum(values)])
+    out = np.empty(values.size)
+    for i in range(values.size):
+        lo = max(0, i + 1 - window)
+        out[i] = (prefix[i + 1] - prefix[lo]) / (i + 1 - lo)
+    return out.tolist()
 
 
 def reference_doc_topic_weights(model, docs):

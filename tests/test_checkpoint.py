@@ -377,6 +377,45 @@ def test_a_cdtm_checkpoint_with_an_alpha_training_rejects_raises_parameter_error
         fixed_k_dtm.load_checkpoint(root / "alpha_cdtm.json")
 
 
+ONLINE = ("ohdp", "cidtm")
+# (kind, "header" or "arrays", name, value): one value set in a pristine checkpoint that its load refuses;
+# the values that must be > 0 fail at 0 or below, and every value fails at nan or +-inf
+OUT_OF_RANGE = (
+    [(kind, "arrays", "lam_off_eta", value) for kind in ONLINE for value in (-1.0, 0.0, math.nan, math.inf)]
+    + [(kind, "arrays", name, value) for kind in ONLINE for name in ("stick_u", "stick_v")
+       for value in (-2.0, math.nan)]
+    + [(kind, "header", "corpus_scale", value) for kind in ONLINE for value in (-5.0, 0.0, math.nan, math.inf)]
+    + [(kind, "header", "update_count", -3) for kind in ONLINE]
+    + [("cidtm", "header", "clock", value) for value in (math.nan, math.inf, -math.inf)]
+    + [("cidtm", "arrays", "mean", value) for value in (math.nan, math.inf)]
+    + [("cidtm", "arrays", "var", value) for value in (-1.0, 0.0, math.nan, math.inf)]
+    + [("cidtm", "arrays", "deadline", value) for value in (math.nan, -math.inf)]
+    + [("cdtm", "arrays", name, value) for name in ("knots", "means", "objective_trace")
+       for value in (math.nan, math.inf)]
+)
+
+
+@pytest.mark.parametrize("kind, where, name, value", OUT_OF_RANGE, ids=[f"{k}-{n}-{v}" for k, _, n, v in OUT_OF_RANGE])
+def test_a_value_out_of_range_raises_parameter_error_on_load(trained, kind, where, name, value):
+    """A nan knot is refused although it passes the ascending check; the online kinds' timeline exits 2."""
+    root, pristine = trained
+    payload = json.loads(pristine[kind])
+    if where == "header":
+        payload["header"][name] = value
+    else:
+        array = payload_array(payload, name).copy()
+        array.flat[array.size // 2] = value
+        set_payload_array(payload, name, array)
+    content = json.dumps(payload).encode()
+    (root / "range.json").write_bytes(content)
+    module = {"ohdp": online_hdp, "cidtm": drifting_topics, "cdtm": fixed_k_dtm}[kind]
+    with pytest.raises(ParameterError, match=f"'{name}' must be"):
+        module.load_checkpoint(root / "range.json")
+    if kind in ONLINE:
+        code, err = timeline_exit(root, content)
+        assert code == 2 and err.startswith("error: ") and f"'{name}' must be" in err, err
+
+
 @pytest.mark.parametrize("kind", ["ohdp", "cidtm", "cdtm"])
 def test_a_format_2_checkpoint_asks_to_retrain(trained, kind):
     root, pristine = trained

@@ -822,6 +822,17 @@ class TestMain:
         assert code == 3
         assert "numerical failure: kernel diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--format", "xml", "--input", "x", "--out-corpus", "c", "--out-vocab", "v"],
+        ["train", "--model", "lda", "--corpus", "c", "--vocab", "v", "--checkpoint", "m", "--tsv", "t"],
+        ["simulate", "ibp"],
+    ], ids=["format", "model", "process"])
+    def test_an_unknown_choice_exits_2_before_any_command_runs(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_module_help_lists_the_commands(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "topicdrift", "--help"],

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_moving_average
 from topicdrift.corpus import Document
 from topicdrift.errors import ParameterError
 from topicdrift.evaluation import (
@@ -91,6 +92,15 @@ class TestMovingAverage:
     def test_zero_window_rejected(self):
         with pytest.raises(ParameterError):
             moving_average([1.0], 0)
+
+    def test_matches_the_former_loop_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        cases = [(0, 1), (1, 1), (1, 5000), (1000, 1), (1000, 1000), (1000, 5000)]
+        cases += [(int(rng.integers(0, 1001)), int(rng.integers(1, 5001))) for _ in range(28)]
+        for n, window in cases:
+            values = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), n).tolist()
+            got, want = moving_average(values, window), reference_moving_average(values, window)
+            assert len(got) == n and np.array(got).tobytes() == np.array(want).tobytes(), (n, window)
 
 
 class TestTimelineAssign:

@@ -160,7 +160,9 @@ class TestTerminalFilter:
         steps, columns = np.nonzero(present)
         starts = np.searchsorted(steps, np.arange(len(ts) + 1))
         beta = values[..., columns]
-        return pair_filter(ts, starts, columns, beta, np.full(beta.shape, obs_var), cfg.process_variance, m0, v0)
+        mean, var = m0.copy(), v0.copy()
+        pair_filter(ts, starts, columns, beta, np.full(beta.shape, obs_var), cfg.process_variance, mean, var)
+        return mean, var
 
     def check(self, ts, present, values, obs_var, cfg, m0, v0):
         mean, var = self.terminal(ts, present, values, obs_var, cfg, m0, v0)
@@ -229,11 +231,30 @@ class TestTerminalFilter:
 
     def test_observed_must_cover_every_timestamp(self):
         with pytest.raises(ShapeMismatchError):
-            pair_filter([0.0, 1.0], [0, 1], np.array([0]), np.zeros(1), np.ones(1), 0.1, 0.0, 1.0)
+            pair_filter([0.0, 1.0], [0, 1], np.array([0]), np.zeros(1), np.ones(1), 0.1, np.zeros(1), np.ones(1))
         # priors must cover every observed column
         with pytest.raises(ShapeMismatchError):
             pair_filter([0.0, 1.0], [0, 1, 2], np.array([0, 2]), np.zeros(2), np.ones(2), 0.1,
                         np.zeros(2), np.ones(2))
+
+    def test_state_is_one_float_shape_that_covers_every_column(self):
+        """Two tracks observe columns 0 and 2; the state is filtered in place and nothing is returned."""
+        pairs = ([0.0, 1.0], [0, 1, 2], np.array([0, 2]))
+        for mean, var in [
+            (np.zeros((2, 3)), np.ones((2, 4))),  # two shapes
+            (np.zeros((2, 2)), np.ones((2, 2))),  # narrower than the columns
+            (np.zeros(3), np.ones(3)),            # not beta_hat's two tracks
+            (np.zeros((1, 3)), np.ones((1, 3))),
+        ]:
+            with pytest.raises(ShapeMismatchError):
+                pair_filter(*pairs, np.ones((2, 2)), np.ones((2, 2)), 0.1, mean, var)
+        for mean, var in [(np.zeros((2, 3), dtype=int), np.ones((2, 3))), (0.0, 1.0), ([0.0] * 3, np.ones(3))]:
+            with pytest.raises(ParameterError):
+                pair_filter(*pairs, np.ones((2, 2)), np.ones((2, 2)), 0.1, mean, var)
+        mean, var = np.zeros((2, 4)), np.ones((2, 4))
+        assert pair_filter(*pairs, np.ones((2, 2)), np.ones((2, 2)), 0.1, mean, var) is None
+        np.testing.assert_allclose(mean, [[0.5, 0.0, 1.1 / 2.1, 0.0]] * 2, rtol=1e-15)
+        np.testing.assert_allclose(var, [[0.6, 1.1, 1.1 / 2.1, 1.1]] * 2, rtol=1e-15)
 
 
 class TestPairFilterAndSmoother:
@@ -268,9 +289,11 @@ class TestPairFilterAndSmoother:
         s_mean, s_var = backward_steps(ts, f_mean, f_var, cfg)
         starts, columns, steps = self.pair_layout(present)
         means, variances = values[steps, :, columns].T.copy(), noise[steps, :, columns].T.copy()
-        terminal = pair_filter(ts, starts, columns, means, variances, v, cfg.prior_mean, cfg.prior_variance)
-        # the returned terminal state is the dense filter's last row; column words - 1 is never observed
         width = present.shape[1] - 1
+        shape = (means.shape[0], width)
+        terminal = np.full(shape, cfg.prior_mean), np.full(shape, cfg.prior_variance)
+        pair_filter(ts, starts, columns, means, variances, v, *terminal)
+        # the terminal state is the dense filter's last row; column words - 1 is never observed
         np.testing.assert_allclose(terminal[0], f_mean[-1, :, :width], rtol=1e-10, atol=0)
         np.testing.assert_allclose(terminal[1], f_var[-1, :, :width], rtol=1e-10, atol=0)
         np.testing.assert_allclose(means, f_mean[steps, :, columns].T, rtol=1e-10, atol=0)
@@ -284,7 +307,8 @@ class TestPairFilterAndSmoother:
         ts, present, values, noise = self.observations(3)
         starts, columns, steps = self.pair_layout(present)
         means, variances = values[steps, :, columns].T.copy(), noise[steps, :, columns].T.copy()
-        pair_filter(ts, starts, columns, means, variances, 0.3, 0.0, 1.0)
+        pair_filter(ts, starts, columns, means, variances, 0.3,
+                    np.zeros((means.shape[0], present.shape[1])), np.ones((means.shape[0], present.shape[1])))
         last = [np.flatnonzero(columns == w)[-1] for w in np.unique(columns)]
         filtered = means[:, last].copy(), variances[:, last].copy()
         pair_smoother(ts, starts, columns, means, variances, 0.3)
@@ -293,7 +317,7 @@ class TestPairFilterAndSmoother:
     def test_starts_must_bound_every_timestamp(self):
         for starts in ([0, 2], [0, 1, 3], [1, 1, 2], [0, 3, 2]):
             with pytest.raises(ShapeMismatchError):
-                pair_filter([0.0, 1.0], starts, np.array([0, 1]), np.zeros(2), np.ones(2), 0.1, 0.0, 1.0)
+                pair_filter([0.0, 1.0], starts, np.array([0, 1]), np.zeros(2), np.ones(2), 0.1, np.zeros(2), np.ones(2))
 
 
 class TestOneTrackWrappers:

@@ -88,8 +88,13 @@ class TestCorpusWeights:
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_topic(self):
-        g = GlobalVariational(np.ones((1, 2)), np.zeros(0), np.zeros(0))
-        np.testing.assert_array_equal(expected_corpus_weights(g), [1.0])
+        """Also from ``init_global`` and after an update: the sticks stay empty, with no warning."""
+        hyper = HdpHyper(K_corpus=1, T_doc=3)
+        fresh = init_global(hyper, 6, corpus_scale=10, seed=0)
+        updated = online_update(fresh, BatchStats(np.ones((1, 6)), np.array([4.0]), 2), hyper, 10)
+        for g in (GlobalVariational(np.ones((1, 2)), np.zeros(0), np.zeros(0)), fresh, updated):
+            assert g.stick_u.shape == g.stick_v.shape == (0,)
+            np.testing.assert_array_equal(expected_corpus_weights(g), [1.0])
 
 
 class TestInferDocument:
@@ -120,6 +125,14 @@ class TestInferDocument:
         for row in dv.varphi:
             np.testing.assert_allclose(row, expected, atol=1e-10)
         np.testing.assert_allclose(doc_topic_mixture(dv), expected, atol=1e-10)
+
+    def test_single_slot_mixture_is_its_indicator_row(self):
+        """At T_doc = 1 the document has no sticks, and its one slot carries all its mass."""
+        hyper = HdpHyper(K_corpus=4, T_doc=1)
+        snap = HdpSnapshot.of(make_global(np.random.default_rng(2).gamma(1.0, 1.0, (4, 9)) + 0.01))
+        ((dv, _, theta),) = infer_batch([make_doc({1: 2, 5: 1})], snap.elog_beta, snap.elog_sticks, hyper)
+        assert dv.stick_a.shape == dv.stick_b.shape == (0,) and dv.varphi.shape == (1, 4)
+        assert doc_topic_mixture(dv).tobytes() == theta.tobytes() == dv.varphi[0].tobytes()
 
     def test_elbo_non_decreasing_across_sweeps(self):
         rng = np.random.default_rng(1)
@@ -241,18 +254,21 @@ class TestOnlineUpdate:
 
     @pytest.mark.parametrize("update_count", [0, 1, 7])
     def test_matches_the_former_expression_bit_for_bit(self, update_count):
-        """The step is built in one scratch array in the former expression's operations; neither input moves."""
+        """The step is built in one scratch array in the former expression's operations; neither input moves.
+        At K = 1 the general stick expressions give the empty sticks the former K = 1 branch copied."""
         rng = np.random.default_rng(16)
-        hyper = HdpHyper(K_corpus=5, T_doc=3, eta=0.03)
-        g = dataclasses.replace(init_global(hyper, 37, corpus_scale=90, seed=1), update_count=update_count)
-        stats = BatchStats(rng.gamma(0.5, 2.0, (5, 37)), rng.gamma(2.0, 1.0, 5), 7)
-        before = [a.copy() for a in (g.lam, g.stick_u, g.stick_v, stats.lam, stats.usage)]
-        got, want = online_update(g, stats, hyper, 90), reference_online_update(g, stats, hyper, 90)
-        for name in ("lam", "stick_u", "stick_v"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        assert got.update_count == want.update_count == update_count + 1
-        for a, b in zip(before, (g.lam, g.stick_u, g.stick_v, stats.lam, stats.usage)):
-            assert a.tobytes() == b.tobytes()
+        for k in (5, 1):
+            hyper = HdpHyper(K_corpus=k, T_doc=3, eta=0.03)
+            g = dataclasses.replace(init_global(hyper, 37, corpus_scale=90, seed=1), update_count=update_count)
+            stats = BatchStats(rng.gamma(0.5, 2.0, (k, 37)), rng.gamma(2.0, 1.0, k), 7)
+            before = [a.copy() for a in (g.lam, g.stick_u, g.stick_v, stats.lam, stats.usage)]
+            got, want = online_update(g, stats, hyper, 90), reference_online_update(g, stats, hyper, 90)
+            for name in ("lam", "stick_u", "stick_v"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+            assert got.update_count == want.update_count == update_count + 1
+            for a, b in zip(before, (g.lam, g.stick_u, g.stick_v, stats.lam, stats.usage)):
+                assert a.tobytes() == b.tobytes()
 
     def test_memory_is_the_result_and_one_scratch_array(self):
         """Measured tracemalloc peaks at K=40, V=5000, in (K, V) arrays: 2.00.  The
@@ -580,13 +596,14 @@ class TestFitBlock:
         factors, bounds and sweep counts are still the exact kernel's, bit for bit, with a document
         stopped at the sweep cap; two workers yield the bytes of one."""
         block, args = self.block_and_args(12, 6, 1.0)
-        sweep_softmax, census = online_hdp._flushed_softmax, []
+        sweep_softmax, census = online_hdp._softmax, []
 
-        def counting(scores, axis, out):
-            census.append(shifted_score_census(scores - scores.max(axis=axis, keepdims=True)))
-            return sweep_softmax(scores, axis, out)
+        def counting(scores, axis, out, floor=None):
+            if floor is not None:
+                census.append(shifted_score_census(scores - scores.max(axis=axis, keepdims=True)))
+            return sweep_softmax(scores, axis, out, floor)
 
-        monkeypatch.setattr(online_hdp, "_flushed_softmax", counting)
+        monkeypatch.setattr(online_hdp, "_softmax", counting)
         got = online_hdp._fit_block(block, *args)
         assert np.sum(census, axis=0).all()
         assert max(ran for *_, ran in got) == MAX_SWEEPS
@@ -622,7 +639,7 @@ class TestFlushedSoftmax:
 
         exact, flushed = np.empty_like(scores), np.empty_like(scores)
         norm = online_hdp._softmax(scores, axis, exact)
-        assert online_hdp._flushed_softmax(scores, axis, flushed).tobytes() == norm.tobytes()
+        assert online_hdp._softmax(scores, axis, flushed, online_hdp.FLUSH_BELOW).tobytes() == norm.tobytes()
         kept = shifted >= online_hdp.FLUSH_BELOW
         assert (flushed[kept] == exact[kept]).all()
         total = np.exp(shifted).sum(axis=axis, keepdims=True)
