@@ -13,15 +13,21 @@ Normalized documents are timestamped sparse bags of words over a fixed
 vocabulary, held as arrays of ascending word indices and their counts,
 which only this module builds; they are written to a line-delimited JSON
 canonical format that round-trips bit-exactly.
+
+Tokenizing, normalizing, writing and reading all work a chunk of
+``CHUNK_SIZE`` records, documents or lines at a time: each chunk's
+arrays are built with a few vectorized calls, so the per-record Python
+work is one regex scan, one JSON line and one decode, and the memory
+beyond the documents themselves is one chunk's, at any corpus size.
 """
 
 import json
 import math
 import re
-from collections import Counter, defaultdict
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, count
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -33,6 +39,8 @@ from .errors import (
 )
 from .stopwords import STOPWORDS
 
+CHUNK_SIZE = 64  # records, documents or lines handled together by each pass below
+
 
 @dataclass(frozen=True)
 class RawDocument:
@@ -43,7 +51,7 @@ class RawDocument:
     related_ids: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """Timestamped bag of words: its distinct vocabulary indices ``words``, ascending, and their ``counts``."""
 
@@ -201,31 +209,64 @@ def parse_timestamp(text, format_hint):
     raise TimestampParseError(f"unknown format hint {format_hint!r}")
 
 
-def tokenize(body, cfg=TokenizerConfig()):
-    """Bag-of-words counts of the lowercased ``[a-z0-9]+`` tokens that are long enough and not stopwords.
+class _TermIds(dict):
+    """token -> term id, filled on first lookup: a token the tokenizer keeps gets the next id, any other -1."""
 
-    Tokens are counted before they are filtered, so the filter runs once
-    per distinct token; the keys keep their order of first appearance.
-    """
-    n = cfg.min_token_length
-    counts = Counter(_TOKEN.findall(body.lower()))
-    return {t: c for t, c in counts.items() if len(t) >= n and t not in STOPWORDS}
+    def __init__(self, cfg):
+        super().__init__()
+        self.min_length = cfg.min_token_length
+        self.terms = []  # term id -> term
+
+    def __missing__(self, token):
+        kept = len(token) >= self.min_length and token not in STOPWORDS
+        term_id = self[token] = len(self.terms) if kept else -1
+        if kept:
+            self.terms.append(token)
+        return term_id
 
 
 @dataclass
 class TokenizedCorpus:
-    """Parsed records, each tokenized once into a bag over one term table that all bags share."""
+    """Parsed records, tokenized once over one term table, as one (sizes, terms, counts) triple per chunk.
+
+    Chunk ``i`` covers the ``sizes.size`` records after those of the
+    chunks before it: record ``r`` of the chunk has ``sizes[r]`` distinct
+    kept terms, which are its run of ``terms`` (ascending term ids) and
+    ``counts`` (occurrences in its body).  ``to_documents`` releases each
+    chunk once it has built that chunk's documents.
+    """
 
     records: list  # RawDocument
     terms: list  # term id -> term, in order of first appearance
-    bags: list  # per record {term id: count}; to_documents releases each one
+    chunks: list  # (sizes, terms, counts) np.int32 arrays per chunk, or None once released
 
 
 def tokenize_corpus(records, cfg=TokenizerConfig()):
-    """The one tokenizing pass of ingest; the vocabulary, documents and statistics derive from it."""
-    term_ids = defaultdict(count().__next__)  # a term seen for the first time gets the next id
-    bags = [{term_ids[t]: c for t, c in tokenize(record.body, cfg).items()} for record in records]
-    return TokenizedCorpus(records, list(term_ids), bags)
+    """The one tokenizing pass of ingest; the vocabulary, documents and statistics derive from it.
+
+    Each body is lowercased and its maximal ``[a-z0-9]+`` runs are its
+    tokens; those shorter than ``cfg.min_token_length`` and stopwords are
+    dropped.  The keep rule runs once per distinct token of the corpus,
+    and one ``np.unique`` per chunk counts each (record, term) pair.
+    """
+    term_ids, sizes, chunks = _TermIds(cfg), [], []
+
+    def token_ids(record):  # its token strings are freed before the next record's are made
+        tokens = _TOKEN.findall(record.body.lower())
+        sizes.append(len(tokens))
+        return map(term_ids.__getitem__, tokens)
+
+    for start in range(0, len(records), CHUNK_SIZE):
+        sizes.clear()
+        ids = np.fromiter(chain.from_iterable(map(token_ids, records[start : start + CHUNK_SIZE])), np.intp)
+        kept = ids >= 0
+        width = max(len(term_ids.terms), 1)
+        pairs, counts = np.unique(np.repeat(np.arange(len(sizes)), sizes)[kept] * width + ids[kept],
+                                  return_counts=True)  # record * width + term, ascending
+        record, terms = np.divmod(pairs, width)
+        chunks.append((np.bincount(record, minlength=len(sizes)).astype(np.int32), terms.astype(np.int32),
+                       counts.astype(np.int32)))
+    return TokenizedCorpus(records, term_ids.terms, chunks)
 
 
 def build_vocabulary(tokenized, min_doc_freq):
@@ -234,8 +275,10 @@ def build_vocabulary(tokenized, min_doc_freq):
         raise ConfigurationError(f"min_doc_freq must be >= 1, got {min_doc_freq}")
     if not tokenized.records:
         raise ParameterError("docs must be nonempty")
-    df = Counter(chain.from_iterable(tokenized.bags))
-    kept = sorted(tokenized.terms[t] for t, f in df.items() if f >= min_doc_freq)
+    df = np.zeros(len(tokenized.terms), np.intp)
+    for _, terms, _ in tokenized.chunks:
+        df += np.bincount(terms, minlength=df.size)
+    kept = sorted(tokenized.terms[t] for t in np.flatnonzero(df >= min_doc_freq).tolist())
     if not kept:
         raise ConfigurationError(
             f"no term reaches document frequency {min_doc_freq}; lower min_doc_freq"
@@ -252,28 +295,30 @@ def to_documents(tokenized, vocab, format_hint):
     Every timestamp is parsed in ``format_hint``'s format, "reuters" or
     "bbc".  Out-of-vocabulary terms are dropped; records left with no
     in-vocabulary terms are excluded, but their timestamps are still
-    checked.  Each distinct timestamp text is parsed once.  All records'
-    arrays are built in one pass and the bags released, so ``tokenized``
-    can be normalized only once; each document holds slices of them.
+    checked.  Each distinct timestamp text is parsed once.  Each chunk's
+    arrays are built in one pass and the chunk released, so ``tokenized``
+    can be normalized only once; each document holds slices of its
+    chunk's arrays.
     """
     index = np.array([vocab.term_to_index.get(t, -1) for t in tokenized.terms], dtype=np.intp)
-    sizes = np.fromiter(map(len, tokenized.bags), np.intp, len(tokenized.bags))
-    words = index[np.fromiter(chain.from_iterable(tokenized.bags), np.intp, sizes.sum())]
-    counts = np.fromiter(chain.from_iterable(map(dict.values, tokenized.bags)), float, words.size)
-    tokenized.bags[:] = [None] * sizes.size
-    keys = np.repeat(np.arange(sizes.size) * vocab.size, sizes) + words  # record * V + word
-    kept = np.flatnonzero(words >= 0)
-    kept = kept[np.argsort(keys[kept])]
-    words, counts, keys = words[kept], counts[kept], keys[kept]
-    bounds = np.searchsorted(keys, np.arange(sizes.size + 1) * vocab.size)
-    stamps, out = {}, []
-    for record, lo, hi in zip(tokenized.records, bounds.tolist(), bounds[1:].tolist()):
-        text = record.timestamp_text
-        ts = stamps.get(text)
-        if ts is None:
-            ts = stamps[text] = parse_timestamp(text, format_hint)
-        if lo < hi:
-            out.append(Document(record.id, ts, words[lo:hi], counts[lo:hi], tuple(record.related_ids), record.title))
+    stamps, out, start = {}, [], 0
+    for i, (sizes, terms, counts) in enumerate(tokenized.chunks):
+        tokenized.chunks[i] = None
+        words = index[terms]
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        kept = np.flatnonzero(words >= 0)
+        kept = kept[np.argsort(owner[kept] * vocab.size + words[kept])]  # by record, then word
+        words, counts = words[kept], counts[kept].astype(float)
+        bounds = np.searchsorted(owner[kept], np.arange(sizes.size + 1)).tolist()
+        for record, lo, hi in zip(tokenized.records[start : start + sizes.size], bounds, bounds[1:]):
+            text = record.timestamp_text
+            ts = stamps.get(text)
+            if ts is None:
+                ts = stamps[text] = parse_timestamp(text, format_hint)
+            if lo < hi:
+                out.append(Document(record.id, ts, words[lo:hi], counts[lo:hi], tuple(record.related_ids),
+                                    record.title))
+        start += sizes.size
     out.sort(key=lambda d: (d.timestamp, d.id))
     return out
 
@@ -318,19 +363,56 @@ def batch_iter(docs, batch_size):
         yield docs[start : start + batch_size]
 
 
+_string = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
+
+
 def write_canonical(docs, path):
-    """Write documents as line-delimited JSON records."""
+    """Write documents as line-delimited JSON records with sorted keys, a chunk of documents at a time.
+
+    A document that would not read back as itself raises ParameterError
+    naming it: one whose ``ts`` is not finite, whose counts are not one
+    per word, or whose ``body_counts`` would hold a count that is not an
+    integer in [1, 2**53] or a word index given twice.  A document with
+    no words, or with word indices that ``check_words`` rejects, is
+    written as it is, since ``read_canonical`` accepts it.
+    """
+    docs = iter(docs)
     with open(path, "w", encoding="utf-8") as f:
-        for doc in docs:
-            record = {
-                "id": doc.id,
-                "ts": doc.timestamp,
-                "title": doc.title,
-                # sort_keys orders the words as strings
-                "body_counts": dict(zip(map(str, doc.words.tolist()), doc.counts.astype(np.int64).tolist())),
-                "related": list(doc.related),
-            }
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+        while chunk := list(islice(docs, CHUNK_SIZE)):
+            f.writelines(_canonical_lines(chunk))
+
+
+def _canonical_lines(docs):
+    """The line ``json.dumps(record, sort_keys=True)`` writes for each document, all checked before the first."""
+    for doc in docs:
+        if doc.counts.shape != doc.words.shape:
+            raise ParameterError(f"document {doc.id!r} has {doc.counts.size} counts for {doc.words.size} words;"
+                                 " the canonical corpus needs one count per word")
+    sizes = np.array([doc.words.size for doc in docs], dtype=np.intp)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    words, word_of = np.unique(np.concatenate([np.empty(0, np.intp), *(doc.words for doc in docs)]),
+                               return_inverse=True)
+    keys = np.array(['"%d": ' % w for w in words.tolist()], dtype=object)
+    rank = np.empty(keys.size, np.intp)
+    rank[np.argsort(keys)] = np.arange(keys.size)  # sort_keys orders the words as strings, and '"' < '-' < '0'
+    order = np.argsort(owner * keys.size + rank[word_of])
+    word_of, counts = word_of[order], np.concatenate([np.empty(0, np.int64), *(doc.counts for doc in docs)])[order]
+    bad = (counts < 1) | (counts > 2**53) | (counts != np.floor(counts))  # nan fails the last
+    bad[1:] |= (word_of[1:] == word_of[:-1]) & (owner[1:] == owner[:-1])  # a word index given twice
+    failed = ~np.isfinite(np.array([doc.timestamp for doc in docs], dtype=float))
+    failed[owner[bad]] = True
+    if failed.any():
+        doc = docs[int(failed.argmax())]
+        raise ParameterError(f"document {doc.id!r} would not read back as itself: the canonical corpus needs a finite"
+                             " ts and, for each word index given once, an integer count in [1, 2**53]")
+    values, value_of = np.unique(counts.astype(np.int64), return_inverse=True)
+    entries = (keys[word_of] + np.array(list(map(str, values.tolist())), dtype=object)[value_of]).tolist()
+    ends = np.cumsum(sizes).tolist()
+    for doc, lo, hi in zip(docs, [0, *ends], ends):
+        ts = doc.timestamp
+        yield (f'{{"body_counts": {{{", ".join(entries[lo:hi])}}}, "id": {_string(doc.id)},'
+               f' "related": [{", ".join(map(_string, doc.related))}], "title": {_string(doc.title)},'
+               f' "ts": {float.__repr__(ts) if isinstance(ts, float) else json.dumps(ts)}}}\n')
 
 
 def _unique_keys(pairs):
@@ -341,6 +423,84 @@ def _unique_keys(pairs):
     return record
 
 
+def _counts(values):
+    """The int64 array of body_counts values, or None unless every one is a JSON integer in np.int64's range."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, np.int64)
+        except OverflowError:
+            pass
+    return None
+
+
+def _parse_lines(path, lines, decode):
+    """The documents of consecutive numbered corpus lines; see ``read_canonical``.
+
+    Each line is decoded, its record checked and its keys converted on
+    their own; the counts and repeated word indices of all the lines are
+    checked together.  The first bad line in file order raises
+    CorpusParseError.
+    """
+    numbers, records, sizes, values, words = [], [], [], [], array("q")
+    failed = None  # number of the first line whose record or keys fail
+    for number, line in lines:
+        if not line.strip():
+            continue
+        try:
+            record = decode(line)
+            ts, body = record["ts"], record["body_counts"]
+            related, title = record.get("related", []), record.get("title", "")
+            if (type(record["id"]) is not str or type(ts) not in (int, float) or not math.isfinite(ts)
+                    or type(related) is not list or not all(type(r) is str for r in related)
+                    or type(title) is not str):
+                raise ValueError
+            values.extend(body.values())
+            words.extend(map(int, body))
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+            failed = number
+            break
+        numbers.append(number)
+        records.append((record["id"], float(ts), tuple(related), title))
+        sizes.append(len(body))
+    bounds = np.cumsum([0, *sizes]).tolist()
+    del values[bounds[-1] :], words[bounds[-1] :]  # the entries of a line that failed half-way
+    counts = _counts(values)
+    if counts is None:  # keep the lines before the first with a bad count
+        n = next(i for i in range(len(sizes)) if _counts(values[bounds[i] : bounds[i + 1]]) is None)
+        failed, numbers, records, sizes = numbers[n], numbers[:n], records[:n], sizes[:n]
+        counts, words = _counts(values[: bounds[n]]), words[: bounds[n]]
+    del values
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    words = np.frombuffer(words, np.int64).astype(np.intp, copy=False)
+    order = np.lexsort((words, owner))  # each line's words ascending
+    words = words[order]  # one array at a time, and order dropped, to keep the chunk's peak low
+    counts = counts[order]
+    del order
+    bad = (counts < 1) | (counts > 2**53)
+    bad[1:] |= (words[1:] == words[:-1]) & (owner[1:] == owner[:-1])  # one word index under two keys
+    if bad.any():
+        failed = numbers[owner[int(bad.argmax())]]
+    if failed is not None:
+        raise CorpusParseError(
+            f"{path} line {failed} is not a document: it needs a string id, a finite number ts"
+            " and body_counts mapping integer keys, no two naming the same word index, to integer"
+            " counts in [1, 2**53]; related, if present,"
+            " must be a list of strings and title a string"
+        )
+    counts = counts.astype(float)
+    return [Document(id, ts, words[lo:hi], counts[lo:hi], related, title)
+            for (id, ts, related, title), lo, hi in zip(records, bounds, bounds[1:])]
+
+
+def _read_chunks(path):
+    """The documents of a canonical corpus file, as one list per chunk of lines, in file order."""
+    decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+    with open(path, "r", encoding="utf-8") as f:
+        numbered = enumerate(f, 1)
+        for first in numbered:
+            yield _parse_lines(path, chain([first], islice(numbered, CHUNK_SIZE - 1)), decode)
+
+
 def read_canonical(path):
     """The documents of a canonical corpus file, in file order.
 
@@ -349,33 +509,11 @@ def read_canonical(path):
     which name the same word index (as "1" and "01" do, or "1" given
     twice), to integer counts in [1, 2**53], which float64 holds exactly,
     and, where present, a list of strings ``related`` and a string
-    ``title``; any other line raises CorpusParseError naming it.
+    ``title``; any other line raises CorpusParseError naming it.  The
+    file is read a chunk of lines at a time; each document holds slices
+    of its chunk's arrays.
     """
-    docs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for number, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line, object_pairs_hook=_unique_keys)
-                ts = record["ts"]
-                counts = {int(k): v for k, v in record["body_counts"].items()}
-                related, title = record.get("related", []), record.get("title", "")
-                if (type(record["id"]) is not str or type(ts) not in (int, float) or not math.isfinite(ts)
-                        or len(counts) != len(record["body_counts"])
-                        or not all(type(v) is int and 0 < v <= 2**53 for v in counts.values())
-                        or type(related) is not list or not all(type(r) is str for r in related)
-                        or type(title) is not str):
-                    raise ValueError
-                docs.append(Document.from_counts(record["id"], float(ts), counts, related, title))
-            except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
-                raise CorpusParseError(
-                    f"{path} line {number} is not a document: it needs a string id, a finite number ts"
-                    " and body_counts mapping integer keys, no two naming the same word index, to integer"
-                    " counts in [1, 2**53]; related, if present,"
-                    " must be a list of strings and title a string"
-                ) from None
-    return docs
+    return list(chain.from_iterable(_read_chunks(path)))
 
 
 def write_vocabulary(vocab, path):
@@ -386,9 +524,22 @@ def write_vocabulary(vocab, path):
 
 
 def read_vocabulary(path):
+    """The vocabulary of a file of one term per line, the line number being the term index.
+
+    Trailing blank lines are ignored; a blank line before the last term,
+    or a term listed twice, raises ConfigurationError naming the line.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        terms = [line.rstrip("\n") for line in f if line.strip()]
-    return Vocabulary(
-        term_to_index={t: i for i, t in enumerate(terms)},
-        index_to_term=terms,
-    )
+        terms = [line.rstrip("\n") for line in f]
+    while terms and not terms[-1].strip():
+        terms.pop()
+    if not all(map(str.strip, terms)):
+        number = 1 + next(i for i, term in enumerate(terms) if not term.strip())
+        raise ConfigurationError(f"{path} line {number} is blank; the line number of each term is its index")
+    term_to_index = {t: i for i, t in enumerate(terms)}
+    if len(term_to_index) != len(terms):
+        first = {}
+        for number, term in enumerate(terms, 1):
+            if first.setdefault(term, number) != number:
+                raise ConfigurationError(f"{path} lines {first[term]} and {number}: term {term!r} is listed twice")
+    return Vocabulary(term_to_index=term_to_index, index_to_term=terms)

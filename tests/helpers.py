@@ -25,7 +25,10 @@ replaced.
 ``reference_to_documents``, ``reference_mean_unique_terms`` and
 ``reference_ingest`` keep the ingest that tokenized every record three
 times, once in each of those passes, which ``corpus.tokenize_corpus``
-replaced with one pass.
+replaced with one pass; ``reference_write_canonical`` and
+``reference_read_canonical`` keep the per-record canonical writer and
+reader that ``corpus.write_canonical`` and ``corpus.read_canonical``
+replaced with chunked ones.
 ``reference_elog_beta``, ``reference_online_update``,
 ``reference_log_ratio``, ``reference_adjusted_matrices`` and
 ``reference_drifting_expectations`` keep the online models' per-batch
@@ -46,7 +49,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import digamma, gammaln, logsumexp
@@ -59,7 +62,7 @@ from topicdrift.corpus import (
     parse_timestamp,
 )
 from topicdrift.drifting_topics import PRIOR_VARIANCE
-from topicdrift.errors import ConfigurationError, NumericalError, ParameterError
+from topicdrift.errors import ConfigurationError, CorpusParseError, NumericalError, ParameterError
 from topicdrift.kalman import DriftConfig
 from topicdrift.online_hdp import (
     DocVariational,
@@ -622,16 +625,7 @@ def reference_ingest(fmt, input_path, out_corpus, out_vocab, min_doc_freq=2, min
     vocab = reference_build_vocabulary(parsed.documents, min_token_length, min_doc_freq)
     docs = reference_to_documents(parsed.documents, vocab, min_token_length, fmt)
     titles = {d.id: d.title for d in parsed.documents}
-    with open(out_corpus, "w", encoding="utf-8") as f:
-        for doc in docs:
-            record = {
-                "id": doc.id,
-                "ts": doc.timestamp,
-                "title": titles.get(doc.id, ""),
-                "body_counts": {str(w): int(c) for w, c in zip(doc.words.tolist(), doc.counts.tolist())},
-                "related": list(doc.related),
-            }
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+    reference_write_canonical([replace(doc, title=titles.get(doc.id, "")) for doc in docs], out_corpus)
     with open(out_vocab, "w", encoding="utf-8") as f:
         f.writelines(term + "\n" for term in vocab.index_to_term)
     mean = reference_mean_unique_terms(parsed.documents, vocab, min_token_length)
@@ -639,6 +633,84 @@ def reference_ingest(fmt, input_path, out_corpus, out_vocab, min_doc_freq=2, min
         f"documents\t{len(docs)}\nskipped\t{parsed.skipped}\n"
         f"vocabulary_size\t{vocab.size}\nmean_unique_terms\t{mean:.4f}\n"
     )
+
+
+def reference_write_canonical(docs, path):
+    """One ``json.dumps(record, sort_keys=True)`` line per document, with no check of what it writes."""
+    with open(path, "w", encoding="utf-8") as f:
+        for doc in docs:
+            record = {
+                "id": doc.id,
+                "ts": doc.timestamp,
+                "title": doc.title,
+                "body_counts": {str(w): int(c) for w, c in zip(doc.words.tolist(), doc.counts.tolist())},
+                "related": list(doc.related),
+            }
+            f.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _unique_keys(pairs):
+    """A JSON object's dict; a key given twice raises ValueError."""
+    record = dict(pairs)
+    if len(record) != len(pairs):
+        raise ValueError("duplicate key")
+    return record
+
+
+def reference_read_canonical(path):
+    """The documents of a canonical corpus, each line decoded, checked and built on its own.
+
+    A line that is not a document raises CorpusParseError with the text
+    ``corpus.read_canonical`` gives.
+    """
+    docs = []
+    with open(path, "r", encoding="utf-8") as f:
+        for number, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line, object_pairs_hook=_unique_keys)
+                ts = record["ts"]
+                counts = {int(k): v for k, v in record["body_counts"].items()}
+                related, title = record.get("related", []), record.get("title", "")
+                if (type(record["id"]) is not str or type(ts) not in (int, float) or not math.isfinite(ts)
+                        or len(counts) != len(record["body_counts"])
+                        or not all(type(v) is int and 0 < v <= 2**53 for v in counts.values())
+                        or type(related) is not list or not all(type(r) is str for r in related)
+                        or type(title) is not str):
+                    raise ValueError
+                docs.append(Document.from_counts(record["id"], float(ts), counts, related, title))
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+                raise CorpusParseError(
+                    f"{path} line {number} is not a document: it needs a string id, a finite number ts"
+                    " and body_counts mapping integer keys, no two naming the same word index, to integer"
+                    " counts in [1, 2**53]; related, if present,"
+                    " must be a list of strings and title a string"
+                ) from None
+    return docs
+
+
+# corpus lines that are not document records, each of which read_canonical must reject naming its line
+MALFORMED_LINES = {
+    "no body_counts": '{"id": "a", "ts": 1.0}',
+    "not an object": "[1, 2]",
+    "body_counts a list": '{"id": "a", "ts": 1.0, "body_counts": [1]}',
+    "id a number": '{"id": 7, "ts": 1.0, "body_counts": {"1": 1}}',
+    "ts nan": '{"id": "a", "ts": NaN, "body_counts": {"1": 1}}',
+    "ts a string": '{"id": "a", "ts": "1.0", "body_counts": {"1": 1}}',
+    "word not an integer": '{"id": "a", "ts": 1.0, "body_counts": {"x": 1}}',
+    "word index twice": '{"id": "a", "ts": 1.0, "body_counts": {"1": 2, "01": 3}}',
+    "word key twice": '{"id": "a", "ts": 1.0, "body_counts": {"1": 2, "1": 3}}',
+    "count zero": '{"id": "a", "ts": 1.0, "body_counts": {"1": 0}}',
+    "count fractional": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1.5}}',
+    "count above 2**53": '{"id": "a", "ts": 1.0, "body_counts": {"1": 9007199254740993}}',
+    "word index above int64": '{"id": "a", "ts": 1.0, "body_counts": {"99999999999999999999": 1}}',
+    "not JSON": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}',
+    "related a string": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "related": "xyz"}',
+    "related not strings": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "related": [1, null]}',
+    "title a number": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "title": 5}',
+    "title null": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "title": null}',
+}
 
 
 def documents_equal(got, want):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import payload_array, reference_doc_topic_weights, set_payload_array
+from helpers import MALFORMED_LINES, payload_array, reference_doc_topic_weights, set_payload_array
 from topicdrift import drifting_topics, evaluation, fixed_k_dtm, online_hdp
 from topicdrift.checkpoint import read_checkpoint
 from topicdrift.cli import build_parser, main
@@ -41,29 +41,6 @@ def write_raw_corpus(path, body_counts):
         for i, counts in enumerate(body_counts)
     ))
     return path
-
-
-# corpus lines that are not document records, each preceded by one good line in malformed_corpus
-MALFORMED_LINES = {
-    "no body_counts": '{"id": "a", "ts": 1.0}',
-    "not an object": "[1, 2]",
-    "body_counts a list": '{"id": "a", "ts": 1.0, "body_counts": [1]}',
-    "id a number": '{"id": 7, "ts": 1.0, "body_counts": {"1": 1}}',
-    "ts nan": '{"id": "a", "ts": NaN, "body_counts": {"1": 1}}',
-    "ts a string": '{"id": "a", "ts": "1.0", "body_counts": {"1": 1}}',
-    "word not an integer": '{"id": "a", "ts": 1.0, "body_counts": {"x": 1}}',
-    "word index twice": '{"id": "a", "ts": 1.0, "body_counts": {"1": 2, "01": 3}}',
-    "word key twice": '{"id": "a", "ts": 1.0, "body_counts": {"1": 2, "1": 3}}',
-    "count zero": '{"id": "a", "ts": 1.0, "body_counts": {"1": 0}}',
-    "count fractional": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1.5}}',
-    "count above 2**53": '{"id": "a", "ts": 1.0, "body_counts": {"1": 9007199254740993}}',
-    "word index above int64": '{"id": "a", "ts": 1.0, "body_counts": {"99999999999999999999": 1}}',
-    "not JSON": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}',
-    "related a string": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "related": "xyz"}',
-    "related not strings": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "related": [1, null]}',
-    "title a number": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "title": 5}',
-    "title null": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "title": null}',
-}
 
 
 def config_wording(message):
@@ -388,6 +365,17 @@ class TestTrain:
         code = main(self.small_args(corpus, vocab_file, tmp_path, "cidtm"))
         assert code == 2
         assert "'d1' has no words" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["ohdp", "cdtm"])
+    @pytest.mark.parametrize("terms, shown", [
+        (["w000", "", "w001"], "vocab.txt line 2 is blank"),
+        (["w000", "w001", "w000"], "vocab.txt lines 1 and 3: term 'w000' is listed twice"),
+    ], ids=["blank line", "term twice"])
+    def test_vocabulary_whose_line_numbers_are_not_its_indices_exits_2(self, tmp_path, capsys, model, terms, shown):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        vocab_file.write_text("".join(t + "\n" for t in terms + [f"w{i:03d}" for i in range(2, 30)]))
+        assert main(self.small_args(corpus, vocab_file, tmp_path, model)) == 2
+        assert shown in capsys.readouterr().err
 
 
 class TestTimeline:

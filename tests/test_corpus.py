@@ -1,5 +1,6 @@
 """Parsers, tokenization, vocabulary, canonical format, batching."""
 
+import json
 import random
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import documents_equal, reference_to_documents, reference_tokenize
+from helpers import (
+    MALFORMED_LINES,
+    documents_equal,
+    reference_read_canonical,
+    reference_to_documents,
+    reference_tokenize,
+    reference_write_canonical,
+)
 from topicdrift import corpus
 from topicdrift.corpus import (
     Document,
@@ -25,7 +33,6 @@ from topicdrift.corpus import (
     read_canonical,
     read_vocabulary,
     to_documents,
-    tokenize,
     tokenize_corpus,
     write_canonical,
     write_vocabulary,
@@ -134,6 +141,13 @@ class TestTimestamps:
         assert "yesterday at noon" in str(err.value)
 
 
+def tokenize(body, cfg=TokenizerConfig()):
+    """The {term: count} bag ``tokenize_corpus`` makes of one record's body, terms in order of first appearance."""
+    tokenized = tokenize_corpus([raw(body)], cfg)
+    ((_, terms, counts),) = tokenized.chunks
+    return {tokenized.terms[t]: c for t, c in zip(terms.tolist(), counts.tolist())}
+
+
 class TestTokenize:
     def test_stopwords_and_aggregation(self):
         counts = tokenize("Showers continued throughout the week")
@@ -210,7 +224,7 @@ class TestVocabulary:
         ]
         vocab, out = normalize(docs)
         stats = corpus_statistics(out, vocab, len(docs))
-        recount = [len({t for t in tokenize(d.body) if t in vocab.term_to_index}) for d in docs]
+        recount = [len({t for t in reference_tokenize(d.body) if t in vocab.term_to_index}) for d in docs]
         assert stats["mean_unique_terms"] == pytest.approx(sum(recount) / 100, abs=1e-12)
         assert stats["vocabulary_size"] == vocab.size
 
@@ -277,9 +291,10 @@ class TestToDocuments:
     def test_bags_are_released_once_normalized(self):
         tokenized = tokenize_corpus([raw("alpha bravo"), raw("the", "d2")])
         assert tokenized.terms == ["alpha", "bravo"]
-        assert tokenized.bags == [{0: 1, 1: 1}, {}]
+        ((sizes, terms, counts),) = tokenized.chunks
+        assert (sizes.tolist(), terms.tolist(), counts.tolist()) == ([2, 0], [0, 1], [1, 1])
         to_documents(tokenized, build_vocabulary(tokenized, min_doc_freq=1), "bbc")
-        assert tokenized.bags == [None, None]
+        assert tokenized.chunks == [None]
 
 
 def check_words_oracle(docs, vocab_size):
@@ -403,3 +418,120 @@ class TestCanonicalFormat:
         loaded = read_vocabulary(path)
         assert loaded.index_to_term == vocab.index_to_term
         assert loaded.term_to_index == vocab.term_to_index
+
+    @pytest.mark.parametrize("text, number", [
+        ("alpha\n\nbravo\ncharlie\n", 2),
+        ("alpha\nbravo\n  \ncharlie\n", 3),
+        ("\nalpha\n", 1),
+    ])
+    def test_blank_line_before_the_last_term_is_rejected(self, tmp_path, text, number):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=f"vocab.txt line {number} is blank"):
+            read_vocabulary(path)
+
+    def test_term_listed_twice_is_rejected(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("alpha\nbravo\nalpha\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="vocab.txt lines 1 and 3: term 'alpha' is listed twice"):
+            read_vocabulary(path)
+
+    def test_trailing_blank_lines_are_ignored(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("alpha\nbravo\n\n \n", encoding="utf-8")
+        vocab = read_vocabulary(path)
+        assert vocab.index_to_term == ["alpha", "bravo"] and vocab.term_to_index == {"alpha": 0, "bravo": 1}
+
+
+def canonical_line(body_counts, doc_id="a", ts=1.0):
+    return json.dumps({"body_counts": body_counts, "id": doc_id, "related": [], "title": "", "ts": ts},
+                      sort_keys=True)
+
+
+class TestCanonicalWriter:
+    @pytest.mark.parametrize("words, counts, ts", [
+        ([1, 2], [1.0, 1.5], 1.0),
+        ([1, 2], [1.0, 1.0], float("nan")),
+        ([1, 2], [1.0, 1.0], float("inf")),
+        ([1, 2], [0.0, 1.0], 1.0),
+        ([1, 2], [1.0, -2.0], 1.0),
+        ([1, 2], [1.0, float("nan")], 1.0),
+        ([1, 2], [1.0, 2.0**53 + 2], 1.0),
+        ([4, 4], [1.0, 2.0], 1.0),
+        ([9, 2, 9], [1.0, 2.0, 3.0], 1.0),
+    ])
+    def test_a_document_that_would_not_read_back_is_refused(self, tmp_path, words, counts, ts):
+        docs = [Document.from_counts("ok", 0.0, {4: 1}),
+                Document("bad", ts, np.array(words, np.intp), np.array(counts)),
+                Document("later", 1.0, np.array([4, 4]), np.ones(2))]
+        with pytest.raises(ParameterError, match="^document 'bad' would not read back as itself"):
+            write_canonical(docs, tmp_path / "corpus.jsonl")
+
+    def test_counts_not_one_per_word_are_refused(self, tmp_path):
+        docs = [Document("bad", 0.0, np.array([1, 2], np.intp), np.ones(3))]
+        with pytest.raises(ParameterError, match="^document 'bad' has 3 counts for 2 words"):
+            write_canonical(docs, tmp_path / "corpus.jsonl")
+
+    def test_what_the_reader_accepts_is_written_as_json_writes_it(self, tmp_path):
+        """No words, negative and unordered word indices, integer counts of either dtype and an int ts."""
+        docs = [
+            Document("empty", 1.0, np.empty(0, np.intp), np.empty(0)),
+            Document("signs", 2.5, np.array([-10, -2, -1, 0, 3, 10, 100, 2], np.intp), np.arange(1.0, 9.0)),
+            Document("ints", 7, np.array([5, 1], np.intp), np.array([2, 2**53], np.int64), ("r1", "r2"), "Té"),
+        ]
+        path, want = tmp_path / "corpus.jsonl", tmp_path / "reference.jsonl"
+        write_canonical(docs, path)
+        reference_write_canonical(docs, want)
+        assert path.read_bytes() == want.read_bytes()
+        loaded = read_canonical(path)
+        assert [d.words.tolist() for d in loaded] == [[], [-10, -2, -1, 0, 2, 3, 10, 100], [1, 5]]
+        assert loaded[1].counts.tolist() == [1.0, 2.0, 3.0, 4.0, 8.0, 5.0, 6.0, 7.0]
+
+
+class TestChunks:
+    def test_write_and_read_match_the_per_record_versions(self, chunk, tmp_path):
+        docs = uniform_stream(150, 300, seed=4)
+        path, want = tmp_path / "corpus.jsonl", tmp_path / "reference.jsonl"
+        write_canonical(docs, path)
+        reference_write_canonical(docs, want)
+        assert path.read_bytes() == want.read_bytes()
+        loaded = read_canonical(path)
+        assert documents_equal(loaded, reference_read_canonical(path)) and documents_equal(loaded, docs)
+        again = tmp_path / "again.jsonl"
+        write_canonical(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_tokenizing_matches_the_per_record_build(self, chunk):
+        rng = random.Random(5)
+        terms = [f"term{i}" for i in range(40)] + ["the", "a"]
+        records = [raw(" ".join(rng.choices(terms, k=rng.randint(0, 12))), f"d{i}") for i in range(30)]
+        vocab, out = normalize(records, min_doc_freq=2)
+        assert documents_equal(out, reference_to_documents(records, vocab, 2, "bbc"))
+        assert len(tokenize_corpus(records).chunks) == -(-len(records) // chunk)
+
+    def test_first_bad_line_in_file_order_is_named(self, chunk, tmp_path):
+        """A bad count on line 2, found with the chunk's arrays, comes before invalid JSON on line 4."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join([canonical_line({"1": 1}), canonical_line({"1": 0}), canonical_line({"2": 1}),
+                                   '{"id": "d", "ts": 1.0, "body_counts": {"1": 1}', canonical_line({"3": 1})]) + "\n")
+        with pytest.raises(CorpusParseError, match="corpus.jsonl line 2 is not a document"):
+            read_canonical(path)
+
+    def test_a_document_may_start_with_the_last_word_of_the_one_before(self, chunk, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join([canonical_line({"3": 1, "5": 2}, "a"), canonical_line({"5": 1, "7": 4}, "b"),
+                                   canonical_line({"7": 2}, "c")]) + "\n")
+        assert [d.words.tolist() for d in read_canonical(path)] == [[3, 5], [5, 7], [7]]
+
+    @pytest.mark.parametrize("size", [3, corpus.CHUNK_SIZE])
+    @pytest.mark.parametrize("line", list(MALFORMED_LINES.values()), ids=list(MALFORMED_LINES))
+    def test_a_malformed_line_inside_a_chunk_is_named(self, tmp_path, monkeypatch, size, line):
+        """Line 5 is the second of the second 3-line chunk; good lines, a blank one among them, surround it."""
+        monkeypatch.setattr(corpus, "CHUNK_SIZE", size)
+        path = tmp_path / "corpus.jsonl"
+        good = [canonical_line({str(i): i + 1, "40": 2}, f"d{i}") for i in range(6)]
+        path.write_text("\n".join([*good[:2], "", good[2], line, *good[3:]]) + "\n")
+        with pytest.raises(CorpusParseError, match="corpus.jsonl line 5 is not a document"):
+            read_canonical(path)
+        with pytest.raises(CorpusParseError, match="corpus.jsonl line 5 is not a document"):
+            reference_read_canonical(path)
