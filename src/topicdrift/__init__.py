@@ -19,36 +19,4 @@ checkpoint reader and writer: a JSON header plus base64 arrays),
 ``cli`` (pipelines).
 """
 
-from . import (
-    checkpoint,
-    cli,
-    corpus,
-    distributions,
-    dp_sim,
-    drifting_topics,
-    evaluation,
-    fixed_k_dtm,
-    information,
-    kalman,
-    meanfield,
-    online_hdp,
-    synthetic,
-)
-
-__all__ = [
-    "checkpoint",
-    "cli",
-    "corpus",
-    "distributions",
-    "dp_sim",
-    "drifting_topics",
-    "evaluation",
-    "fixed_k_dtm",
-    "information",
-    "kalman",
-    "meanfield",
-    "online_hdp",
-    "synthetic",
-]
-
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, count, islice
+from itertools import chain, islice
 
 import numpy as np
 

@@ -54,7 +54,7 @@ from .errors import (
     ParameterError,
     TimeOrderError,
 )
-from .kalman import pair_filter
+from .kalman import pair_filter, pair_layout
 from .online_hdp import (
     ARRAYS as HDP_ARRAYS,
     BatchResult,
@@ -229,8 +229,8 @@ def _kalman_stage(model, batch, stats):
 
     One track per (born topic, batch word); a word is observed at each
     distinct timestamp of the documents that contain it.  Those
-    (timestamp, word) pairs, ordered by timestamp and then word, are the
-    pairs of ``pair_filter``, shared by every born topic: each pair
+    (timestamp, word) pairs, laid out by ``pair_layout``, are the pairs
+    of ``pair_filter``, shared by every born topic: each pair
     observes its topic's log-ratio at its word with variance ``obs_var``,
     and the prior is the track's persisted state, gathered once into the
     (born, W) arrays that the filter runs in.  Only the filter's terminal
@@ -239,11 +239,7 @@ def _kalman_stage(model, batch, stats):
     born = np.flatnonzero(model.born)
     if not born.size:
         return
-    words, cols = np.unique(np.concatenate([doc.words for doc in batch]), return_inverse=True)
-    unique_ts, inverse = np.unique([doc.timestamp for doc in batch], return_inverse=True)
-    steps = np.repeat(inverse, [doc.words.size for doc in batch])
-    steps, cols = np.divmod(np.unique(steps * words.size + cols), words.size)
-    starts = np.searchsorted(steps, np.arange(unique_ts.size + 1))
+    unique_ts, starts, words, cols, _ = pair_layout(batch)
 
     # the (born, V) and (born, W) intermediates are gone before the (born, P) pairs are filtered
     beta = _log_ratio(model, stats, born, words, len(batch))[:, cols]

@@ -23,8 +23,10 @@ the Markov property of the Brownian track: linear in time between two
 observations of the word, its last value after its last observation,
 ``m0 + (P0 + v (t - t0)) / (P0 + v (a - t0)) * (m_a - m0)`` before its
 first observation at ``a``, and the prior mean ``m0`` for a word never
-observed; timestamps outside the knots clamp to the end knots.  So
-memory is O(K·P) plus the (K, V) array of one timestamp at a time.
+observed; timestamps outside the knots clamp to the end knots.  The
+filter and smoother state covers only the W words that the pairs
+observe, so memory is O(K·P) plus the (K, V) array of one timestamp at
+a time.
 """
 
 import math
@@ -38,7 +40,7 @@ from .checkpoint import check_values, config_from, header_value, read_checkpoint
 from .corpus import batch_iter, check_words
 from .drifting_topics import PRIOR_VARIANCE, SECONDS_PER_DAY, CidtmConfig
 from .errors import NumericalError, ParameterError, TimeOrderError
-from .kalman import pair_filter, pair_smoother
+from .kalman import pair_filter, pair_layout, pair_smoother
 
 # every document fit stops after MAX_ITER iterations or once mean |delta gamma| < TOL
 MAX_ITER = 50
@@ -243,10 +245,11 @@ def _smooth_topics(knots, pairs, vocab_size, expected, config):
     knot's row sum is its pairs' counts plus SMOOTHING for each of its
     V - n_s unobserved words.  One sparse filter and one sparse smoother
     pass over all K topics, at ``config``'s drift rate, turn them into the
-    (K, P) smoothed means; the filter runs in a (K, V) state that starts at
-    the uniform level log(1/V) with variance PRIOR_VARIANCE.  ``expected``
-    is overwritten: it is the scratch for the variances, which nothing
-    reads.
+    (K, P) smoothed means.  The filter runs in a (K, W) state over the W
+    words that the pairs observe, which starts at the uniform level
+    log(1/V) with variance PRIOR_VARIANCE; no other word has a pair, so
+    its state would never be read.  ``expected`` is overwritten: it is
+    the scratch for the variances, which nothing reads.
     """
     v = vocab_size
     starts = np.searchsorted(pairs, np.arange(knots.size + 1) * v)
@@ -258,11 +261,11 @@ def _smooth_topics(knots, pairs, vocab_size, expected, config):
     # pseudo-observation precision follows the evidence: the log of
     # a count has variance ~ 1/count, scaled by the obs_var knob
     obs = np.divide(config.obs_var, counts, out=expected)
-    words = pairs % v
+    words, columns = np.unique(pairs % v, return_inverse=True)
     rate = config.drift_v / SECONDS_PER_DAY
-    shape = (counts.shape[0], v)
-    pair_filter(knots, starts, words, beta, obs, rate, np.full(shape, np.log(1.0 / v)), np.full(shape, PRIOR_VARIANCE))
-    return pair_smoother(knots, starts, words, beta, obs, rate)[0]
+    shape = (counts.shape[0], words.size)
+    pair_filter(knots, starts, columns, beta, obs, rate, np.full(shape, np.log(1.0 / v)), np.full(shape, PRIOR_VARIANCE))
+    return pair_smoother(knots, starts, columns, beta, obs, rate)[0]
 
 
 def train_cdtm(train_docs, config, rng, vocab_size):
@@ -282,16 +285,15 @@ def train_cdtm(train_docs, config, rng, vocab_size):
         raise TimeOrderError("train_docs must be timestamp-ascending")
 
     check_words(train_docs, vocab_size)
-    knots, doc_knot = np.unique(ts, return_inverse=True)
-    base = np.log(1.0 / vocab_size)
 
-    # the observed (knot, word) pairs, and each document's columns among them
-    flat = np.concatenate([q * vocab_size + doc.words for doc, q in zip(train_docs, doc_knot.tolist())])
-    pairs, columns = np.unique(flat, return_inverse=True)
-    columns = np.split(columns, np.cumsum([doc.words.size for doc in train_docs])[:-1])
+    # the observed (knot, word) pairs as knot * V + word, and each document's columns among them
+    knots, starts, words, pair_cols, doc_pairs = pair_layout(train_docs)
+    pairs = np.repeat(np.arange(knots.size), np.diff(starts)) * vocab_size + words[pair_cols]
+    columns = np.split(doc_pairs, np.cumsum([doc.words.size for doc in train_docs])[:-1])
 
-    first = _log_normalize(rng.normal(0.0, 0.1, (config.K, vocab_size)) + base)
-    logp_at, objective_trace = lambda _: first, []
+    first = _log_normalize(rng.normal(0.0, 0.1, (config.K, vocab_size)) + np.log(1.0 / vocab_size))
+    logp_at, objective_trace = lambda _, first=first: first, []
+    del first  # the draw is held only by logp_at, so it is freed once the first sweep's model replaces it
     for _ in range(config.sweeps):
         objective = 0.0
         expected = np.zeros((config.K, pairs.size))

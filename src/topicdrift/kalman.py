@@ -18,6 +18,8 @@ terminal state, the offline baseline smooths all of its (topic, word)
 tracks with one pass of each per sweep, and
 ``kalman_forward``/``kalman_backward`` run one track whose every step is
 a pair, an absent step being an observation with infinite variance.
+``pair_layout`` is the one builder of that layout from documents: both
+drifting models take their (timestamp, word) pairs from it.
 
 The forward pass is the scalar Kalman filter written in gain form,
 
@@ -127,6 +129,25 @@ class WordCounts:
     @property
     def totals(self):
         return self.counts.sum(axis=1)
+
+
+def pair_layout(docs):
+    """The (timestamp, word) pairs that ``docs`` observe, laid out for ``pair_filter``.
+
+    A document observes each of its words at its timestamp.  Returns
+    (timestamps, starts, words, columns, doc_pairs): the distinct
+    timestamps, ascending; the ``starts`` that bound each timestamp's
+    pairs; the distinct words, ascending; each pair's column among those
+    words, ascending within a step; and the pair of each (document, word)
+    entry, in document order.
+    """
+    words, cols = np.unique(np.concatenate([doc.words for doc in docs]), return_inverse=True)
+    timestamps, step = np.unique([doc.timestamp for doc in docs], return_inverse=True)
+    keys = np.repeat(step, [doc.words.size for doc in docs]) * words.size + cols
+    keys, doc_pairs = np.unique(keys, return_inverse=True)
+    steps, columns = np.divmod(keys, words.size)
+    starts = np.searchsorted(steps, np.arange(timestamps.size + 1))
+    return timestamps, starts, words, columns, doc_pairs
 
 
 def _pair_steps(timestamps, starts, columns):

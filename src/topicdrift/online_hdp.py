@@ -34,7 +34,6 @@ is the one fit-and-score loop and ``prequential_run`` the one stream
 runner of both online models.
 """
 
-import functools
 import math
 import os
 from collections import deque
@@ -246,7 +245,8 @@ def _softmax(scores, axis, out, floor=None):
 def _fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     """Coordinate ascent for a block of documents against fixed corpus expectations.
 
-    ``docs`` are the block's documents and ``elog_beta`` is (K, V).
+    ``docs`` are the block's documents and ``elog_beta`` is (K, V); a
+    document that fails ``check_words`` raises ParameterError first.
     Every document's evidence is padded to the block's longest document
     with zero counts, which add exact zeros to every product and sum.  A
     document leaves the block at the sweep where its own fit stops: after
@@ -267,6 +267,7 @@ def _fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     are unchanged, and the varphi a stopping document leaves with is
     rebuilt from its scores by ``_softmax`` without a floor.
     """
+    check_words(docs, elog_beta.shape[1])
     t_doc, alpha0 = hyper.T_doc, hyper.alpha0
     sizes = np.array([doc.words.size for doc in docs])
     n = np.zeros((sizes.size, sizes.max()))
@@ -349,12 +350,6 @@ def _fit_block(docs, elog_beta, elog_sticks, hyper, max_sweeps, tol):
     return out
 
 
-def _fit_checked(block, elog_beta, elog_sticks, hyper):
-    """``_fit_block`` of one block, after ``check_words``."""
-    check_words(block, elog_beta.shape[1])
-    return _fit_block(block, elog_beta, elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
-
-
 def _in_order(fit, blocks):
     """``map(fit, blocks)`` on WORKERS threads.  Block i + WORKERS is submitted once block i is done, so
     every submitted block has a thread; leaving the ``with`` joins them when the stream ends, fails or is
@@ -378,10 +373,10 @@ def infer_batch(docs, elog_beta, elog_sticks, hyper):
     document that fails ``check_words`` raises ParameterError when its
     block's turn comes.
 
-    With WORKERS > 1 and at least two blocks, each block's task, the word
-    check and ``_fit_block``, runs on a pool of WORKERS threads: block
-    i + WORKERS is submitted before block i's documents are yielded, so a
-    caller holds at most WORKERS + 1 blocks' factors.  A block's
+    With WORKERS > 1 and at least two blocks, each block's ``_fit_block``,
+    which checks the block's words first, runs on a pool of WORKERS
+    threads: block i + WORKERS is submitted before block i's documents are
+    yielded, so a caller holds at most WORKERS + 1 blocks' factors.  A block's
     ParameterError is raised at the block's turn, and topic weights stay
     on the calling thread.  Otherwise the built-in ``map`` fits each block
     on the calling thread as its turn comes.  Either way the yields, and
@@ -399,7 +394,10 @@ def infer_batch(docs, elog_beta, elog_sticks, hyper):
     and the WORKERS + 1 blocks' factors a caller holds, grow with the block.
     """
     blocks = list(batch_iter(docs, BLOCK_DOCS))
-    fit = functools.partial(_fit_checked, elog_beta=elog_beta, elog_sticks=elog_sticks, hyper=hyper)
+
+    def fit(block):
+        return _fit_block(block, elog_beta, elog_sticks, hyper, MAX_SWEEPS, SWEEP_TOL)
+
     fitted_blocks = map(fit, blocks) if WORKERS == 1 or len(blocks) == 1 else _in_order(fit, blocks)
     for fitted in fitted_blocks:
         for dv, bound, _ in fitted:

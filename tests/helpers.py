@@ -9,6 +9,11 @@ exceptions keep a former code path as the reference for what replaced it:
 over every (step, track) cell that ``kalman.pair_filter`` and
 ``kalman.pair_smoother`` replaced, which the references below run;
 ``dense_kalman_stage``, the drifting model's dense Kalman stage;
+``inline_layout_kalman_stage`` and ``inline_layout_train_cdtm``, the two
+drifting models as they were before ``kalman.pair_layout`` built their
+(timestamp, word) pairs, each with its own inline builder
+(``inline_stage_layout`` and ``inline_cdtm_layout``), the latter with
+``wide_smooth_topics``, which filtered in a (K, V) state;
 ``reference_doc_loop``, the per-document loop every caller of
 ``online_hdp.infer_batch`` used to write out, with ``infer_core``, the
 one-document coordinate ascent that ``online_hdp._fit_block`` replaced;
@@ -61,9 +66,10 @@ from topicdrift.corpus import (
     parse_reuters,
     parse_timestamp,
 )
-from topicdrift.drifting_topics import PRIOR_VARIANCE
+from topicdrift.drifting_topics import PRIOR_VARIANCE, SECONDS_PER_DAY, _log_ratio, evolve_topics
 from topicdrift.errors import ConfigurationError, CorpusParseError, NumericalError, ParameterError
-from topicdrift.kalman import DriftConfig
+from topicdrift.fixed_k_dtm import SMOOTHING, CdtmModel, _fit_blocks, _log_normalize
+from topicdrift.kalman import DriftConfig, pair_filter, pair_smoother
 from topicdrift.online_hdp import (
     DocVariational,
     GlobalVariational,
@@ -207,6 +213,33 @@ def dense_kalman_stage(model, batch, stats):
         model.var[k, words] = s_var[-1, sl]
         model.tracked[k, words] = True
     model.clock = batch_end
+
+
+def inline_stage_layout(batch):
+    """The (timestamp, word) layout that ``_kalman_stage`` built inline: (timestamps, starts, words, columns)."""
+    words, cols = np.unique(np.concatenate([doc.words for doc in batch]), return_inverse=True)
+    unique_ts, inverse = np.unique([doc.timestamp for doc in batch], return_inverse=True)
+    steps = np.repeat(inverse, [doc.words.size for doc in batch])
+    steps, cols = np.divmod(np.unique(steps * words.size + cols), words.size)
+    starts = np.searchsorted(steps, np.arange(unique_ts.size + 1))
+    return unique_ts, starts, words, cols
+
+
+def inline_layout_kalman_stage(model, batch, stats):
+    """``drifting_topics._kalman_stage`` with its former inline layout builder, a drop-in for it."""
+    born = np.flatnonzero(model.born)
+    if not born.size:
+        return
+    unique_ts, starts, words, cols = inline_stage_layout(batch)
+    beta = _log_ratio(model, stats, born, words, len(batch))[:, cols]
+    rows = np.ix_(born, words)
+    mean, var = model.mean[rows], model.var[rows]
+    pair_filter(unique_ts, starts, cols, beta, np.full(beta.shape, model.config.obs_var), model.drift_per_second,
+                mean, var)
+    evolve_topics(model, unique_ts[-1])
+    model.mean[rows] = mean
+    model.var[rows] = var
+    model.tracked[rows] = True
 
 
 def _softmax_rows(scores):
@@ -554,6 +587,51 @@ def reference_smooth_topics(model, expected, present, cfg, obs_var, smoothing):
         obs = obs_var / counts
         f_mean, f_var = forward_steps(model.knots, beta, obs, present, cfg)
         model.means[topic] = backward_steps(model.knots, f_mean, f_var, cfg)[0]
+
+
+def inline_cdtm_layout(docs, vocab_size):
+    """The layout ``train_cdtm`` built inline: (knots, pairs as knot * V + word, each document's pair columns)."""
+    knots, doc_knot = np.unique([d.timestamp for d in docs], return_inverse=True)
+    flat = np.concatenate([q * vocab_size + doc.words for doc, q in zip(docs, doc_knot.tolist())])
+    pairs, columns = np.unique(flat, return_inverse=True)
+    return knots, pairs, np.split(columns, np.cumsum([doc.words.size for doc in docs])[:-1])
+
+
+def wide_smooth_topics(knots, pairs, vocab_size, expected, config):
+    """The former ``fixed_k_dtm._smooth_topics``: its filter and smoother ran in a (K, V) state."""
+    v = vocab_size
+    starts = np.searchsorted(pairs, np.arange(knots.size + 1) * v)
+    sizes = np.diff(starts)
+    counts = np.add(expected, SMOOTHING, out=expected)
+    rows = np.add.reduceat(counts, starts[:-1], axis=1) + (v - sizes) * SMOOTHING
+    beta = np.repeat(rows, sizes, axis=1)
+    np.log(np.divide(counts, beta, out=beta), out=beta)
+    obs = np.divide(config.obs_var, counts, out=expected)
+    words = pairs % v
+    rate = config.drift_v / SECONDS_PER_DAY
+    shape = (counts.shape[0], v)
+    pair_filter(knots, starts, words, beta, obs, rate, np.full(shape, np.log(1.0 / v)), np.full(shape, PRIOR_VARIANCE))
+    return pair_smoother(knots, starts, words, beta, obs, rate)[0]
+
+
+def inline_layout_train_cdtm(train_docs, config, rng, vocab_size):
+    """``fixed_k_dtm.train_cdtm`` with its former inline layout builder and ``wide_smooth_topics``."""
+    knots, pairs, columns = inline_cdtm_layout(train_docs, vocab_size)
+    first = _log_normalize(rng.normal(0.0, 0.1, (config.K, vocab_size)) + np.log(1.0 / vocab_size))
+    logp_at, objective_trace = lambda _: first, []
+    for _ in range(config.sweeps):
+        objective = 0.0
+        expected = np.zeros((config.K, pairs.size))
+        fitted = _fit_blocks(train_docs, logp_at, config.K, config.alpha, bounds=True)
+        for doc, cols, (_, (_, phi, bound)) in zip(train_docs, columns, fitted):
+            objective += bound
+            expected[:, cols] += (phi * doc.counts[:, None]).T
+        objective_trace.append(objective)
+        means = wide_smooth_topics(knots, pairs, vocab_size, expected, config)
+        model = CdtmModel(config=config, vocab_size=vocab_size, knots=knots, pairs=pairs, means=means,
+                          objective_trace=objective_trace)
+        logp_at = model.log_word_probs_at
+    return model
 
 
 def reference_cdtm_heldout(model, docs):

@@ -2,22 +2,25 @@
 
 import copy
 import dataclasses
+import importlib.util
 import re
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (
     dense_kalman_stage,
+    inline_layout_kalman_stage,
     reference_adjusted_matrices,
     reference_drifting_expectations,
     reference_log_ratio,
 )
-from topicdrift import drifting_topics
+from topicdrift import cli, drifting_topics
 from topicdrift.checkpoint import read_checkpoint
-from topicdrift.corpus import Document
+from topicdrift.corpus import Document, read_canonical, read_vocabulary
 from topicdrift.drifting_topics import (
     ACTIVE,
     DEAD,
@@ -46,6 +49,7 @@ from topicdrift.online_hdp import (
 from topicdrift.synthetic import drifting_stream, three_topic_corpus
 
 DAY = 86400.0
+ARCHIVE = Path(__file__).resolve().parents[1] / "benchmarks" / "archive.py"
 STATE = ("mean", "var", "tracked", "born", "active", "deadline")
 
 
@@ -382,6 +386,45 @@ class TestSparseKalmanStage:
             np.testing.assert_array_equal(getattr(sparse, name), getattr(dense, name), err_msg=name)
         for name in ("mean", "var"):
             np.testing.assert_allclose(getattr(sparse, name), getattr(dense, name), rtol=1e-10, atol=0)
+
+    def test_pair_layout_matches_the_inline_builder_on_the_hourly_archive(self, tmp_path, monkeypatch):
+        """Bit for bit, batch by batch, on the seed-3 hourly benchmark archive with its workload's topic counts.
+
+        Batches are 32 documents, not the workload's 128, so that seven of
+        the eight run the Kalman stage on tracks that earlier batches
+        filtered; topics die in several batches, and some die again after
+        a revival.
+        """
+        spec = importlib.util.spec_from_file_location("bench_archive", ARCHIVE)
+        archive = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(archive)
+        archive.write_sgml(tmp_path / "hourly.sgm", 3, 256)
+        corpus, vocab = tmp_path / "corpus.jsonl", tmp_path / "vocab.txt"
+        assert cli.main(["ingest", "--format", "reuters", "--input", str(tmp_path / "hourly.sgm"),
+                         "--out-corpus", str(corpus), "--out-vocab", str(vocab)]) == 0
+        docs, vocab_size = read_canonical(corpus), read_vocabulary(vocab).size
+        config = CidtmConfig(hyper=HdpHyper(K_corpus=100, T_doc=20, alpha0=0.2))
+
+        def batches(stage):
+            """(result, clock, state bytes) after each batch, with ``stage`` as the Kalman stage."""
+            out = []
+            with monkeypatch.context() as m:
+                m.setattr(drifting_topics, "_kalman_stage", stage)
+                model = DriftingTopicModel(config, vocab_size, len(docs), seed=42)
+                for start in range(0, len(docs), 32):
+                    result = model.process_batch(docs[start : start + 32])
+                    out.append((result, model.clock, [getattr(model, name).tobytes() for name in STATE]))
+            return out
+
+        deaths = Counter()
+        got_batches, want_batches = batches(drifting_topics._kalman_stage), batches(inline_layout_kalman_stage)
+        assert len(got_batches) == len(want_batches) == 8
+        for (got, clock, state), (want, want_clock, want_state) in zip(got_batches, want_batches):
+            assert got.per_doc == want.per_doc
+            assert (got.topics_born, got.topics_died, clock) == (want.topics_born, want.topics_died, want_clock)
+            assert state == want_state
+            deaths.update(want.topics_died)
+        assert len(deaths) > 20 and sum(n > 1 for n in deaths.values()) > 10  # deaths, and deaths after revival
 
     def test_memory_is_linear_in_tracks_not_steps(self):
         rng = np.random.default_rng(12)

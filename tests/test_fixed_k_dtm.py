@@ -11,12 +11,14 @@ import pytest
 
 from helpers import (
     DenseCdtmModel,
+    inline_layout_train_cdtm,
     mixture_e_step,
     payload_array,
     reference_cdtm_heldout,
     reference_smooth_topics,
     reference_train_cdtm,
     set_payload_array,
+    wide_smooth_topics,
 )
 from topicdrift import fixed_k_dtm, online_hdp
 from topicdrift.checkpoint import write_checkpoint
@@ -403,6 +405,55 @@ class TestMatchesPerDocumentLoops:
         assert_close([r[2] for r in records], [r[2] for r in want_records])
 
 
+class TestPairLayout:
+    """``train_cdtm`` and ``_smooth_topics`` against their forms before ``kalman.pair_layout``, bit for bit."""
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("stream", ["daily", "distinct"])
+    def test_train_matches_the_inline_layout(self, stream, stride):
+        """With stride 3, word w becomes 3w + 2, so the observed words are not the first W of the vocabulary."""
+        train, _ = TestMatchesPerDocumentLoops.split(stream)
+        train = [dataclasses.replace(d, words=d.words * stride + stride - 1) for d in train]
+        vocab_size = stride * EDGE_VOCAB
+        cfg = CdtmConfig(K=4, alpha=0.7, drift_v=0.0864, sweeps=3)
+        model = train_cdtm(train, cfg, np.random.default_rng(2), vocab_size=vocab_size)
+        want = inline_layout_train_cdtm(train, cfg, np.random.default_rng(2), vocab_size)
+        assert np.unique(model.pairs % vocab_size).size < vocab_size
+        for name in ("knots", "pairs", "means"):
+            got, ref = getattr(model, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+        assert model.objective_trace == want.objective_trace
+
+    @staticmethod
+    def sparse_inputs(k=20, s=30, v=20000, w=100, seed=0):
+        """Knots, pairs over ``w`` of ``v`` words (each knot observes about 30% of them) and (K, P) counts."""
+        rng = np.random.default_rng(seed)
+        knots = np.cumsum(rng.uniform(0.1, 5.0, s))
+        words = np.sort(rng.choice(v, size=w, replace=False))
+        present = rng.random((s, w)) < 0.3
+        present[np.arange(s), rng.integers(0, w, s)] = True
+        steps, cols = np.nonzero(present)
+        pairs = steps * v + words[cols]
+        return knots, pairs, rng.gamma(0.3, 2.0, (k, pairs.size)), CdtmConfig(K=k, drift_v=4320.0)
+
+    def test_smooth_topics_matches_the_vocabulary_wide_state(self):
+        knots, pairs, expected, config = self.sparse_inputs()
+        got = _smooth_topics(knots, pairs, 20000, expected.copy(), config)
+        want = wide_smooth_topics(knots, pairs, 20000, expected, config)
+        assert got.tobytes() == want.tobytes()
+
+    def test_smooth_topics_peak_below_one_vocabulary_wide_array(self):
+        """With W = 100 of V = 20000 words observed, the filter and smoother state is (K, W), not (K, V)."""
+        knots, pairs, expected, config = self.sparse_inputs()
+        tracemalloc.start()
+        try:
+            _smooth_topics(knots, pairs, 20000, expected, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < config.K * 20000 * 8  # one (K, V) float64 array: 3.2 MB
+
+
 def smoothing_inputs(k=20, s=30, v=100, seed=0):
     """Irregular knots, random observed pairs and random (K, P) expected counts, and the same as dense inputs.
 
@@ -489,6 +540,22 @@ class TestSmoothTopics:
             tracemalloc.stop()
         assert model.knots.size == 200
         assert peak < k * model.knots.size * vocab * 8  # one (K, S, V) float array: 64 MB
+
+    def test_training_holds_no_idle_vocabulary_wide_array(self):
+        """A later sweep holds one stamp's (K, V) log-probs and their scratch, but not the first sweep's draw.
+
+        With Python 3.11 and numpy 2.4 this peaked at 4.09 (K, V) float64 arrays while the first draw and a (K, V)
+        filter state were kept, and at 3.05 without them.
+        """
+        k, vocab = 20, 20000
+        docs = uniform_stream(64, vocab, seed=0)
+        tracemalloc.start()
+        try:
+            train_cdtm(docs, CdtmConfig(K=k, sweeps=2), np.random.default_rng(0), vocab_size=vocab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * k * vocab * 8
 
 
 class TestCheckpoint:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import backward_steps, dense_kalman_filter, forward_steps, rts_smoother
+from helpers import backward_steps, dense_kalman_filter, forward_steps, inline_stage_layout, rts_smoother
+from topicdrift.corpus import Document
 from topicdrift.errors import ParameterError, ShapeMismatchError, TimeOrderError
 from topicdrift.kalman import (
     DriftConfig,
@@ -17,6 +18,7 @@ from topicdrift.kalman import (
     kalman_lower_bound,
     kalman_posterior,
     pair_filter,
+    pair_layout,
     pair_smoother,
 )
 
@@ -318,6 +320,21 @@ class TestPairFilterAndSmoother:
         for starts in ([0, 2], [0, 1, 3], [1, 1, 2], [0, 3, 2]):
             with pytest.raises(ShapeMismatchError):
                 pair_filter([0.0, 1.0], starts, np.array([0, 1]), np.zeros(2), np.ones(2), 0.1, np.zeros(2), np.ones(2))
+
+
+class TestPairLayout:
+    def test_hand_built_batch(self):
+        """Two documents share word 5 at t = 10, word 9 is seen at t = 10 and t = 20, and "c" has one word."""
+        docs = [Document.from_counts("a", 10.0, {2: 1, 5: 3}), Document.from_counts("b", 10.0, {5: 1, 9: 2}),
+                Document.from_counts("c", 20.0, {9: 1}), Document.from_counts("d", 20.0, {2: 4, 7: 1})]
+        timestamps, starts, words, columns, doc_pairs = pair_layout(docs)
+        np.testing.assert_array_equal(timestamps, [10.0, 20.0])
+        np.testing.assert_array_equal(starts, [0, 3, 6])
+        np.testing.assert_array_equal(words, [2, 5, 7, 9])
+        np.testing.assert_array_equal(columns, [0, 1, 3, 0, 2, 3])  # (10, 2) (10, 5) (10, 9) (20, 2) (20, 7) (20, 9)
+        np.testing.assert_array_equal(doc_pairs, [0, 1, 1, 2, 5, 3, 4])
+        for got, want in zip((timestamps, starts, words, columns), inline_stage_layout(docs)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestOneTrackWrappers:
