@@ -20,8 +20,8 @@ from .checkpoint import read_checkpoint
 from .dp_sim import crp_partition, crfp_sample, dim_sum_sample, tdpm_decayed_counts
 from .errors import ConfigurationError, ConvergenceError, NumericalError
 
-# every usage error of errors.py subclasses ValueError
-USAGE_ERRORS = (ValueError, FileNotFoundError)
+# every usage error of errors.py subclasses ValueError; OSError is a path that cannot be read or written
+USAGE_ERRORS = (ValueError, OSError)
 NUMERICAL_ERRORS = (ConvergenceError, NumericalError, FloatingPointError)
 
 

@@ -423,30 +423,20 @@ def _unique_keys(pairs):
     return record
 
 
-def _counts(values):
-    """The int64 array of body_counts values, or None unless every one is a JSON integer in np.int64's range."""
-    if set(map(type, values)) <= {int}:
-        try:
-            return np.array(values, np.int64)
-        except OverflowError:
-            pass
-    return None
-
-
 def _parse_lines(path, lines, decode):
     """The documents of consecutive numbered corpus lines; see ``read_canonical``.
 
-    Each line is decoded, its record checked and its keys converted on
-    their own; the counts and repeated word indices of all the lines are
-    checked together.  The first bad line in file order raises
-    CorpusParseError.
+    One pass checks the chunk: each line is decoded, its record checked
+    and its keys converted, then the counts and repeated word indices of
+    all the lines are checked together.  Every check is a property of one
+    line, so if any fails, each line is parsed again on its own, as a
+    one-line chunk, and the first bad one in file order raises
+    CorpusParseError naming it.
     """
-    numbers, records, sizes, values, words = [], [], [], [], array("q")
-    failed = None  # number of the first line whose record or keys fail
-    for number, line in lines:
-        if not line.strip():
-            continue
-        try:
+    lines = [(number, line) for number, line in lines if line.strip()]
+    records, sizes, values, words = [], [], [], array("q")
+    try:
+        for _, line in lines:
             record = decode(line)
             ts, body = record["ts"], record["body_counts"]
             related, title = record.get("related", []), record.get("title", "")
@@ -456,37 +446,33 @@ def _parse_lines(path, lines, decode):
                 raise ValueError
             values.extend(body.values())
             words.extend(map(int, body))
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
-            failed = number
-            break
-        numbers.append(number)
-        records.append((record["id"], float(ts), tuple(related), title))
-        sizes.append(len(body))
-    bounds = np.cumsum([0, *sizes]).tolist()
-    del values[bounds[-1] :], words[bounds[-1] :]  # the entries of a line that failed half-way
-    counts = _counts(values)
-    if counts is None:  # keep the lines before the first with a bad count
-        n = next(i for i in range(len(sizes)) if _counts(values[bounds[i] : bounds[i + 1]]) is None)
-        failed, numbers, records, sizes = numbers[n], numbers[:n], records[:n], sizes[:n]
-        counts, words = _counts(values[: bounds[n]]), words[: bounds[n]]
-    del values
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    words = np.frombuffer(words, np.int64).astype(np.intp, copy=False)
-    order = np.lexsort((words, owner))  # each line's words ascending
-    words = words[order]  # one array at a time, and order dropped, to keep the chunk's peak low
-    counts = counts[order]
-    del order
-    bad = (counts < 1) | (counts > 2**53)
-    bad[1:] |= (words[1:] == words[:-1]) & (owner[1:] == owner[:-1])  # one word index under two keys
-    if bad.any():
-        failed = numbers[owner[int(bad.argmax())]]
-    if failed is not None:
+            records.append((record["id"], float(ts), tuple(related), title))
+            sizes.append(len(body))
+        if not set(map(type, values)) <= {int}:
+            raise TypeError
+        counts = np.array(values, np.int64)  # OverflowError outside int64's range
+        del values
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        words = np.frombuffer(words, np.int64).astype(np.intp, copy=False)
+        order = np.lexsort((words, owner))  # each line's words ascending
+        words = words[order]  # one array at a time, and order dropped, to keep the chunk's peak low
+        counts = counts[order]
+        del order
+        bad = (counts < 1) | (counts > 2**53)
+        bad[1:] |= (words[1:] == words[:-1]) & (owner[1:] == owner[:-1])  # one word index under two keys
+        if bad.any():
+            raise ValueError
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+        if len(lines) > 1:  # the first line that fails alone raises
+            for line in lines:
+                _parse_lines(path, [line], decode)
         raise CorpusParseError(
-            f"{path} line {failed} is not a document: it needs a string id, a finite number ts"
+            f"{path} line {lines[0][0]} is not a document: it needs a string id, a finite number ts"
             " and body_counts mapping integer keys, no two naming the same word index, to integer"
             " counts in [1, 2**53]; related, if present,"
             " must be a list of strings and title a string"
-        )
+        ) from None
+    bounds = np.cumsum([0, *sizes]).tolist()
     counts = counts.astype(float)
     return [Document(id, ts, words[lo:hi], counts[lo:hi], related, title)
             for (id, ts, related, title), lo, hi in zip(records, bounds, bounds[1:])]

@@ -788,6 +788,10 @@ MALFORMED_LINES = {
     "related not strings": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "related": [1, null]}',
     "title a number": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "title": 5}',
     "title null": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "title": null}',
+    "top-level key twice": '{"id": "a", "id": "b", "ts": 1.0, "body_counts": {"1": 1}}',
+    "key twice under an unknown field": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "extra": {"k": 1, "k": 2}}',
+    "body_counts as pairs": '{"id": "a", "ts": 1.0, "body_counts": [["1", 1]]}',
+    "object in related": '{"id": "a", "ts": 1.0, "body_counts": {"1": 1}, "related": [{"x": "y"}]}',
 }
 
 

@@ -821,6 +821,35 @@ class TestMain:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--corpus"), ("train", "--checkpoint"), ("ingest", "--input"),
+        ("timeline", "--out-assign"), ("timeline", "--labels"),
+    ])
+    def test_a_path_that_cannot_be_opened_exits_2(self, tmp_path, capsys, command, flag):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        ckpt, directory = tmp_path / "m.ckpt", tmp_path / "a-directory"
+        directory.mkdir()
+        argv = {
+            "train": ["train", "--model", "ohdp", "--corpus", str(corpus), "--vocab", str(vocab_file),
+                      "--checkpoint", str(ckpt), "--tsv", str(tmp_path / "m.tsv"), "--k-corpus", "4",
+                      "--t-doc", "2"],
+            "ingest": ["ingest", "--format", "bbc", "--input", str(FIXTURES / "sample_bbc.txt"),
+                       "--out-corpus", str(tmp_path / "c.jsonl"), "--out-vocab", str(tmp_path / "v.txt")],
+            "timeline": ["timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus), "--topic", "0",
+                         "--out-assign", str(tmp_path / "assign.tsv")],
+        }
+        if command == "timeline":
+            assert main(argv["train"]) == 0
+            capsys.readouterr()
+        argv = argv[command]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(directory)
+        else:
+            argv += [flag, str(directory)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(directory) in err
+
     def test_module_help_lists_the_commands(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "topicdrift", "--help"],

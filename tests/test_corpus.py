@@ -535,3 +535,37 @@ class TestChunks:
             read_canonical(path)
         with pytest.raises(CorpusParseError, match="corpus.jsonl line 5 is not a document"):
             reference_read_canonical(path)
+
+    @pytest.mark.parametrize("place", ["first", "last"])
+    @pytest.mark.parametrize("size", [3, corpus.CHUNK_SIZE])
+    @pytest.mark.parametrize("line", list(MALFORMED_LINES.values()), ids=list(MALFORMED_LINES))
+    def test_a_malformed_line_first_or_last_in_its_chunk_is_named(self, tmp_path, monkeypatch, size, line, place):
+        """The bad line opens or closes the second chunk; invalid JSON follows it, after it in file order."""
+        monkeypatch.setattr(corpus, "CHUNK_SIZE", size)
+        path = tmp_path / "corpus.jsonl"
+        lines = [canonical_line({str(i): i + 1, "40": 2}, f"d{i}") for i in range(3 * size)]
+        number = size + 1 if place == "first" else 2 * size
+        lines[number - 1], lines[number] = line, MALFORMED_LINES["not JSON"]
+        path.write_text("\n".join(lines) + "\n")
+        for read in (read_canonical, reference_read_canonical):
+            with pytest.raises(CorpusParseError, match=f"corpus.jsonl line {number} is not a document"):
+                read(path)
+
+    def test_a_valid_corpus_decodes_each_line_once(self, chunk, tmp_path, monkeypatch):
+        docs = uniform_stream(150, 300, seed=4)
+        path = tmp_path / "corpus.jsonl"
+        write_canonical(docs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([*lines[:7], "\n", *lines[7:]]))
+        decoded, parse = [], corpus._parse_lines
+
+        def counting_parse(path, lines, decode):
+            def counting_decode(line):
+                decoded.append(line)
+                return decode(line)
+
+            return parse(path, lines, counting_decode)
+
+        monkeypatch.setattr(corpus, "_parse_lines", counting_parse)
+        assert documents_equal(read_canonical(path), docs)
+        assert decoded == lines
