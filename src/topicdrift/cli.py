@@ -23,6 +23,8 @@ from .errors import ConfigurationError, ConvergenceError, NumericalError
 # every usage error of errors.py subclasses ValueError; OSError is a path that cannot be read or written
 USAGE_ERRORS = (ValueError, OSError)
 NUMERICAL_ERRORS = (ConvergenceError, NumericalError, FloatingPointError)
+# the online models' modules, by --model and by checkpoint kind
+ONLINE = {"ohdp": online_hdp, "cidtm": drifting_topics}
 
 
 def _seed(args):
@@ -39,7 +41,18 @@ def _seed(args):
     return seed
 
 
+def _check_outputs(*flagged):
+    """Exit 2, naming the flag, on an output path that cannot be written; nothing is created or truncated."""
+    for flag, path in flagged:
+        if os.path.isdir(path):
+            raise ConfigurationError(f"{flag} {path} is a directory")
+        folder = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(folder) and os.access(path if os.path.exists(path) else folder, os.W_OK)):
+            raise ConfigurationError(f"{flag} {path} cannot be written: its directory is missing or read-only")
+
+
 def cmd_ingest(args):
+    _check_outputs(("--out-corpus", args.out_corpus), ("--out-vocab", args.out_vocab))
     if args.format == "reuters":
         with open(args.input, "rb") as f:
             parsed = corpus_mod.parse_reuters(f.read())
@@ -84,30 +97,22 @@ def _hyper_from(args):
 
 
 def cmd_train(args):
+    _check_outputs(("--checkpoint", args.checkpoint), ("--tsv", args.tsv))
     if args.model == "cdtm":
         if not 0.0 < args.train_fraction <= 1.0:  # also rejects nan
             raise ConfigurationError(f"--train-fraction must lie in (0, 1], got {args.train_fraction}")
         alpha = fixed_k_dtm.CdtmConfig.alpha if args.alpha0 is None else args.alpha0
         config = fixed_k_dtm.CdtmConfig(K=args.k, alpha=alpha, drift_v=args.drift_v, obs_var=args.obs_var,
                                         sweeps=args.sweeps)
-    docs, vocab = _load_corpus(args)
+    elif args.model == "ohdp":
+        config = _hyper_from(args)
+    else:
+        config = drifting_topics.CidtmConfig(hyper=_hyper_from(args), drift_v=args.drift_v, obs_var=args.obs_var,
+                                             active_timer_len=args.timer * drifting_topics.SECONDS_PER_DAY,
+                                             relevance_threshold=args.threshold)
     seed = _seed(args)
-    if args.model == "ohdp":
-        model = online_hdp.OnlineHdp(_hyper_from(args), vocab.size, len(docs), seed=seed)
-        records = online_hdp.prequential_run(model, docs, args.batch_size)
-        online_hdp.save_checkpoint(model, args.checkpoint)
-    elif args.model == "cidtm":
-        cfg = drifting_topics.CidtmConfig(
-            hyper=_hyper_from(args),
-            drift_v=args.drift_v,
-            obs_var=args.obs_var,
-            active_timer_len=args.timer * drifting_topics.SECONDS_PER_DAY,
-            relevance_threshold=args.threshold,
-        )
-        model = drifting_topics.DriftingTopicModel(cfg, vocab.size, len(docs), seed=seed)
-        records = online_hdp.prequential_run(model, docs, args.batch_size)
-        drifting_topics.save_checkpoint(model, args.checkpoint)
-    elif args.model == "cdtm":
+    docs, vocab = _load_corpus(args)
+    if args.model == "cdtm":
         rng = np.random.default_rng(seed)
         n_train = max(1, int(round(args.train_fraction * len(docs))))
         train_idx = set(rng.choice(len(docs), size=n_train, replace=False).tolist())
@@ -116,19 +121,15 @@ def cmd_train(args):
         model = fixed_k_dtm.train_cdtm(train, config, rng, vocab.size)
         records = fixed_k_dtm.cdtm_heldout_loglik(model, test)
         fixed_k_dtm.save_checkpoint(model, args.checkpoint)
+    else:
+        build = online_hdp.OnlineHdp if args.model == "ohdp" else drifting_topics.DriftingTopicModel
+        model = build(config, vocab.size, len(docs), seed=seed)
+        records = online_hdp.prequential_run(model, docs, args.batch_size)
+        ONLINE[args.model].save_checkpoint(model, args.checkpoint)
     series = evaluation.per_word_series(records)
     evaluation.write_series_tsv(evaluation.smooth_series(series, 100), args.tsv)
     print(f"documents_scored\t{len(records)}")
     return 0
-
-
-def _doc_topic_weights(docs, elog, elog_sticks, hyper):
-    """Expected topic weights of each document against an online model's (K, V) and (K,) expectations.
-
-    Only the expectations are passed, so that the caller can let the model
-    and the rest of its state go before the documents are fitted.
-    """
-    return [theta for *_, theta in online_hdp.infer_batch(docs, elog, elog_sticks, hyper)]
 
 
 def _read_labels(path, docs):
@@ -151,14 +152,18 @@ def _read_labels(path, docs):
 
 
 def cmd_timeline(args):
-    kinds = {"ohdp": online_hdp, "cidtm": drifting_topics}
-    kind, header, arrays = read_checkpoint(args.checkpoint, {k: module.ARRAYS for k, module in kinds.items()})
-    model = kinds[kind].decode_checkpoint(header, arrays)
+    """Flag each document whose weight on ``--topic`` reaches ``--threshold``, keeping only that weight of each."""
+    confusion = args.out_confusion or args.out_assign + ".confusion"
+    if args.out_confusion and not args.labels:
+        raise ConfigurationError("--out-confusion needs --labels")
+    _check_outputs(("--out-assign", args.out_assign), *([("--out-confusion", confusion)] if args.labels else []))
+    if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
+        raise ConfigurationError(f"--threshold must lie in [0, 1], got {args.threshold}")
+    kind, header, arrays = read_checkpoint(args.checkpoint, {k: module.ARRAYS for k, module in ONLINE.items()})
+    model = ONLINE[kind].decode_checkpoint(header, arrays)
     del arrays
     if kind == "cidtm":  # its expectations read only the drift means: the (K, V) variances and mask go now
         del model.var, model.tracked
-    if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
-        raise ConfigurationError(f"--threshold must lie in [0, 1], got {args.threshold}")
     if not 0 <= args.topic < model.hyper.K_corpus:
         raise ConfigurationError(f"topic {args.topic} out of range")
     docs = corpus_mod.read_canonical(args.corpus)
@@ -168,25 +173,23 @@ def cmd_timeline(args):
     elog, elog_sticks = model.expectations()[:2]
     hyper = model.hyper
     del model
-    weights = _doc_topic_weights(docs, elog, elog_sticks, hyper)
-    assigned = evaluation.timeline_assign(docs, weights, args.topic, args.threshold)
+    # fromiter reads the fit to its end, so its worker threads are joined before any row is written
+    fits = online_hdp.infer_batch(docs, elog, elog_sticks, hyper)
+    weights = np.fromiter((theta[args.topic] for *_, theta in fits), float)
+    assigned = evaluation.timeline_assign(weights, args.threshold)
 
     with open(args.out_assign, "w", encoding="utf-8") as f:
         f.write("doc_id\ttimestamp\tassigned\tweight\n")
         for doc, flag, w in zip(docs, assigned, weights):
-            f.write(f"{doc.id}\t{doc.timestamp!r}\t{int(flag)}\t{float(w[args.topic])!r}\n")
+            f.write(f"{doc.id}\t{doc.timestamp!r}\t{int(flag)}\t{float(w)!r}\n")
 
     if labels is not None:
         pairs = [(flag, labels[doc.id]) for doc, flag in zip(docs, assigned) if doc.id in labels]
         matrix = evaluation.confusion_from_assignments(*zip(*pairs))
         accuracy, recall, precision = evaluation.confusion_metrics(matrix)
-        out = args.out_confusion or (args.out_assign + ".confusion")
-        with open(out, "w", encoding="utf-8") as f:
+        with open(confusion, "w", encoding="utf-8") as f:
             f.write("tp\tfn\tfp\ttn\taccuracy\trecall\tprecision\n")
-            f.write(
-                f"{matrix.tp}\t{matrix.fn}\t{matrix.fp}\t{matrix.tn}"
-                f"\t{accuracy!r}\t{recall!r}\t{precision!r}\n"
-            )
+            f.write(f"{matrix.tp}\t{matrix.fn}\t{matrix.fp}\t{matrix.tn}\t{accuracy!r}\t{recall!r}\t{precision!r}\n")
     return 0
 
 

@@ -65,17 +65,9 @@ def smooth_series(series, window):
 TIMELINE_THRESHOLD = 0.05
 
 
-def timeline_assign(docs, topic_weights, target_topic, threshold):
-    """Flag documents whose weight on the target topic reaches the threshold."""
-    if len(docs) != len(topic_weights):
-        raise ParameterError("topic_weights must align with docs")
-    flags = []
-    for weights in topic_weights:
-        weights = np.asarray(weights, dtype=float)
-        if not (0 <= target_topic < weights.size):
-            raise ParameterError(f"topic {target_topic} out of range")
-        flags.append(bool(weights[target_topic] >= threshold))
-    return flags
+def timeline_assign(weights, threshold):
+    """One flag per document: its weight on the timeline's topic, an entry of ``weights``, reaches ``threshold``."""
+    return np.asarray(weights, dtype=float) >= threshold
 
 
 def confusion_from_assignments(assigned, labels):

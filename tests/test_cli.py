@@ -331,6 +331,27 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cidtm.ckpt").exists() and not (tmp_path / "cidtm.tsv").exists()
 
+    @pytest.mark.parametrize("model, flag, message", [
+        ("ohdp", "--tau0=0.5", "tau0 must be finite and >= 1, got 0.5"),
+        ("ohdp", "--kappa=0.2", "kappa must lie in (0.5, 1]"),
+        ("cidtm", "--tau0=0.5", "tau0 must be finite and >= 1, got 0.5"),
+        ("cidtm", "--kappa=0.2", "kappa must lie in (0.5, 1]"),
+        ("cidtm", "--drift-v=-1", "drift_v must be finite and >= 0"),
+        ("cidtm", "--timer=0", "active_timer_len must be finite and > 0"),
+    ])
+    def test_bad_online_setting_exits_2_before_the_corpus_is_read(self, tmp_path, capsys, monkeypatch,
+                                                                   model, flag, message):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr("topicdrift.corpus.read_canonical", no_reading)
+        monkeypatch.setattr("topicdrift.corpus.read_vocabulary", no_reading)
+        assert main(self.small_args(corpus, vocab_file, tmp_path, model, [flag])) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / f"{model}.ckpt").exists() and not (tmp_path / f"{model}.tsv").exists()
+
     # cdtm reads only --alpha0 of these, as its Dirichlet alpha
     @pytest.mark.parametrize("flag, model", [
         (flag, model) for model in ("ohdp", "cidtm") for flag in ("--gamma", "--alpha0", "--eta")
@@ -605,6 +626,59 @@ class TestTimeline:
         assert f"--threshold must lie in [0, 1], got {float(threshold)}" in capsys.readouterr().err
         assert not (tmp_path / "x.tsv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--threshold", "nan"], "--threshold must lie in [0, 1], got nan"),
+        (["--threshold", "2"], "--threshold must lie in [0, 1], got 2.0"),
+        (["--out-confusion", "conf.tsv"], "--out-confusion needs --labels"),
+    ], ids=["threshold-nan", "threshold-2", "confusion-without-labels"])
+    def test_bad_setting_exits_2_before_the_checkpoint_is_read(self, tmp_path, monkeypatch, capsys, argv, message):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("the checkpoint was read")
+
+        monkeypatch.setattr("topicdrift.cli.read_checkpoint", no_reading)
+        monkeypatch.chdir(tmp_path)
+        assert main(["timeline", "--checkpoint", "m.ckpt", "--corpus", "c.jsonl", "--topic", "0",
+                     "--out-assign", "x.tsv", *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_held_after_the_fit_is_one_weight_per_document(self, tmp_path, monkeypatch):
+        """``tracemalloc``'s current size at the ``timeline_assign`` call less that at the ``infer_batch`` call,
+        at 512 and 2,048 documents against one checkpoint (K = 100, V = 500).  Measured: it grows by about 15 B
+        per added document; about 929 B when every document's (K,) topic weights are kept to the end."""
+        vocab_size, topics = 500, 100
+        corpus, vocab_file = tmp_path / "train.jsonl", tmp_path / "vocab.txt"
+        write_canonical(uniform_stream(64, vocab_size, seed=1), corpus)
+        terms = [f"w{i}" for i in range(vocab_size)]
+        write_vocabulary(Vocabulary({t: i for i, t in enumerate(terms)}, terms), vocab_file)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--model", "ohdp", "--corpus", str(corpus), "--vocab", str(vocab_file),
+                     "--checkpoint", str(ckpt), "--tsv", str(tmp_path / "m.tsv"), "--k-corpus", str(topics),
+                     "--t-doc", "5", "--batch-size", "64"]) == 0
+        marks = {}
+        infer, assign = online_hdp.infer_batch, evaluation.timeline_assign
+
+        def marked(name, inner):
+            def call(*args):
+                marks[name] = tracemalloc.get_traced_memory()[0]
+                return inner(*args)
+            return call
+
+        monkeypatch.setattr(online_hdp, "infer_batch", marked("fit", infer))
+        monkeypatch.setattr(evaluation, "timeline_assign", marked("assign", assign))
+        held = {}
+        for n_docs in (512, 2048):
+            corpus = tmp_path / f"c{n_docs}.jsonl"
+            write_canonical(uniform_stream(n_docs, vocab_size, seed=2), corpus)
+            tracemalloc.start()
+            try:
+                assert main(["timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus), "--topic", "1",
+                             "--out-assign", str(tmp_path / f"assign{n_docs}.tsv")]) == 0
+            finally:
+                tracemalloc.stop()
+            held[n_docs] = marks["assign"] - marks["fit"]
+        assert (held[2048] - held[512]) / (2048 - 512) < 64
+
     def edited_cidtm_timeline(self, tmp_path, edit):
         """Exit code of timeline on a trained cidtm checkpoint (K = 6, V = 30) after ``edit(payload)``."""
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=60)
@@ -821,34 +895,55 @@ class TestMain:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag", [
-        ("train", "--corpus"), ("train", "--checkpoint"), ("ingest", "--input"),
-        ("timeline", "--out-assign"), ("timeline", "--labels"),
+    # an input that cannot be read; an output that is a directory or whose directory is missing
+    INPUTS = [("train", "--corpus"), ("ingest", "--input"), ("timeline", "--labels")]
+    OUTPUTS = {"train": ("--checkpoint", "--tsv"), "ingest": ("--out-corpus", "--out-vocab"),
+               "timeline": ("--out-assign", "--out-confusion")}
+
+    @pytest.mark.parametrize("command, flag, missing_parent", [
+        pytest.param(command, flag, False, id=f"{command}-{flag}") for command, flag in INPUTS
+    ] + [
+        pytest.param(command, flag, missing, id=f"{command}-{flag}" + "-missing-parent" * missing)
+        for command, flags in OUTPUTS.items() for flag in flags for missing in (False, True)
     ])
-    def test_a_path_that_cannot_be_opened_exits_2(self, tmp_path, capsys, command, flag):
+    def test_a_path_that_cannot_be_opened_exits_2(self, tmp_path, monkeypatch, capsys, command, flag, missing_parent):
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
         ckpt, directory = tmp_path / "m.ckpt", tmp_path / "a-directory"
         directory.mkdir()
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("".join(f"{doc.id}\t{i % 2}\n" for i, doc in enumerate(read_canonical(corpus))))
+        out = tmp_path / "out"
+        out.mkdir()
+
+        def train(checkpoint, tsv):
+            return ["train", "--model", "ohdp", "--corpus", str(corpus), "--vocab", str(vocab_file),
+                    "--checkpoint", str(checkpoint), "--tsv", str(tsv), "--k-corpus", "4", "--t-doc", "2"]
+
         argv = {
-            "train": ["train", "--model", "ohdp", "--corpus", str(corpus), "--vocab", str(vocab_file),
-                      "--checkpoint", str(ckpt), "--tsv", str(tmp_path / "m.tsv"), "--k-corpus", "4",
-                      "--t-doc", "2"],
+            "train": train(out / "m.ckpt", out / "m.tsv"),
             "ingest": ["ingest", "--format", "bbc", "--input", str(FIXTURES / "sample_bbc.txt"),
-                       "--out-corpus", str(tmp_path / "c.jsonl"), "--out-vocab", str(tmp_path / "v.txt")],
+                       "--out-corpus", str(out / "c.jsonl"), "--out-vocab", str(out / "v.txt")],
             "timeline": ["timeline", "--checkpoint", str(ckpt), "--corpus", str(corpus), "--topic", "0",
-                         "--out-assign", str(tmp_path / "assign.tsv")],
+                         "--labels", str(labels), "--out-assign", str(out / "assign.tsv"),
+                         "--out-confusion", str(out / "conf.tsv")],
         }
         if command == "timeline":
-            assert main(argv["train"]) == 0
+            assert main(train(ckpt, tmp_path / "m.tsv")) == 0
             capsys.readouterr()
         argv = argv[command]
-        if flag in argv:
-            argv[argv.index(flag) + 1] = str(directory)
-        else:
-            argv += [flag, str(directory)]
+        bad = directory / "missing" / "file" if missing_parent else directory
+        argv[argv.index(flag) + 1] = str(bad)
+        if flag in self.OUTPUTS[command]:
+            def no_reading(*args, **kwargs):
+                raise AssertionError("an input was read")
+
+            for reader in ("corpus.read_canonical", "corpus.read_vocabulary", "corpus.parse_bbc", "cli.read_checkpoint",
+                           "cli._read_labels"):
+                monkeypatch.setattr(f"topicdrift.{reader}", no_reading)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(directory) in err
+        assert err.startswith("error: ") and str(bad) in err
+        assert list(out.iterdir()) == [] and list(directory.iterdir()) == []
 
     def test_module_help_lists_the_commands(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from helpers import reference_moving_average
-from topicdrift.corpus import Document
 from topicdrift.errors import ParameterError
 from topicdrift.evaluation import (
     ConfusionMatrix,
@@ -104,28 +103,17 @@ class TestMovingAverage:
 
 
 class TestTimelineAssign:
-    DOCS = [Document.from_counts(f"d{i}", float(i), {0: 1}) for i in range(5)]
-    WEIGHTS = [
-        [0.9, 0.1],
-        [0.04, 0.96],
-        [0.05, 0.95],
-        [0.5, 0.5],
-        [0.0, 1.0],
-    ]
+    WEIGHTS = np.array([0.9, 0.04, 0.05, 0.5, 0.0])  # each document's weight on the timeline's topic
 
     def test_zero_threshold_assigns_all(self):
-        assert timeline_assign(self.DOCS, self.WEIGHTS, 0, 0.0) == [True] * 5
+        assert timeline_assign(self.WEIGHTS, 0.0).tolist() == [True] * 5
 
     def test_unit_threshold_assigns_none_nondegenerate(self):
-        assert timeline_assign(self.DOCS[:4], self.WEIGHTS[:4], 0, 1.0) == [False] * 4
+        assert timeline_assign(self.WEIGHTS[:4], 1.0).tolist() == [False] * 4
 
     def test_hand_table(self):
-        expected = [True, False, True, True, False]
-        assert timeline_assign(self.DOCS, self.WEIGHTS, 0, 0.05) == expected
-
-    def test_out_of_range_topic(self):
-        with pytest.raises(ParameterError):
-            timeline_assign(self.DOCS, self.WEIGHTS, 7, 0.1)
+        flags = timeline_assign(self.WEIGHTS, 0.05)
+        assert flags.dtype == bool and flags.tolist() == [True, False, True, True, False]
 
 
 class TestConfusionMetrics:

@@ -17,7 +17,7 @@ from helpers import (
     reference_fit_block,
     reference_online_update,
 )
-from topicdrift import cli, drifting_topics, online_hdp
+from topicdrift import drifting_topics, online_hdp
 from topicdrift.corpus import Document
 from topicdrift.errors import ConfigurationError, NumericalError, ParameterError
 from topicdrift.online_hdp import (
@@ -382,7 +382,7 @@ class TestInferBatch:
         assert 1 < len(set(ref_sweeps)) and max(ref_sweeps) == MAX_SWEEPS
         sweeps = record_sweeps(monkeypatch)
         assert_records_match(score_batch(hdp, held)[0], records)
-        for got, want in zip(cli._doc_topic_weights(held, *hdp.expectations()[:2], hyper), mixtures, strict=True):
+        for (*_, got), want in zip(infer_batch(held, *hdp.expectations()[:2], hyper), mixtures, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
         assert in_block_order(sweeps) == ref_sweeps * 2
 
@@ -396,7 +396,7 @@ class TestInferBatch:
         )
         sweeps.clear()
         assert_records_match(score_batch(model, held)[0], records)
-        for got, want in zip(cli._doc_topic_weights(held, *model.expectations()[:2], hyper), mixtures, strict=True):
+        for (*_, got), want in zip(infer_batch(held, *model.expectations()[:2], hyper), mixtures, strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
         assert in_block_order(sweeps) == ref_sweeps * 2
 

@@ -13,16 +13,20 @@ interpreter, with ``PYTHONPATH=<tree>/src``, once with
   vocabulary, then ``train`` of all three models and ``timeline`` of both
   online models, every option at its default.
 
-The archives are written once and read by both trees.  One row is printed
-per output: its name, both sha256 values and, for score TSVs and
-``assign.tsv``, the largest relative difference of their numbers.  The exit
-status is 1 if a relative difference is above 1e-10, if an ``assign.tsv``
-flag, a doc id or a row count differs, or if an output exists in one tree
-only; a byte difference within 1e-10 is printed but does not fail.
+Each ``timeline`` also reads ``labels.txt``, written from the run's corpus
+with the document of line i labelled ``i % 2``, and writes
+``confusion.tsv``.  The archives are written once and read by both trees.
+One row is printed per output: its name, both sha256 values and, for score
+TSVs, ``assign.tsv`` and ``confusion.tsv``, the largest relative difference
+of their numbers.  The exit status is 1 if a relative difference is above
+1e-10, if an ``assign.tsv`` flag, a doc id, a confusion count or a row count
+differs, or if an output exists in one tree only; a byte difference within
+1e-10 is printed but does not fail.
 Everything is written under a temporary directory, which is removed.
 """
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -57,14 +61,24 @@ def _cli(cli, *argv):
         raise SystemExit(f"topicdrift {' '.join(map(str, argv))} exited {code}")
 
 
+def _write_labels(corpus, path):
+    """``doc_id<TAB>i % 2`` for the document of each line i of ``corpus``; a repeated id keeps its first label."""
+    labels = {}
+    for i, line in enumerate(corpus.read_text(encoding="utf-8").splitlines()):
+        labels.setdefault(json.loads(line)["id"], i % 2)
+    path.write_text("".join(f"{doc_id}\t{label}\n" for doc_id, label in labels.items()), encoding="utf-8")
+
+
 def _pipeline(cli, out, corpus, vocab, train_args, timeline, prefix=""):
-    """``train`` and, for an online model, ``timeline`` of topic 1, as the benchmark runs them."""
+    """``train`` and, for an online model, ``timeline`` of topic 1, as the benchmark runs them, plus fixed labels."""
     ckpt = out / f"{prefix}checkpoint.json"
     _cli(cli, "train", *train_args, "--corpus", corpus, "--vocab", vocab, "--checkpoint", ckpt,
          "--tsv", out / f"{prefix}scores.tsv")
     if timeline:
+        _write_labels(corpus, out / "labels.txt")
         _cli(cli, "timeline", "--checkpoint", ckpt, "--corpus", corpus, "--topic", "1",
-             "--out-assign", out / f"{prefix}assign.tsv")
+             "--out-assign", out / f"{prefix}assign.tsv", "--labels", out / "labels.txt",
+             "--out-confusion", out / f"{prefix}confusion.tsv")
 
 
 def run_tree(tree, workers, archives, out):
@@ -113,9 +127,12 @@ def sha256(path):
 
 
 def rel_diff(a, b):
-    a, b = float(a), float(b)
-    if a == b:
+    if a == b:  # also an undefined confusion ratio, written as None
         return 0.0
+    try:
+        a, b = float(a), float(b)
+    except ValueError:
+        return math.inf
     d = abs(a - b) / max(abs(a), abs(b))
     return d if math.isfinite(d) else math.inf
 
@@ -123,18 +140,19 @@ def rel_diff(a, b):
 def tsv_diff(parent, child):
     """The largest relative difference of two TSVs' numbers, and what else differs, or None.
 
-    Column 0 is a doc id and must match, as must the row count and an
-    ``assign.tsv`` flag column; every other column is a number.
+    Column 0 (a doc id, or the confusion file's tp) must match, as must the
+    row count, an ``assign.tsv`` flag column and every confusion count; every
+    other column is a number.
     """
     rows = [[line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()] for path in (parent, child)]
     (p_head, *p_rows), (c_head, *c_rows) = rows
     if p_head != c_head or len(p_rows) != len(c_rows):
         return math.inf, "header or row count"
-    exact = {0, p_head.index("assigned")} if "assigned" in p_head else {0}
+    exact = {0} | {p_head.index(name) for name in ("assigned", "fn", "fp", "tn") if name in p_head}
     worst = 0.0
     for p, c in zip(p_rows, c_rows):
         if len(p) != len(c) or any(p[i] != c[i] for i in exact):
-            return math.inf, "doc id or flag"
+            return math.inf, "doc id, flag or count"
         worst = max([worst] + [rel_diff(x, y) for i, (x, y) in enumerate(zip(p, c)) if i not in exact])
     return worst, None
 
