@@ -2,12 +2,14 @@
 
 A word's log-scale weight drifts over irregular timestamps; noisy
 pseudo-observations arrive at some steps only.  The smoother fills the
-gaps and trims the noise.
+gaps and trims the noise.  The same calls run a stack of tracks held on
+leading axes, and the lower bound takes the track, its posterior and the
+word counts as arrays of one shape.
 """
 
 import numpy as np
 
-from topicdrift.kalman import DriftConfig, ObservationTrack, WordCounts, kalman_lower_bound, kalman_posterior
+from topicdrift.kalman import DriftConfig, ObservationTrack, kalman_lower_bound, kalman_posterior
 
 rng = np.random.default_rng(2)
 
@@ -26,7 +28,7 @@ for i, t in enumerate(timestamps):
     print(f"{t:5.1f} {truth[i]:8.3f} {obs} {post.forward_mean[i]:9.3f} "
           f"{post.smoothed_mean[i]:9.3f} {post.smoothed_var[i]:8.3f}")
 
-counts = WordCounts(np.ones((7, 1)) * 3.0)
-bound = kalman_lower_bound({0: track}, {0: post}, counts, cfg)
+# one word, seen 3 times at every step; a stack of tracks takes counts of its (words, steps) shape
+bound = kalman_lower_bound(track, post, np.full(7, 3.0), cfg)
 print(f"\nlower bound on the pseudo-observation likelihood: {bound:.4f} nats")
 print("(smoothed interior steps borrow strength from both directions)")

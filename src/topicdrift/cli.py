@@ -25,6 +25,23 @@ USAGE_ERRORS = (ValueError, OSError)
 NUMERICAL_ERRORS = (ConvergenceError, NumericalError, FloatingPointError)
 # the online models' modules, by --model and by checkpoint kind
 ONLINE = {"ohdp": online_hdp, "cidtm": drifting_topics}
+# the flags each train --model and each simulate process reads; giving another exits 2
+_TRAIN = {"--model", "--corpus", "--vocab", "--checkpoint", "--tsv", "--seed"}
+_HDP = _TRAIN | {"--batch-size", "--gamma", "--alpha0", "--eta", "--k-corpus", "--t-doc", "--kappa", "--tau0"}
+_CRFP = {"--seed", "--alpha", "--gamma", "--doc-sizes", "--out"}
+READS = {"ohdp": _HDP, "cidtm": _HDP | {"--drift-v", "--obs-var", "--timer", "--threshold"},
+         "cdtm": _TRAIN | {"--alpha0", "--drift-v", "--obs-var", "--train-fraction", "--k", "--sweeps"},
+         "crp": {"--seed", "--n", "--alpha", "--out"}, "crfp": _CRFP,
+         "dimsum": _CRFP | {"--arrival-times", "--drift-v", "--param-dim"},
+         "tdpm": {"--history", "--width", "--decay-lambda", "--out"}}
+
+
+class _Given(argparse.Action):
+    """Store the value, as argparse's ``store`` does, and append the flag to ``given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given += tuple(self.option_strings[:1])
 
 
 def _seed(args):
@@ -41,18 +58,31 @@ def _seed(args):
     return seed
 
 
-def _check_outputs(*flagged):
-    """Exit 2, naming the flag, on an output path that cannot be written; nothing is created or truncated."""
-    for flag, path in flagged:
+def _check_flags(args, choice, name):
+    """Exit 2, naming them and ``name``, on given flags that ``choice`` of ``READS`` does not read."""
+    stray = [flag for flag in dict.fromkeys(args.given) if flag not in READS[choice]]
+    if stray:
+        raise ConfigurationError(f"{name} does not read {', '.join(stray)}")
+
+
+def _check_outputs(outputs, inputs):
+    """Exit 2, naming the flags, on an output that cannot be written or that names another output or an input.
+
+    Each is a (flag, path) pair; a hard link names its target.  Nothing is read, created or truncated."""
+    for i, (flag, path) in enumerate(outputs):
         if os.path.isdir(path):
             raise ConfigurationError(f"{flag} {path} is a directory")
         folder = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(folder) and os.access(path if os.path.exists(path) else folder, os.W_OK)):
             raise ConfigurationError(f"{flag} {path} cannot be written: its directory is missing or read-only")
+        for other, named in [*outputs[:i], *inputs]:
+            if os.path.realpath(path) == os.path.realpath(named) or (
+                    os.path.exists(path) and os.path.exists(named) and os.path.samefile(path, named)):
+                raise ConfigurationError(f"{flag} and {other} both name {path}")
 
 
 def cmd_ingest(args):
-    _check_outputs(("--out-corpus", args.out_corpus), ("--out-vocab", args.out_vocab))
+    _check_outputs([("--out-corpus", args.out_corpus), ("--out-vocab", args.out_vocab)], [("--input", args.input)])
     if args.format == "reuters":
         with open(args.input, "rb") as f:
             parsed = corpus_mod.parse_reuters(f.read())
@@ -97,7 +127,9 @@ def _hyper_from(args):
 
 
 def cmd_train(args):
-    _check_outputs(("--checkpoint", args.checkpoint), ("--tsv", args.tsv))
+    _check_flags(args, args.model, f"--model {args.model}")
+    _check_outputs([("--checkpoint", args.checkpoint), ("--tsv", args.tsv)],
+                   [("--corpus", args.corpus), ("--vocab", args.vocab)])
     if args.model == "cdtm":
         if not 0.0 < args.train_fraction <= 1.0:  # also rejects nan
             raise ConfigurationError(f"--train-fraction must lie in (0, 1], got {args.train_fraction}")
@@ -156,7 +188,9 @@ def cmd_timeline(args):
     confusion = args.out_confusion or args.out_assign + ".confusion"
     if args.out_confusion and not args.labels:
         raise ConfigurationError("--out-confusion needs --labels")
-    _check_outputs(("--out-assign", args.out_assign), *([("--out-confusion", confusion)] if args.labels else []))
+    labelled = [("--labels", args.labels)] if args.labels else []
+    _check_outputs([("--out-assign", args.out_assign), *([("--out-confusion", confusion)] if labelled else [])],
+                   [("--checkpoint", args.checkpoint), ("--corpus", args.corpus), *labelled])
     if not 0.0 <= args.threshold <= 1.0:  # also rejects nan
         raise ConfigurationError(f"--threshold must lie in [0, 1], got {args.threshold}")
     kind, header, arrays = read_checkpoint(args.checkpoint, {k: module.ARRAYS for k, module in ONLINE.items()})
@@ -211,6 +245,7 @@ def _numbers(text, flag, kind):
 
 
 def cmd_simulate(args):
+    _check_flags(args, args.process, f"simulate {args.process}")
     rng = np.random.default_rng(_seed(args))
     if args.process == "crp":
         part = crp_partition(args.n, args.alpha, rng)
@@ -268,6 +303,7 @@ def build_parser():
     # the model flags default to the settings of the configs they build; cdtm's drift defaults are cidtm's
     hdp, cidtm, cdtm = online_hdp.HdpHyper, drifting_topics.CidtmConfig, fixed_k_dtm.CdtmConfig
     p = sub.add_parser("train", help="train a model and emit a likelihood TSV")
+    p.register("action", None, _Given)  # each flag below is noted in ``given`` when it is given
     p.add_argument("--model", required=True, choices=["ohdp", "cidtm", "cdtm"])
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
@@ -293,7 +329,7 @@ def build_parser():
                    help="share of documents cdtm trains on, in (0, 1]")
     p.add_argument("--k", type=int, default=cdtm.K, help="fixed topic count for cdtm")
     p.add_argument("--sweeps", type=int, default=cdtm.sweeps, help="cdtm training sweeps, >= 1")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, given=())
 
     p = sub.add_parser("timeline", help="assign documents to a topic timeline")
     p.add_argument("--checkpoint", required=True)
@@ -306,6 +342,7 @@ def build_parser():
     p.set_defaults(func=cmd_timeline)
 
     p = sub.add_parser("simulate", help="dump seeded generative trajectories")
+    p.register("action", None, _Given)
     p.add_argument("process", choices=["crp", "crfp", "dimsum", "tdpm"])
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n", type=int, default=100)
@@ -319,7 +356,7 @@ def build_parser():
     p.add_argument("--width", type=int, default=2)
     p.add_argument("--decay-lambda", type=float, default=1.0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, given=())
     return parser
 
 

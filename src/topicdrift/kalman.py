@@ -16,8 +16,9 @@ the prior on entry and every column's state at the last timestamp on
 return; it returns nothing.  The online drifting model keeps only that
 terminal state, the offline baseline smooths all of its (topic, word)
 tracks with one pass of each per sweep, and
-``kalman_forward``/``kalman_backward`` run one track whose every step is
-a pair, an absent step being an observation with infinite variance.
+``kalman_forward``/``kalman_backward`` run a stack of tracks on one
+grid, every step a pair and an absent step an observation with infinite
+variance, and ``kalman_lower_bound`` sums the stack's bound in one pass.
 ``pair_layout`` is the one builder of that layout from documents: both
 drifting models take their (timestamp, word) pairs from it.
 
@@ -35,7 +36,7 @@ with m~_T = m_T and V~_T = V_T.  The prior (m0, V0) applies at the first
 timestamp of the track; callers that need drift before the first
 observation fold it into V0.  The pair passes take the drift rate v as
 a number, and ``pair_filter`` the prior as the state arrays it filters
-in place; the one-track API takes both from a ``DriftConfig``.
+in place; the ``ObservationTrack`` API takes both from a ``DriftConfig``.
 """
 
 import math
@@ -66,11 +67,12 @@ class DriftConfig:
 
 @dataclass(frozen=True)
 class ObservationTrack:
-    """Timestamps, pseudo-observations and their variances for one track.
+    """Timestamps, pseudo-observations and their variances for a stack of tracks.
 
-    ``present[t]`` marks steps that carry an observation; ``beta_hat``
-    values at absent steps are ignored.  ``obs_variance`` may be given
-    as one scalar for all steps.
+    ``timestamps`` is the one (S,) grid; ``beta_hat`` and ``present``,
+    which marks the steps that carry an observation, are (..., S), one
+    track per leading index, and ``obs_variance`` broadcasts to them.
+    ``beta_hat`` values at absent steps are ignored.
     """
 
     timestamps: np.ndarray
@@ -88,9 +90,9 @@ class ObservationTrack:
             raise TimeOrderError("timestamps must be strictly increasing")
         beta = np.asarray(self.beta_hat, dtype=float)
         present = np.asarray(self.present, dtype=bool)
-        ov = np.broadcast_to(np.asarray(self.obs_variance, dtype=float), ts.shape).copy()
-        if beta.shape != ts.shape or present.shape != ts.shape:
-            raise ShapeMismatchError("beta_hat and present must align with timestamps")
+        if beta.shape[-1:] != ts.shape or present.shape != beta.shape:
+            raise ShapeMismatchError("beta_hat and present must be (..., S) stacks over the timestamps")
+        ov = np.broadcast_to(np.asarray(self.obs_variance, dtype=float), beta.shape).copy()
         if not ((ov > 0.0) & np.isfinite(ov)).all():
             raise ParameterError("obs_variance entries must be finite and > 0")
         if np.any(~np.isfinite(beta[present])):
@@ -100,9 +102,6 @@ class ObservationTrack:
         object.__setattr__(self, "obs_variance", ov)
         object.__setattr__(self, "present", present)
 
-    def __len__(self):
-        return self.timestamps.size
-
 
 @dataclass(frozen=True)
 class KalmanPosterior:
@@ -110,25 +109,6 @@ class KalmanPosterior:
     forward_var: np.ndarray
     smoothed_mean: np.ndarray
     smoothed_var: np.ndarray
-
-
-@dataclass(frozen=True)
-class WordCounts:
-    """Word counts per step; row t gives n_{t,w} and totals are n_t."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=float)
-        if c.ndim != 2:
-            raise ShapeMismatchError("counts must be steps x words")
-        if np.any(c < 0):
-            raise ParameterError("counts must be nonnegative")
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def totals(self):
-        return self.counts.sum(axis=1)
 
 
 def pair_layout(docs):
@@ -233,26 +213,27 @@ def pair_smoother(timestamps, starts, columns, means, variances, drift):
 
 def _one_column(track):
     """``starts`` and ``columns`` that make every step of ``track`` one pair of column 0."""
-    return np.arange(len(track) + 1), np.zeros(len(track), dtype=np.intp)
+    return np.arange(track.timestamps.size + 1), np.zeros(track.timestamps.size, dtype=np.intp)
 
 
 def kalman_forward(track, cfg):
-    """Filtered means and variances for one track.
+    """Filtered means and variances, (..., S) as ``track.beta_hat``, for every track of the stack.
 
     An absent step is an observation of 0 with infinite variance: its gain
     is exactly 0, so the state carries over with its variance grown.
     """
     means = np.where(track.present, track.beta_hat, 0.0)
     variances = np.where(track.present, track.obs_variance, math.inf)
+    prior = means.shape[:-1] + (1,)
     pair_filter(track.timestamps, *_one_column(track), means, variances, cfg.process_variance,
-                np.array([cfg.prior_mean], dtype=float), np.array([cfg.prior_variance], dtype=float))
+                np.full(prior, cfg.prior_mean), np.full(prior, cfg.prior_variance))
     return means, variances
 
 
 def kalman_backward(track, forward, cfg):
-    """Smoothed means and variances given the forward output for the same track; ``forward`` is not changed."""
+    """Smoothed means and variances given the forward output for the same stack; ``forward`` is not changed."""
     fwd_means, fwd_vars = (np.array(a, dtype=float) for a in forward)
-    if fwd_means.shape != track.timestamps.shape or fwd_vars.shape != track.timestamps.shape:
+    if fwd_means.shape != track.beta_hat.shape or fwd_vars.shape != track.beta_hat.shape:
         raise ShapeMismatchError("forward output does not align with the track")
     return pair_smoother(track.timestamps, *_one_column(track), fwd_means, fwd_vars, cfg.process_variance)
 
@@ -264,16 +245,16 @@ def kalman_posterior(track, cfg):
     return KalmanPosterior(fwd[0], fwd[1], sm, sv)
 
 
-def kalman_lower_bound(tracks, posteriors, counts, cfg):
+def kalman_lower_bound(track, posterior, counts, cfg):
     """Lower bound (nats) on the likelihood of the pseudo-observations.
 
-    ``tracks`` and ``posteriors`` map word index -> ObservationTrack /
-    KalmanPosterior over a shared timestamp grid; ``counts`` is the
-    steps x words count matrix over the same word order as
-    ``sorted(tracks)``.  Assembles three pieces per step:
+    ``track`` stacks one track per word on its leading axes,
+    ``posterior`` is its ``kalman_posterior`` and ``counts`` holds the
+    nonnegative n_{w,t}, of the track's (..., S) shape; n_t sums them over
+    the words.  Sums three terms over the steps:
 
     * the word-likelihood bound
-      sum_w n_{t,w} m~_{t,w} - n_t log sum_w exp(m~_{t,w} + V~_{t,w}/2),
+      sum_w n_{w,t} m~_{w,t} - n_t log sum_w exp(m~_{w,t} + V~_{w,t}/2),
     * minus the expected observation log-density
       -1/2 log(2 pi v_hat) - ((beta_hat - m~)^2 + V~) / (2 v_hat)
       at steps where the word is present,
@@ -281,45 +262,25 @@ def kalman_lower_bound(tracks, posteriors, counts, cfg):
       a Gaussian with mean m_{t-1} and variance V_{t-1} + v Delta + v_hat,
       again only at present steps.
     """
-    words = sorted(tracks)
-    for w in words:
-        if w not in posteriors:
-            raise ShapeMismatchError(f"no posterior for word {w!r}")
-    c = counts.counts
-    if c.shape[1] != len(words):
-        raise ShapeMismatchError("counts width does not match the number of tracks")
+    c = np.asarray(counts, dtype=float)
+    fm, fv, sm, sv = (np.asarray(a, dtype=float) for a in (
+        posterior.forward_mean, posterior.forward_var, posterior.smoothed_mean, posterior.smoothed_var))
+    if any(a.shape != track.beta_hat.shape for a in (c, fm, fv, sm, sv)):
+        raise ShapeMismatchError("counts and posterior must have the track's shape")
+    if not (c >= 0.0).all():
+        raise ParameterError("counts must be nonnegative")
+    # n_t log sum_w exp(...) is the sum over w of n_{w,t} times the step's log normalizer
+    log_norm = np.log(np.exp(sm + 0.5 * sv).reshape(-1, track.timestamps.size).sum(axis=0))
+    bound = float((c * (sm - log_norm)).sum())
 
-    n_steps = c.shape[0]
-    sm = np.column_stack([posteriors[w].smoothed_mean for w in words])
-    sv = np.column_stack([posteriors[w].smoothed_var for w in words])
-    if sm.shape[0] != n_steps:
-        raise ShapeMismatchError("posterior length does not match counts")
-
-    totals = counts.totals
-    log_norm = np.log(np.exp(sm + 0.5 * sv).sum(axis=1))
-    bound = float((c * sm).sum() - (totals * log_norm).sum())
-
-    for j, w in enumerate(words):
-        track = tracks[w]
-        post = posteriors[w]
-        ts = track.timestamps
-        for t in range(n_steps):
-            if not track.present[t]:
-                continue
-            v_hat = track.obs_variance[t]
-            beta = track.beta_hat[t]
-            # expected log-density of the observation under the smoothed state
-            expected = -0.5 * math.log(2.0 * math.pi * v_hat) - (
-                (beta - post.smoothed_mean[t]) ** 2 + post.smoothed_var[t]
-            ) / (2.0 * v_hat)
-            bound -= expected
-            # innovations term: predictive of beta_hat given the past
-            if t == 0:
-                pred_mean, pred_var = cfg.prior_mean, cfg.prior_variance
-            else:
-                delta = ts[t] - ts[t - 1]
-                pred_mean = post.forward_mean[t - 1]
-                pred_var = post.forward_var[t - 1] + cfg.process_variance * delta
-            s = pred_var + v_hat
-            bound += -0.5 * math.log(2.0 * math.pi * s) - (beta - pred_mean) ** 2 / (2.0 * s)
-    return bound
+    # absent steps are masked out before the arithmetic: their beta_hat may be nan or inf
+    beta = np.where(track.present, track.beta_hat, 0.0)
+    v_hat = track.obs_variance
+    # expected log-density of each observation under the smoothed state
+    expected = -0.5 * np.log(2.0 * math.pi * v_hat) - ((beta - sm) ** 2 + sv) / (2.0 * v_hat)
+    # innovations: the predictive of beta_hat given the past, the prior at the first step
+    pred_mean = np.insert(fm[..., :-1], 0, cfg.prior_mean, axis=-1)
+    s = np.insert(fv[..., :-1] + cfg.process_variance * np.diff(track.timestamps), 0, cfg.prior_variance, axis=-1)
+    s += v_hat
+    innovation = -0.5 * np.log(2.0 * math.pi * s) - (beta - pred_mean) ** 2 / (2.0 * s)
+    return bound + float((innovation - expected)[track.present].sum())

@@ -42,6 +42,10 @@ last two with scipy's ``logsumexp``; ``reference_doc_topic_weights``
 keeps the timeline fit that held the whole loaded model, and
 ``reference_moving_average`` the per-index loop of
 ``evaluation.moving_average``.
+``reference_kalman_lower_bound`` keeps the pseudo-observation bound over
+a word -> track dict and a word -> posterior dict, with a loop over every
+(word, step), that ``kalman.kalman_lower_bound`` replaced with one
+vectorized sum over a stack of tracks.
 ``payload_array`` and ``set_payload_array`` read and edit the arrays of
 a parsed checkpoint with ``base64`` and numpy alone.
 ``documents_equal`` compares documents field by field: ``==`` on a
@@ -152,6 +156,38 @@ def backward_steps(timestamps, fwd_means, fwd_vars, cfg):
         ratio = fwd_vars[t - 1] / denom
         sv[t - 1] = fwd_vars[t - 1] + ratio * ratio * (sv[t] - denom)
     return sm, sv
+
+
+def reference_kalman_lower_bound(tracks, posteriors, counts, cfg):
+    """The bound over word -> ``ObservationTrack`` / ``KalmanPosterior`` dicts; ``counts`` is steps x words.
+
+    The columns of ``counts`` follow ``sorted(tracks)``.
+    """
+    words = sorted(tracks)
+    c = np.asarray(counts, dtype=float)
+    sm = np.column_stack([posteriors[w].smoothed_mean for w in words])
+    sv = np.column_stack([posteriors[w].smoothed_var for w in words])
+    log_norm = np.log(np.exp(sm + 0.5 * sv).sum(axis=1))
+    bound = float((c * sm).sum() - (c.sum(axis=1) * log_norm).sum())
+    for w in words:
+        track, post = tracks[w], posteriors[w]
+        ts = track.timestamps
+        for t in range(c.shape[0]):
+            if not track.present[t]:
+                continue
+            v_hat = track.obs_variance[t]
+            beta = track.beta_hat[t]
+            bound -= -0.5 * math.log(2.0 * math.pi * v_hat) - (
+                (beta - post.smoothed_mean[t]) ** 2 + post.smoothed_var[t]
+            ) / (2.0 * v_hat)
+            if t == 0:
+                pred_mean, pred_var = cfg.prior_mean, cfg.prior_variance
+            else:
+                pred_mean = post.forward_mean[t - 1]
+                pred_var = post.forward_var[t - 1] + cfg.process_variance * (ts[t] - ts[t - 1])
+            s = pred_var + v_hat
+            bound += -0.5 * math.log(2.0 * math.pi * s) - (beta - pred_mean) ** 2 / (2.0 * s)
+    return bound
 
 
 def dense_kalman_stage(model, batch, stats):

@@ -141,12 +141,13 @@ class TestIngest:
 
 class TestTrain:
     def small_args(self, corpus, vocab_file, tmp_path, model, extra=()):
+        """A small run; the online models get small truncations, and cdtm, which reads neither, none."""
         return [
             "train", "--model", model,
             "--corpus", str(corpus), "--vocab", str(vocab_file),
             "--checkpoint", str(tmp_path / f"{model}.ckpt"),
             "--tsv", str(tmp_path / f"{model}.tsv"),
-            "--k-corpus", "8", "--t-doc", "4", "--seed", "42",
+            *([] if model == "cdtm" else ["--k-corpus", "8", "--t-doc", "4"]), "--seed", "42",
             *extra,
         ]
 
@@ -240,20 +241,41 @@ class TestTrain:
 
         monkeypatch.setattr(online_hdp, "prequential_run", no_fitting)
         monkeypatch.setattr(fixed_k_dtm, "train_cdtm", no_fitting)
-        code = main(self.small_args(corpus, vocab_file, tmp_path, model, ["--k", "3", "--tau0", tau0]))
+        code = main(self.small_args(corpus, vocab_file, tmp_path, model, ["--tau0", tau0]))
         assert code == 2
         assert f"tau0 must be finite and >= 1, got {float(tau0)}" in capsys.readouterr().err
         assert not (tmp_path / f"{model}.ckpt").exists()
 
-    @pytest.mark.parametrize("flag", ["--kappa=0.2", "--tau0=0.5", "--k-corpus=0", "--eta=0", "--gamma=nan"])
-    def test_cdtm_neither_reads_nor_checks_the_hdp_flags(self, tmp_path, flag):
+    @pytest.mark.parametrize("model, extra, named", [
+        ("ohdp", ["--drift-v", "5", "--sweeps", "9", "--k", "3"], "--drift-v, --sweeps, --k"),
+        ("ohdp", ["--timer=1", "--train-fraction=0.5"], "--timer, --train-fraction"),
+        ("cidtm", ["--k", "3", "--sw", "2"], "--k, --sweeps"),  # an abbreviation is named in full
+        ("cidtm", ["--train-fraction", "0.5"], "--train-fraction"),
+        ("cdtm", ["--batch-size", "3", "--k-corpus", "2", "--timer", "1"], "--batch-size, --k-corpus, --timer"),
+        ("cdtm", ["--kappa=0.2", "--tau0=0.5", "--eta=0", "--gamma=nan", "--t-doc=4"],
+         "--kappa, --tau0, --eta, --gamma, --t-doc"),
+        ("cdtm", ["--threshold", "0.1"], "--threshold"),
+    ])
+    def test_a_flag_the_model_does_not_read_exits_2_before_any_input_is_read(self, tmp_path, capsys, monkeypatch,
+                                                                             model, extra, named):
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
-        outputs = []
-        for sub, extra in (("plain", []), ("flagged", [flag])):
-            (tmp_path / sub).mkdir()
-            assert main(self.small_args(corpus, vocab_file, tmp_path / sub, "cdtm", ["--k", "3", *extra])) == 0
-            outputs.append([(tmp_path / sub / f"cdtm.{ext}").read_bytes() for ext in ("tsv", "ckpt")])
-        assert outputs[0] == outputs[1]
+        given = corpus.read_bytes()
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr("topicdrift.corpus.read_canonical", no_reading)
+        monkeypatch.setattr("topicdrift.corpus.read_vocabulary", no_reading)
+        assert main(self.small_args(corpus, vocab_file, tmp_path, model, extra)) == 2
+        assert f"--model {model} does not read {named}" in capsys.readouterr().err
+        assert not (tmp_path / f"{model}.ckpt").exists() and not (tmp_path / f"{model}.tsv").exists()
+        assert corpus.read_bytes() == given
+
+    def test_a_flag_given_at_its_default_is_still_refused(self, tmp_path, capsys):
+        corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
+        default = str(fixed_k_dtm.CdtmConfig.K)
+        assert main(self.small_args(corpus, vocab_file, tmp_path, "ohdp", ["--k", default])) == 2
+        assert "--model ohdp does not read --k" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path):
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
@@ -358,7 +380,8 @@ class TestTrain:
     ] + [("--alpha0", "cdtm")])
     def test_non_finite_concentration_exits_2(self, tmp_path, capsys, model, flag):
         corpus, vocab_file = write_synthetic_corpus(tmp_path, n_docs=20)
-        code = main(self.small_args(corpus, vocab_file, tmp_path, model, ["--k", "3", f"{flag}=nan"]))
+        k = ["--k", "3"] if model == "cdtm" else []
+        code = main(self.small_args(corpus, vocab_file, tmp_path, model, [*k, f"{flag}=nan"]))
         assert code == 2
         message = "alpha and obs_var" if model == "cdtm" else "gamma, alpha0 and eta"
         assert f"{message} must be finite and > 0" in capsys.readouterr().err
@@ -951,3 +974,109 @@ class TestMain:
                               env=env, capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stderr) == (0, "")
         assert all(command in done.stdout for command in ("ingest", "train", "timeline", "simulate"))
+
+
+class TestCollidingPaths:
+    """An output path that names another output or an input exits 2, naming both flags, before any input is read."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        """A corpus, vocabulary, checkpoint, labels and raw archive in ``tmp_path``, the working directory."""
+        corpus, vocab = write_synthetic_corpus(tmp_path, n_docs=20)
+        assert main(["train", "--model", "ohdp", "--corpus", str(corpus), "--vocab", str(vocab), "--checkpoint",
+                     str(tmp_path / "m.ckpt"), "--tsv", str(tmp_path / "m.tsv"), "--k-corpus", "4", "--t-doc", "2"]) == 0
+        (tmp_path / "labels.tsv").write_text("".join(f"{doc.id}\t1\n" for doc in read_canonical(corpus)))
+        (tmp_path / "raw.txt").write_bytes((FIXTURES / "sample_bbc.txt").read_bytes())
+        monkeypatch.chdir(tmp_path)
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for reader in ("corpus.read_canonical", "corpus.read_vocabulary", "corpus.parse_bbc", "cli.read_checkpoint",
+                       "cli._read_labels"):
+            monkeypatch.setattr(f"topicdrift.{reader}", no_reading)
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    INGEST = ["ingest", "--format", "bbc", "--input", "raw.txt", "--out-corpus", "c2.jsonl", "--out-vocab", "v2.txt"]
+    TRAIN = ["train", "--model", "ohdp", "--corpus", "corpus.jsonl", "--vocab", "vocab.txt",
+             "--checkpoint", "n.ckpt", "--tsv", "n.tsv"]
+    TIMELINE = ["timeline", "--checkpoint", "m.ckpt", "--corpus", "corpus.jsonl", "--topic", "0",
+                "--labels", "labels.tsv", "--out-assign", "a.tsv", "--out-confusion", "conf.tsv"]
+
+    @staticmethod
+    def argv(base, **paths):
+        argv = list(base)
+        for flag, path in paths.items():
+            argv[argv.index("--" + flag.replace("_", "-")) + 1] = path
+        return argv
+
+    @pytest.mark.parametrize("base, paths, named", [
+        (INGEST, {"out_corpus": "raw.txt"}, "--out-corpus and --input both name raw.txt"),
+        (INGEST, {"out_vocab": "raw.txt"}, "--out-vocab and --input both name raw.txt"),
+        (INGEST, {"out_corpus": "x", "out_vocab": "x"}, "--out-vocab and --out-corpus both name x"),
+        (TRAIN, {"tsv": "corpus.jsonl"}, "--tsv and --corpus both name corpus.jsonl"),
+        (TRAIN, {"checkpoint": "vocab.txt"}, "--checkpoint and --vocab both name vocab.txt"),
+        (TRAIN, {"checkpoint": "x", "tsv": "x"}, "--tsv and --checkpoint both name x"),
+        (TRAIN, {"checkpoint": "m.ckpt", "tsv": "m.ckpt"}, "--tsv and --checkpoint both name m.ckpt"),
+        (TIMELINE, {"out_assign": "x", "out_confusion": "x"}, "--out-confusion and --out-assign both name x"),
+        (TIMELINE, {"out_assign": "m.ckpt"}, "--out-assign and --checkpoint both name m.ckpt"),
+        (TIMELINE, {"out_assign": "corpus.jsonl"}, "--out-assign and --corpus both name corpus.jsonl"),
+        (TIMELINE, {"out_assign": "labels.tsv"}, "--out-assign and --labels both name labels.tsv"),
+        (TIMELINE, {"out_confusion": "m.ckpt"}, "--out-confusion and --checkpoint both name m.ckpt"),
+        (TIMELINE, {"out_confusion": "corpus.jsonl"}, "--out-confusion and --corpus both name corpus.jsonl"),
+        (TIMELINE, {"out_confusion": "labels.tsv"}, "--out-confusion and --labels both name labels.tsv"),
+    ])
+    def test_collision_exits_2_and_leaves_every_file_as_it_was(self, files, capsys, base, paths, named):
+        assert main(self.argv(base, **paths)) == 2
+        assert named in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in Path.cwd().iterdir()} == files
+
+    def test_default_confusion_path_that_names_the_labels_exits_2(self, files, capsys):
+        os.replace("labels.tsv", "a.tsv.confusion")
+        files["a.tsv.confusion"] = files.pop("labels.tsv")
+        argv = self.argv(self.TIMELINE, labels="a.tsv.confusion")
+        del argv[-2:]  # --out-confusion defaults to the --out-assign path plus .confusion
+        assert main(argv) == 2
+        assert "--out-confusion and --labels both name a.tsv.confusion" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in Path.cwd().iterdir()} == files
+
+    def test_relative_and_absolute_spellings_of_one_path_collide(self, files, capsys, tmp_path):
+        assert main(self.argv(self.TRAIN, corpus=str(tmp_path / "corpus.jsonl"), tsv="./corpus.jsonl")) == 2
+        assert "--tsv and --corpus both name ./corpus.jsonl" in capsys.readouterr().err
+        assert main(self.argv(self.TRAIN, checkpoint="./x", tsv=str(tmp_path / "x"))) == 2
+        assert f"--tsv and --checkpoint both name {tmp_path / 'x'}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in Path.cwd().iterdir()} == files
+
+    @pytest.mark.parametrize("link", [os.link, os.symlink], ids=["hard-link", "symlink"])
+    def test_a_link_to_an_input_collides(self, files, capsys, link):
+        link("corpus.jsonl", "alias.jsonl")
+        files["alias.jsonl"] = files["corpus.jsonl"]
+        assert main(self.argv(self.TRAIN, tsv="alias.jsonl")) == 2
+        assert "--tsv and --corpus both name alias.jsonl" in capsys.readouterr().err
+        assert main(self.argv(self.INGEST, input="alias.jsonl", out_vocab="corpus.jsonl")) == 2
+        assert "--out-vocab and --input both name corpus.jsonl" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in Path.cwd().iterdir()} == files
+
+
+class TestSimulateFlags:
+    @pytest.mark.parametrize("argv, named", [
+        (["crp", "--gamma", "2", "--doc-sizes", "1,2"], "simulate crp does not read --gamma, --doc-sizes"),
+        (["crfp", "--n", "7", "--drift-v", "0.1"], "simulate crfp does not read --n, --drift-v"),
+        (["dimsum", "--history", "1;2", "--n", "3"], "simulate dimsum does not read --history, --n"),
+        (["tdpm", "--seed", "5", "--n", "7"], "simulate tdpm does not read --seed, --n"),
+    ], ids=["crp", "crfp", "dimsum", "tdpm"])
+    def test_a_flag_the_process_does_not_read_exits_2_writing_nothing(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out.jsonl"
+        assert main(["simulate", *argv, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["crp", "--seed", "1", "--n", "4", "--alpha", "2"],
+        ["crfp", "--seed", "1", "--alpha", "2", "--gamma", "0.5", "--doc-sizes", "2,3"],
+        ["dimsum", "--seed", "1", "--alpha", "2", "--gamma", "0.5", "--doc-sizes", "2,3", "--arrival-times", "0,4",
+         "--drift-v", "0.2", "--param-dim", "3"],
+        ["tdpm", "--history", "1,2;3,4", "--width", "1", "--decay-lambda", "0.5"],
+    ], ids=["crp", "crfp", "dimsum", "tdpm"])
+    def test_every_flag_the_process_reads_is_accepted(self, tmp_path, argv):
+        assert main(["simulate", *argv, "--out", str(tmp_path / "out.jsonl")]) == 0

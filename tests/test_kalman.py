@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from helpers import backward_steps, dense_kalman_filter, forward_steps, inline_stage_layout, rts_smoother
+from helpers import (
+    backward_steps,
+    dense_kalman_filter,
+    forward_steps,
+    inline_stage_layout,
+    reference_kalman_lower_bound,
+    rts_smoother,
+)
 from topicdrift.corpus import Document
 from topicdrift.errors import ParameterError, ShapeMismatchError, TimeOrderError
 from topicdrift.kalman import (
     DriftConfig,
     KalmanPosterior,
     ObservationTrack,
-    WordCounts,
     kalman_backward,
     kalman_forward,
     kalman_lower_bound,
@@ -25,7 +31,7 @@ from topicdrift.kalman import (
 
 def make_track(timestamps, values, obs_var, present=None):
     values = np.asarray(values, dtype=float)
-    present = np.ones(len(timestamps), dtype=bool) if present is None else np.asarray(present)
+    present = np.ones(values.shape, dtype=bool) if present is None else np.asarray(present)
     return ObservationTrack(np.asarray(timestamps, float), values, obs_var, present)
 
 
@@ -405,27 +411,23 @@ class TestLowerBound:
     def test_single_word_with_zero_variance_is_zero(self):
         ts = np.array([0.0, 1.0, 2.0])
         track = make_track(ts, [0.7, 0.7, 0.7], 0.1, present=[False, False, False])
-        counts = WordCounts(np.array([[4.0], [2.0], [9.0]]))
+        counts = np.array([4.0, 2.0, 9.0])
         post = degenerate_posterior(3, 0.7)
-        bound = kalman_lower_bound({0: track}, {0: post}, counts, DriftConfig(0.1))
+        bound = kalman_lower_bound(track, post, counts, DriftConfig(0.1))
         assert bound == pytest.approx(0.0, abs=1e-12)
 
     def test_absent_words_add_no_observation_terms(self):
         ts = np.array([0.0, 1.0])
         cfg = DriftConfig(0.1)
-        base_track = make_track(ts, [0.5, -0.5], 0.2)
-        base_post = kalman_posterior(base_track, cfg)
-        silent_track = make_track(ts, [0.0, 0.0], 0.2, present=[False, False])
-        silent_post = kalman_posterior(silent_track, cfg)
-        counts = WordCounts(np.array([[3.0, 0.0], [1.0, 0.0]]))
-        with_silent = kalman_lower_bound(
-            {0: base_track, 1: silent_track}, {0: base_post, 1: silent_post}, counts, cfg
-        )
+        # word 0 is seen at both steps, word 1 never
+        present = [[True, True], [False, False]]
+        track = make_track(ts, [[0.5, -0.5], [0.0, 0.0]], 0.2, present=present)
+        post = kalman_posterior(track, cfg)
+        counts = np.array([[3.0, 1.0], [0.0, 0.0]])
+        with_silent = kalman_lower_bound(track, post, counts, cfg)
         # recompute after changing the silent track's values: nothing may move
-        silent_track2 = make_track(ts, [9.0, -9.0], 0.2, present=[False, False])
-        with_silent2 = kalman_lower_bound(
-            {0: base_track, 1: silent_track2}, {0: base_post, 1: silent_post}, counts, cfg
-        )
+        track2 = make_track(ts, [[0.5, -0.5], [9.0, -9.0]], 0.2, present=present)
+        with_silent2 = kalman_lower_bound(track2, post, counts, cfg)
         assert with_silent == pytest.approx(with_silent2, abs=1e-12)
 
     def test_bound_below_monte_carlo_expectation(self):
@@ -433,39 +435,33 @@ class TestLowerBound:
         rng = np.random.default_rng(4)
         ts = np.array([0.0, 1.0, 3.0])
         cfg = DriftConfig(0.2)
-        tracks = {
-            0: make_track(ts, [0.8, 0.2, -0.1], 0.3),
-            1: make_track(ts, [-0.5, 0.1, 0.9], 0.3),
-        }
-        posts = {w: kalman_posterior(tracks[w], cfg) for w in tracks}
-        counts = WordCounts(np.array([[3.0, 1.0], [2.0, 2.0], [1.0, 4.0]]))
+        track = make_track(ts, [[0.8, 0.2, -0.1], [-0.5, 0.1, 0.9]], 0.3)
+        post = kalman_posterior(track, cfg)
+        counts = np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 4.0]])
+        assert np.isfinite(kalman_lower_bound(track, post, counts, cfg))
 
+        # steps x words, as the terms below are written
+        n, totals = counts.T, counts.sum(axis=0)
         n_samples = 100_000
-        sm = np.stack([posts[w].smoothed_mean for w in (0, 1)], axis=1)
-        sv = np.stack([posts[w].smoothed_var for w in (0, 1)], axis=1)
+        sm, sv = post.smoothed_mean.T, post.smoothed_var.T
         draws = rng.normal(sm, np.sqrt(sv), size=(n_samples, 3, 2))
         log_norm = np.log(np.exp(draws).sum(axis=2))
-        word_ll = (counts.counts[None] * draws).sum(axis=(1, 2)) - (
-            counts.totals[None] * log_norm
-        ).sum(axis=1)
+        word_ll = (n[None] * draws).sum(axis=(1, 2)) - (totals[None] * log_norm).sum(axis=1)
         mc_mean = word_ll.mean()
         mc_se = word_ll.std(ddof=1) / math.sqrt(n_samples)
 
-        word_term = float(
-            (counts.counts * sm).sum()
-            - (counts.totals * np.log(np.exp(sm + 0.5 * sv).sum(axis=1))).sum()
-        )
+        word_term = float((n * sm).sum() - (totals * np.log(np.exp(sm + 0.5 * sv).sum(axis=1))).sum())
         assert word_term <= mc_mean + 3 * mc_se
 
         # closed-form expected observation log-density equals its MC estimate
         for w in (0, 1):
             obs_ll = (
                 -0.5 * np.log(2 * np.pi * 0.3)
-                - (tracks[w].beta_hat[None] - draws[:, :, w]) ** 2 / (2 * 0.3)
+                - (track.beta_hat[w][None] - draws[:, :, w]) ** 2 / (2 * 0.3)
             ).sum(axis=1)
             closed = sum(
                 -0.5 * math.log(2 * math.pi * 0.3)
-                - ((tracks[w].beta_hat[t] - posts[w].smoothed_mean[t]) ** 2 + posts[w].smoothed_var[t])
+                - ((track.beta_hat[w, t] - post.smoothed_mean[w, t]) ** 2 + post.smoothed_var[w, t])
                 / (2 * 0.3)
                 for t in range(3)
             )
@@ -473,11 +469,97 @@ class TestLowerBound:
             assert closed == pytest.approx(obs_ll.mean(), abs=3 * se)
 
     def test_missing_posterior_rejected(self):
+        """A posterior of one word for a stack of two."""
         ts = np.array([0.0, 1.0])
-        track = make_track(ts, [0.0, 0.0], 0.1)
-        counts = WordCounts(np.array([[1.0], [1.0]]))
+        track = make_track(ts, [[0.0, 0.0], [1.0, 1.0]], 0.1)
+        post = kalman_posterior(make_track(ts, [0.0, 0.0], 0.1), DriftConfig(0.1))
         with pytest.raises(ShapeMismatchError):
-            kalman_lower_bound({0: track}, {}, counts, DriftConfig(0.1))
+            kalman_lower_bound(track, post, np.ones((2, 2)), DriftConfig(0.1))
+
+    def test_counts_of_another_shape_or_negative_rejected(self):
+        ts = np.array([0.0, 1.0])
+        cfg = DriftConfig(0.1)
+        track = make_track(ts, [[0.0, 0.0], [1.0, 1.0]], 0.1)
+        post = kalman_posterior(track, cfg)
+        for counts in (np.ones(2), np.ones((2, 3)), np.ones((2, 2)).T[:1], np.ones((1, 2, 2))):
+            with pytest.raises(ShapeMismatchError):
+                kalman_lower_bound(track, post, counts, cfg)
+        for bad in (-1.0, np.nan):
+            counts = np.ones((2, 2))
+            counts[1, 0] = bad
+            with pytest.raises(ParameterError, match="nonnegative"):
+                kalman_lower_bound(track, post, counts, cfg)
+        # a one-track posterior for a stack, or a posterior whose arrays disagree
+        short = KalmanPosterior(post.forward_mean, post.forward_var, post.smoothed_mean[:, :1], post.smoothed_var)
+        with pytest.raises(ShapeMismatchError):
+            kalman_lower_bound(track, short, np.ones((2, 2)), cfg)
+
+
+class TestStackedTracks:
+    """A stack of tracks on one grid runs in one call, as each of its rows would alone."""
+
+    @staticmethod
+    def random_stack(rng):
+        """1-6 words x 1-8 steps; some words are never present, and absent steps hold nan or inf."""
+        words, steps = rng.integers(1, 7), rng.integers(1, 9)
+        ts = np.cumsum(rng.uniform(0.01, 5.0, size=steps))
+        present = rng.random((words, steps)) < 0.6
+        present[rng.random(words) < 0.3] = False
+        beta = np.where(present, rng.normal(size=(words, steps)), rng.choice([np.nan, np.inf, -np.inf], (words, steps)))
+        obs_var = rng.uniform(0.05, 2.0, size=(words, steps))
+        counts = np.where(rng.random((words, steps)) < 0.3, 0.0, rng.integers(1, 6, (words, steps)))
+        return ObservationTrack(ts, beta, obs_var, present), counts
+
+    @pytest.mark.parametrize("v", [0.0, 0.3])
+    def test_posteriors_equal_each_row_and_the_bound_the_reference(self, v):
+        rng = np.random.default_rng(9)
+        cfg = DriftConfig(v, prior_mean=0.4, prior_variance=1.3)
+        for _ in range(200):
+            track, counts = self.random_stack(rng)
+            post = kalman_posterior(track, cfg)
+            tracks, posts = {}, {}
+            for w in range(track.beta_hat.shape[0]):
+                tracks[w] = ObservationTrack(track.timestamps, track.beta_hat[w], track.obs_variance[w],
+                                             track.present[w])
+                posts[w] = kalman_posterior(tracks[w], cfg)
+                for name in ("forward_mean", "forward_var", "smoothed_mean", "smoothed_var"):
+                    got, want = getattr(post, name)[w], getattr(posts[w], name)
+                    assert got.tobytes() == want.tobytes(), name
+            bound = kalman_lower_bound(track, post, counts, cfg)
+            want = reference_kalman_lower_bound(tracks, posts, counts.T, cfg)
+            assert bound == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_leading_axes_beyond_one_are_words_too(self):
+        """A (2, 3, S) stack gives the bound of the same six tracks as a (6, S) stack."""
+        rng = np.random.default_rng(10)
+        ts = np.array([0.0, 0.5, 2.0, 2.5])
+        present = rng.random((2, 3, 4)) < 0.7
+        beta = rng.normal(size=(2, 3, 4))
+        counts = rng.integers(0, 4, (2, 3, 4)).astype(float)
+        cfg = DriftConfig(0.2)
+        deep = ObservationTrack(ts, beta, 0.3, present)
+        flat = ObservationTrack(ts, beta.reshape(6, 4), 0.3, present.reshape(6, 4))
+        a = kalman_lower_bound(deep, kalman_posterior(deep, cfg), counts, cfg)
+        b = kalman_lower_bound(flat, kalman_posterior(flat, cfg), counts.reshape(6, 4), cfg)
+        assert a == pytest.approx(b, rel=1e-14)
+
+    def test_one_track_call_matches_the_reference(self):
+        track = make_track([0.0, 1.0, 4.0, 4.5], [0.3, np.nan, -0.2, 0.5], 0.09, present=[True, False, True, True])
+        cfg = DriftConfig(0.0625)
+        post = kalman_posterior(track, cfg)
+        counts = np.array([3.0, 0.0, 2.0, 1.0])
+        bound = kalman_lower_bound(track, post, counts, cfg)
+        assert bound == pytest.approx(reference_kalman_lower_bound({0: track}, {0: post}, counts[:, None], cfg),
+                                      rel=1e-12, abs=0)
+
+    def test_track_shapes_must_agree(self):
+        with pytest.raises(ShapeMismatchError):
+            ObservationTrack([0.0, 1.0], np.zeros((2, 3)), 0.1, np.ones((2, 3), dtype=bool))
+        with pytest.raises(ShapeMismatchError):
+            ObservationTrack([0.0, 1.0], np.zeros((2, 2)), 0.1, np.ones(2, dtype=bool))
+        track = make_track([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], 0.1)
+        with pytest.raises(ShapeMismatchError):
+            kalman_backward(track, (np.zeros(2), np.ones(2)), DriftConfig(0.1))
 
 
 class TestValidation:

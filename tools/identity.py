@@ -11,7 +11,8 @@ interpreter, with ``PYTHONPATH=<tree>/src``, once with
   ``benchmarks/archive.py`` archives of seeds 0, 3 and 7;
 * ``uniform_stream(512, 20000, seed=0)`` written as a corpus with its
   vocabulary, then ``train`` of all three models and ``timeline`` of both
-  online models, every option at its default.
+  online models, every option at its default;
+* ``simulate`` of each process, every option at its default, with ``--out``.
 
 Each ``timeline`` also reads ``labels.txt``, written from the run's corpus
 with the document of line i labelled ``i % 2``, and writes
@@ -20,8 +21,9 @@ One row is printed per output: its name, both sha256 values and, for score
 TSVs, ``assign.tsv`` and ``confusion.tsv``, the largest relative difference
 of their numbers.  The exit status is 1 if a relative difference is above
 1e-10, if an ``assign.tsv`` flag, a doc id, a confusion count or a row count
-differs, or if an output exists in one tree only; a byte difference within
-1e-10 is printed but does not fail.
+differs, if a ``simulate`` output differs in a byte (the simulators are
+seeded, so no tolerance applies), or if an output exists in one tree only;
+another byte difference within 1e-10 is printed but does not fail.
 Everything is written under a temporary directory, which is removed.
 """
 
@@ -42,6 +44,7 @@ SEEDS = (0, 3, 7)
 WORKERS = (1, 2)
 REL_TOL = 1e-10
 DEFAULTS_DOCS, DEFAULTS_VOCAB = 512, 20000
+PROCESSES = ("crp", "crfp", "dimsum", "tdpm")
 
 
 def _bench():
@@ -109,6 +112,10 @@ def run_tree(tree, workers, archives, out):
     for model in ("ohdp", "cidtm", "cdtm"):
         _pipeline(cli, run_dir, corpus, vocab, ("--model", model), model != "cdtm", prefix=f"{model}.")
 
+    (out / "simulate").mkdir()
+    for process in PROCESSES:
+        _cli(cli, "simulate", process, "--out", out / "simulate" / f"{process}.jsonl")
+
 
 def _run_in_subprocess(tree, workers, archives, out):
     env = {k: v for k, v in os.environ.items() if k != "TM_SEED"}  # TM_SEED would override every --seed
@@ -171,6 +178,8 @@ def compare(parent_out, child_out):
         hp, hc = sha256(p), sha256(c)
         same += hp == hc
         diff, problem = tsv_diff(p, c) if name.suffix == ".tsv" else (None, None)
+        if "simulate" in name.parts and hp != hc:
+            problem = "bytes of a seeded simulation"
         failed = problem is not None or (diff is not None and diff > REL_TOL)
         ok &= not failed
         if failed:
